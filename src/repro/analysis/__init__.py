@@ -20,7 +20,6 @@ from .experiments import (
     run_analytic_sweep,
     run_simulation_experiment,
 )
-from .hotloop_bench import ALLOCATION_TOLERANCE, run_hotloop_bench
 from .reporting import format_series, format_table, summarize_simulation, summarize_sweep
 from .stats import fraction_at_least, geometric_mean, series_summary
 from .sweep_bench import run_sweep_bench, sweep_fingerprint, sweeps_identical
@@ -67,6 +66,4 @@ __all__ = [
     "ColdVsWarmProbe",
     "EpochProbeRecord",
     "run_warmstart_bench",
-    "run_hotloop_bench",
-    "ALLOCATION_TOLERANCE",
 ]

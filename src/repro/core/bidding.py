@@ -2,27 +2,34 @@
 
 Given the prices announced by the market, every player independently
 finds the bid vector that maximizes its own utility subject to its
-budget (optimization problem 3 in the paper).  Two strategies are
-provided:
+budget (optimization problem 3 in the paper).
 
-* :class:`HillClimbBidder` — the paper's Section 4.1.2 procedure: start
-  from an equal split (or, warm-started, from the previous bid vector),
-  repeatedly move an exponentially shrinking amount ``S`` of money from
-  the resource with the lowest marginal utility to the one with the
-  highest, stopping when marginals agree within 5% or ``S`` drops below
-  1% of the budget.
+* :class:`HillClimbBidder` — the paper's Section 4.1.2 procedure, run
+  for every player of a round at once: start from an equal split (or,
+  warm-started, from the previous bid vector), repeatedly move an
+  exponentially shrinking amount ``S`` of money from the resource with
+  the lowest marginal utility to the one with the highest, stopping when
+  marginals agree within 5% or ``S`` drops below 1% of the budget.  The
+  marginal the climb reads is its one varying step:
+
+  - *price-anticipating* (the default; Equations 2 and 7): a player
+    predicts how its own bid moves its allocation through the shared
+    price;
+  - *price-taking* (:class:`PriceTakingBidder`): ``r_j = b_j / p_j``
+    with the prices held fixed at the previous bids.
+
 * :class:`ExactBidder` — a numerically exact best response found by
   projected gradient ascent with backtracking; used as an ablation
   reference for how much the cheap hill climb loses.
 
-Both return bid vectors that (a) are non-negative and (b) spend the full
+All return bid vectors that (a) are non-negative and (b) spend the full
 budget whenever any resource still has positive marginal utility.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,30 +44,26 @@ from .player import (
 __all__ = [
     "BiddingStrategy",
     "HillClimbBidder",
-    "VectorHillClimbBidder",
     "ExactBidder",
     "PriceTakingBidder",
 ]
+
+#: ``marginals(rows, bids)``: the ``(K, M)`` marginal utilities of money
+#: of players ``rows`` at their bid rows ``bids``.
+_MarginalRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class BiddingStrategy(abc.ABC):
     """Finds a player's (approximately) optimal bids given others' bids."""
 
-    #: True for strategies offering :meth:`optimize_all`, the lockstep
-    #: all-players entry point ``find_equilibrium`` dispatches Jacobi
-    #: rounds to.
-    supports_lockstep: bool = False
-
-    #: Marginal utilities this strategy computed at the bids it last
-    #: returned, or ``None`` when the last evaluation happened *before*
-    #: the final move (the climb stopped on step size, so the stored
-    #: marginals would be stale).  Lets equilibrium/rebudget seams skip
-    #: re-deriving ``lambda_i`` when the climb already paid for it.
+    #: Equation 7 marginals ``(N, M)`` the last :meth:`optimize_all` call
+    #: evaluated for each row, and an ``(N,)`` flag saying whether they
+    #: are *fresh* — evaluated at exactly the returned bids rather than
+    #: before a final move.  ``None`` when the strategy exposes none.
+    #: Lets ``find_equilibrium`` skip re-deriving ``lambda_i`` when the
+    #: climb already paid for it.
     last_marginals: Optional[np.ndarray] = None
-
-    #: ``lambda_i`` derived from :attr:`last_marginals` (same formula as
-    #: :meth:`player_lambda`), or ``None`` when stale.
-    last_lambda: Optional[float] = None
+    last_fresh: Optional[np.ndarray] = None
 
     @abc.abstractmethod
     def optimize(
@@ -81,6 +84,42 @@ class BiddingStrategy(abc.ABC):
         climbs size their first step to it so a near-converged player
         does not re-explore the whole simplex.
         """
+
+    def optimize_all(
+        self,
+        utilities: Sequence[UtilityFunction],
+        budgets: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: Optional[np.ndarray] = None,
+        step_hints: Optional[np.ndarray] = None,
+        evaluator: Optional[BatchedUtilitySet] = None,
+    ) -> np.ndarray:
+        """Best-respond for every player against fixed ``others`` bids.
+
+        Parameters mirror :meth:`optimize` row-wise: ``budgets`` is
+        ``(N,)``, ``others`` is ``(N, M)`` (row ``i`` is the sum of the
+        *other* players' bids as player ``i`` sees them), and
+        ``current_bids`` / ``step_hints`` are the optional ``(N, M)`` /
+        ``(N,)`` warm-start state.  ``evaluator`` is a prebuilt
+        :class:`~repro.utility.batch.BatchedUtilitySet` over
+        ``utilities`` for strategies that evaluate in batches.  Returns
+        the new ``(N, M)`` bid matrix; this default calls
+        :meth:`optimize` row by row.
+        """
+        return np.array(
+            [
+                self.optimize(
+                    utility,
+                    float(budgets[i]),
+                    others[i],
+                    capacities,
+                    current_bids=None if current_bids is None else current_bids[i],
+                    step_hint=None if step_hints is None else float(step_hints[i]),
+                )
+                for i, utility in enumerate(utilities)
+            ]
+        )
 
     @staticmethod
     def warm_start_bids(
@@ -111,7 +150,6 @@ class BiddingStrategy(abc.ABC):
         bids: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
-        marginals: Optional[np.ndarray] = None,
     ) -> float:
         """The player-specific multiplier ``lambda_i`` at a bid vector.
 
@@ -119,13 +157,8 @@ class BiddingStrategy(abc.ABC):
         marginal utility (Equation 4); we report the maximum marginal
         over resources with non-zero bids, which equals that shared
         value at an optimum and degrades gracefully away from one.
-
-        ``marginals`` short-circuits the evaluation when the caller
-        already holds ``dU/db`` at exactly these bids and others (e.g. a
-        climb's :attr:`last_marginals`).
         """
-        if marginals is None:
-            marginals = marginal_utility_of_bids(utility, bids, others, capacities)
+        marginals = marginal_utility_of_bids(utility, bids, others, capacities)
         active = bids > 1e-12
         if not np.any(active):
             return float(marginals.max(initial=0.0))
@@ -134,6 +167,14 @@ class BiddingStrategy(abc.ABC):
 
 class HillClimbBidder(BiddingStrategy):
     """The exponential back-off hill climb of Section 4.1.2.
+
+    Jacobi rounds make players independent within a round (everyone
+    best-responds to the same broadcast bids), so :meth:`optimize_all`
+    advances every player's climb in lockstep: one ``(K, M)`` batched
+    marginal evaluation per iteration serves every still-active player,
+    each with its own step size and stop state.  :meth:`optimize` is the
+    same climb for a single row.  Subclasses change the marginal the
+    climb reads through :meth:`_marginal_rule`.
 
     Parameters
     ----------
@@ -149,28 +190,6 @@ class HillClimbBidder(BiddingStrategy):
         self.lambda_tolerance = lambda_tolerance
         self.step_stop_fraction = step_stop_fraction
 
-    def _stale(
-        self,
-        bids: np.ndarray,
-        utility: UtilityFunction,
-        others: np.ndarray,
-        capacities: np.ndarray,
-    ) -> bool:
-        """True when ``bids`` is far from this player's optimum.
-
-        The climb moves at most ~2x its initial step per call, so a
-        hint-sized step cannot recover from a large utility shift; a
-        marginal imbalance beyond twice the stop tolerance means the
-        seed is stale and the climb needs full mobility.
-        """
-        marginals = marginal_utility_of_bids(utility, bids, others, capacities)
-        donors = np.where(bids > 1e-12)[0]
-        if donors.size == 0:
-            return False
-        hi = float(marginals.max())
-        lo = float(marginals[donors].min())
-        return hi > 0.0 and hi - lo > 2.0 * self.lambda_tolerance * hi
-
     def optimize(
         self,
         utility: UtilityFunction,
@@ -180,111 +199,31 @@ class HillClimbBidder(BiddingStrategy):
         current_bids: np.ndarray | None = None,
         step_hint: float | None = None,
     ) -> np.ndarray:
-        num_resources = capacities.size
-        self.last_marginals = None
-        self.last_lambda = None
-        if budget <= 0.0:
-            return np.zeros(num_resources)
-        if num_resources == 1:
-            return np.array([budget])
+        return self.optimize_all(
+            [utility],
+            np.array([budget], dtype=float),
+            np.asarray(others, dtype=float)[None, :],
+            capacities,
+            current_bids=None if current_bids is None else np.asarray(current_bids)[None],
+            step_hints=None if step_hint is None else np.array([step_hint], dtype=float),
+        )[0]
 
-        cold_step = budget / (2.0 * num_resources)
-        min_step = self.step_stop_fraction * budget
-
-        # Step 1: start from the previous bids when they are reusable
-        # (same budget), otherwise from an equal split; S is half of one
-        # equal-split bid, shrunk to the last move for warm starts.
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
-        if warm is None:
-            bids = np.full(num_resources, budget / num_resources)
-            step = cold_step
-        else:
-            bids = warm
-            if step_hint is None or self._stale(warm, utility, others, capacities):
-                # No hint, or the seed's marginals are badly out of
-                # balance (the problem shifted under us): a hint-sized
-                # step cannot cover the distance, so climb at full
-                # mobility from the warm point.
-                step = cold_step
-            else:
-                step = float(np.clip(step_hint, 2.0 * min_step, cold_step))
-
-        # Marginals evaluated at exactly the bids we end up returning, or
-        # None when the climb's last act was a move (stale marginals).
-        final_marginals: Optional[np.ndarray] = None
-        while step >= min_step:
-            marginals = marginal_utility_of_bids(utility, bids, others, capacities)
-            final_marginals = marginals
-            # Donor: lowest marginal among resources we actually bid on.
-            # Recipient: highest marginal overall.
-            active = bids > 1e-12
-            donor_candidates = np.where(active)[0]
-            if donor_candidates.size == 0:
-                break
-            donor = donor_candidates[np.argmin(marginals[donor_candidates])]
-            recipient = int(np.argmax(marginals))
-            hi, lo = marginals[recipient], marginals[donor]
-            if recipient == donor or hi <= 0.0:
-                break
-            # Stop condition (a): marginals already agree within tolerance.
-            if hi - lo <= self.lambda_tolerance * hi:
-                break
-            moved = min(step, bids[donor])
-            bids[donor] -= moved
-            bids[recipient] += moved
-            final_marginals = None
-            # Step 3: exponential back-off.
-            step *= 0.5
-
-        if final_marginals is not None:
-            self.last_marginals = final_marginals
-            self.last_lambda = self.player_lambda(
-                utility, bids, others, capacities, marginals=final_marginals
-            )
-        return bids
-
-
-class VectorHillClimbBidder(HillClimbBidder):
-    """Section 4.1.2's hill climb for *all* players at once, in lockstep.
-
-    Jacobi rounds make players independent within a round (everyone
-    best-responds to the same broadcast bids), so their climbs can be
-    advanced together: one ``(K, M)`` batched marginal evaluation per
-    lockstep iteration serves every still-active player, instead of each
-    player paying its own chain of scalar ``gradient()`` calls.  The
-    per-player arithmetic — warm-start validation, staleness check,
-    donor/recipient selection, step back-off, every stop condition — is
-    the scalar :meth:`HillClimbBidder.optimize` mirrored operation for
-    operation, so the returned bid matrix is *bitwise identical* to N
-    scalar climbs for every built-in utility family (batched gradients
-    reproduce scalar gradients exactly); ``strict=True`` re-runs the
-    scalar climbs and asserts agreement within ``strict_tolerance``
-    (documented slack for utilities whose batched override differs from
-    the scalar path in summation order).
-
-    The scalar :meth:`optimize` entry point is inherited unchanged, so
-    this bidder also works for Gauss–Seidel rounds and any other
-    one-player-at-a-time caller.
-    """
-
-    supports_lockstep = True
-
-    #: Marginals each climb computed at its returned bids (N, M), and a
-    #: per-player flag saying whether they are *fresh* — evaluated at
-    #: exactly the returned bids rather than before a final move.
-    last_marginals_all: Optional[np.ndarray] = None
-    last_fresh: Optional[np.ndarray] = None
-
-    def __init__(
+    def _marginal_rule(
         self,
-        lambda_tolerance: float = 0.05,
-        step_stop_fraction: float = 0.01,
-        strict: bool = False,
-        strict_tolerance: float = 1e-9,
-    ):
-        super().__init__(lambda_tolerance, step_stop_fraction)
-        self.strict = strict
-        self.strict_tolerance = strict_tolerance
+        budgets: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: Optional[np.ndarray],
+        evaluator: BatchedUtilitySet,
+    ) -> _MarginalRule:
+        """The marginal utility of money the climb equalizes: Equation 7."""
+
+        def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
+            return marginal_utility_of_bids_batch(
+                bids, others[rows], capacities, evaluator=evaluator, players=rows
+            )
+
+        return marginals
 
     def optimize_all(
         self,
@@ -296,17 +235,6 @@ class VectorHillClimbBidder(HillClimbBidder):
         step_hints: Optional[np.ndarray] = None,
         evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
-        """Best-respond for every player against fixed ``others`` bids.
-
-        Parameters mirror :meth:`optimize` row-wise: ``budgets`` is
-        ``(N,)``, ``others`` is ``(N, M)`` (row ``i`` is the sum of the
-        *other* players' bids as player ``i`` sees them), and
-        ``current_bids`` / ``step_hints`` are the optional ``(N, M)`` /
-        ``(N,)`` warm-start state.  ``evaluator`` is a prebuilt
-        :class:`~repro.utility.batch.BatchedUtilitySet` over
-        ``utilities`` (built fresh when omitted — pass one when calling
-        every round).  Returns the new ``(N, M)`` bid matrix.
-        """
         budgets = np.asarray(budgets, dtype=float)
         others = np.asarray(others, dtype=float)
         capacities = np.asarray(capacities, dtype=float)
@@ -314,9 +242,12 @@ class VectorHillClimbBidder(HillClimbBidder):
         num_resources = capacities.size
         if evaluator is None:
             evaluator = BatchedUtilitySet(utilities)
+        marginals_at = self._marginal_rule(
+            budgets, others, capacities, current_bids, evaluator
+        )
 
         bids = np.zeros((num_players, num_resources))
-        self.last_marginals_all = np.zeros((num_players, num_resources))
+        self.last_marginals = np.zeros((num_players, num_resources))
         self.last_fresh = np.zeros(num_players, dtype=bool)
 
         if num_resources == 1:
@@ -328,9 +259,10 @@ class VectorHillClimbBidder(HillClimbBidder):
         min_step = self.step_stop_fraction * budgets
         step = np.zeros(num_players)
 
-        # Per-player initialization, mirroring the scalar climb: warm
-        # bids when reusable, equal split otherwise; cold step unless a
-        # usable hint exists AND the seed is not stale.
+        # Step 1: start from the previous bids when they are reusable
+        # (same budget), otherwise from an equal split; S is half of one
+        # equal-split bid, shrunk to the last move for hinted warm starts
+        # whose seed is not stale.
         hinted: list = []
         for i in range(num_players):
             budget = float(budgets[i])
@@ -352,13 +284,13 @@ class VectorHillClimbBidder(HillClimbBidder):
                     hinted.append(i)
 
         if hinted:
-            # Batched staleness probe: one vectorized marginal evaluation
-            # replaces one scalar gradient call per hinted player.
+            # Staleness probe: the climb moves at most ~2x its initial
+            # step per call, so a hint-sized step cannot recover from a
+            # large utility shift.  A marginal imbalance beyond twice the
+            # stop tolerance means the seed is stale and the climb needs
+            # full mobility from the warm point.
             rows = np.asarray(hinted, dtype=np.intp)
-            marginals = marginal_utility_of_bids_batch(
-                bids[rows], others[rows], capacities,
-                evaluator=evaluator, players=rows,
-            )
+            marginals = marginals_at(rows, bids[rows])
             donors = bids[rows] > 1e-12
             has_donor = donors.any(axis=1)
             hi = marginals.max(axis=1)
@@ -374,22 +306,20 @@ class VectorHillClimbBidder(HillClimbBidder):
         active = (budgets > 0.0) & (step >= min_step)
         while np.any(active):
             rows = np.flatnonzero(active)
-            marginals = marginal_utility_of_bids_batch(
-                bids[rows], others[rows], capacities,
-                evaluator=evaluator, players=rows,
-            )
-            self.last_marginals_all[rows] = marginals
+            marginals = marginals_at(rows, bids[rows])
+            self.last_marginals[rows] = marginals
             self.last_fresh[rows] = True
             span = np.arange(rows.size)
             donors = bids[rows] > 1e-12
             has_donor = donors.any(axis=1)
             # Donor: lowest marginal among resources the player bids on
-            # (np.inf masking preserves the scalar first-among-ties
-            # index); recipient: highest marginal overall.
+            # (np.inf masking keeps the first index among ties);
+            # recipient: highest marginal overall.
             donor = np.argmin(np.where(donors, marginals, np.inf), axis=1)
             recipient = np.argmax(marginals, axis=1)
             hi = marginals[span, recipient]
             lo = marginals[span, donor]
+            # Stop when marginals already agree within tolerance.
             stop = (
                 ~has_donor
                 | (recipient == donor)
@@ -405,44 +335,10 @@ class VectorHillClimbBidder(HillClimbBidder):
                 bids[move, d] -= moved
                 bids[move, r] += moved
                 self.last_fresh[move] = False
+                # Step 3: exponential back-off.
                 step[move] *= 0.5
                 active[move] = step[move] >= min_step[move]
-
-        if self.strict:
-            self._assert_scalar_agreement(
-                utilities, budgets, others, capacities,
-                current_bids, step_hints, bids,
-            )
         return bids
-
-    def _assert_scalar_agreement(
-        self,
-        utilities: Sequence[UtilityFunction],
-        budgets: np.ndarray,
-        others: np.ndarray,
-        capacities: np.ndarray,
-        current_bids: Optional[np.ndarray],
-        step_hints: Optional[np.ndarray],
-        bids: np.ndarray,
-    ) -> None:
-        """Re-run every climb through the scalar path and compare."""
-        reference = HillClimbBidder(self.lambda_tolerance, self.step_stop_fraction)
-        for i in range(budgets.size):
-            expected = reference.optimize(
-                utilities[i],
-                float(budgets[i]),
-                others[i],
-                capacities,
-                current_bids=None if current_bids is None else current_bids[i],
-                step_hint=None if step_hints is None else float(step_hints[i]),
-            )
-            slack = self.strict_tolerance * max(1.0, float(budgets[i]))
-            if not np.all(np.abs(bids[i] - expected) <= slack):
-                raise AssertionError(
-                    f"lockstep climb diverged from the scalar path for "
-                    f"player {i}: {bids[i]!r} vs {expected!r} "
-                    f"(tolerance {slack:g})"
-                )
 
 
 class ExactBidder(BiddingStrategy):
@@ -507,7 +403,7 @@ class ExactBidder(BiddingStrategy):
         return bids
 
 
-class PriceTakingBidder(BiddingStrategy):
+class PriceTakingBidder(HillClimbBidder):
     """A naive bidder that treats broadcast prices as fixed.
 
     The paper's bidders are *price-anticipating* (Equation 2: a player
@@ -518,62 +414,53 @@ class PriceTakingBidder(BiddingStrategy):
     last broadcast value.  Price takers over-bid on contested resources
     (they ignore that their own money inflates the price), which is the
     behaviour the bidding ablation quantifies.
+
+    The climb is :class:`HillClimbBidder`'s with this marginal; it always
+    starts at full step (step hints are ignored), and it exposes no
+    :attr:`last_marginals`, since its marginals are not Equation 7's.
     """
 
-    def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
-        self.lambda_tolerance = lambda_tolerance
-        self.step_stop_fraction = step_stop_fraction
-
-    def optimize(
+    def optimize_all(
         self,
-        utility: UtilityFunction,
-        budget: float,
+        utilities: Sequence[UtilityFunction],
+        budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
-        current_bids: np.ndarray | None = None,
-        step_hint: float | None = None,
+        current_bids: Optional[np.ndarray] = None,
+        step_hints: Optional[np.ndarray] = None,
+        evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
-        num_resources = capacities.size
-        if budget <= 0.0:
-            return np.zeros(num_resources)
-        if num_resources == 1:
-            return np.array([budget])
-
-        # Fixed prices from the last broadcast (Equation 1 with the
-        # player's previous bids included).
-        previous = (
-            current_bids
-            if current_bids is not None
-            else np.full(num_resources, budget / num_resources)
+        bids = super().optimize_all(
+            utilities, budgets, others, capacities, current_bids, None, evaluator
         )
-        prices = (others + np.maximum(np.asarray(previous, dtype=float), 0.0)) / capacities
-        prices = np.maximum(prices, 1e-12)
-
-        # The climb starts from the same bids the prices were derived
-        # from: restarting from an equal split would optimize bids that
-        # are inconsistent with the prices assumed above.
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
-        bids = warm if warm is not None else np.full(num_resources, budget / num_resources)
-        step = budget / (2.0 * num_resources)
-        min_step = self.step_stop_fraction * budget
-        while step >= min_step:
-            allocation = np.minimum(bids / prices, capacities)
-            du_dr = np.asarray(utility.gradient(allocation), dtype=float)
-            marginals = np.where(allocation < capacities, du_dr / prices, 0.0)
-            active = bids > 1e-12
-            donors = np.where(active)[0]
-            if donors.size == 0:
-                break
-            donor = donors[np.argmin(marginals[donors])]
-            recipient = int(np.argmax(marginals))
-            hi, lo = marginals[recipient], marginals[donor]
-            if recipient == donor or hi <= 0.0 or hi - lo <= self.lambda_tolerance * hi:
-                break
-            moved = min(step, bids[donor])
-            bids[donor] -= moved
-            bids[recipient] += moved
-            step *= 0.5
+        self.last_marginals = self.last_fresh = None
         return bids
+
+    def _marginal_rule(
+        self,
+        budgets: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: Optional[np.ndarray],
+        evaluator: BatchedUtilitySet,
+    ) -> _MarginalRule:
+        """``dU/dr / p`` at prices fixed from the previous bids."""
+        # Fixed prices from the last broadcast (Equation 1 with the
+        # player's previous bids included).  The climb starts from the
+        # same bids, so the bids it optimizes match the prices assumed.
+        if current_bids is None:
+            previous = np.repeat(budgets[:, None] / capacities.size, capacities.size, axis=1)
+        else:
+            previous = np.maximum(np.asarray(current_bids, dtype=float), 0.0)
+        prices = np.maximum((others + previous) / capacities, 1e-12)
+
+        def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
+            row_prices = prices[rows]
+            allocations = np.minimum(bids / row_prices, capacities)
+            du_dr = evaluator.gradients(allocations, rows)
+            return np.where(allocations < capacities, du_dr / row_prices, 0.0)
+
+        return marginals
 
 
 def _project_to_simplex(vector: np.ndarray, total: float) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from ..qa import sanitize as _sanitize
 from ..utility.base import EVAL_COUNTERS
 from ..utility.batch import BatchedUtilitySet
-from .bidding import BiddingStrategy, VectorHillClimbBidder
+from .bidding import BiddingStrategy, HillClimbBidder
 from .market import Market, MarketState
 from .player import marginal_utility_of_bids_batch
 
@@ -205,24 +205,20 @@ def find_equilibrium(
         before it in the round.  Jacobi is the default and the one used
         in all experiments.
 
-    Jacobi rounds dispatch to the bidder's lockstep entry point
-    (``optimize_all``) when it advertises ``supports_lockstep`` — the
-    default :class:`~repro.core.bidding.VectorHillClimbBidder` does —
-    which advances every player's climb with batched utility
-    evaluations; results are bitwise identical to the per-player scalar
-    path.  Gauss–Seidel rounds and custom bidders always take the scalar
-    per-player path.
+    A Jacobi round is one ``bidder.optimize_all`` call over every
+    player; the default :class:`~repro.core.bidding.HillClimbBidder`
+    advances all climbs in lockstep with batched utility evaluations.
+    A Gauss–Seidel round calls ``bidder.optimize`` once per player.
     """
     if bidder is None:
-        bidder = VectorHillClimbBidder()
+        bidder = HillClimbBidder()
     if update not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown update mode {update!r}")
 
     capacities = market.capacities
     counters_at_entry = EVAL_COUNTERS.snapshot()
     utilities_of = [p.utility for p in market.players]
-    lockstep = update == "jacobi" and getattr(bidder, "supports_lockstep", False)
-    evaluator = BatchedUtilitySet(utilities_of) if lockstep else None
+    evaluator = BatchedUtilitySet(utilities_of)
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False
@@ -250,7 +246,7 @@ def find_equilibrium(
         # later round — and every warm-started round — resumes from the
         # player's previous bids with a step sized to its last move.
         resume = warm_started or iterations > 1
-        if lockstep:
+        if update == "jacobi":
             bids = bidder.optimize_all(
                 utilities_of,
                 market.budgets,
@@ -260,19 +256,6 @@ def find_equilibrium(
                 step_hints=last_moves,
                 evaluator=evaluator,
             )
-        elif update == "jacobi":
-            new_bids = np.empty_like(bids)
-            for i, player in enumerate(market.players):
-                others = totals - bids[i]
-                new_bids[i] = bidder.optimize(
-                    player.utility,
-                    player.budget,
-                    others,
-                    capacities,
-                    current_bids=bids[i] if resume else None,
-                    step_hint=None if last_moves is None else float(last_moves[i]),
-                )
-            bids = new_bids
         else:
             # Sequential rounds maintain the per-resource bid totals
             # incrementally (O(N·M) per round) instead of re-summing the
@@ -282,9 +265,8 @@ def find_equilibrium(
             # regression test pins the resulting equilibria to the
             # recomputed-sum oracle within 1e-9.
             bids = bids.copy()
-            running_totals = bids.sum(axis=0)
             for i, player in enumerate(market.players):
-                others = running_totals - bids[i]
+                others = totals - bids[i]
                 new_row = bidder.optimize(
                     player.utility,
                     player.budget,
@@ -293,7 +275,7 @@ def find_equilibrium(
                     current_bids=bids[i] if resume else None,
                     step_hint=None if last_moves is None else float(last_moves[i]),
                 )
-                running_totals += new_row - bids[i]
+                totals += new_row - bids[i]
                 bids[i] = new_row
 
         new_prices = market.prices(bids)
@@ -344,8 +326,7 @@ def find_equilibrium(
     state = market.allocate(bids)
     utilities = market.utilities(state.allocations)
     lambdas = _final_lambdas(
-        market, bids, capacities, bidder,
-        lockstep=lockstep, evaluator=evaluator,
+        bids, capacities, bidder, evaluator,
         last_moves=last_moves if iterations > 0 else None, damped=damped,
     )
     return EquilibriumResult(
@@ -375,65 +356,54 @@ def find_equilibrium(
 
 
 def _final_lambdas(
-    market: Market,
     bids: np.ndarray,
     capacities: np.ndarray,
     bidder: BiddingStrategy,
+    evaluator: BatchedUtilitySet,
     *,
-    lockstep: bool,
-    evaluator: Optional[BatchedUtilitySet],
     last_moves: Optional[np.ndarray],
     damped: bool,
 ) -> np.ndarray:
     """Per-player ``lambda_i`` at the final bid matrix.
 
-    The scalar path recomputes one marginal vector per player (the
-    pre-existing behaviour).  The lockstep path needs at most one batched
-    evaluation — and none at all when the final round's climbs already
-    evaluated marginals at exactly these bids: that requires every
-    player's marginals to be *fresh* (:attr:`last_fresh`), no bid to have
-    moved in the final round (``last_moves`` all zero, so each climb's
-    round-start ``others`` equals the final matrix's), and no oscillation
-    damping to have averaged the matrix after the climbs ran.  Warm
-    verification rounds — the common case in epoch chains — meet all
-    three, so their lambda collection is free.
+    Needs at most one batched Equation 7 evaluation — and none at all
+    when the final round's climbs already evaluated marginals at exactly
+    these bids.  That requires the bidder's last call to have covered
+    every row with *fresh* Equation 7 marginals (:attr:`last_fresh` of
+    length N, all true — never after Gauss–Seidel's one-row calls, and
+    never for a bidder that exposes no marginals), no bid to have moved
+    in the final round (``last_moves`` all zero, so each climb's
+    round-start ``others`` equals the final matrix's), and no
+    oscillation damping to have averaged the matrix after the climbs
+    ran.  Warm verification rounds — the common case in epoch chains —
+    meet all three, so their lambda collection is free.
     """
-    totals = bids.sum(axis=0)
-    if lockstep:
-        reusable = (
-            not damped
-            and last_moves is not None
-            # "no player moved": last_moves entries are non-negative
-            # maxima of |bid deltas|, so none-positive means all-zero
-            # (spelled without a float equality).
-            and not np.any(last_moves > 0.0)
-            and getattr(bidder, "last_fresh", None) is not None
-            and bool(np.all(bidder.last_fresh))
+    fresh = bidder.last_fresh
+    reusable = (
+        not damped
+        and last_moves is not None
+        # "no player moved": last_moves entries are non-negative
+        # maxima of |bid deltas|, so none-positive means all-zero
+        # (spelled without a float equality).
+        and not np.any(last_moves > 0.0)
+        and fresh is not None
+        and fresh.shape == (bids.shape[0],)
+        and bool(np.all(fresh))
+    )
+    if reusable:
+        marginals = bidder.last_marginals
+    else:
+        totals = bids.sum(axis=0)
+        marginals = marginal_utility_of_bids_batch(
+            bids, totals[None, :] - bids, capacities, evaluator=evaluator
         )
-        if reusable:
-            marginals = bidder.last_marginals_all
-        else:
-            marginals = marginal_utility_of_bids_batch(
-                bids, totals[None, :] - bids, capacities, evaluator=evaluator
-            )
-        # Vectorized player_lambda: max marginal over actively-bid
-        # resources, falling back to max(marginals, 0) for all-zero rows.
-        active = bids > 1e-12
-        has_active = active.any(axis=1)
-        over_active = np.where(active, marginals, -np.inf).max(axis=1)
-        return np.where(
-            has_active, over_active, np.maximum(marginals.max(axis=1), 0.0)
-        )
-    return np.array(
-        [
-            BiddingStrategy.player_lambda(
-                player.utility,
-                bids[i],
-                totals - bids[i],
-                capacities,
-            )
-            for i, player in enumerate(market.players)
-        ]
+    # Vectorized player_lambda: max marginal over actively-bid
+    # resources, falling back to max(marginals, 0) for all-zero rows.
+    active = bids > 1e-12
+    has_active = active.any(axis=1)
+    over_active = np.where(active, marginals, -np.inf).max(axis=1)
+    return np.where(
+        has_active, over_active, np.maximum(marginals.max(axis=1), 0.0)
     )
 
 

@@ -132,6 +132,10 @@ class Market:
             raise MarketConfigurationError(
                 f"bid matrix shape {bids.shape} != (players, resources) {expected}"
             )
+        # NaN compares False against any bound, so finiteness is checked
+        # on its own; np.maximum below would carry a NaN straight through.
+        if not np.all(np.isfinite(bids)):
+            raise MarketConfigurationError("bids must be finite")
         if np.any(bids < -1e-12):
             raise MarketConfigurationError("bids must be non-negative")
         return np.maximum(bids, 0.0)

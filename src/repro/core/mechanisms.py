@@ -26,7 +26,7 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
-from .bidding import BiddingStrategy, VectorHillClimbBidder
+from .bidding import BiddingStrategy, HillClimbBidder
 from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import (
@@ -290,7 +290,7 @@ class EqualBudget(AllocationMechanism):
         warm: bool = True,
     ):
         self.budget = budget
-        self.bidder = bidder or VectorHillClimbBidder()
+        self.bidder = bidder or HillClimbBidder()
         self.warm = warm
         self.warm_state = None
 
@@ -386,7 +386,7 @@ class ReBudgetMechanism(AllocationMechanism):
             min_envy_freeness=min_envy_freeness,
             lambda_threshold=lambda_threshold,
         )
-        self.bidder = bidder or VectorHillClimbBidder()
+        self.bidder = bidder or HillClimbBidder()
         self.warm = warm
         self.warm_state = None
         if step is not None:

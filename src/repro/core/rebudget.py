@@ -25,7 +25,7 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from .bidding import BiddingStrategy, VectorHillClimbBidder
+from .bidding import BiddingStrategy, HillClimbBidder
 from .equilibrium import MAX_ITERATIONS, EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import market_budget_range, market_utility_range
@@ -157,7 +157,7 @@ def run_rebudget(
     round's equilibrium, rescaled to the post-cut budgets.
     """
     config = config or ReBudgetConfig()
-    bidder = bidder or VectorHillClimbBidder()
+    bidder = bidder or HillClimbBidder()
     step, floor = config.resolve()
     initial_budget = config.initial_budget
     min_step = config.step_stop_fraction * initial_budget

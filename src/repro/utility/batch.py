@@ -26,7 +26,8 @@ possible:
 
 Every group path mirrors the scalar arithmetic operation for operation,
 so batched gradients agree bitwise with per-player scalar gradients —
-the property the lockstep bidder's strict mode asserts.
+the property that lets the lockstep hill climb reproduce the per-player
+scalar climb exactly.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Market, Player, Resource, ResourceSet
+from repro.core import Market, Player, Resource, ResourceSet, find_equilibrium
 from repro.exceptions import MarketConfigurationError
 from repro.utility import LinearUtility
 
@@ -54,6 +54,19 @@ class TestPricing:
             m.prices(np.zeros((2, 2)))
         with pytest.raises(MarketConfigurationError):
             m.prices(np.full((3, 2), -1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bids(self, bad):
+        m = _market()
+        bids = np.full((3, 2), 10.0)
+        bids[1, 0] = bad
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            m.prices(bids)
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            m.allocate(bids)
+        # An all-NaN seed must not run an equilibrium search on NaN prices.
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            find_equilibrium(m, initial_bids=np.full((3, 2), bad))
 
 
 class TestAllocation:

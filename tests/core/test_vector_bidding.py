@@ -1,38 +1,47 @@
-"""Lockstep multi-player hill climb vs. the scalar reference.
+"""The single lockstep hill climb vs. the scalar reference climbs.
 
-The :class:`VectorHillClimbBidder` advances every player's Section 4.1.2
-climb with batched marginal evaluations; because each per-player decision
-mirrors the scalar arithmetic operation for operation, the bid matrices
-must be *bitwise identical* to N independent scalar climbs — cold, warm,
-stale-seeded, zero-budget, and single-resource alike.  The same holds
-end-to-end through ``find_equilibrium``, where the lockstep path must
-also cut the Python-level utility-call count at least 3x on the paper's
-8-core reference chip.
+:class:`HillClimbBidder` advances every player's Section 4.1.2 climb
+with batched marginal evaluations; because each per-player decision
+mirrors the scalar arithmetic operation for operation, its bid matrices
+must be *bitwise identical* to N independent scalar climbs
+(``reference_bidding``) — cold, warm, stale-seeded, zero-budget and
+single-resource alike, for both the price-anticipating and the
+price-taking marginal.  The same holds end-to-end through
+``find_equilibrium``; its call counts are pinned by the
+``climb_reference`` fixture.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_bidding import ScalarHillClimbBidder, ScalarPriceTakingBidder
 from repro.core import (
+    BiddingStrategy,
     HillClimbBidder,
     Market,
     Player,
+    PriceTakingBidder,
     Resource,
     ResourceSet,
-    VectorHillClimbBidder,
     bid_to_allocation,
     bid_to_allocation_batch,
     find_equilibrium,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
 )
-from repro.utility import LinearUtility, LogUtility, UtilityFunction
+from repro.core import equilibrium as equilibrium_module
+from repro.utility import LinearUtility, LogUtility, PowerUtility, SaturatingUtility
 from repro.utility.batch import BatchedUtilitySet
 
 
-def scalar_reference(utilities, budgets, others, capacities, current_bids=None, step_hints=None):
+def scalar_reference(
+    utilities, budgets, others, capacities, current_bids=None, step_hints=None,
+    bidder=None,
+):
     """N independent scalar climbs, row for row."""
-    bidder = HillClimbBidder()
+    bidder = bidder or ScalarHillClimbBidder()
     out = np.zeros((len(utilities), capacities.size))
     for i, utility in enumerate(utilities):
         out[i] = bidder.optimize(
@@ -112,7 +121,7 @@ class TestPlayerBatchSeams:
 class TestOptimizeAll:
     def test_cold_matches_scalar_bitwise(self, mixed_setup):
         utilities, budgets, others, capacities = mixed_setup
-        bids = VectorHillClimbBidder().optimize_all(
+        bids = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities
         )
         expected = scalar_reference(utilities, budgets, others, capacities)
@@ -128,7 +137,7 @@ class TestOptimizeAll:
         seed = cold * rng.uniform(0.9, 1.1, size=cold.shape)
         seed = seed * (budgets / seed.sum(axis=1))[:, None]
         hints = rng.uniform(0.5, 5.0, size=budgets.size)
-        bids = VectorHillClimbBidder().optimize_all(
+        bids = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities,
             current_bids=seed, step_hints=hints,
         )
@@ -143,7 +152,7 @@ class TestOptimizeAll:
         budgets = budgets.copy()
         budgets[1] = 0.0
         budgets[3] = -5.0
-        bids = VectorHillClimbBidder().optimize_all(
+        bids = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities
         )
         expected = scalar_reference(utilities, budgets, others, capacities)
@@ -155,7 +164,7 @@ class TestOptimizeAll:
         budgets = np.array([10.0, 0.0, 3.0])
         others = np.array([[5.0], [5.0], [5.0]])
         capacities = np.array([4.0])
-        bids = VectorHillClimbBidder().optimize_all(
+        bids = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities
         )
         expected = scalar_reference(utilities, budgets, others, capacities)
@@ -164,51 +173,13 @@ class TestOptimizeAll:
     def test_prebuilt_evaluator_gives_same_answer(self, mixed_setup):
         utilities, budgets, others, capacities = mixed_setup
         evaluator = BatchedUtilitySet(utilities)
-        with_eval = VectorHillClimbBidder().optimize_all(
+        with_eval = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities, evaluator=evaluator
         )
-        without = VectorHillClimbBidder().optimize_all(
+        without = HillClimbBidder().optimize_all(
             utilities, budgets, others, capacities
         )
         assert np.array_equal(with_eval, without)
-
-
-class FlippedGradient(UtilityFunction):
-    """Scalar and batched gradients deliberately disagree (test rig)."""
-
-    num_resources = 2
-
-    def value(self, allocation):
-        r = np.asarray(allocation, dtype=float)
-        return float(2.0 * r[0] + r[1])
-
-    def gradient(self, allocation):
-        return np.array([2.0, 1.0])
-
-    def gradient_batch(self, allocations):
-        points = np.asarray(allocations, dtype=float)
-        return np.tile([1.0, 2.0], (points.shape[0], 1))  # flipped!
-
-
-class TestStrictMode:
-    def test_strict_passes_on_builtin_utilities(self, mixed_setup):
-        utilities, budgets, others, capacities = mixed_setup
-        strict = VectorHillClimbBidder(strict=True)
-        loose = VectorHillClimbBidder()
-        assert np.array_equal(
-            strict.optimize_all(utilities, budgets, others, capacities),
-            loose.optimize_all(utilities, budgets, others, capacities),
-        )
-
-    def test_strict_trips_on_divergent_batch_override(self):
-        utilities = [FlippedGradient(), FlippedGradient()]
-        budgets = np.array([100.0, 100.0])
-        others = np.array([[10.0, 10.0], [10.0, 10.0]])
-        capacities = np.array([4.0, 4.0])
-        with pytest.raises(AssertionError, match="diverged"):
-            VectorHillClimbBidder(strict=True).optimize_all(
-                utilities, budgets, others, capacities
-            )
 
 
 class TestFindEquilibriumLockstep:
@@ -217,29 +188,22 @@ class TestFindEquilibriumLockstep:
 
     def test_vector_matches_scalar_bitwise(self, bbpc_problem):
         market = self._market(bbpc_problem)
-        scalar = find_equilibrium(market, bidder=HillClimbBidder())
-        vector = find_equilibrium(market, bidder=VectorHillClimbBidder())
+        scalar = find_equilibrium(market, bidder=ScalarHillClimbBidder())
+        vector = find_equilibrium(market, bidder=HillClimbBidder())
         assert np.array_equal(vector.state.bids, scalar.state.bids)
         assert np.array_equal(vector.state.allocations, scalar.state.allocations)
         assert np.array_equal(vector.lambdas, scalar.lambdas)
         assert vector.converged == scalar.converged
         assert vector.iterations == scalar.iterations
 
-    def test_vector_cuts_utility_calls_3x(self, bbpc_problem):
-        market = self._market(bbpc_problem)
-        scalar = find_equilibrium(market, bidder=HillClimbBidder())
-        vector = find_equilibrium(market, bidder=VectorHillClimbBidder())
-        assert scalar.eval_counts is not None and vector.eval_counts is not None
-        assert scalar.eval_counts["total_calls"] >= 3 * vector.eval_counts["total_calls"]
-
     def test_warm_verification_round_matches_scalar(self, bbpc_problem):
         market = self._market(bbpc_problem)
-        cold = find_equilibrium(market, bidder=VectorHillClimbBidder())
+        cold = find_equilibrium(market, bidder=HillClimbBidder())
         warm_scalar = find_equilibrium(
-            market, bidder=HillClimbBidder(), warm_start=cold.warm_start
+            market, bidder=ScalarHillClimbBidder(), warm_start=cold.warm_start
         )
         warm_vector = find_equilibrium(
-            market, bidder=VectorHillClimbBidder(), warm_start=cold.warm_start
+            market, bidder=HillClimbBidder(), warm_start=cold.warm_start
         )
         assert warm_vector.iterations == warm_scalar.iterations
         assert np.array_equal(warm_vector.state.bids, warm_scalar.state.bids)
@@ -249,9 +213,9 @@ class TestFindEquilibriumLockstep:
 
     def test_warm_verification_round_reuses_climb_marginals(self, bbpc_problem):
         market = self._market(bbpc_problem)
-        cold = find_equilibrium(market, bidder=VectorHillClimbBidder())
+        cold = find_equilibrium(market, bidder=HillClimbBidder())
         warm = find_equilibrium(
-            market, bidder=VectorHillClimbBidder(), warm_start=cold.warm_start
+            market, bidder=HillClimbBidder(), warm_start=cold.warm_start
         )
         assert warm.iterations == 1
         # One batched staleness probe + one climb evaluation; the final
@@ -262,7 +226,7 @@ class TestFindEquilibriumLockstep:
     def test_default_bidder_is_lockstep(self, bbpc_problem):
         market = self._market(bbpc_problem)
         default = find_equilibrium(market)
-        explicit = find_equilibrium(market, bidder=VectorHillClimbBidder())
+        explicit = find_equilibrium(market, bidder=HillClimbBidder())
         assert np.array_equal(default.state.bids, explicit.state.bids)
         assert default.eval_counts["batch_gradient_calls"] > 0
 
@@ -321,51 +285,139 @@ class TestGaussSeidelIncrementalTotals:
         )
 
 
-class TestLastLambdaExposure:
-    def test_fresh_exit_exposes_lambda(self):
-        # A climb that stops on the tolerance condition evaluated its
-        # marginals at exactly the returned bids: lambda is free.
-        bidder = HillClimbBidder()
-        utility = LogUtility([1.0, 1.0], [1.0, 1.0])
-        others = np.array([50.0, 50.0])
-        capacities = np.array([10.0, 5.0])
-        bids = bidder.optimize(utility, 100.0, others, capacities)
-        assert bidder.last_marginals is not None
-        assert bidder.last_lambda == bidder.player_lambda(
-            utility, bids, others, capacities
-        )
-
-    def test_stale_exit_exposes_nothing(self):
-        # A heavily lopsided linear utility keeps moving money until the
-        # step decays below the floor, so the climb's last act is a move
-        # and the stored marginals would be stale.
-        bidder = HillClimbBidder()
-        utility = LinearUtility([1.0, 100.0])
-        others = np.array([1000.0, 0.01])
-        capacities = np.array([10.0, 5.0])
-        bidder.optimize(utility, 100.0, others, capacities)
-        assert bidder.last_marginals is None
-        assert bidder.last_lambda is None
-
-    def test_reset_between_calls(self):
-        bidder = HillClimbBidder()
-        utility = LogUtility([1.0, 1.0], [1.0, 1.0])
-        others = np.array([50.0, 50.0])
-        capacities = np.array([10.0, 5.0])
-        bidder.optimize(utility, 100.0, others, capacities)
-        assert bidder.last_lambda is not None
-        bidder.optimize(utility, 0.0, others, capacities)  # zero budget
-        assert bidder.last_lambda is None
-
-
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
-    """GS rounds are sequential by construction; the lockstep bidder must
-    fall back to its inherited scalar ``optimize`` there and still agree
-    with the plain scalar bidder."""
+    """GS rounds are sequential by construction: one ``optimize`` call
+    per player, each a one-row climb, must agree bitwise with the scalar
+    reference climb."""
     market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
-    scalar = find_equilibrium(market, bidder=HillClimbBidder(), update="gauss-seidel")
-    vector = find_equilibrium(
-        market, bidder=VectorHillClimbBidder(), update="gauss-seidel"
+    scalar = find_equilibrium(
+        market, bidder=ScalarHillClimbBidder(), update="gauss-seidel"
     )
-    assert np.array_equal(vector.state.bids, scalar.state.bids)
-    assert vector.eval_counts["batch_gradient_calls"] == 0
+    single = find_equilibrium(market, bidder=HillClimbBidder(), update="gauss-seidel")
+    assert np.array_equal(single.state.bids, scalar.state.bids)
+    assert np.array_equal(single.lambdas, scalar.lambdas)
+    assert single.iterations == scalar.iterations
+
+
+class TestLambdaReuse:
+    """``_final_lambdas`` may reuse the climb's marginals only when the
+    last climb call covered every row with Equation 7 marginals."""
+
+    @staticmethod
+    def _settled_market():
+        # Symmetric players for whom the equal split is already optimal:
+        # nobody moves, so the first round converges with all-zero last
+        # moves — every reuse precondition except the bidder's own holds.
+        resources = ResourceSet.of(Resource("cache", 10.0), Resource("power", 10.0))
+        players = [
+            Player(f"p{i}", LogUtility([1.0, 1.0], [1.0, 1.0]), 100.0) for i in range(3)
+        ]
+        return Market(resources, players)
+
+    @staticmethod
+    def _solve(monkeypatch, market, **kwargs):
+        calls = []
+        batch = equilibrium_module.marginal_utility_of_bids_batch
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return batch(*args, **kw)
+
+        monkeypatch.setattr(equilibrium_module, "marginal_utility_of_bids_batch", counting)
+        result = find_equilibrium(market, **kwargs)
+        assert result.iterations == 1 and result.converged
+        assert not np.any(result.warm_start.last_moves > 0.0)
+        return result, len(calls)
+
+    @staticmethod
+    def _eq7_lambdas(market, bids):
+        totals = bids.sum(axis=0)
+        return np.array([
+            BiddingStrategy.player_lambda(p.utility, bids[i], totals - bids[i], market.capacities)
+            for i, p in enumerate(market.players)
+        ])
+
+    def test_reused_after_lockstep_jacobi_round(self, monkeypatch):
+        market = self._settled_market()
+        result, recomputed = self._solve(monkeypatch, market)
+        assert recomputed == 0
+        assert np.array_equal(result.lambdas, self._eq7_lambdas(market, result.state.bids))
+
+    def test_not_reused_after_gauss_seidel_rounds(self, monkeypatch):
+        market = self._settled_market()
+        bidder = HillClimbBidder()
+        result, recomputed = self._solve(
+            monkeypatch, market, bidder=bidder, update="gauss-seidel"
+        )
+        assert bidder.last_fresh.shape == (1,)
+        assert recomputed == 1
+        assert np.array_equal(result.lambdas, self._eq7_lambdas(market, result.state.bids))
+
+    def test_not_reused_for_price_taking(self, monkeypatch):
+        market = self._settled_market()
+        bidder = PriceTakingBidder()
+        result, recomputed = self._solve(monkeypatch, market, bidder=bidder)
+        assert bidder.last_fresh is None and bidder.last_marginals is None
+        assert recomputed == 1
+        # lambda_i stays the Equation 7 value, not the price-taking marginal.
+        assert np.array_equal(result.lambdas, self._eq7_lambdas(market, result.state.bids))
+
+
+@st.composite
+def concave_markets(draw):
+    """Random concave players against fixed others' bids, with warm state.
+
+    Covers zero and negative budgets, all-zero others on a resource, a
+    zero-capacity resource, warm rows computed for a different budget,
+    and flat (saturated) utility regions that make marginals tie.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_players = draw(st.integers(1, 5))
+    num_resources = draw(st.integers(2, 4))
+    capacities = rng.uniform(0.5, 20.0, size=num_resources)
+    if draw(st.booleans()):
+        capacities[rng.integers(num_resources)] = 0.0
+    utilities = []
+    for _ in range(num_players):
+        weights = rng.uniform(0.05, 5.0, size=num_resources)
+        kind = draw(st.sampled_from(["log", "power", "saturating"]))
+        if kind == "log":
+            utilities.append(LogUtility(weights, rng.uniform(0.5, 5.0, size=num_resources)))
+        elif kind == "power":
+            utilities.append(PowerUtility(weights, rng.uniform(0.2, 1.0, size=num_resources)))
+        else:
+            utilities.append(SaturatingUtility(weights, rng.uniform(0.5, 10.0, size=num_resources)))
+    budgets = rng.uniform(1.0, 200.0, size=num_players)
+    budgets[rng.random(num_players) < 0.15] = 0.0
+    others = rng.uniform(0.0, 100.0, size=(num_players, num_resources))
+    others[rng.random(others.shape) < 0.15] = 0.0
+    current_bids = step_hints = None
+    if draw(st.booleans()):
+        split = rng.dirichlet(np.ones(num_resources), size=num_players)
+        # Most rows match their budget; the rest were bid under another.
+        scale = np.where(rng.random(num_players) < 0.8, budgets, budgets + 10.0)
+        current_bids = split * scale[:, None]
+        if draw(st.booleans()):
+            step_hints = rng.uniform(0.01, 50.0, size=num_players)
+    return utilities, budgets, others, capacities, current_bids, step_hints
+
+
+@pytest.mark.parametrize(
+    "single, oracle",
+    [(HillClimbBidder, ScalarHillClimbBidder), (PriceTakingBidder, ScalarPriceTakingBidder)],
+    ids=["price-anticipating", "price-taking"],
+)
+@given(market=concave_markets())
+@settings(max_examples=60, deadline=None)
+def test_single_climb_equals_scalar_oracle(single, oracle, market):
+    utilities, budgets, others, capacities, current_bids, step_hints = market
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bids = single().optimize_all(
+            utilities, budgets, others, capacities,
+            current_bids=current_bids, step_hints=step_hints,
+        )
+        expected = scalar_reference(
+            utilities, budgets, others, capacities,
+            current_bids=current_bids, step_hints=step_hints, bidder=oracle(),
+        )
+    assert np.array_equal(bids, expected)

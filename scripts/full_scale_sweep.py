@@ -13,16 +13,20 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import run_analytic_sweep, summarize_sweep, sweep_to_csv, write_csv
+from repro.core import standard_mechanism_suite
 
 
 def main() -> None:
     t0 = time.time()
     done = [0]
+    cells_per_bundle = len(standard_mechanism_suite())
 
-    def progress(name: str) -> None:
+    def progress(line: str) -> None:
+        # One call per (bundle, mechanism) cell.
         done[0] += 1
-        if done[0] % 20 == 0:
-            print(f"  {done[0]}/240 bundles ({time.time() - t0:.0f}s)", file=sys.stderr)
+        if done[0] % (20 * cells_per_bundle) == 0:
+            bundles = done[0] // cells_per_bundle
+            print(f"  {bundles}/240 bundles ({time.time() - t0:.0f}s)", file=sys.stderr)
 
     sweep = run_analytic_sweep(bundles_per_category=40, progress=progress)
     print(f"full 240-bundle sweep in {time.time() - t0:.0f}s")

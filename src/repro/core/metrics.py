@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 
@@ -38,13 +39,17 @@ def efficiency(utilities: Sequence[float]) -> float:
 def envy_matrix(
     utilities: Sequence[UtilityFunction], allocations: np.ndarray
 ) -> np.ndarray:
-    """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle."""
+    """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
+
+    Row ``i`` is one ``utilities[i].value_batch(allocations)`` dispatch
+    over every bundle, so scoring N players costs N batched calls rather
+    than N² scalar ones; ``value_batch`` mirrors ``value`` bit for bit.
+    """
     allocations = np.asarray(allocations, dtype=float)
     n = allocations.shape[0]
     matrix = np.empty((n, n))
     for i, utility in enumerate(utilities):
-        for j in range(n):
-            matrix[i, j] = utility.value(allocations[j])
+        matrix[i] = utility.value_batch(allocations)
     return matrix
 
 
@@ -59,20 +64,27 @@ def envy_freeness(
     degenerate values: if a player values some other bundle positively
     but its own at zero, the ratio is 0; pairs where the other bundle is
     valued at zero impose no constraint (nobody envies a worthless
-    bundle).
+    bundle).  A non-finite utility anywhere in the envy matrix raises
+    :class:`MarketConfigurationError` naming the player, since no ratio
+    involving it means anything.
     """
     matrix = envy_matrix(utilities, allocations)
-    own = np.diag(matrix).copy()
-    n = matrix.shape[0]
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise MarketConfigurationError(
+            f"player {i}'s utility is {matrix[i, j]} on player {j}'s bundle; "
+            "envy-freeness needs finite utilities"
+        )
+    # Ratios of the constrained pairs in row-major (i, j) order; the
+    # first occurrence of the minimum is kept, as a sequential scan
+    # would, so a signed-zero tie resolves the same way.
+    pairs = (matrix > 0.0) & ~np.eye(matrix.shape[0], dtype=bool)
+    own = np.broadcast_to(np.diag(matrix)[:, None], matrix.shape)
+    ratios = own[pairs] / matrix[pairs]
     worst = 1.0  # the i == j pairs contribute exactly 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            other = matrix[i, j]
-            if other <= 0.0:
-                continue
-            worst = min(worst, own[i] / other)
+    if ratios.size:
+        worst = min(worst, ratios[np.argmin(ratios)])
     return float(worst)
 
 

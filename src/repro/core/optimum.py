@@ -8,6 +8,12 @@ player whose utility increases the most.  For concave utilities marginal
 gains are diminishing, so the lazy evaluation (a max-heap with stale
 entries re-validated on pop) is sound, and the greedy solution converges
 to the continuous optimum as the quantum shrinks.
+
+The search tracks every player's integer lattice coordinates (quanta
+held per resource) next to its float allocation and memoizes utility
+lookups by those integer tuples, not by rounded floats: a revisited
+point costs one dict probe, and a new one is evaluated at the float
+point the search holds when it first gets there.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -38,35 +44,65 @@ class GreedyOptimum:
         return float(self.utilities.sum())
 
 
-class _LatticeValueCache:
-    """Memoized utility evaluation on the quantum lattice.
+class _Lattice:
+    """The search state on the quantum lattice, with a per-player memo.
+
+    ``allocations[i][j]`` is the running float sum of the quanta player
+    ``i`` holds of resource ``j`` and ``coords[i][j]`` their integer
+    count; ``current[i]`` is the cached ``U_i(allocations[i])``.  Rows
+    are Python lists: the same IEEE doubles numpy would hold, without
+    per-element boxing.
 
     Every point the greedy fill, the exchange passes and the leftovers
-    pass evaluate is an integer multiple of the quanta, and the
-    refinement loop re-scores the same candidate moves on every sweep —
-    ~20x redundancy on a 64-player problem.  Caching by integer lattice
-    coordinates turns those revisits into dict hits while returning the
-    exact same floats, so the optimum is bitwise unchanged.  Off-lattice
-    queries (the optional SLSQP polish) fall through uncached.
+    pass evaluate lies on the lattice, and the refinement loop re-scores
+    the same candidate moves on every sweep — ~20x redundancy on a
+    64-player problem.  Utility lookups are therefore memoized per
+    player by integer lattice coordinates: a hit is one dict probe on an
+    integer tuple, and a miss evaluates the utility at the float point
+    the search holds for those coordinates at that moment (with
+    non-power-of-two quanta, later float sums for the same coordinates
+    may differ in the last bits; they reuse the first value).
     """
 
-    __slots__ = ("_utility", "_quanta", "_cache")
+    __slots__ = ("utilities", "quanta", "caps", "allocations", "coords", "current", "_memo")
 
-    def __init__(self, utility: UtilityFunction, quanta: np.ndarray):
-        self._utility = utility
-        self._quanta = quanta
-        self._cache: dict = {}
+    def __init__(self, utilities, quanta: List[float], caps: Optional[List[List[float]]]):
+        self.utilities = utilities
+        self.quanta = quanta
+        self.caps = caps
+        num_players, num_resources = len(utilities), len(quanta)
+        self.allocations = [[0.0] * num_resources for _ in range(num_players)]
+        self.coords = [[0] * num_resources for _ in range(num_players)]
+        self.current = [0.0] * num_players
+        self._memo: List[dict] = [{} for _ in range(num_players)]
 
-    def value(self, allocation) -> float:
-        coords = np.asarray(allocation, dtype=float) / self._quanta
-        rounded = np.rint(coords)
-        if coords.size and float(np.max(np.abs(coords - rounded))) > 1e-6:
-            return self._utility.value(allocation)
-        key = tuple(int(c) for c in rounded)
-        hit = self._cache.get(key)
+    def value(self, i: int, coords: List[int], point: List[float]) -> float:
+        """``U_i(point)``, memoized by ``point``'s lattice ``coords``."""
+        key = tuple(coords)
+        hit = self._memo[i].get(key)
         if hit is None:
-            hit = self._cache[key] = self._utility.value(allocation)
+            hit = self._memo[i][key] = self.utilities[i].value(np.array(point))
         return hit
+
+    def step_value(self, i: int, j: int, sign: int) -> float:
+        """``U_i`` after moving ``sign`` (+1 or -1) quanta of ``j``."""
+        coords = self.coords[i].copy()
+        coords[j] += sign
+        point = self.allocations[i].copy()
+        point[j] += sign * self.quanta[j]
+        return self.value(i, coords, point)
+
+    def capped(self, i: int, j: int) -> bool:
+        """Would one more quantum of ``j`` push player ``i`` past its cap?"""
+        return (
+            self.caps is not None
+            and self.allocations[i][j] + self.quanta[j] > self.caps[i][j] + 1e-9
+        )
+
+    def move(self, i: int, j: int, sign: int) -> None:
+        """Give (``sign`` = +1) or take (-1) one quantum of ``j``."""
+        self.allocations[i][j] += sign * self.quanta[j]
+        self.coords[i][j] += sign
 
 
 def max_efficiency_allocation(
@@ -112,26 +148,22 @@ def max_efficiency_allocation(
         if per_player_caps.shape != (num_players, num_resources):
             raise MarketConfigurationError("per_player_caps must be (N, M)")
 
-    utilities = [_LatticeValueCache(u, quanta) for u in utilities]
-    allocations = np.zeros((num_players, num_resources))
-    current = np.zeros(num_players)  # cached U_i(r_i)
-    remaining = np.floor(capacities / quanta + 1e-9).astype(int)
+    lattice = _Lattice(
+        utilities,
+        quanta.tolist(),
+        None if per_player_caps is None else per_player_caps.tolist(),
+    )
+    allocations, coords, current = lattice.allocations, lattice.coords, lattice.current
+    capped = lattice.capped
+    remaining = np.floor(capacities / quanta + 1e-9).astype(int).tolist()
 
     def gain(i: int, j: int) -> float:
-        trial = allocations[i].copy()
-        trial[j] += quanta[j]
-        return utilities[i].value(trial) - current[i]
-
-    def capped(i: int, j: int) -> bool:
-        return (
-            per_player_caps is not None
-            and allocations[i, j] + quanta[j] > per_player_caps[i, j] + 1e-9
-        )
+        return lattice.step_value(i, j, 1) - current[i]
 
     counter = itertools.count()
     heap: list = []
     for i in range(num_players):
-        current[i] = utilities[i].value(allocations[i])
+        current[i] = lattice.value(i, coords[i], allocations[i])
         for j in range(num_resources):
             if remaining[j] > 0 and not capped(i, j):
                 heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
@@ -150,14 +182,14 @@ def max_efficiency_allocation(
             # Stale entry: re-insert with the recomputed gain.
             heapq.heappush(heap, (-fresh, next(counter), i, j))
             continue
-        allocations[i, j] += quanta[j]
+        lattice.move(i, j, 1)
         current[i] += fresh
         remaining[j] -= 1
         steps += 1
         if remaining[j] > 0 and not capped(i, j):
             heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
 
-    _distribute_leftovers(allocations, remaining, quanta, per_player_caps)
+    _distribute_leftovers(lattice, remaining)
 
     # Cache and power are complements for cliffy applications (extra
     # power is worthless until the working set fits), which violates the
@@ -165,22 +197,20 @@ def max_efficiency_allocation(
     # pass — move one quantum at a time from the player that loses least
     # to the player that gains most — repairs those misallocations; this
     # is the paper's "very fine-grained hill-climbing search".
-    steps += _exchange_refinement(
-        utilities, allocations, current, quanta, per_player_caps
-    )
+    steps += _exchange_refinement(lattice)
     # Pure complements (a quantum of cache is worthless without the
     # matching power) defeat single-resource moves entirely: every
     # marginal gain is zero until both resources arrive.  A joint pass
     # transfers a bundle with one quantum of *every* resource at once.
-    joint_moves = _joint_exchange_pass(
-        utilities, allocations, current, quanta, per_player_caps
-    )
+    joint_moves = _joint_exchange_pass(lattice)
     if joint_moves:
         # Joint moves open new single-resource opportunities; re-run.
-        steps += joint_moves + _exchange_refinement(
-            utilities, allocations, current, quanta, per_player_caps
-        )
+        steps += joint_moves + _exchange_refinement(lattice)
 
+    result = np.array(allocations, dtype=float).reshape(num_players, num_resources)
+    final_utilities = np.array(
+        [lattice.value(i, coords[i], allocations[i]) for i in range(num_players)]
+    )
     if polish:
         # Optional gradient-based polish (SLSQP on the continuous
         # relaxation, started from the greedy point and an equal split);
@@ -189,14 +219,13 @@ def max_efficiency_allocation(
         # problems, and under strong 3-way complementarity the landscape
         # is not jointly concave, so local continuous search stalls in
         # the same basins the exchanges do.
-        polished = _slsqp_polish(utilities, allocations, capacities, per_player_caps)
-        if polished is not None:
-            allocations = polished
-
-    final_utilities = np.array(
-        [utilities[i].value(allocations[i]) for i in range(num_players)]
-    )
-    return GreedyOptimum(allocations=allocations, utilities=final_utilities, steps=steps)
+        polished = _slsqp_polish(utilities, result, capacities, per_player_caps)
+        if polished is not None and polished is not result:
+            result = polished
+            final_utilities = np.array(
+                [utilities[i].value(result[i]) for i in range(num_players)]
+            )
+    return GreedyOptimum(allocations=result, utilities=final_utilities, steps=steps)
 
 
 def _slsqp_polish(
@@ -254,44 +283,30 @@ def _slsqp_polish(
 
 
 def _exchange_refinement(
-    utilities: Sequence[UtilityFunction],
-    allocations: np.ndarray,
-    current: np.ndarray,
-    quanta: np.ndarray,
-    per_player_caps: Optional[np.ndarray],
-    max_moves: int = 20000,
-    tolerance: float = 1e-12,
+    lattice: _Lattice, max_moves: int = 20000, tolerance: float = 1e-12
 ) -> int:
     """Quantum-exchange hill climbing on top of the greedy fill."""
-    num_players, num_resources = allocations.shape
+    allocations, current = lattice.allocations, lattice.current
+    num_players = len(allocations)
     moves = 0
     improved = True
     while improved and moves < max_moves:
         improved = False
-        for j in range(num_resources):
-            q = quanta[j]
-            gains = np.full(num_players, -np.inf)
-            losses = np.full(num_players, np.inf)
+        for j, q in enumerate(lattice.quanta):
+            gains = [-np.inf] * num_players
+            losses = [np.inf] * num_players
             for i in range(num_players):
-                at_cap = (
-                    per_player_caps is not None
-                    and allocations[i, j] + q > per_player_caps[i, j] + 1e-9
-                )
-                if not at_cap:
-                    trial = allocations[i].copy()
-                    trial[j] += q
-                    gains[i] = utilities[i].value(trial) - current[i]
-                if allocations[i, j] >= q - 1e-9:
-                    trial = allocations[i].copy()
-                    trial[j] -= q
-                    losses[i] = current[i] - utilities[i].value(trial)
-            recipient, donor = _best_exchange_pair(gains, losses)
+                if not lattice.capped(i, j):
+                    gains[i] = lattice.step_value(i, j, 1) - current[i]
+                if allocations[i][j] >= q - 1e-9:
+                    losses[i] = current[i] - lattice.step_value(i, j, -1)
+            recipient, donor = _best_exchange_pair(np.array(gains), np.array(losses))
             if (
                 recipient is not None
                 and gains[recipient] - losses[donor] > tolerance
             ):
-                allocations[recipient, j] += q
-                allocations[donor, j] -= q
+                lattice.move(recipient, j, 1)
+                lattice.move(donor, j, -1)
                 current[recipient] += gains[recipient]
                 current[donor] -= losses[donor]
                 moves += 1
@@ -300,43 +315,51 @@ def _exchange_refinement(
 
 
 def _joint_exchange_pass(
-    utilities: Sequence[UtilityFunction],
-    allocations: np.ndarray,
-    current: np.ndarray,
-    quanta: np.ndarray,
-    per_player_caps: Optional[np.ndarray],
-    max_moves: int = 5000,
-    tolerance: float = 1e-12,
+    lattice: _Lattice, max_moves: int = 5000, tolerance: float = 1e-12
 ) -> int:
     """Move one quantum of *every* resource between players at once."""
-    num_players, num_resources = allocations.shape
+    allocations, coords, current, caps = (
+        lattice.allocations, lattice.coords, lattice.current, lattice.caps
+    )
+    num_players = len(allocations)
     moves = 0
     improved = True
     while improved and moves < max_moves:
         improved = False
         for donor in range(num_players):
-            bundle = np.minimum(quanta, allocations[donor])
-            if np.all(bundle <= 0.0):
+            bundle = [min(q, a) for q, a in zip(lattice.quanta, allocations[donor])]
+            if all(b <= 0.0 for b in bundle):
                 continue
-            donor_after = allocations[donor] - bundle
-            loss = current[donor] - utilities[donor].value(donor_after)
+            # The bundle's lattice coordinates: one quantum of every
+            # resource the donor holds any of.
+            bundle_coords = [1 if c > 0 else 0 for c in coords[donor]]
+            donor_after = [a - b for a, b in zip(allocations[donor], bundle)]
+            donor_coords = [c - s for c, s in zip(coords[donor], bundle_coords)]
+            loss = current[donor] - lattice.value(donor, donor_coords, donor_after)
             best_gain = 0.0
             best_recipient = None
             for recipient in range(num_players):
                 if recipient == donor:
                     continue
-                trial = allocations[recipient] + bundle
-                if per_player_caps is not None and np.any(
-                    trial > per_player_caps[recipient] + 1e-9
+                trial = [a + b for a, b in zip(allocations[recipient], bundle)]
+                if caps is not None and any(
+                    t > c + 1e-9 for t, c in zip(trial, caps[recipient])
                 ):
                     continue
-                gain = utilities[recipient].value(trial) - current[recipient]
+                trial_coords = [c + s for c, s in zip(coords[recipient], bundle_coords)]
+                gain = lattice.value(recipient, trial_coords, trial) - current[recipient]
                 if gain > best_gain:
                     best_gain = gain
                     best_recipient = recipient
             if best_recipient is not None and best_gain - loss > tolerance:
-                allocations[donor] -= bundle
-                allocations[best_recipient] += bundle
+                allocations[donor] = donor_after
+                coords[donor] = donor_coords
+                allocations[best_recipient] = [
+                    a + b for a, b in zip(allocations[best_recipient], bundle)
+                ]
+                coords[best_recipient] = [
+                    c + s for c, s in zip(coords[best_recipient], bundle_coords)
+                ]
                 current[donor] -= loss
                 current[best_recipient] += best_gain
                 moves += 1
@@ -366,25 +389,17 @@ def _best_exchange_pair(gains: np.ndarray, losses: np.ndarray):
     return best
 
 
-def _distribute_leftovers(
-    allocations: np.ndarray,
-    remaining: np.ndarray,
-    quanta: np.ndarray,
-    per_player_caps: Optional[np.ndarray],
-) -> None:
+def _distribute_leftovers(lattice: _Lattice, remaining: List[int]) -> None:
     """Hand out utility-neutral residual quanta round-robin ("no leftovers")."""
-    num_players = allocations.shape[0]
-    for j in range(remaining.size):
+    num_players = len(lattice.allocations)
+    for j in range(len(remaining)):
         i = 0
         guard = remaining[j] * num_players + num_players
         while remaining[j] > 0 and guard > 0:
             guard -= 1
             target = i % num_players
             i += 1
-            if (
-                per_player_caps is not None
-                and allocations[target, j] + quanta[j] > per_player_caps[target, j] + 1e-9
-            ):
+            if lattice.capped(target, j):
                 continue
-            allocations[target, j] += quanta[j]
+            lattice.move(target, j, 1)
             remaining[j] -= 1

@@ -14,6 +14,7 @@ objects the market can consume:
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 import numpy as np
@@ -140,25 +141,37 @@ class GridUtility2D(UtilityFunction):
             raise ValueError("grid axes must be strictly increasing")
 
     def value(self, allocation: Sequence[float]) -> float:
-        x = float(np.clip(allocation[0], self.xs[0], self.xs[-1]))
-        y = float(np.clip(allocation[1], self.ys[0], self.ys[-1]))
-        i = int(np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)) \
-            if self.xs.size > 1 else 0
-        j = int(np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, self.ys.size - 2)) \
-            if self.ys.size > 1 else 0
-        if self.xs.size == 1 and self.ys.size == 1:
-            return float(self.values[0, 0])
-        if self.xs.size == 1:
-            return float(np.interp(y, self.ys, self.values[0, :]))
-        if self.ys.size == 1:
-            return float(np.interp(x, self.xs, self.values[:, 0]))
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[j], self.ys[j + 1]
+        # Python-float arithmetic mirroring value_batch bit for bit.  The
+        # strict-comparison clamps reproduce np.clip exactly: NaN passes
+        # through and a point equal to an axis end (-0.0 at 0.0 too)
+        # keeps its own bits.
+        xs, ys, values = self.xs, self.ys, self.values
+        nx, ny = xs.size, ys.size
+        x, y = float(allocation[0]), float(allocation[1])
+        x_lo, x_hi, y_lo, y_hi = xs.item(0), xs.item(-1), ys.item(0), ys.item(-1)
+        if x < x_lo:
+            x = x_lo
+        elif x > x_hi:
+            x = x_hi
+        if y < y_lo:
+            y = y_lo
+        elif y > y_hi:
+            y = y_hi
+        if nx == 1 and ny == 1:
+            return values.item(0, 0)
+        if nx == 1:
+            return float(np.interp(y, ys, values[0, :]))
+        if ny == 1:
+            return float(np.interp(x, xs, values[:, 0]))
+        i = min(bisect.bisect_right(xs, x), nx - 1) - 1
+        j = min(bisect.bisect_right(ys, y), ny - 1) - 1
+        x0, x1 = xs.item(i), xs.item(i + 1)
+        y0, y1 = ys.item(j), ys.item(j + 1)
         tx = (x - x0) / (x1 - x0)
         ty = (y - y0) / (y1 - y0)
-        v00, v01 = self.values[i, j], self.values[i, j + 1]
-        v10, v11 = self.values[i + 1, j], self.values[i + 1, j + 1]
-        return float(
+        v00, v01 = values.item(i, j), values.item(i, j + 1)
+        v10, v11 = values.item(i + 1, j), values.item(i + 1, j + 1)
+        return (
             v00 * (1 - tx) * (1 - ty)
             + v10 * tx * (1 - ty)
             + v01 * (1 - tx) * ty

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scoring
 from repro.core import (
     efficiency,
     envy_freeness,
@@ -13,7 +14,23 @@ from repro.core import (
     market_utility_range,
     price_of_anarchy,
 )
-from repro.utility import LinearUtility
+from repro.exceptions import MarketConfigurationError
+from repro.utility import GridUtility2D, LinearUtility, LogUtility
+from repro.utility.base import UtilityFunction
+
+
+class TableUtility(UtilityFunction):
+    """``U(r) = row[int(r[0])]``: bundle ``j`` is the allocation ``[j]``."""
+
+    def __init__(self, row):
+        self.row = list(row)
+
+    def value(self, allocation) -> float:
+        return self.row[int(allocation[0])]
+
+
+def _bundles(n):
+    return np.arange(n, dtype=float)[:, None]
 
 
 class TestEfficiency:
@@ -65,6 +82,26 @@ class TestEnvyFreeness:
     def test_single_player(self):
         assert envy_freeness([LinearUtility([1.0])], np.array([[1.0]])) == 1.0
 
+    def test_nan_utility_raises_naming_the_player(self):
+        # A sequential min() skips NaN ratios, which used to report a NaN
+        # utility as perfect fairness (EF 1.0).
+        utilities = [TableUtility([float("nan")] * 6), LinearUtility([1.0])]
+        with pytest.raises(MarketConfigurationError, match="player 0"):
+            envy_freeness(utilities, np.array([[0.0], [5.0]]))
+
+    def test_infinite_utility_raises(self):
+        utilities = [TableUtility([1.0, 2.0]), TableUtility([float("inf"), 1.0])]
+        with pytest.raises(MarketConfigurationError, match="player 1"):
+            envy_freeness(utilities, _bundles(2))
+
+    def test_signed_zero_tie_keeps_first_in_row_major_order(self):
+        # Both ratios are zero; a sequential scan keeps the first (-0.0).
+        utilities = [TableUtility([-0.0, 1.0, 0.0]), TableUtility([0.0, 0.0, 1.0]),
+                     TableUtility([0.0, 0.0, 0.0])]
+        ef = envy_freeness(utilities, _bundles(3))
+        assert ef.hex() == reference_scoring.envy_freeness(utilities, _bundles(3)).hex()
+        assert ef.hex() == (-0.0).hex()
+
     @given(
         st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=3, max_size=3)
     )
@@ -74,6 +111,70 @@ class TestEnvyFreeness:
         allocations = np.array(amounts)[:, None]
         ef = envy_freeness(utilities, allocations)
         assert 0.0 <= ef <= 1.0
+
+
+_ENTRY = st.one_of(
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def envy_tables(draw):
+    """An n x n table of utilities ``E[i, j]`` with zero, negative and inf entries."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    return [TableUtility(row) for row in rows], _bundles(n)
+
+
+@given(case=envy_tables())
+@settings(max_examples=200, deadline=None)
+def test_envy_freeness_equals_scalar_oracle(case):
+    utilities, allocations = case
+    matrix = envy_matrix(utilities, allocations)
+    assert matrix.tobytes() == reference_scoring.envy_matrix(utilities, allocations).tobytes()
+    if np.isfinite(matrix).all():
+        # Tiny denominators overflow the ratio to inf on both paths.
+        with np.errstate(over="ignore"):
+            expected = reference_scoring.envy_freeness(utilities, allocations)
+            assert envy_freeness(utilities, allocations).hex() == expected.hex()
+    else:
+        with pytest.raises(MarketConfigurationError):
+            envy_freeness(utilities, allocations)
+
+
+@st.composite
+def utility_families(draw):
+    """Linear (zero weights), log and grid (negative values) players."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    utilities = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["linear", "log", "grid"]))
+        if kind == "linear":
+            weights = rng.choice([0.0, 0.5, 2.0], size=2)
+            utilities.append(LinearUtility(weights))
+        elif kind == "log":
+            utilities.append(LogUtility(rng.uniform(0.1, 3.0, 2), rng.uniform(0.5, 2.0, 2)))
+        else:
+            utilities.append(GridUtility2D(
+                np.sort(rng.choice(np.linspace(0.0, 4.0, 9), 3, replace=False)),
+                np.sort(rng.choice(np.linspace(0.0, 4.0, 9), 4, replace=False)),
+                rng.uniform(-0.5, 2.0, size=(3, 4)),
+            ))
+    allocations = rng.uniform(0.0, 5.0, size=(n, 2))
+    allocations[rng.random(allocations.shape) < 0.2] = 0.0
+    return utilities, allocations
+
+
+@given(case=utility_families())
+@settings(max_examples=100, deadline=None)
+def test_envy_scoring_equals_scalar_oracle_on_utility_families(case):
+    utilities, allocations = case
+    matrix = envy_matrix(utilities, allocations)
+    assert matrix.tobytes() == reference_scoring.envy_matrix(utilities, allocations).tobytes()
+    expected = reference_scoring.envy_freeness(utilities, allocations)
+    assert envy_freeness(utilities, allocations).hex() == expected.hex()
 
 
 class TestPriceOfAnarchy:

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_scoring
 from repro.core import max_efficiency_allocation
 from repro.exceptions import MarketConfigurationError
-from repro.utility import GridUtility2D, LinearUtility, LogUtility, SaturatingUtility
+from repro.utility import (
+    GridUtility2D,
+    LinearUtility,
+    LogUtility,
+    PowerUtility,
+    SaturatingUtility,
+)
 
 
 class TestGreedyOptimum:
@@ -87,3 +96,70 @@ class TestGreedyOptimum:
         opt = MaxEfficiency().allocate(bbpc_problem)
         market = EqualBudget().allocate(bbpc_problem)
         assert opt.efficiency >= market.efficiency - 1e-6
+
+
+@st.composite
+def concave_markets(draw):
+    """Random concave markets on power-of-two or non-power-of-two quanta.
+
+    Players are log, power, saturating or (with two resources) grid
+    utilities, the grids complementary enough to trigger joint moves.
+    Caps are absent, random, or below one quantum for some entries.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_players = draw(st.integers(1, 5))
+    num_resources = draw(st.integers(1, 3))
+    quanta = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.125, 0.25, 0.5, 0.01, 0.1, 0.3, 0.07]),
+                min_size=num_resources,
+                max_size=num_resources,
+            )
+        )
+    )
+    capacities = quanta * rng.integers(0, 40, size=num_resources) + rng.uniform(
+        0.0, 0.5, size=num_resources
+    ) * quanta
+    kinds = ["log", "power", "saturating"] + (["grid"] * 3 if num_resources == 2 else [])
+    utilities = []
+    for _ in range(num_players):
+        kind = draw(st.sampled_from(kinds))
+        weights = rng.uniform(0.05, 5.0, size=num_resources)
+        if kind == "log":
+            utilities.append(LogUtility(weights, rng.uniform(0.5, 5.0, size=num_resources)))
+        elif kind == "power":
+            utilities.append(PowerUtility(weights, rng.uniform(0.2, 1.0, size=num_resources)))
+        elif kind == "saturating":
+            utilities.append(SaturatingUtility(weights, rng.uniform(0.5, 3.0, size=num_resources)))
+        else:
+            values = np.zeros((3, 3))
+            values[1:, 1:] = rng.uniform(2.0, 20.0)
+            values[2, 2] += rng.uniform(0.0, 5.0)
+            utilities.append(GridUtility2D(
+                np.array([0.0, 1.0, 2.0]) * capacities[0] / 2,
+                np.array([0.0, 1.0, 2.0]) * capacities[1] / 2 + np.array([0.0, 1e-3, 2e-3]),
+                values,
+            ))
+    caps = draw(st.sampled_from(["none", "random", "sub-quantum"]))
+    per_player_caps = None
+    if caps != "none":
+        per_player_caps = rng.uniform(0.2, 1.0, size=(num_players, num_resources)) * capacities
+        if caps == "sub-quantum":
+            below = rng.random(per_player_caps.shape) < 0.5
+            per_player_caps[below] = quanta[np.nonzero(below)[1]] * 0.5
+    return utilities, capacities, quanta, per_player_caps
+
+
+@given(market=concave_markets())
+@settings(max_examples=150, deadline=None)
+def test_equals_rounded_float_memo_oracle_bitwise(market):
+    utilities, capacities, quanta, per_player_caps = market
+    out = max_efficiency_allocation(utilities, capacities, quanta, per_player_caps)
+    expected = reference_scoring.max_efficiency_allocation(
+        utilities, capacities, quanta, per_player_caps
+    )
+    assert out.allocations.tobytes() == expected.allocations.tobytes()
+    assert out.allocations.shape == expected.allocations.shape
+    assert out.utilities.tobytes() == expected.utilities.tobytes()
+    assert out.steps == expected.steps

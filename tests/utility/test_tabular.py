@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_grid import scalar_grid_value
 from repro.utility import GridUtility2D, HullUtility1D, TabularUtility1D
 
 
@@ -98,3 +99,57 @@ class TestGridUtility2D:
         )
         v = grid.value([x, y])
         assert 0.0 - 1e-9 <= v <= 2.5 + 1e-9
+
+
+@st.composite
+def grids_and_points(draw):
+    """A random grid (1-5 samples per axis) and points around its box.
+
+    Each coordinate is below, inside or above its axis, or exactly on
+    one of its samples (signed zeros and NaN included); grid values
+    include signed zeros.
+    """
+    axis = st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=5, unique=True
+    ).map(sorted)
+    xs, ys = np.array(draw(axis)), np.array(draw(axis))
+    values = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0])),
+                min_size=xs.size * ys.size,
+                max_size=xs.size * ys.size,
+            )
+        )
+    ).reshape(xs.size, ys.size)
+
+    def coordinate(samples):
+        return st.one_of(
+            st.floats(-20.0, 20.0),
+            st.sampled_from(samples.tolist()),
+            st.sampled_from([0.0, -0.0, float("nan")]),
+        )
+
+    points = draw(
+        st.lists(st.tuples(coordinate(xs), coordinate(ys)), min_size=1, max_size=8)
+    )
+    return GridUtility2D(xs, ys, values), np.array(points, dtype=float)
+
+
+def test_grid_value_keeps_signed_zero_on_axis_end():
+    # np.clip keeps -0.0 at a 0.0 axis end; the sign survives the blend
+    # when the other terms are zeros too.
+    grid = GridUtility2D([0.0, 1.0], [0.0, 1.0], np.array([[-1.0, -0.0], [1.0, 1.0]]))
+    point = np.array([-0.0, 1.0])
+    assert grid.value(point).hex() == scalar_grid_value(grid, point).hex() == "-0x0.0p+0"
+
+
+@given(case=grids_and_points())
+@settings(max_examples=200, deadline=None)
+def test_grid_value_equals_numpy_oracle_and_batch_bitwise(case):
+    grid, points = case
+    batch = grid.value_batch(points)
+    for point, batched in zip(points, batch):
+        value = grid.value(point)
+        assert isinstance(value, float)
+        assert value.hex() == scalar_grid_value(grid, point).hex() == float(batched).hex()

@@ -16,7 +16,6 @@ from .experiments import (
     fig1_data,
     fig2_data,
     fig3_data,
-    run_analytic_bundle,
     run_analytic_sweep,
     run_simulation_experiment,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "BundleScore",
     "SweepFailure",
     "SweepResult",
-    "run_analytic_bundle",
     "run_analytic_sweep",
     "SimulationScore",
     "SimulationSweepResult",

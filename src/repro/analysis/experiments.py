@@ -49,7 +49,6 @@ __all__ = [
     "BundleScore",
     "SweepFailure",
     "SweepResult",
-    "run_analytic_bundle",
     "run_analytic_sweep",
     "SimulationScore",
     "SimulationSweepResult",
@@ -261,19 +260,6 @@ class SweepResult:
             "fraction_within_5": float(np.mean(iters <= 5)),
             "converged_fraction": float(converged.mean()),
         }
-
-
-def run_analytic_bundle(
-    bundle: Bundle,
-    config: CMPConfig,
-    mechanisms: Optional[Sequence[AllocationMechanism]] = None,
-) -> BundleScore:
-    """Score every mechanism on one bundle with true convexified utilities."""
-    mechanisms = mechanisms if mechanisms is not None else standard_mechanism_suite()
-    chip = ChipModel(config, bundle.apps)
-    problem = chip.build_problem()
-    results = {mech.name: mech.allocate(problem) for mech in mechanisms}
-    return BundleScore(bundle=bundle.name, category=bundle.category, results=results)
 
 
 # One sweep-cell shards per (bundle, mechanism), so the mechanisms of a

@@ -50,11 +50,18 @@ class EvalCounters:
       differentiation, and one per point when a batched entry point has
       to fall back to the scalar loop.
     * ``batch_value_calls`` / ``batch_gradient_calls`` — one per
-      *vectorized* dispatch (``value_batch`` / ``gradient_batch`` with a
-      fast override, or a stacked-grid group evaluation), however many
-      points it covers.
+      *vectorized* dispatch (``value_batch`` / ``gradient_batch`` on a
+      class with a ``_value_batch`` / ``_gradient_batch`` body, or a
+      stacked-grid group evaluation), however many points it covers.
     * ``batch_points`` — total points covered by those vectorized
       dispatches.
+
+    Increments happen in three places only: the two base-class batched
+    entry points (:meth:`UtilityFunction.value_batch` and
+    :meth:`UtilityFunction.gradient_batch`), the stacked-grid group
+    evaluations (:class:`~repro.utility.batch.StackedGrids`), and the
+    scalar seams (:func:`numeric_gradient`, ``marginal_utility_of_bids``,
+    ``Market.utilities``).
 
     Counters are per-process (each :class:`~repro.exec.SweepExecutor`
     worker tallies its own) and are never consulted by the allocation
@@ -87,9 +94,7 @@ class EvalCounters:
         """Per-field deltas accumulated after ``snapshot`` was taken.
 
         The returned dict additionally carries ``scalar_calls`` /
-        ``batch_calls`` / ``total_calls`` roll-ups, which is what the
-        hot-loop bench's ">= 3x fewer Python-level utility calls" claim
-        is measured on.
+        ``batch_calls`` / ``total_calls`` roll-ups.
         """
         delta = {
             name: getattr(self, name) - snapshot.get(name, 0)
@@ -137,34 +142,51 @@ class UtilityFunction(abc.ABC):
         """Marginal utility of a single ``resource`` at ``allocation``."""
         return float(self.gradient(allocation)[resource])
 
+    #: Optional vectorized bodies.  A subclass whose array arithmetic
+    #: mirrors its scalar methods bitwise defines ``_value_batch(points)``
+    #: / ``_gradient_batch(points)``, taking an already validated
+    #: ``(K, num_resources)`` float matrix; ``None`` selects the scalar loop.
+    _value_batch = None
+    _gradient_batch = None
+
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Utilities of a ``(K, num_resources)`` batch of allocations.
 
-        Returns a ``(K,)`` vector.  Point ``k`` of the result equals
-        ``value(allocations[k])`` exactly — subclasses with vectorized
-        overrides mirror the scalar arithmetic (same clamping, same
-        operation order) so the two paths agree bitwise; the generic
-        fallback here simply loops the scalar method (and counts each
-        point as a scalar evaluation, so batched callers that land on it
-        do not under-report their cost).
+        Returns a ``(K,)`` vector; point ``k`` equals
+        ``value(allocations[k])`` exactly.  This is the one batched entry
+        point: it validates the shape, then either counts one vectorized
+        dispatch and runs :attr:`_value_batch`, or loops the scalar
+        method and counts each point as a scalar evaluation, so batched
+        callers that land on the loop do not under-report their cost.
         """
         points = _as_point_matrix(allocations, self.num_resources)
-        EVAL_COUNTERS.scalar_value_calls += points.shape[0]
-        return np.array([self.value(p) for p in points], dtype=float)
+        body = self._value_batch
+        if body is None:
+            EVAL_COUNTERS.scalar_value_calls += points.shape[0]
+            return np.array([self.value(p) for p in points], dtype=float)
+        EVAL_COUNTERS.batch_value_calls += 1
+        EVAL_COUNTERS.batch_points += points.shape[0]
+        return body(points)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Per-resource marginals of a ``(K, num_resources)`` batch.
 
         Returns a ``(K, num_resources)`` matrix; row ``k`` equals
-        ``gradient(allocations[k])`` exactly.  The generic fallback loops
-        the scalar method, so every subclass — including external ones
-        that only implement the scalar interface — is batch-callable.
+        ``gradient(allocations[k])`` exactly.  Validates and counts like
+        :meth:`value_batch`; without a :attr:`_gradient_batch` body it
+        loops the scalar method, so every subclass — including external
+        ones that only implement the scalar interface — is batch-callable.
         """
         points = _as_point_matrix(allocations, self.num_resources)
-        EVAL_COUNTERS.scalar_gradient_calls += points.shape[0]
-        if points.shape[0] == 0:
-            return np.zeros_like(points)
-        return np.stack([np.asarray(self.gradient(p), dtype=float) for p in points])
+        body = self._gradient_batch
+        if body is None:
+            EVAL_COUNTERS.scalar_gradient_calls += points.shape[0]
+            if points.shape[0] == 0:
+                return np.zeros_like(points)
+            return np.stack([np.asarray(self.gradient(p), dtype=float) for p in points])
+        EVAL_COUNTERS.batch_gradient_calls += 1
+        EVAL_COUNTERS.batch_points += points.shape[0]
+        return body(points)
 
     def __call__(self, allocation: Sequence[float]) -> float:
         return self.value(allocation)

@@ -20,7 +20,7 @@ possible:
   synthetic theory markets) are evaluated with a single
   ``gradient_batch`` call.
 * **Everything else** — one ``gradient_batch`` call per distinct
-  utility; utilities without a vectorized override fall back to the
+  utility; utilities without a vectorized body fall back to the
   scalar loop inside :meth:`UtilityFunction.gradient_batch`, so results
   are always defined (and counted honestly).
 
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction, _GRADIENT_EPS
+from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
 from .tabular import GridUtility2D
 
 __all__ = ["BatchedUtilitySet", "StackedGrids"]
@@ -91,37 +91,18 @@ class StackedGrids:
     def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
 
-        Mirrors :func:`~repro.utility.base.numeric_gradient` (the scalar
-        default for :class:`GridUtility2D`): same relative step, same
-        forward-difference fallback at zero, same operation order, with
-        all ``4K`` probes evaluated in one :meth:`value_points` call.
+        :func:`~repro.utility.base.numeric_gradient_batch` — the batched
+        mirror of :class:`GridUtility2D`'s scalar gradient — with all
+        ``4K`` probes evaluated in one :meth:`value_points` call.  The
+        probes come in ``2M`` blocks of ``K`` rows, so their owners are
+        ``owners`` tiled ``2M`` times.
         """
         EVAL_COUNTERS.batch_gradient_calls += 1
         EVAL_COUNTERS.batch_points += points.shape[0]
-        n_points, n_dims = points.shape
-        steps = _GRADIENT_EPS * np.maximum(1.0, np.abs(points))
-        forward = points - steps < 0.0
-        probes = np.empty((2 * n_dims * n_points, n_dims), dtype=float)
-        for j in range(n_dims):
-            hi = points.copy()
-            hi[:, j] += steps[:, j]
-            lo = points.copy()
-            lo[:, j] -= np.where(forward[:, j], 0.0, steps[:, j])
-            base = 2 * j * n_points
-            probes[base : base + n_points] = hi
-            probes[base + n_points : base + 2 * n_points] = lo
-        values = self.value_points(probes, np.tile(owners, 2 * n_dims))
-        grad = np.empty_like(points)
-        for j in range(n_dims):
-            base = 2 * j * n_points
-            f_hi = values[base : base + n_points]
-            f_lo = values[base + n_points : base + 2 * n_points]
-            grad[:, j] = np.where(
-                forward[:, j],
-                (f_hi - f_lo) / steps[:, j],
-                (f_hi - f_lo) / (2.0 * steps[:, j]),
-            )
-        return grad
+        probe_owners = np.tile(owners, 2 * points.shape[1])
+        return numeric_gradient_batch(
+            lambda probes: self.value_points(probes, probe_owners), points
+        )
 
 
 #: Group kinds in a compiled plan.

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction
+from .base import UtilityFunction
 
 __all__ = [
     "LinearUtility",
@@ -49,16 +49,10 @@ class LinearUtility(UtilityFunction):
     def gradient(self, allocation: Sequence[float]) -> np.ndarray:
         return self.weights.copy()
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return points @ self.weights
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         return np.tile(self.weights, (points.shape[0], 1))
 
     def __repr__(self) -> str:
@@ -87,16 +81,10 @@ class LogUtility(UtilityFunction):
         r = np.asarray(allocation, dtype=float)
         return self.weights / (self.scales + r)
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(self.weights * np.log1p(points / self.scales), axis=-1)
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         return self.weights / (self.scales + points)
 
     def __repr__(self) -> str:
@@ -123,19 +111,14 @@ class PowerUtility(UtilityFunction):
         r = np.maximum(np.asarray(allocation, dtype=float), 1e-12)
         return self.weights * self.exponents * np.power(r, self.exponents - 1.0)
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(
             self.weights * np.power(np.maximum(points, 0.0), self.exponents), axis=-1
         )
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.maximum(np.asarray(allocations, dtype=float), 1e-12)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        return self.weights * self.exponents * np.power(points, self.exponents - 1.0)
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
+        r = np.maximum(points, 1e-12)
+        return self.weights * self.exponents * np.power(r, self.exponents - 1.0)
 
     def __repr__(self) -> str:
         return f"PowerUtility(weights={self.weights.tolist()}, exponents={self.exponents.tolist()})"
@@ -168,18 +151,14 @@ class CobbDouglasUtility(UtilityFunction):
         u = self.scale * np.prod(np.power(r, self.elasticities))
         return u * self.elasticities / r
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.maximum(np.asarray(allocations, dtype=float), 0.0)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        return self.scale * np.prod(np.power(points, self.elasticities), axis=-1)
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
+        r = np.maximum(points, 0.0)
+        return self.scale * np.prod(np.power(r, self.elasticities), axis=-1)
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.maximum(np.asarray(allocations, dtype=float), 1e-12)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        u = self.scale * np.prod(np.power(points, self.elasticities), axis=-1)
-        return u[:, None] * self.elasticities / points
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
+        r = np.maximum(points, 1e-12)
+        u = self.scale * np.prod(np.power(r, self.elasticities), axis=-1)
+        return u[:, None] * self.elasticities / r
 
     def __repr__(self) -> str:
         return f"CobbDouglasUtility(elasticities={self.elasticities.tolist()}, scale={self.scale})"
@@ -208,16 +187,10 @@ class SaturatingUtility(UtilityFunction):
         r = np.asarray(allocation, dtype=float)
         return np.where(r < self.caps, self.weights / self.caps, 0.0)
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(self.weights * np.minimum(points, self.caps) / self.caps, axis=-1)
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         return np.where(points < self.caps, self.weights / self.caps, 0.0)
 
     def __repr__(self) -> str:
@@ -246,20 +219,14 @@ class AdditiveUtility(UtilityFunction):
             [c.gradient((r,))[0] for c, r in zip(self.components, allocation)]
         )
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         # Left-to-right accumulation matches the scalar sum() order.
         total = np.zeros(points.shape[0])
         for j, component in enumerate(self.components):
             total = total + component.value_batch(points[:, j : j + 1])
         return total
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         columns = [
             component.gradient_batch(points[:, j : j + 1])[:, 0]
             for j, component in enumerate(self.components)
@@ -291,15 +258,11 @@ class ScaledUtility(UtilityFunction):
     def gradient(self, allocation: Sequence[float]) -> np.ndarray:
         return self.scale * self.inner.gradient(allocation)
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += np.asarray(allocations).shape[0]
-        return self.scale * self.inner.value_batch(allocations) + self.offset
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
+        return self.scale * self.inner.value_batch(points) + self.offset
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += np.asarray(allocations).shape[0]
-        return self.scale * self.inner.gradient_batch(allocations)
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
+        return self.scale * self.inner.gradient_batch(points)
 
     def __repr__(self) -> str:
         return f"ScaledUtility({self.inner!r}, scale={self.scale}, offset={self.offset})"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
+from .base import UtilityFunction, numeric_gradient_batch
 from .convex_hull import PiecewiseLinearConcave
 
 __all__ = ["TabularUtility1D", "HullUtility1D", "GridUtility2D", "grid_bilinear_batch"]
@@ -57,16 +57,10 @@ class TabularUtility1D(UtilityFunction):
         slope = (self.ys[seg + 1] - self.ys[seg]) / (self.xs[seg + 1] - self.xs[seg])
         return np.array([slope])
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.interp(points[:, 0], self.xs, self.ys)
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         x = points[:, 0]
         if self.xs.size == 1:
             return np.zeros_like(points)
@@ -99,16 +93,10 @@ class HullUtility1D(UtilityFunction):
     def gradient(self, allocation: Sequence[float]) -> np.ndarray:
         return np.array([self.hull.derivative(float(allocation[0]))])
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return self.hull.value_batch(points[:, 0])
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         return self.hull.derivative_batch(points[:, 0])[:, None]
 
     @property
@@ -178,10 +166,7 @@ class GridUtility2D(UtilityFunction):
             + v11 * tx * ty
         )
 
-    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
         if self.xs.size == 1 and self.ys.size == 1:
             return np.full(points.shape[0], float(self.values[0, 0]))
         xc = np.clip(points[:, 0], self.xs[0], self.xs[-1])
@@ -192,13 +177,10 @@ class GridUtility2D(UtilityFunction):
             return np.interp(xc, self.xs, self.values[:, 0])
         return grid_bilinear_batch(self.xs, self.ys, self.values, xc, yc)
 
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         # The scalar gradient is the generic numeric differentiator over
         # value(); mirror it exactly, with all probe points evaluated in
         # one vectorized value_batch dispatch.
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return numeric_gradient_batch(self.value_batch, points)
 
     def __repr__(self) -> str:
@@ -211,15 +193,12 @@ def grid_bilinear_batch(
     values: np.ndarray,
     xc: np.ndarray,
     yc: np.ndarray,
-    owners: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bilinear interpolation of pre-clamped points, vectorized.
 
     This is :meth:`GridUtility2D.value` applied elementwise — identical
     clamped-index lookups and the identical four-term blend, so results
-    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)`` for a
-    single grid, or ``(G, nx, ny)`` with ``owners[k]`` selecting the grid
-    evaluated at point ``k`` (the stacked multi-player fast path).  Both
+    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)``; both
     axes must have at least two samples.
     """
     i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
@@ -228,12 +207,8 @@ def grid_bilinear_batch(
     y0, y1 = ys[j], ys[j + 1]
     tx = (xc - x0) / (x1 - x0)
     ty = (yc - y0) / (y1 - y0)
-    if owners is None:
-        v00, v01 = values[i, j], values[i, j + 1]
-        v10, v11 = values[i + 1, j], values[i + 1, j + 1]
-    else:
-        v00, v01 = values[owners, i, j], values[owners, i, j + 1]
-        v10, v11 = values[owners, i + 1, j], values[owners, i + 1, j + 1]
+    v00, v01 = values[i, j], values[i, j + 1]
+    v10, v11 = values[i + 1, j], values[i + 1, j + 1]
     return (
         v00 * (1 - tx) * (1 - ty)
         + v10 * tx * (1 - ty)

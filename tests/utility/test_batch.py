@@ -1,10 +1,10 @@
 """Batched utility evaluation: every ``value_batch`` / ``gradient_batch``
 must reproduce the looped scalar calls — bitwise for the families whose
-overrides mirror the scalar arithmetic operation for operation, within
-an explicit (documented) tolerance where a vectorized reduction may
-reassociate a summation.  Also covers the stacked-grid fast path, the
-compiled :class:`BatchedUtilitySet`, and the evaluation counters the
-hot-loop bench reads.
+vectorized bodies mirror the scalar arithmetic operation for operation,
+within an explicit (documented) tolerance where a vectorized reduction
+may reassociate a summation.  Also covers input-shape validation, the
+stacked-grid fast path, the compiled :class:`BatchedUtilitySet`, and
+the exact evaluation-counter deltas of every dispatch.
 """
 
 import numpy as np
@@ -158,6 +158,44 @@ CASES = [
 ]
 
 
+class OnlyScalar(UtilityFunction):
+    """A subclass implementing nothing beyond the scalar interface."""
+
+    num_resources = 2
+
+    def value(self, allocation):
+        r = np.asarray(allocation, dtype=float)
+        return float(np.sqrt(1.0 + r[0]) + np.log1p(r[1]))
+
+
+#: ``EVAL_COUNTERS`` deltas of one ``value_batch`` and one
+#: ``gradient_batch`` call on each case's points, as
+#: (batch_value_calls, batch_gradient_calls, batch_points, scalar_calls).
+#: Grid gradients add one inner value dispatch over their 4K probes;
+#: Additive and Scaled count their nested component/inner dispatches.
+COUNT_FIELDS = ("batch_value_calls", "batch_gradient_calls", "batch_points", "scalar_calls")
+EXPECTED_COUNTS = {
+    "tabular1d": ((1, 0, 7, 0), (0, 1, 7, 0)),
+    "hull1d": ((1, 0, 7, 0), (0, 1, 7, 0)),
+    "grid2d": ((1, 0, 7, 0), (1, 1, 35, 0)),
+    "grid2d-degenerate-x": ((1, 0, 7, 0), (1, 1, 35, 0)),
+    "grid2d-degenerate-y": ((1, 0, 7, 0), (1, 1, 35, 0)),
+    "linear": ((1, 0, 6, 0), (0, 1, 6, 0)),
+    "log": ((1, 0, 6, 0), (0, 1, 6, 0)),
+    "power": ((1, 0, 5, 0), (0, 1, 5, 0)),
+    "cobb-douglas": ((1, 0, 5, 0), (0, 1, 5, 0)),
+    "saturating": ((1, 0, 6, 0), (0, 1, 6, 0)),
+    "additive": ((3, 0, 18, 0), (0, 3, 18, 0)),
+    "scaled": ((2, 0, 12, 0), (0, 2, 12, 0)),
+}
+COUNT_CASES = [
+    pytest.param(*case.values, EXPECTED_COUNTS[case.id], id=case.id)
+    for case in CASES
+]
+
+FALLBACK_CASE = pytest.param(OnlyScalar, NONNEG_2D, True, id="fallback")
+
+
 class TestBatchEqualsScalar:
     @pytest.mark.parametrize("factory, points, exact", CASES)
     def test_batch_matches_looped_scalar(self, factory, points, exact):
@@ -169,24 +207,16 @@ class TestBatchEqualsScalar:
         assert u.value_batch(points).shape == (0,)
         assert u.gradient_batch(points).shape == (0, 2)
 
-    def test_shape_validation(self):
-        # The generic fallback validates via _as_point_matrix; fast
-        # overrides are internal hot-path code and skip the check.
-        u = OnlyScalar()
-        with pytest.raises(ValueError):
-            u.value_batch(np.zeros(2))  # 1-D, not (K, M)
-        with pytest.raises(ValueError):
-            u.gradient_batch(np.zeros((3, 5)))  # wrong resource count
-
-
-class OnlyScalar(UtilityFunction):
-    """A subclass implementing nothing beyond the scalar interface."""
-
-    num_resources = 2
-
-    def value(self, allocation):
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sqrt(1.0 + r[0]) + np.log1p(r[1]))
+    @pytest.mark.parametrize("method", ["value_batch", "gradient_batch"])
+    @pytest.mark.parametrize("factory, points, exact", CASES + [FALLBACK_CASE])
+    def test_shape_validation(self, factory, points, exact, method):
+        # Every family, vectorized body or scalar loop, goes through the
+        # base-class entry point, which validates the (K, M) shape once.
+        u = factory()
+        m = u.num_resources
+        for bad in (np.ones(m), np.ones((3, m - 1)), np.ones((3, m + 1))):
+            with pytest.raises(ValueError):
+                getattr(u, method)(bad)
 
 
 class TestGenericFallback:
@@ -202,14 +232,33 @@ class TestGenericFallback:
         assert delta["scalar_value_calls"] == NONNEG_2D.shape[0]
         assert delta["batch_calls"] == 0
 
-    def test_fast_override_counts_batch_not_scalar(self):
-        u = make_grid(2)
+    def test_value_body_only_keeps_scalar_gradient_loop(self):
+        # A subclass may vectorize one entry point and not the other.
+        class ValueBodyOnly(OnlyScalar):
+            def _value_batch(self, points):
+                return np.sqrt(1.0 + points[:, 0]) + np.log1p(points[:, 1])
+
+        u = ValueBodyOnly()
+        assert_batch_matches(u, NONNEG_2D, exact=True)
         before = EVAL_COUNTERS.snapshot()
-        u.value_batch(POINTS_2D)
+        u.value_batch(NONNEG_2D)
+        u.gradient_batch(NONNEG_2D)
         delta = EVAL_COUNTERS.since(before)
         assert delta["batch_value_calls"] == 1
-        assert delta["batch_points"] == POINTS_2D.shape[0]
-        assert delta["scalar_calls"] == 0
+        assert delta["batch_gradient_calls"] == 0
+        assert delta["scalar_gradient_calls"] == NONNEG_2D.shape[0]
+
+    @pytest.mark.parametrize("factory, points, exact, expected", COUNT_CASES)
+    def test_fast_override_counts_batch_not_scalar(
+        self, factory, points, exact, expected
+    ):
+        u = factory()
+        for method, want in zip(("value_batch", "gradient_batch"), expected):
+            before = EVAL_COUNTERS.snapshot()
+            getattr(u, method)(points)
+            delta = EVAL_COUNTERS.since(before)
+            got = tuple(delta[name] for name in COUNT_FIELDS)
+            assert got == want, method
 
 
 class TestNumericGradientBatch:
@@ -278,6 +327,8 @@ class TestBatchedUtilitySet:
         delta = EVAL_COUNTERS.since(before)
         assert delta["batch_gradient_calls"] == 1
         assert delta["batch_value_calls"] == 1
+        # K gradient points plus the 4K central-difference probes.
+        assert delta["batch_points"] == 8 + 4 * 8
         assert delta["scalar_calls"] == 0
 
     def test_mixed_groups_match_per_player_scalar(self):

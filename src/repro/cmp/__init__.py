@@ -38,7 +38,6 @@ from .utility_builder import (
     build_utility_from_miss_curve,
     convexify_grid,
     extra_capacity_for,
-    sample_utility_grid,
 )
 
 __all__ = [
@@ -88,6 +87,5 @@ __all__ = [
     "build_true_utility",
     "build_utility_from_miss_curve",
     "convexify_grid",
-    "sample_utility_grid",
     "extra_capacity_for",
 ]

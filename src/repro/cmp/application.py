@@ -81,11 +81,15 @@ class MissRateCurve(abc.ABC):
         Returns ``(sizes, survival)`` with sizes from 0 to ``max_bytes``
         and the survival values made strictly non-increasing (tiny
         numerical wiggles are flattened) so the inverse is well defined.
+        Curves are immutable, so tables are memoized per curve, read-only.
         """
-        sizes = np.linspace(0.0, max_bytes, points)
-        surv = np.array([self.survival(s) for s in sizes])
-        surv = np.minimum.accumulate(surv)
-        return sizes, surv
+        tables = vars(self).setdefault("_survival_tables", {})
+        if (max_bytes, points) not in tables:
+            sizes = np.linspace(0.0, max_bytes, points)
+            surv = np.minimum.accumulate(np.array([self.survival(s) for s in sizes]))
+            sizes.flags.writeable = surv.flags.writeable = False
+            tables[max_bytes, points] = (sizes, surv)
+        return tables[max_bytes, points]
 
     def sample_stack_distances(
         self,
@@ -93,6 +97,7 @@ class MissRateCurve(abc.ABC):
         count: int,
         max_bytes: float = 8 * MB,
         table: "tuple[np.ndarray, np.ndarray] | None" = None,
+        keep: slice = slice(None),
     ) -> np.ndarray:
         """Draw ``count`` stack distances (bytes) by inverse-CDF sampling.
 
@@ -104,15 +109,19 @@ class MissRateCurve(abc.ABC):
         inverting the (tabulated) survival function.  Pass a precomputed
         ``table`` from :meth:`survival_table` to amortize the tabulation
         across epochs.
+
+        Only the draws at ``keep`` are mapped and returned, bitwise as in
+        a full draw: all ``count`` uniforms are still drawn, and the map
+        is elementwise.
         """
         if self.ceiling <= 0.0:
             # The application never misses: all reuses are tiny.
-            return np.zeros(count)
+            return np.zeros(count)[keep]
         if table is None:
             table = self.survival_table(max_bytes)
         sizes, surv = table
-        uniforms = rng.random(count)
-        out = np.zeros(count)  # the "always hit" mass keeps distance 0
+        uniforms = rng.random(count)[keep]
+        out = np.zeros(uniforms.size)  # the "always hit" mass keeps distance 0
         compulsory = uniforms < self.floor
         out[compulsory] = np.inf
         sensitive = (~compulsory) & (uniforms < self.ceiling)

@@ -87,11 +87,13 @@ class RuntimeMonitor:
         accesses = int(instructions * self.core.app.apki * apki_scale / 1000.0)
         accesses = min(max(accesses, 0), MAX_EPOCH_ACCESSES)
         if accesses > 0:
-            distances = self.core.app.mrc.sample_stack_distances(
-                self.rng, accesses, table=self._survival_table
+            # Only the accesses the shadow tags record are turned into
+            # stack distances; the random stream is drawn in full.
+            sampled = self.core.app.mrc.sample_stack_distances(
+                self.rng, accesses, table=self._survival_table, keep=self.umon.sampled_slice()
             )
             self.umon.reset()
-            self.umon.observe(distances)
+            self.umon.observe_sampled(sampled, accesses)
             fresh = self.umon.miss_curve()
             if self._smoothed_curve is None:
                 self._smoothed_curve = fresh

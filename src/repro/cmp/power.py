@@ -11,12 +11,14 @@ power budget is a genuinely contended resource.
 
 The market treats *power* (watts) as the resource; performance comes
 from the frequency the purchased watts can sustain, so this module also
-provides the inverse mapping ``frequency_for_power``.
+provides the inverse mapping ``frequency_for_power`` (and its array form).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import CoreConfig
 
@@ -53,6 +55,7 @@ class DVFSPowerModel:
     leakage_coefficient: float = 1.2
     leakage_temp_slope_k: float = 30.0
     reference_temperature_c: float = 80.0
+    _axes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def voltage(self, frequency_ghz: float) -> float:
         """Linear V-f mapping within the DVFS envelope (clamped outside)."""
@@ -69,13 +72,8 @@ class DVFSPowerModel:
 
     def static_power(self, frequency_ghz: float, temperature_c: float | None = None) -> float:
         """Voltage- and temperature-dependent leakage in watts."""
-        if temperature_c is None:
-            temperature_c = self.reference_temperature_c
         v = self.voltage(frequency_ghz)
-        scale = _exp_clamped(
-            (temperature_c - self.reference_temperature_c) / self.leakage_temp_slope_k
-        )
-        return self.leakage_coefficient * v * scale
+        return self.leakage_coefficient * v * self._leakage_scale(temperature_c)
 
     def total_power(
         self,
@@ -109,19 +107,73 @@ class DVFSPowerModel:
         return the minimum frequency (the free allocation guarantees it);
         caps above the 4 GHz power return 4 GHz.
         """
+        power = self._power_in_envelope(activity, temperature_c)
         lo = self.core.min_frequency_ghz
         hi = self.core.max_frequency_ghz
-        if watts <= self.total_power(lo, activity, temperature_c):
+        if watts <= power(lo):
             return lo
-        if watts >= self.total_power(hi, activity, temperature_c):
+        if watts >= power(hi):
             return hi
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if self.total_power(mid, activity, temperature_c) <= watts:
+            if power(mid) <= watts:
                 lo = mid
             else:
                 hi = mid
         return lo
+
+    def frequencies_for_power(
+        self, watts: np.ndarray, activity: float = 1.0, temperature_c: float | None = None
+    ) -> np.ndarray:
+        """:meth:`frequency_for_power` elementwise: same bisection, same bits."""
+        power = self._power_in_envelope(activity, temperature_c)
+        f_min, f_max = self.core.min_frequency_ghz, self.core.max_frequency_ghz
+        watts = np.asarray(watts, dtype=float)
+        lo, hi = np.full(watts.shape, f_min), np.full(watts.shape, f_max)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fits = power(mid) <= watts
+            lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid)
+        lo[watts >= power(f_max)] = f_max
+        lo[watts <= power(f_min)] = f_min
+        return lo
+
+    def _power_in_envelope(self, activity: float, temperature_c: float | None):
+        """``f -> total_power(f)`` in the envelope: same float ops, on floats or arrays."""
+        core = self.core
+        span = core.max_frequency_ghz - core.min_frequency_ghz
+        swing = core.max_voltage - core.min_voltage
+        dynamic = activity * self.effective_capacitance
+        scale = self._leakage_scale(temperature_c)
+
+        def power(f):
+            v = core.min_voltage + ((f - core.min_frequency_ghz) / span) * swing
+            return dynamic * v * v * f + self.leakage_coefficient * v * scale
+
+        return power
+
+    def power_axis(self, activity: float, points: int) -> "tuple[np.ndarray, np.ndarray]":
+        """``points`` extra watts from 0 to the 4 GHz draw, and their frequencies.
+
+        Never depends on a miss curve, so it is memoized (read-only) per
+        ``(activity, points)``: every epoch of a monitor and every core
+        of a chip with that activity share one array bisection.
+        """
+        key = (activity, points)
+        if key not in self._axes:
+            floor = self.min_power(activity)
+            extra = np.linspace(0.0, self.max_power(activity) - floor, points)
+            freqs = self.frequencies_for_power(floor + extra, activity)
+            extra.flags.writeable = freqs.flags.writeable = False
+            self._axes[key] = (extra, freqs)
+        return self._axes[key]
+
+    def _leakage_scale(self, temperature_c: float | None) -> float:
+        if temperature_c is None:
+            temperature_c = self.reference_temperature_c
+        return _exp_clamped(
+            (temperature_c - self.reference_temperature_c) / self.leakage_temp_slope_k
+        )
 
     def _clamp_frequency(self, frequency_ghz: float) -> float:
         return min(max(frequency_ghz, self.core.min_frequency_ghz), self.core.max_frequency_ghz)

@@ -74,12 +74,14 @@ class UMONShadowTags:
         set-sampling hardware; the rest only bump the access counter.
         """
         distances = np.asarray(stack_distances_bytes, dtype=float)
-        n = distances.size
-        if n == 0:
-            return
-        # Deterministic striding across calls keeps exactly 1/rate sampling.
-        start = (-self._phase) % self.sampling_rate
-        sampled = distances[start::self.sampling_rate]
+        self.observe_sampled(distances[self.sampled_slice()], distances.size)
+
+    def sampled_slice(self) -> slice:
+        """The next batch's recorded accesses (the stride carries across calls)."""
+        return slice((-self._phase) % self.sampling_rate, None, self.sampling_rate)
+
+    def observe_sampled(self, sampled: np.ndarray, n: int) -> None:
+        """:meth:`observe` for ``n`` accesses given only those at :meth:`sampled_slice`."""
         self._phase = (self._phase + n) % self.sampling_rate
         self.total_accesses += n
         self.sampled_accesses += sampled.size
@@ -90,7 +92,7 @@ class UMONShadowTags:
             buckets = (finite // self.region_bytes).astype(np.int64)
             in_range = buckets < self.max_regions
             self.overflow += int(np.count_nonzero(~in_range))
-            np.add.at(self.hit_histogram, buckets[in_range], 1)
+            self.hit_histogram += np.bincount(buckets[in_range], minlength=self.max_regions)
 
     def miss_curve(self) -> np.ndarray:
         """Estimated miss fraction at partition sizes of 1..max_regions regions.

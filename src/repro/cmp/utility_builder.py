@@ -18,18 +18,17 @@ power" step in Section 6.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..utility.convex_hull import upper_convex_hull
+from ..utility.convex_hull import hull_columns
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
 from .core_model import CoreModel
 
 __all__ = [
     "POWER_GRID_POINTS",
-    "sample_utility_grid",
     "convexify_grid",
     "build_true_utility",
     "build_utility_from_miss_curve",
@@ -51,28 +50,6 @@ def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
     return cache_cap, power_cap
 
 
-def sample_utility_grid(
-    value_at: Callable[[float, float], float],
-    cache_cap_bytes: float,
-    power_cap_watts: float,
-    region_bytes: int,
-    power_points: int = POWER_GRID_POINTS,
-) -> tuple:
-    """Sample ``value_at(extra_cache, extra_power)`` on the standard grid.
-
-    Cache is sampled at whole-region boundaries from 0 to the cap;
-    power uniformly from 0 to the cap.
-    """
-    num_regions = int(round(cache_cap_bytes / region_bytes))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region_bytes
-    power_axis = np.linspace(0.0, power_cap_watts, power_points)
-    values = np.empty((cache_axis.size, power_axis.size))
-    for i, c in enumerate(cache_axis):
-        for j, p in enumerate(power_axis):
-            values[i, j] = value_at(c, p)
-    return cache_axis, power_axis, values
-
-
 def convexify_grid(
     cache_axis: np.ndarray,
     power_axis: np.ndarray,
@@ -85,17 +62,13 @@ def convexify_grid(
     row (cache fixed) with its upper convex hull evaluated back on the
     grid.  Hulling can only raise values, and values are bounded by the
     global maximum, so the iteration converges; in practice two passes
-    suffice.
+    suffice (:func:`hull_columns` skips already strictly concave lines).
     """
     out = values.copy()
     for _ in range(max_passes):
         before = out.copy()
-        for j in range(power_axis.size):
-            hx, hy = upper_convex_hull(cache_axis, out[:, j])
-            out[:, j] = np.interp(cache_axis, hx, hy)
-        for i in range(cache_axis.size):
-            hx, hy = upper_convex_hull(power_axis, out[i, :])
-            out[i, :] = np.interp(power_axis, hx, hy)
+        hull_columns(cache_axis, out)
+        hull_columns(power_axis, out.T)
         if np.allclose(before, out, rtol=0.0, atol=1e-12):
             break
     return out
@@ -113,23 +86,21 @@ def build_true_utility(
     the Talus-style convexification, producing the concave continuous
     utility over extras that the theory requires.
 
-    The grid is evaluated in vectorized form: frequencies are resolved
-    once per power-axis point and the compute/memory decomposition is
+    The grid is evaluated in vectorized form: the power axis and its
+    frequencies come from the power model's memoized
+    :meth:`~repro.cmp.power.DVFSPowerModel.power_axis` (one elementwise
+    bisection per activity), and the compute/memory decomposition is
     separable, so the (cache x power) surface is an outer combination of
     two 1-D arrays.
     """
-    cache_cap, power_cap = extra_capacity_for(core, config)
+    cache_cap, _ = extra_capacity_for(core, config)
     min_cache = float(config.cache_region_bytes)
-    min_power = core.min_power_watts()
     region = config.cache_region_bytes
 
     num_regions = int(round(cache_cap / region))
     cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis = np.linspace(0.0, power_cap, power_points)
+    power_axis, frequencies = core.power_model.power_axis(core.app.activity, power_points)
 
-    frequencies = np.array(
-        [core.frequency_for_power(min_power + p) for p in power_axis]
-    )
     monitor_cap = float(config.umon_max_bytes)
     memory_ns = np.array(
         [
@@ -164,8 +135,7 @@ def build_utility_from_miss_curve(
     estimates them with Isci-style counters, whose error is small
     relative to MRC sampling noise).
     """
-    cache_cap, power_cap = extra_capacity_for(core, config)
-    min_power = core.min_power_watts()
+    cache_cap, _ = extra_capacity_for(core, config)
     cpi = core.app.cpi_exe if cpi_estimate is None else cpi_estimate
     apki = core.app.apki
     latency = core.memory_latency_ns
@@ -174,14 +144,11 @@ def build_utility_from_miss_curve(
 
     num_regions = int(round(cache_cap / region))
     cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis = np.linspace(0.0, power_cap, power_points)
+    power_axis, frequencies = core.power_model.power_axis(core.app.activity, power_points)
 
     region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
     miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
     memory_ns = apki / 1000.0 * miss * latency
-    frequencies = np.array(
-        [core.frequency_for_power(min_power + p) for p in power_axis]
-    )
     compute_ns = cpi / frequencies
     values = 1.0 / (compute_ns[None, :] + memory_ns[:, None])
 

@@ -156,6 +156,9 @@ class ExecutionDrivenSimulator:
         # rate is the hull's linear interpolation — not the raw curve's
         # value mid-cliff.
         self._talus = [self._build_talus(core.app) for core in self._cores]
+        # True (phase-1) utilities per core, built on first use and
+        # dropped when a context switch replaces the core's application.
+        self._true_utilities: list = [None] * self.num_cores
 
     def _build_talus(self, app) -> TalusController:
         region = self.chip.config.cache_region_bytes
@@ -193,6 +196,7 @@ class ExecutionDrivenSimulator:
             self._switch_time_ms[i] = time_ms
             self._trackers[i] = PhaseTracker(switch.app)
             self._talus[i] = self._build_talus(switch.app)
+            self._true_utilities[i] = None
             # Fresh monitors: the shadow tags know nothing about the
             # incoming application and must re-learn its miss curve.
             monitors[i] = RuntimeMonitor(
@@ -384,9 +388,7 @@ class ExecutionDrivenSimulator:
         if self.config.use_monitors:
             utilities = [m.estimated_utility() for m in monitors]
         else:
-            utilities = [
-                build_true_utility(core, self.chip.config) for core in self._cores
-            ]
+            utilities = self._current_true_utilities()
         caps = np.array(
             [extra_capacity_for(core, self.chip.config) for core in self._cores]
         )
@@ -412,7 +414,11 @@ class ExecutionDrivenSimulator:
         With context switches the scoring uses the applications resident
         at the end of the run.
         """
-        true_utilities = [
-            build_true_utility(core, self.chip.config) for core in self._cores
-        ]
-        return envy_freeness(true_utilities, mean_extras)
+        return envy_freeness(self._current_true_utilities(), mean_extras)
+
+    def _current_true_utilities(self) -> list:
+        """The resident applications' true utilities, built once per app."""
+        for i, utility in enumerate(self._true_utilities):
+            if utility is None:
+                self._true_utilities[i] = build_true_utility(self._cores[i], self.chip.config)
+        return list(self._true_utilities)

@@ -20,7 +20,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["upper_convex_hull", "hull_interpolate", "PiecewiseLinearConcave"]
+__all__ = [
+    "upper_convex_hull", "hull_columns", "hull_interpolate", "PiecewiseLinearConcave"
+]
 
 
 def upper_convex_hull(
@@ -44,24 +46,43 @@ def upper_convex_hull(
     if xs.size == 1:
         return xs.copy(), ys.copy()
 
-    # Monotone chain over points sorted by x: keep a stack whose
-    # consecutive slopes are non-increasing (concave chain from above).
-    stack: list[int] = []
-    for k in range(xs.size):
-        while len(stack) >= 2 and _turns_up(xs, ys, stack[-2], stack[-1], k):
-            stack.pop()
-        stack.append(k)
-    idx = np.array(stack)
+    idx = np.array(_chain(xs.tolist(), ys.tolist()))
     return xs[idx], ys[idx]
 
 
-def _turns_up(xs: np.ndarray, ys: np.ndarray, a: int, b: int, c: int) -> bool:
-    """True if point ``b`` lies (weakly) below the chord ``a -> c``.
+def hull_columns(xs: np.ndarray, lines: np.ndarray) -> None:
+    """Replace each column of ``lines`` (sampled at ``xs``) by its upper hull.
 
-    In that case ``b`` is not a hull vertex of the *upper* hull.
+    Columns whose consecutive triples all turn strictly down keep every
+    point in the chain, and ``np.interp`` at its own knots returns them
+    exactly, so one array test finds and skips them.
     """
-    cross = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
-    return cross >= 0.0
+    xa, xb, xc = xs[:-2, None], xs[1:-1, None], xs[2:, None]
+    ya, yb, yc = lines[:-2], lines[1:-1], lines[2:]
+    turning = np.any((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa) >= 0.0, axis=0)
+    knots = xs.tolist()
+    for j in np.flatnonzero(turning):
+        idx = _chain(knots, lines[:, j].tolist())
+        lines[:, j] = np.interp(xs, xs[idx], lines[idx, j])
+
+
+def _chain(xs: list, ys: list) -> list:
+    """Monotone chain over Python floats: the upper-hull vertex indices.
+
+    Pops the top ``b`` while it lies (weakly) below the chord from ``a``
+    to the next point ``c``; :func:`hull_columns` vectorizes that test.
+    """
+    stack: list[int] = []
+    for c, (xc, yc) in enumerate(zip(xs, ys)):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            xa, ya = xs[a], ys[a]
+            if (xs[b] - xa) * (yc - ya) - (ys[b] - ya) * (xc - xa) >= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(c)
+    return stack
 
 
 def hull_interpolate(

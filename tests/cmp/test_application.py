@@ -83,6 +83,20 @@ class TestSurvival:
         assert np.all(np.diff(surv) <= 1e-12)
         assert surv[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_survival_table_memoized_read_only(self):
+        mrc = PowerLawMRC(0.6, 0.05, 256 * KB)
+        sizes, surv = mrc.survival_table(max_bytes=4 * MB)
+        assert mrc.survival_table(max_bytes=4 * MB)[0] is sizes
+        assert mrc.survival_table(max_bytes=4 * MB)[1] is surv
+        assert mrc.survival_table(max_bytes=2 * MB)[0][-1] == 2 * MB
+        expected = np.minimum.accumulate([mrc.survival(s) for s in sizes])
+        assert surv.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            surv[0] = 0.0
+        # The memo is not part of the curve's value.
+        assert mrc == PowerLawMRC(0.6, 0.05, 256 * KB)
+        assert hash(mrc) == hash(PowerLawMRC(0.6, 0.05, 256 * KB))
+
 
 class TestStackDistanceSampling:
     def test_sampler_reproduces_mrc(self, rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cmp import cmp_8core, CoreModel
 from repro.cmp.spec_suite import app_by_name
@@ -21,6 +23,73 @@ def cfg():
 @pytest.fixture(scope="module")
 def mcf_core(cfg):
     return CoreModel(app_by_name("mcf"), cfg)
+
+
+def _reference_hull(xs, ys):
+    """The per-line monotone chain on numpy scalars, hulling every line."""
+    stack = []
+    for k in range(xs.size):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            cross = (xs[b] - xs[a]) * (ys[k] - ys[a]) - (ys[b] - ys[a]) * (xs[k] - xs[a])
+            if cross >= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(k)
+    return xs[stack], ys[stack]
+
+
+def _reference_convexify(cache_axis, power_axis, values, max_passes=6):
+    """convexify_grid without the concave-line skip (the oracle)."""
+    out = values.copy()
+    for _ in range(max_passes):
+        before = out.copy()
+        for j in range(power_axis.size):
+            hx, hy = _reference_hull(cache_axis, out[:, j])
+            out[:, j] = np.interp(cache_axis, hx, hy)
+        for i in range(cache_axis.size):
+            hx, hy = _reference_hull(power_axis, out[i, :])
+            out[i, :] = np.interp(power_axis, hx, hy)
+        if np.allclose(before, out, rtol=0.0, atol=1e-12):
+            break
+    return out
+
+
+def _axis(size):
+    """Strategy: a strictly increasing axis of ``size`` points."""
+    return st.lists(
+        st.floats(min_value=0.01, max_value=10.0), min_size=size, max_size=size
+    ).map(lambda steps: np.cumsum(steps))
+
+
+@st.composite
+def _grids(draw):
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.sampled_from([0.0, 1.0, 0.5, 2.0, np.nan]) | st.floats(-5.0, 5.0)
+    values = draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))
+    return draw(_axis(nx)), draw(_axis(ny)), np.array(values).reshape(nx, ny)
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).tobytes()
+
+
+@given(_grids())
+@settings(max_examples=200, deadline=None)
+def test_convexify_equals_hull_every_line_oracle_bitwise(grid):
+    xs, ys, values = grid
+    assert _bits(convexify_grid(xs, ys, values)) == _bits(
+        _reference_convexify(xs, ys, values)
+    )
+
+
+@pytest.mark.parametrize("app", ["mcf", "vpr", "libquantum", "gcc"])
+def test_convexify_equals_oracle_on_raw_true_grids(cfg, app):
+    raw = build_true_utility(CoreModel(app_by_name(app), cfg), cfg, convexify=False)
+    assert _bits(convexify_grid(raw.xs, raw.ys, raw.values)) == _bits(
+        _reference_convexify(raw.xs, raw.ys, raw.values)
+    )
 
 
 def _axis_concave(values, axis):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import EqualBudget
-from repro.sim import ExecutionDrivenSimulator, SimulationConfig
+from repro.cmp.spec_suite import app_by_name
+from repro.sim import ContextSwitch, ExecutionDrivenSimulator, SimulationConfig
 from repro.workloads import paper_bbpc_bundle
 
 
@@ -35,6 +36,42 @@ class TestProblemConstruction:
         reference = chip.build_problem()
         np.testing.assert_allclose(problem.capacities, reference.capacities)
         assert problem.player_names == reference.player_names
+
+
+class TestTrueUtilityCache:
+    """Phase-1 runs build each resident application's true utility once."""
+
+    def _counted_run(self, chip, monkeypatch, **config):
+        import repro.sim.engine as engine
+
+        built = []
+
+        def counting(core, *args, **kwargs):
+            built.append(core.app.name)
+            return real(core, *args, **kwargs)
+
+        real = engine.build_true_utility
+        monkeypatch.setattr(engine, "build_true_utility", counting)
+        cfg = SimulationConfig(duration_ms=6.0, seed=1, **config)
+        ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
+        return built
+
+    def test_one_build_per_core_then_one_per_switch(self, chip, monkeypatch):
+        switches = (
+            ContextSwitch(2.0, 3, app_by_name("mcf")),
+            ContextSwitch(4.0, 5, app_by_name("vpr")),
+        )
+        built = self._counted_run(
+            chip, monkeypatch, use_monitors=False, context_switches=switches
+        )
+        # Six market epochs and the final EF scoring share the cache.
+        assert built == [app.name for app in chip.apps] + ["mcf", "vpr"]
+
+    def test_monitored_run_builds_true_utilities_only_for_scoring(
+        self, chip, monkeypatch
+    ):
+        built = self._counted_run(chip, monkeypatch)
+        assert built == [app.name for app in chip.apps]
 
 
 class TestTraceIntegrity:

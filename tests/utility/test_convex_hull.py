@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.utility.convex_hull import (
     PiecewiseLinearConcave,
+    hull_columns,
     hull_interpolate,
     upper_convex_hull,
 )
@@ -100,6 +101,44 @@ class TestUpperConvexHull:
         v2 = hull_interpolate(hx, hy, x2)
         vm = hull_interpolate(hx, hy, mid)
         assert vm >= (v1 + v2) / 2.0 - 1e-9
+
+
+class TestHullColumns:
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, np.nan])
+                | st.floats(min_value=-10.0, max_value=10.0),
+                min_size=6,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_hull_of_every_column_bitwise(self, rows):
+        xs = np.array([0.0, 0.5, 1.5, 2.0, 3.25, 7.0])
+        lines = np.array(rows).T  # one line per column
+        expected = np.column_stack(
+            [np.interp(xs, *upper_convex_hull(xs, col)) for col in lines.T]
+        )
+        hull_columns(xs, lines)
+        assert lines.tobytes() == expected.tobytes()
+
+    def test_raises_dips_and_keeps_concave_columns(self):
+        xs = np.arange(4.0)
+        lines = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [1.75, 3.0]])
+        hull_columns(xs, lines)
+        np.testing.assert_array_equal(lines[:, 0], [0.0, 1.0, 1.5, 1.75])
+        np.testing.assert_array_equal(lines[:, 1], [0.0, 1.0, 2.0, 3.0])
+
+    def test_short_columns_are_left_alone(self):
+        for n in (1, 2):
+            lines = np.arange(3.0 * n).reshape(n, 3)
+            before = lines.copy()
+            hull_columns(np.arange(float(n)), lines)
+            np.testing.assert_array_equal(lines, before)
 
 
 class TestHullInterpolate:

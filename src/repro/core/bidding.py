@@ -122,29 +122,6 @@ class BiddingStrategy(abc.ABC):
         )
 
     @staticmethod
-    def warm_start_bids(
-        current_bids: np.ndarray | None, budget: float, num_resources: int
-    ) -> np.ndarray | None:
-        """Validate and normalize a previous bid vector for reuse.
-
-        Returns ``None`` — caller falls back to an equal split — when the
-        vector is absent, malformed, all-zero, or was computed for a
-        different budget (a budget change means the old split is stale).
-        """
-        if current_bids is None:
-            return None
-        bids = np.asarray(current_bids, dtype=float)
-        if bids.shape != (num_resources,) or not np.all(np.isfinite(bids)):
-            return None
-        bids = np.maximum(bids, 0.0)
-        total = float(bids.sum())
-        if total <= 0.0:
-            return None
-        if abs(total - budget) > 1e-6 * max(budget, total):
-            return None
-        return bids * (budget / total)
-
-    @staticmethod
     def player_lambda(
         utility: UtilityFunction,
         bids: np.ndarray,
@@ -170,11 +147,14 @@ class HillClimbBidder(BiddingStrategy):
 
     Jacobi rounds make players independent within a round (everyone
     best-responds to the same broadcast bids), so :meth:`optimize_all`
-    advances every player's climb in lockstep: one ``(K, M)`` batched
-    marginal evaluation per iteration serves every still-active player,
-    each with its own step size and stop state.  :meth:`optimize` is the
-    same climb for a single row.  Subclasses change the marginal the
-    climb reads through :meth:`_marginal_rule`.
+    advances every player's climb in lockstep: each iteration costs one
+    ``(K, M)`` batched gradient dispatch serving every still-active
+    player, each with its own step size and stop state.  On hinted (warm)
+    calls the staleness probe counts as the first iteration, which then
+    evaluates only rows the probe did not cover; a warm verification
+    round therefore costs one dispatch.  :meth:`optimize` is the same
+    climb for a single row.  Subclasses change the marginal the climb
+    reads through :meth:`_marginal_rule`.
 
     Parameters
     ----------
@@ -257,39 +237,38 @@ class HillClimbBidder(BiddingStrategy):
 
         cold_step = budgets / (2.0 * num_resources)
         min_step = self.step_stop_fraction * budgets
-        step = np.zeros(num_players)
+        step = cold_step.copy()
 
         # Step 1: start from the previous bids when they are reusable
-        # (same budget), otherwise from an equal split; S is half of one
-        # equal-split bid, shrunk to the last move for hinted warm starts
-        # whose seed is not stale.
-        hinted: list = []
-        for i in range(num_players):
-            budget = float(budgets[i])
-            if budget <= 0.0:
-                continue
-            warm = self.warm_start_bids(
-                None if current_bids is None else current_bids[i],
-                budget,
-                num_resources,
+        # (finite, positive total within 1e-6 of the budget), rescaled
+        # to the budget exactly; otherwise from an equal split.  S is
+        # half of one equal-split bid, shrunk to the last move for
+        # hinted warm starts whose seed is not stale.  Players with no
+        # budget keep zero bids (no positive total is within tolerance
+        # of a non-positive budget) and never climb.
+        spends = ~(budgets <= 0.0)
+        bids[spends] = budgets[spends, None] / num_resources
+        warm = np.zeros(num_players, dtype=bool)
+        if current_bids is not None and np.shape(current_bids) == bids.shape:
+            seed = np.asarray(current_bids, dtype=float)
+            # Zeroing a row with any non-finite entry zeroes its total,
+            # which rejects it below.
+            finite = np.isfinite(seed).all(axis=1)
+            seed = np.maximum(np.where(finite[:, None], seed, 0.0), 0.0)
+            totals = seed.sum(axis=1)
+            warm = (totals > 0.0) & ~(
+                np.abs(totals - budgets) > 1e-6 * np.maximum(budgets, totals)
             )
-            if warm is None:
-                bids[i] = budget / num_resources
-                step[i] = cold_step[i]
-            else:
-                bids[i] = warm
-                if step_hints is None:
-                    step[i] = cold_step[i]
-                else:
-                    hinted.append(i)
+            bids[warm] = seed[warm] * (budgets[warm] / totals[warm])[:, None]
 
-        if hinted:
-            # Staleness probe: the climb moves at most ~2x its initial
-            # step per call, so a hint-sized step cannot recover from a
-            # large utility shift.  A marginal imbalance beyond twice the
-            # stop tolerance means the seed is stale and the climb needs
-            # full mobility from the warm point.
-            rows = np.asarray(hinted, dtype=np.intp)
+        # Staleness probe: the climb moves at most ~2x its initial step
+        # per call, so a hint-sized step cannot recover from a large
+        # utility shift.  A marginal imbalance beyond twice the stop
+        # tolerance means the seed is stale and the climb needs full
+        # mobility from the warm point.
+        probe = None
+        if step_hints is not None and warm.any():
+            rows = np.flatnonzero(warm)
             marginals = marginals_at(rows, bids[rows])
             donors = bids[rows] > 1e-12
             has_donor = donors.any(axis=1)
@@ -302,11 +281,24 @@ class HillClimbBidder(BiddingStrategy):
                 cold_step[rows],
                 np.clip(hints, 2.0 * min_step[rows], cold_step[rows]),
             )
+            probe = np.zeros_like(bids)
+            probe[rows] = marginals
 
         active = (budgets > 0.0) & (step >= min_step)
         while np.any(active):
             rows = np.flatnonzero(active)
-            marginals = marginals_at(rows, bids[rows])
+            if probe is None:
+                marginals = marginals_at(rows, bids[rows])
+            else:
+                # The probe is the first iteration: no bid has moved
+                # since, and each row's marginals depend only on its own
+                # bids, so only rows it did not cover are evaluated.
+                marginals = probe[rows]
+                unprobed = ~warm[rows]
+                if unprobed.any():
+                    cold = rows[unprobed]
+                    marginals[unprobed] = marginals_at(cold, bids[cold])
+                probe = None
             self.last_marginals[rows] = marginals
             self.last_fresh[rows] = True
             span = np.arange(rows.size)

@@ -207,8 +207,10 @@ def find_equilibrium(
 
     A Jacobi round is one ``bidder.optimize_all`` call over every
     player; the default :class:`~repro.core.bidding.HillClimbBidder`
-    advances all climbs in lockstep with batched utility evaluations.
-    A Gauss–Seidel round calls ``bidder.optimize`` once per player.
+    advances all climbs in lockstep at one batched gradient dispatch per
+    climb iteration (a warm round's staleness probe is its first), so a
+    warm verification round costs one dispatch and its final lambdas
+    none.  A Gauss–Seidel round calls ``bidder.optimize`` once per player.
     """
     if bidder is None:
         bidder = HillClimbBidder()

@@ -6,7 +6,8 @@ batched climb (:class:`repro.core.HillClimbBidder` and its
 :class:`repro.core.PriceTakingBidder` subclass) must return exactly the
 bids these produce, row for row; the tests compare against them.
 Both inherit :meth:`BiddingStrategy.optimize_all`, so passing one to
-``find_equilibrium`` runs the per-player Jacobi rounds.
+``find_equilibrium`` runs the per-player Jacobi rounds, and both seed
+from :func:`warm_start_bids`, the per-row form of the climb's Step 1.
 """
 
 from __future__ import annotations
@@ -16,6 +17,29 @@ import numpy as np
 from repro.core import BiddingStrategy
 from repro.core.player import marginal_utility_of_bids
 from repro.utility.base import UtilityFunction
+
+
+def warm_start_bids(
+    current_bids: np.ndarray | None, budget: float, num_resources: int
+) -> np.ndarray | None:
+    """Validate and normalize a previous bid vector for reuse.
+
+    Returns ``None`` — caller falls back to an equal split — when the
+    vector is absent, malformed, all-zero, or was computed for a
+    different budget (a budget change means the old split is stale).
+    """
+    if current_bids is None:
+        return None
+    bids = np.asarray(current_bids, dtype=float)
+    if bids.shape != (num_resources,) or not np.all(np.isfinite(bids)):
+        return None
+    bids = np.maximum(bids, 0.0)
+    total = float(bids.sum())
+    if total <= 0.0:
+        return None
+    if abs(total - budget) > 1e-6 * max(budget, total):
+        return None
+    return bids * (budget / total)
 
 
 class ScalarHillClimbBidder(BiddingStrategy):
@@ -58,7 +82,7 @@ class ScalarHillClimbBidder(BiddingStrategy):
         cold_step = budget / (2.0 * num_resources)
         min_step = self.step_stop_fraction * budget
 
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
+        warm = warm_start_bids(current_bids, budget, num_resources)
         if warm is None:
             bids = np.full(num_resources, budget / num_resources)
             step = cold_step
@@ -119,7 +143,7 @@ class ScalarPriceTakingBidder(BiddingStrategy):
         prices = (others + np.maximum(np.asarray(previous, dtype=float), 0.0)) / capacities
         prices = np.maximum(prices, 1e-12)
 
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
+        warm = warm_start_bids(current_bids, budget, num_resources)
         bids = warm if warm is not None else np.full(num_resources, budget / num_resources)
         step = budget / (2.0 * num_resources)
         min_step = self.step_stop_fraction * budget

@@ -218,10 +218,11 @@ class TestFindEquilibriumLockstep:
             market, bidder=HillClimbBidder(), warm_start=cold.warm_start
         )
         assert warm.iterations == 1
-        # One batched staleness probe + one climb evaluation; the final
-        # lambda collection reuses the climb's marginals instead of
-        # paying a third batched dispatch.
-        assert warm.eval_counts["batch_gradient_calls"] == 2
+        # One batched dispatch in all: the staleness probe covers every
+        # (hinted) row and no bid moves before the climb's first
+        # iteration, so that iteration reuses the probe's marginals; the
+        # final lambda collection reuses the climb's in turn.
+        assert warm.eval_counts["batch_gradient_calls"] == 1
 
     def test_default_bidder_is_lockstep(self, bbpc_problem):
         market = self._market(bbpc_problem)

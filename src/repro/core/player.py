@@ -9,6 +9,7 @@ local, which is what makes the mechanism distributed and scalable.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,8 +47,10 @@ class Player:
     """
 
     def __init__(self, name: str, utility: UtilityFunction, budget: float):
-        if budget < 0:
-            raise MarketConfigurationError(f"player {name!r} budget must be >= 0")
+        if not 0.0 <= budget < math.inf:
+            raise MarketConfigurationError(
+                f"player {name!r} budget must be finite and >= 0, got {budget}"
+            )
         self.name = name
         self.utility = utility
         self.budget = float(budget)

@@ -9,6 +9,7 @@ chip power budget (watts) that remain after every core's free minimum
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -28,9 +29,9 @@ class Resource:
     unit: str = ""
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        if not 0.0 < self.capacity < math.inf:
             raise MarketConfigurationError(
-                f"resource {self.name!r} must have positive capacity, got {self.capacity}"
+                f"resource {self.name!r} must have finite positive capacity, got {self.capacity}"
             )
 
 

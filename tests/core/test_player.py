@@ -18,6 +18,15 @@ class TestPlayer:
         with pytest.raises(MarketConfigurationError):
             Player("x", LinearUtility([1.0]), -5.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            Player("x", LinearUtility([1.0]), budget)
+
+    def test_accepts_zero_and_numpy_budgets(self):
+        assert Player("x", LinearUtility([1.0]), 0).budget == 0.0
+        assert Player("x", LinearUtility([1.0]), np.float64(2.5)).budget == 2.5
+
 
 class TestBidToAllocation:
     def test_equation_2(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import Resource, ResourceSet
+from repro.core import Market, Player, Resource, ResourceSet
 from repro.exceptions import MarketConfigurationError
+from repro.utility import LinearUtility
 
 
 class TestResource:
@@ -19,6 +20,20 @@ class TestResource:
             Resource("cache", 0.0)
         with pytest.raises(MarketConfigurationError):
             Resource("cache", -1.0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_capacity(self, capacity):
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            Resource("cache", capacity)
+
+    def test_non_finite_inputs_fail_at_construction_not_in_the_market(self):
+        resources = ResourceSet.of(Resource("cache", 4.0), Resource("power", 2.0))
+        utility = LinearUtility([1.0, 1.0])
+        Market(resources, [Player("a", utility, 10.0)])
+        with pytest.raises(MarketConfigurationError, match="budget"):
+            Market(resources, [Player("a", utility, float("nan"))])
+        with pytest.raises(MarketConfigurationError, match="capacity"):
+            ResourceSet.of(Resource("cache", float("inf")), Resource("power", 2.0))
 
 
 class TestResourceSet:

@@ -85,11 +85,18 @@ class AllocationProblem:
             raise MarketConfigurationError("one name per player required")
         if len(self.resource_names) != self.capacities.size:
             raise MarketConfigurationError("one name per resource required")
+        if not np.all(np.isfinite(self.capacities)) or np.any(self.capacities < 0.0):
+            raise MarketConfigurationError("capacities must be finite and non-negative")
         if self.quanta is None:
             # Default optimum-search granularity: 1/256 of each capacity.
             self.quanta = self.capacities / 256.0
         else:
             self.quanta = np.asarray(self.quanta, dtype=float)
+        shape = (self.num_players, self.num_resources)
+        if self.quanta.shape != shape[1:]:
+            raise MarketConfigurationError(f"quanta must have shape {shape[1:]}")
+        if self.per_player_caps is not None and np.shape(self.per_player_caps) != shape:
+            raise MarketConfigurationError(f"per_player_caps must have shape {shape}")
 
     @property
     def num_players(self) -> int:

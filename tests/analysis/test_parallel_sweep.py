@@ -9,7 +9,6 @@ public entry points ``run_analytic_sweep`` / ``run_simulation_experiment``.
 import pytest
 
 from repro.analysis import run_analytic_sweep, run_simulation_experiment
-from repro.analysis.sweep_bench import sweeps_identical
 from repro.cmp import cmp_8core
 from repro.core import EqualBudget, EqualShare
 from repro.sim import SimulationConfig
@@ -38,23 +37,42 @@ def _exploding_mechanisms():
     return [EqualShare(), _ExplodeOnNamd()]
 
 
-def _small_sweep(workers):
-    return run_analytic_sweep(
-        config=cmp_8core(),
+#: Sweep shapes for the serial-vs-pooled compare: a two-mechanism sweep
+#: over two CPBN bundles, and the six-mechanism suite over one bundle
+#: each of CPBN and BBPN.
+SWEEP_SHAPES = {
+    "small": dict(
         bundles_per_category=2,
         categories=("CPBN",),
         mechanisms_factory=_small_mechanisms,
-        workers=workers,
-    )
+    ),
+    "suite": dict(bundles_per_category=1, categories=("CPBN", "BBPN")),
+}
+
+
+def _cells(sweep):
+    """Every cell's scores; allocations as raw bytes, so the compare is bitwise."""
+    return [
+        (
+            score.bundle,
+            mechanism,
+            result.efficiency,
+            result.envy_freeness,
+            result.iterations,
+            result.allocations.tobytes(),
+        )
+        for score in sweep.scores
+        for mechanism, result in score.results.items()
+    ]
 
 
 class TestAnalyticSweepParallel:
-    def test_parallel_scores_identical_to_serial(self):
-        serial = _small_sweep(workers=1)
-        pooled = _small_sweep(workers=2)
-        identical, divergence = sweeps_identical(serial, pooled)
-        assert identical, f"parallel diverged from serial by {divergence:.3g}"
-        assert [s.bundle for s in serial.scores] == [s.bundle for s in pooled.scores]
+    @pytest.mark.parametrize("shape", list(SWEEP_SHAPES.values()), ids=list(SWEEP_SHAPES))
+    def test_parallel_scores_identical_to_serial(self, shape):
+        serial = run_analytic_sweep(config=cmp_8core(), workers=1, **shape)
+        pooled = run_analytic_sweep(config=cmp_8core(), workers=2, **shape)
+        assert serial.failures == [] and pooled.failures == []
+        assert _cells(serial) and _cells(serial) == _cells(pooled)
         assert serial.mechanisms == pooled.mechanisms
 
     @pytest.mark.parametrize("workers", [1, 2])

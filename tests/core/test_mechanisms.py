@@ -59,6 +59,56 @@ class TestAllocationProblem:
                 player_names=["p"],
             )
 
+    @pytest.mark.parametrize(
+        "mechanism",
+        standard_mechanism_suite() + [ElasticitiesProportional()],
+        ids=lambda mechanism: mechanism.name,
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"capacities": [np.nan, 10.0]},
+            {"capacities": [np.inf, 10.0]},
+            {"capacities": [10.0, -np.inf]},
+            {"capacities": [-1.0, 10.0]},
+            {"quanta": [0.25]},
+            {"quanta": [[0.25, 0.25]]},
+            {"per_player_caps": np.full((2, 2), 5.0)},
+            {"per_player_caps": np.full((2, 3), 5.0)},
+            {"per_player_caps": np.full(2, 5.0)},
+        ],
+        ids=[
+            "nan-capacity",
+            "inf-capacity",
+            "neg-inf-capacity",
+            "negative-capacity",
+            "short-quanta",
+            "2d-quanta",
+            "caps-missing-a-player",
+            "caps-transposed",
+            "caps-1d",
+        ],
+    )
+    def test_bad_inputs_raise_before_any_mechanism_runs(self, bad, mechanism):
+        kwargs = {
+            "utilities": [LogUtility([1.0, 1.0]) for _ in range(3)],
+            "capacities": [10.0, 10.0],
+            "resource_names": ["cache", "power"],
+            "player_names": ["a", "b", "c"],
+            "quanta": [0.25, 0.25],
+        }
+        with pytest.raises(MarketConfigurationError):
+            mechanism.allocate(AllocationProblem(**{**kwargs, **bad}))
+
+    def test_zero_capacity_is_accepted(self):
+        problem = AllocationProblem(
+            utilities=[LogUtility([1.0, 1.0])],
+            capacities=np.array([0.0, 10.0]),
+            resource_names=["cache", "power"],
+            player_names=["p"],
+        )
+        np.testing.assert_array_equal(problem.quanta, [0.0, 10.0 / 256.0])
+
     def test_build_market(self, synthetic_problem):
         market = synthetic_problem.build_market([10.0, 20.0, 30.0])
         np.testing.assert_allclose(market.budgets, [10.0, 20.0, 30.0])

@@ -1,11 +1,17 @@
-"""Sweep executor: serial-vs-parallel wall-clock.
+"""Sweep executor: serial-vs-parallel wall-clock and determinism.
 
-Sharding the (bundle, mechanism) cells over 4 workers cuts wall-clock by
-at least 2x.  This needs free CPUs: a pool time-sliced onto fewer cores
-than workers cannot beat serial, so the assertion only applies when the
-host exposes >= 4 usable CPUs; the measured speedup and the host context
-are reported either way.  That the pool never changes a score is a
-tier-1 test (``tests/analysis/test_parallel_sweep.py``).
+Two claims, checked on one serial and one 4-worker sweep:
+
+* **Determinism** — the worker pool must be invisible in the results:
+  every cell's efficiency, envy-freeness, iterations and full allocation
+  matrix (compared as raw bytes) is identical between the serial and the
+  parallel run, with zero isolated cell failures.  Asserted
+  unconditionally — it holds on any host.
+* **Speedup** — sharding the (bundle, mechanism) cells over 4 workers
+  cuts wall-clock by at least 2x.  This one needs free CPUs: a pool
+  time-sliced onto fewer cores than workers cannot beat serial, so the
+  assertion only applies when the host exposes >= 4 usable CPUs; the
+  measured speedup and the host context are reported either way.
 """
 
 import os
@@ -37,11 +43,29 @@ def _timed_sweep(workers):
     return sweep, time.perf_counter() - start
 
 
-def test_sweep_parallel_speedup(benchmark, report):
+def _cells(sweep):
+    """Every cell's scores; allocations as raw bytes, so the compare is bitwise."""
+    return [
+        (
+            score.bundle,
+            mechanism,
+            result.efficiency,
+            result.envy_freeness,
+            result.iterations,
+            result.allocations.tobytes(),
+        )
+        for score in sweep.scores
+        for mechanism, result in score.results.items()
+    ]
+
+
+def test_sweep_parallel_speedup_and_determinism(benchmark, report):
     (serial, serial_s), (parallel, parallel_s) = benchmark.pedantic(
         lambda: (_timed_sweep(1), _timed_sweep(WORKERS)), rounds=1, iterations=1
     )
     assert serial.failures == [] and parallel.failures == []
+    cells = _cells(serial)
+    assert cells and cells == _cells(parallel), "parallel sweep diverged from serial"
 
     speedup = serial_s / parallel_s
     usable_cpus = _usable_cpus()
@@ -51,9 +75,9 @@ def test_sweep_parallel_speedup(benchmark, report):
             f"got x{speedup:.2f}"
         )
 
-    cells = len(serial.scores) * len(serial.mechanisms)
     report(
-        f"parallel sweep (serial vs {WORKERS}-worker pool), {cells} cells: "
+        f"parallel sweep (serial vs {WORKERS}-worker pool), {len(cells)} cells: "
         f"serial {serial_s:.2f}s -> parallel {parallel_s:.2f}s "
-        f"(x{speedup:.2f} on {usable_cpus}/{os.cpu_count() or 1} usable CPUs)"
+        f"(x{speedup:.2f} on {usable_cpus}/{os.cpu_count() or 1} usable CPUs), "
+        f"bitwise identical"
     )

@@ -279,7 +279,7 @@ def _cached_problem(token, config: CMPConfig, bundle: Bundle):
     # pure function of (token, bundle) — every process that rebuilds it
     # gets a bitwise-identical object, so cell results cannot depend on
     # sharding (determinism covered by tests/analysis/test_parallel_sweep.py
-    # and the sweep bench), hence the suppression:
+    # and benchmarks/test_sweep_parallel.py), hence the suppression:
     problem = _PROBLEM_CACHE.get(key)  # repro: noqa[REPRO105] pure per-process memo
     if problem is None:
         problem = ChipModel(config, bundle.apps).build_problem()

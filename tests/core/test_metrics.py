@@ -48,6 +48,26 @@ class TestEnvyMatrix:
         matrix = envy_matrix(utilities, allocations)
         np.testing.assert_allclose(matrix, [[1.0, 3.0], [2.0, 6.0]])
 
+    def test_more_rows_than_utilities_raises(self):
+        # A third row used to leave row 2 of the matrix uninitialised, so
+        # envy_freeness returned whatever that memory held.
+        utilities = [LinearUtility([1.0, 1.0]), LinearUtility([2.0, 1.0])]
+        allocations = np.ones((3, 2))
+        with pytest.raises(MarketConfigurationError, match="one row per"):
+            envy_matrix(utilities, allocations)
+        with pytest.raises(MarketConfigurationError, match="one row per"):
+            envy_freeness(utilities, allocations)
+
+    def test_fewer_rows_than_utilities_raises(self):
+        # Used to raise a bare IndexError.
+        utilities = [LinearUtility([1.0, 1.0])] * 3
+        with pytest.raises(MarketConfigurationError, match="one row per"):
+            envy_freeness(utilities, np.ones((2, 2)))
+
+    def test_one_dimensional_allocations_raise(self):
+        with pytest.raises(MarketConfigurationError, match="one row per"):
+            envy_freeness([LinearUtility([1.0])], np.ones(1))
+
 
 class TestEnvyFreeness:
     def test_equal_split_identical_players_is_envy_free(self):

@@ -348,6 +348,34 @@ class TestBatchedUtilitySet:
         for i, utility in enumerate(utilities):
             assert np.array_equal(out[i], utility.gradient(allocations[i])), i
 
+    def test_values_match_per_player_scalar(self):
+        # Every (player, bundle) pair in one call, as envy scoring asks:
+        # stacked grids, a shared object, single objects and a grid with
+        # a degenerate axis (which stays out of the stack).
+        shared = LogUtility([1.0, 0.5], [2.0, 1.0])
+        utilities = [
+            make_grid(0),
+            shared,
+            make_grid(1),
+            shared,
+            LinearUtility([1.0, 2.0]),
+            GridUtility2D([0.0], [0.0, 1.0, 2.0], [[0.0, 1.0, 1.5]]),
+        ]
+        evaluator = BatchedUtilitySet(utilities)
+        rng = np.random.default_rng(5)
+        bundles = rng.uniform(-0.5, 4.0, size=(len(utilities), 2))
+        bundles[0] = 0.0
+        n = len(utilities)
+        players = np.repeat(np.arange(n), n)
+        out = evaluator.values(np.tile(bundles, (n, 1)), players)
+        for k, i in enumerate(players):
+            assert out[k] == utilities[i].value(bundles[k % n]), (i, k % n)
+
+    def test_values_reject_mis_shaped_points(self):
+        evaluator = BatchedUtilitySet([make_grid(0)])
+        with pytest.raises(ValueError):
+            evaluator.values(np.ones((1, 3)))
+
     def test_player_subset(self):
         utilities = [make_grid(seed) for seed in range(4)] + [
             LogUtility([1.0, 1.0])

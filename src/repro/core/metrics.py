@@ -16,6 +16,7 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet
 
 __all__ = [
     "efficiency",
@@ -41,16 +42,24 @@ def envy_matrix(
 ) -> np.ndarray:
     """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
 
-    Row ``i`` is one ``utilities[i].value_batch(allocations)`` dispatch
-    over every bundle, so scoring N players costs N batched calls rather
-    than N² scalar ones; ``value_batch`` mirrors ``value`` bit for bit.
+    ``allocations`` needs one row per utility.  All N² (player, bundle)
+    pairs are scored in one :meth:`BatchedUtilitySet.values` call: one
+    stacked-grid dispatch for the same-shape grids of a chip, one
+    ``value_batch`` per distinct utility object otherwise.  Both mirror
+    ``value`` bit for bit.
     """
     allocations = np.asarray(allocations, dtype=float)
-    n = allocations.shape[0]
-    matrix = np.empty((n, n))
-    for i, utility in enumerate(utilities):
-        matrix[i] = utility.value_batch(allocations)
-    return matrix
+    n = len(utilities)
+    if allocations.ndim != 2 or allocations.shape[0] != n:
+        raise MarketConfigurationError(
+            f"envy scoring needs one row per utility ({n}), "
+            f"got allocations of shape {allocations.shape}"
+        )
+    if n == 0:
+        return np.empty((0, 0))
+    players = np.repeat(np.arange(n), n)
+    pairs = np.tile(allocations, (n, 1))
+    return BatchedUtilitySet(utilities).values(pairs, players).reshape(n, n)
 
 
 def envy_freeness(

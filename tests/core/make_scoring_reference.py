@@ -19,6 +19,14 @@ Problems:
 * a two-player log-utility market with the non-power-of-two quantum
   0.01 (the analytic water-filling case of ``test_optimum.py``).
 
+MaxEfficiency's optima are host-dependent where identical players tie:
+its exchange pass breaks ties by numpy's default ``argsort``, which is
+unstable and SIMD-dispatched.  With ``kind="stable"``, or with
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"``, the
+``64core/BBNN-00/MaxEfficiency`` case no longer matches.  A miss there
+on a new machine is a tie resolved differently, which
+``numpy.show_runtime()`` (printed by CI before the suite) helps trace.
+
 Regenerate (only when a change to the numbers is intended)::
 
     PYTHONPATH=src python tests/core/make_scoring_reference.py

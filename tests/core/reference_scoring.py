@@ -3,10 +3,11 @@
 * :func:`envy_matrix` / :func:`envy_freeness` — the N² double loop of
   scalar ``value`` calls and the sequential minimum (Definition 3).
 * :func:`max_efficiency_allocation` — the lazy greedy plus exchange
-  passes with every utility lookup memoized by the *rounded* float
-  lattice coordinates of its point (off-lattice points uncached).
+  passes that rescan every player on every pass, with every utility
+  lookup memoized by the *rounded* float lattice coordinates of its
+  point (off-lattice points uncached).
 
-The library's row-batched envy scoring and its integer-coordinate
+The library's stacked envy scoring and its incremental integer-coordinate
 optimum must return exactly these bits; the tests compare against them.
 The optional SLSQP polish is not part of the reference.
 """

@@ -14,6 +14,7 @@ from typing import List, Optional
 from ..cmp.application import AppProfile
 from ..cmp.config import CMPConfig, MB, cmp_8core
 from ..cmp.core_model import CoreModel
+from ..exec import SweepExecutor
 from ..workloads.classification import classify, profile_application, sensitivities
 
 __all__ = ["AppCharacterization", "characterize_app", "characterize_suite"]
@@ -67,17 +68,15 @@ def characterize_suite(
 ) -> List[AppCharacterization]:
     """Characterize a whole suite (defaults to the 24-app SPEC suite).
 
-    ``workers > 1`` shards the per-application profiling over a process
-    pool; rows come back in suite order either way.
+    The per-application profiling runs on a
+    :class:`~repro.exec.SweepExecutor` with ``workers`` processes
+    (``1`` runs serially in-process); rows come back in suite order
+    either way.
     """
     if apps is None:
         from ..cmp.spec_suite import spec_suite
 
         apps = spec_suite()
-    if workers <= 1:
-        return [characterize_app(app, config) for app in apps]
-    from ..exec import SweepExecutor
-
     run = SweepExecutor(workers=workers).run(
         _characterize_cell,
         [(app, config) for app in apps],

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +32,11 @@ from ..core.mechanisms import (
     standard_mechanism_suite,
 )
 from ..core.theory import ef_lower_bound, poa_lower_bound
-from ..exec import SweepExecutor, SweepProgress
+from ..exec import SweepExecutor, SweepProgress, SweepRun
 from ..sim.engine import ExecutionDrivenSimulator, SimulationConfig
 from ..workloads.bundles import (
     BUNDLE_CATEGORIES,
     Bundle,
-    bundle_seed_sequence,
     generate_bundles,
     paper_bbpc_bundle,
 )
@@ -75,19 +74,16 @@ def fig1_data(points: int = 101) -> Dict[str, np.ndarray]:
 # Figure 2: cache utility, raw vs Talus hull
 # ----------------------------------------------------------------------
 
-def fig2_data(
-    app_names: Sequence[str] = ("mcf", "vpr"),
-    config: Optional[CMPConfig] = None,
-) -> Dict[str, Dict[str, np.ndarray]]:
+def fig2_data() -> Dict[str, Dict[str, np.ndarray]]:
     """Normalized utility vs cache regions at maximum frequency.
 
-    Returns, per application, the region axis, the raw (possibly cliffy)
-    utility samples, and the Talus convex hull through them — the two
-    curves of Figure 2.
+    Returns, for *mcf* and *vpr* on the 8-core chip, the region axis, the
+    raw (possibly cliffy) utility samples, and the Talus convex hull
+    through them — the two curves of Figure 2.
     """
-    config = config or cmp_8core()
+    config = cmp_8core()
     out: Dict[str, Dict[str, np.ndarray]] = {}
-    for name in app_names:
+    for name in ("mcf", "vpr"):
         core = CoreModel(app_by_name(name), config)
         regions = np.arange(1, config.umon_max_regions + 1, dtype=float)
         raw = np.array(
@@ -105,29 +101,26 @@ def fig2_data(
 # Figure 3: lambda profile of the BBPC case study
 # ----------------------------------------------------------------------
 
-def fig3_data(
-    config: Optional[CMPConfig] = None,
-    steps: Sequence[float] = (20.0, 40.0),
-    bundle: Optional[Bundle] = None,
-) -> Dict[str, object]:
-    """Per-app normalized lambda_i under EqualBudget and ReBudget-step.
+def fig3_data(bundle: Optional[Bundle] = None) -> Dict[str, object]:
+    """Per-app normalized lambda_i under EqualBudget, ReBudget-20 and -40.
 
-    Follows Figure 3: by default the paper's 8-core BBPC bundle, one
-    entry per distinct application, lambdas normalized to the in-bundle
-    maximum, plus the resulting MUR, budgets and efficiency of every
-    mechanism.  Pass another ``bundle`` to study the reassignment
-    dynamics on workloads where the lambda spread is wider (in our
-    substrate, bundles containing N-class applications).
+    Follows Figure 3 on the 8-core chip: by default the paper's BBPC
+    bundle, one entry per distinct application, lambdas normalized to
+    the in-bundle maximum, plus the resulting MUR, budgets and
+    efficiency of every mechanism.  Pass another ``bundle`` to study
+    the reassignment dynamics on workloads where the lambda spread is
+    wider (in our substrate, bundles containing N-class applications).
     """
     from ..core.mechanisms import EqualBudget, MaxEfficiency, ReBudgetMechanism
 
-    config = config or cmp_8core()
     bundle = bundle or paper_bbpc_bundle()
-    chip = ChipModel(config, bundle.apps)
-    problem = chip.build_problem()
+    problem = ChipModel(cmp_8core(), bundle.apps).build_problem()
 
-    mechanisms: List[AllocationMechanism] = [EqualBudget()]
-    mechanisms += [ReBudgetMechanism(step=s) for s in steps]
+    mechanisms: List[AllocationMechanism] = [
+        EqualBudget(),
+        ReBudgetMechanism(step=20.0),
+        ReBudgetMechanism(step=40.0),
+    ]
     opt = MaxEfficiency().allocate(problem)
 
     names = [app.name for app in bundle.apps]
@@ -315,6 +308,65 @@ def _progress_adapter(
     return emit
 
 
+def _line_up(
+    bundles: Sequence[Bundle],
+    mechanisms_factory: Optional[Callable[[], Sequence[AllocationMechanism]]],
+    spec_of: Callable[[Bundle, AllocationMechanism], tuple],
+) -> Tuple[List[tuple], List[str], List[Tuple[Bundle, List[str]]]]:
+    """The (bundle, mechanism) cells of a sweep, in submission order.
+
+    Each bundle gets a fresh line-up from ``mechanisms_factory`` (the
+    standard suite by default); ``spec_of(bundle, mechanism)`` is the
+    spec its cell receives.  Returns the specs, their labels, and every
+    bundle with its mechanism names, for :func:`_collate`.
+    """
+    factory = mechanisms_factory or standard_mechanism_suite
+    specs: List[tuple] = []
+    labels: List[str] = []
+    lineup: List[Tuple[Bundle, List[str]]] = []
+    for bundle in bundles:
+        mechanisms = factory()
+        lineup.append((bundle, [mech.name for mech in mechanisms]))
+        for mech in mechanisms:
+            specs.append(spec_of(bundle, mech))
+            labels.append(f"{bundle.name}/{mech.name}")
+    return specs, labels, lineup
+
+
+def _collate(
+    run: SweepRun, lineup: Sequence[Tuple[Bundle, List[str]]]
+) -> Tuple[List[Tuple[Bundle, Dict[str, object]]], List[SweepFailure]]:
+    """Group a sweep's cells by bundle.
+
+    Returns every bundle whose cells all succeeded, with its
+    ``{mechanism name: cell value}`` in line-up order, and a
+    :class:`SweepFailure` per failed cell.  A bundle with any failed
+    cell is left out of the first list: a partial mechanism line-up
+    would poison every cross-mechanism series.
+    """
+    cells = iter(run.cells)
+    complete: List[Tuple[Bundle, Dict[str, object]]] = []
+    failures: List[SweepFailure] = []
+    for bundle, mech_names in lineup:
+        values: Dict[str, object] = {}
+        for mech_name in mech_names:
+            cell = next(cells)
+            if cell.ok:
+                values[mech_name] = cell.value
+            else:
+                failures.append(
+                    SweepFailure(
+                        bundle=bundle.name,
+                        category=bundle.category,
+                        mechanism=mech_name,
+                        error=cell.error,
+                    )
+                )
+        if len(values) == len(mech_names):
+            complete.append((bundle, values))
+    return complete, failures
+
+
 def run_analytic_sweep(
     config: Optional[CMPConfig] = None,
     bundles_per_category: int = 40,
@@ -340,59 +392,30 @@ def run_analytic_sweep(
     ``progress`` receives one completion line (with ETA) per cell.
     """
     config = config or cmp_64core()
-    factory = mechanisms_factory or standard_mechanism_suite
     token = next(_SWEEP_TOKENS)
-
-    specs: List[tuple] = []
-    labels: List[str] = []
-    keys: List[tuple] = []  # (bundle, category, mechanism) per cell
-    lineup: List[tuple] = []  # (bundle, ordered mechanism names)
-    for category in categories:
-        bundles = generate_bundles(
+    bundles = [
+        bundle
+        for category in categories
+        for bundle in generate_bundles(
             category, config.num_cores, count=bundles_per_category, seed=seed
         )
-        for bundle in bundles:
-            mechanisms = factory()
-            lineup.append((bundle, [mech.name for mech in mechanisms]))
-            for mech in mechanisms:
-                specs.append((token, config, bundle, mech))
-                labels.append(f"{bundle.name}/{mech.name}")
-                keys.append((bundle.name, bundle.category, mech.name))
-
+    ]
+    specs, labels, lineup = _line_up(
+        bundles, mechanisms_factory, lambda bundle, mech: (token, config, bundle, mech)
+    )
     executor = SweepExecutor(
         workers=workers, seed=seed, progress=_progress_adapter(progress)
     )
-    run = executor.run(_analytic_cell, specs, labels=labels)
-
-    sweep = SweepResult()
-    by_bundle: Dict[str, Dict[str, MechanismResult]] = {}
-    failed_bundles = set()
-    for cell in run.cells:
-        bundle_name, category, mech_name = keys[cell.index]
-        if cell.ok:
-            by_bundle.setdefault(bundle_name, {})[mech_name] = cell.value
-        else:
-            failed_bundles.add(bundle_name)
-            sweep.failures.append(
-                SweepFailure(
-                    bundle=bundle_name,
-                    category=category,
-                    mechanism=mech_name,
-                    error=cell.error,
-                )
-            )
-    for bundle, mech_names in lineup:
-        if bundle.name in failed_bundles:
-            continue
-        results = by_bundle.get(bundle.name, {})
-        sweep.scores.append(
-            BundleScore(
-                bundle=bundle.name,
-                category=bundle.category,
-                results={name: results[name] for name in mech_names},
-            )
-        )
-    return sweep
+    complete, failures = _collate(
+        executor.run(_analytic_cell, specs, labels=labels), lineup
+    )
+    return SweepResult(
+        scores=[
+            BundleScore(bundle=bundle.name, category=bundle.category, results=results)
+            for bundle, results in complete
+        ],
+        failures=failures,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -445,13 +468,11 @@ def run_simulation_experiment(
     categories: Sequence[str] = BUNDLE_CATEGORIES,
     sim_config: Optional[SimulationConfig] = None,
     mechanisms_factory: Optional[Callable[[], Sequence[AllocationMechanism]]] = None,
-    bundle_index: int = 0,
     seed: int = 2016,
     workers: int = 1,
-    per_cell_seeds: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SimulationSweepResult:
-    """Phase-2: simulate one (randomly selected) bundle per category.
+    """Phase-2: simulate the first random bundle of every category.
 
     This validates the analytic sweep with runtime-monitored utilities,
     Futility-Scaling partition dynamics, thermal feedback and DRAM
@@ -459,75 +480,34 @@ def run_simulation_experiment(
 
     The (bundle, mechanism) runs shard over a
     :class:`~repro.exec.SweepExecutor` with ``workers`` processes and
-    produce identical scores for any worker count.  By default every
-    cell simulates with ``sim_config.seed``, exactly as the serial
-    harness always has; ``per_cell_seeds=True`` instead derives each
-    cell's monitoring-noise seed from
-    :func:`~repro.workloads.bundles.bundle_seed_sequence` — decorrelated
-    across cells, yet stable under any worker count or category
-    subsetting.
+    produce identical scores for any worker count; every cell simulates
+    with ``sim_config.seed``.
     """
     config = config or cmp_64core()
     sim_config = sim_config or SimulationConfig()
-    factory = mechanisms_factory or standard_mechanism_suite
-
-    specs: List[tuple] = []
-    labels: List[str] = []
-    keys: List[tuple] = []
-    lineup: List[tuple] = []
-    for category in categories:
-        bundle = generate_bundles(
-            category, config.num_cores, count=bundle_index + 1, seed=seed
-        )[bundle_index]
-        mechanisms = factory()
-        lineup.append((bundle, [mech.name for mech in mechanisms]))
-        cell_seeds = bundle_seed_sequence(
-            sim_config.seed, category, bundle.index, config.num_cores
-        ).spawn(len(mechanisms))
-        for k, mech in enumerate(mechanisms):
-            cell_config = sim_config
-            if per_cell_seeds:
-                derived = int(cell_seeds[k].generate_state(1, np.uint32)[0])
-                cell_config = replace(sim_config, seed=derived)
-            specs.append((config, bundle, mech, cell_config))
-            labels.append(f"{bundle.name}/{mech.name}")
-            keys.append((bundle.name, category, mech.name))
-
+    bundles = [
+        generate_bundles(category, config.num_cores, count=1, seed=seed)[0]
+        for category in categories
+    ]
+    specs, labels, lineup = _line_up(
+        bundles,
+        mechanisms_factory,
+        lambda bundle, mech: (config, bundle, mech, sim_config),
+    )
     executor = SweepExecutor(
         workers=workers, seed=seed, progress=_progress_adapter(progress)
     )
-    run = executor.run(_simulation_cell, specs, labels=labels)
-
-    by_bundle: Dict[str, Dict[str, Dict[str, float]]] = {}
-    failures: List[SweepFailure] = []
-    failed_bundles = set()
-    for cell in run.cells:
-        bundle_name, category, mech_name = keys[cell.index]
-        if cell.ok:
-            by_bundle.setdefault(bundle_name, {})[mech_name] = cell.value
-        else:
-            failed_bundles.add(bundle_name)
-            failures.append(
-                SweepFailure(
-                    bundle=bundle_name,
-                    category=category,
-                    mechanism=mech_name,
-                    error=cell.error,
-                )
-            )
-
-    scores: List[SimulationScore] = []
-    for bundle, mech_names in lineup:
-        if bundle.name in failed_bundles:
-            continue
-        cells = by_bundle.get(bundle.name, {})
-        scores.append(
-            SimulationScore(
-                bundle=bundle.name,
-                category=bundle.category,
-                efficiency={m: cells[m]["efficiency"] for m in mech_names},
-                envy_freeness={m: cells[m]["envy_freeness"] for m in mech_names},
-                mean_iterations={m: cells[m]["mean_iterations"] for m in mech_names},
-            )
+    complete, failures = _collate(
+        executor.run(_simulation_cell, specs, labels=labels), lineup
+    )
+    scores = [
+        SimulationScore(
+            bundle=bundle.name,
+            category=bundle.category,
+            efficiency={m: cell["efficiency"] for m, cell in cells.items()},
+            envy_freeness={m: cell["envy_freeness"] for m, cell in cells.items()},
+            mean_iterations={m: cell["mean_iterations"] for m, cell in cells.items()},
         )
+        for bundle, cells in complete
+    ]
     return SimulationSweepResult(scores, failures)

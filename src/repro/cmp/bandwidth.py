@@ -41,6 +41,9 @@ __all__ = ["BandwidthModel", "BandwidthAwareUtility", "build_bandwidth_problem"]
 #: Queueing utilization cap: latency stays finite under overload.
 _RHO_MAX = 0.95
 
+#: Share of peak DRAM bandwidth handed out free, split evenly over cores.
+_FREE_BANDWIDTH_FRACTION = 0.1
+
 
 class BandwidthModel:
     """Per-core miss latency as a function of allocated bandwidth."""
@@ -142,12 +145,13 @@ class BandwidthAwareUtility(UtilityFunction):
         return self._performance(cache, frequency, bw) / self._alone
 
 
-def build_bandwidth_problem(chip, free_bandwidth_fraction: float = 0.1):
+def build_bandwidth_problem(chip):
     """A 3-resource AllocationProblem for a :class:`~repro.cmp.chip.ChipModel`.
 
     Resources: extra cache bytes, extra power watts, and extra DRAM
-    bandwidth (GB/s) beyond a small free share per core.  Applications
-    with non-concave miss curves get the Talus hull on the cache axis.
+    bandwidth (GB/s) beyond a free share per core; the free shares
+    together take 10% of the peak.  Applications with non-concave miss
+    curves get the Talus hull on the cache axis.
     """
     from ..core.mechanisms import AllocationProblem
 
@@ -155,7 +159,7 @@ def build_bandwidth_problem(chip, free_bandwidth_fraction: float = 0.1):
     bandwidth = BandwidthModel(dram)
     total_bw = dram.peak_bandwidth_gbps()
     n = chip.config.num_cores
-    free_bw = free_bandwidth_fraction * total_bw / n
+    free_bw = _FREE_BANDWIDTH_FRACTION * total_bw / n
     extra_bw_capacity = total_bw - n * free_bw
 
     region = float(chip.config.cache_region_bytes)

@@ -51,19 +51,10 @@ class ThermalNode:
 class ThermalModel:
     """Per-core thermal state for a whole CMP."""
 
-    def __init__(self, num_cores: int, node_template: ThermalNode | None = None):
+    def __init__(self, num_cores: int):
         if num_cores < 1:
             raise ValueError("need at least one core")
-        template = node_template or ThermalNode()
-        self.nodes = [
-            ThermalNode(
-                resistance_k_per_w=template.resistance_k_per_w,
-                capacitance_j_per_k=template.capacitance_j_per_k,
-                ambient_c=template.ambient_c,
-                temperature_c=template.temperature_c,
-            )
-            for _ in range(num_cores)
-        ]
+        self.nodes = [ThermalNode() for _ in range(num_cores)]
 
     def step(self, powers_w, dt_s: float) -> list:
         """Advance every core one epoch; returns the new temperatures."""

@@ -38,6 +38,9 @@ __all__ = [
 #: Grid resolution along the power axis (cache is sampled per region).
 POWER_GRID_POINTS = 17
 
+#: Upper bound on :func:`convexify_grid`'s hull passes.
+_CONVEXIFY_MAX_PASSES = 6
+
 
 def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
     """Per-core caps on purchasable extras: cache bytes and power watts.
@@ -51,10 +54,7 @@ def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
 
 
 def convexify_grid(
-    cache_axis: np.ndarray,
-    power_axis: np.ndarray,
-    values: np.ndarray,
-    max_passes: int = 6,
+    cache_axis: np.ndarray, power_axis: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Hull the grid along both axes until concave along each.
 
@@ -62,10 +62,11 @@ def convexify_grid(
     row (cache fixed) with its upper convex hull evaluated back on the
     grid.  Hulling can only raise values, and values are bounded by the
     global maximum, so the iteration converges; in practice two passes
-    suffice (:func:`hull_columns` skips already strictly concave lines).
+    suffice (:func:`hull_columns` skips already strictly concave lines),
+    and at most six run.
     """
     out = values.copy()
-    for _ in range(max_passes):
+    for _ in range(_CONVEXIFY_MAX_PASSES):
         before = out.copy()
         hull_columns(cache_axis, out)
         hull_columns(power_axis, out.T)
@@ -78,7 +79,6 @@ def build_true_utility(
     core: CoreModel,
     config: CMPConfig,
     convexify: bool = True,
-    power_points: int = POWER_GRID_POINTS,
 ) -> GridUtility2D:
     """The "perfectly modeled" utility of phase-1 (Section 6).
 
@@ -99,7 +99,9 @@ def build_true_utility(
 
     num_regions = int(round(cache_cap / region))
     cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis, frequencies = core.power_model.power_axis(core.app.activity, power_points)
+    power_axis, frequencies = core.power_model.power_axis(
+        core.app.activity, POWER_GRID_POINTS
+    )
 
     monitor_cap = float(config.umon_max_bytes)
     memory_ns = np.array(
@@ -125,7 +127,6 @@ def build_utility_from_miss_curve(
     miss_curve: np.ndarray,
     cpi_estimate: Optional[float] = None,
     convexify: bool = True,
-    power_points: int = POWER_GRID_POINTS,
 ) -> GridUtility2D:
     """Phase-2 utility from a *monitored* miss curve (UMON output).
 
@@ -144,7 +145,9 @@ def build_utility_from_miss_curve(
 
     num_regions = int(round(cache_cap / region))
     cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis, frequencies = core.power_model.power_axis(core.app.activity, power_points)
+    power_axis, frequencies = core.power_model.power_axis(
+        core.app.activity, POWER_GRID_POINTS
+    )
 
     region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
     miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)

@@ -48,6 +48,14 @@ __all__ = [
     "PriceTakingBidder",
 ]
 
+#: Relative spread of marginal utilities at which a hill climb stops.
+_LAMBDA_TOLERANCE = 0.05
+
+#: Gradient steps, and the move (relative to the budget) below which the
+#: ascent stops, of :class:`ExactBidder`.
+_EXACT_MAX_ITERATIONS = 200
+_EXACT_TOLERANCE = 1e-9
+
 #: ``marginals(rows, bids)``: the ``(K, M)`` marginal utilities of money
 #: of players ``rows`` at their bid rows ``bids``.
 _MarginalRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -156,18 +164,17 @@ class HillClimbBidder(BiddingStrategy):
     climb for a single row.  Subclasses change the marginal the climb
     reads through :meth:`_marginal_rule`.
 
+    A climb stops when its max and min marginal utilities agree within
+    5% (the paper's tolerance).
+
     Parameters
     ----------
-    lambda_tolerance:
-        Stop when max and min marginal utilities agree within this
-        relative tolerance (paper: 5%).
     step_stop_fraction:
         Stop when the shift amount ``S`` falls below this fraction of the
         player's budget (paper: 1%).
     """
 
-    def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
-        self.lambda_tolerance = lambda_tolerance
+    def __init__(self, step_stop_fraction: float = 0.01):
         self.step_stop_fraction = step_stop_fraction
 
     def optimize(
@@ -274,7 +281,7 @@ class HillClimbBidder(BiddingStrategy):
             has_donor = donors.any(axis=1)
             hi = marginals.max(axis=1)
             lo = np.where(donors, marginals, np.inf).min(axis=1)
-            stale = has_donor & (hi > 0.0) & (hi - lo > 2.0 * self.lambda_tolerance * hi)
+            stale = has_donor & (hi > 0.0) & (hi - lo > 2.0 * _LAMBDA_TOLERANCE * hi)
             hints = np.asarray(step_hints, dtype=float)[rows]
             step[rows] = np.where(
                 stale,
@@ -316,7 +323,7 @@ class HillClimbBidder(BiddingStrategy):
                 ~has_donor
                 | (recipient == donor)
                 | (hi <= 0.0)
-                | (hi - lo <= self.lambda_tolerance * hi)
+                | (hi - lo <= _LAMBDA_TOLERANCE * hi)
             )
             active[rows[stop]] = False
             move = rows[~stop]
@@ -343,10 +350,6 @@ class ExactBidder(BiddingStrategy):
     than :class:`HillClimbBidder`; used in the bidding ablation.
     """
 
-    def __init__(self, max_iterations: int = 200, tolerance: float = 1e-9):
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-
     def optimize(
         self,
         utility: UtilityFunction,
@@ -372,7 +375,7 @@ class ExactBidder(BiddingStrategy):
 
         value = objective(bids)
         step = budget / 4.0
-        for _ in range(self.max_iterations):
+        for _ in range(_EXACT_MAX_ITERATIONS):
             grad = marginal_utility_of_bids(utility, bids, others, capacities)
             # Cap the synthetic "infinite" first-bid marginals so the
             # ascent direction stays finite.
@@ -386,11 +389,11 @@ class ExactBidder(BiddingStrategy):
                 moved = float(np.max(np.abs(candidate - bids)))
                 bids, value = candidate, candidate_value
                 step = min(step * 1.5, budget)  # expand while improving
-                if moved < self.tolerance * budget:
+                if moved < _EXACT_TOLERANCE * budget:
                     break
             else:
                 step *= 0.5
-                if step < self.tolerance * budget:
+                if step < _EXACT_TOLERANCE * budget:
                     break
         return bids
 

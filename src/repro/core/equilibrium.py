@@ -107,17 +107,20 @@ class WarmStart:
 
         Players whose budget changed keep their *split* but spend the
         new amount (the ReBudget re-seeding idiom); players with no
-        usable previous bids fall back to an equal split.  Returns
-        ``None`` when the player count does not match.
+        usable previous bids (none positive, or a non-finite one) fall
+        back to an equal split.  Returns ``None`` when the player count
+        does not match.
         """
         budgets = np.asarray(budgets, dtype=float)
         if budgets.shape != (self.num_players,):
             return None
         bids = np.maximum(np.asarray(self.bids, dtype=float), 0.0)
         sums = bids.sum(axis=1)
-        safe = np.where(sums > 0.0, sums, 1.0)
+        usable = np.isfinite(sums) & (sums > 0.0)
+        safe = np.where(usable, sums, 1.0)
         equal = np.tile(budgets[:, None] / self.num_resources, (1, self.num_resources))
-        return np.where(sums[:, None] > 0.0, bids * (budgets / safe)[:, None], equal)
+        scaled = np.where(usable[:, None], bids, 0.0) * (budgets / safe)[:, None]
+        return np.where(usable[:, None], scaled, equal)
 
 
 @dataclass
@@ -173,7 +176,6 @@ class EquilibriumResult:
 def find_equilibrium(
     market: Market,
     bidder: Optional[BiddingStrategy] = None,
-    initial_bids: Optional[np.ndarray] = None,
     warm_start: Optional[WarmStart] = None,
     max_iterations: int = MAX_ITERATIONS,
     price_tolerance: float = PRICE_TOLERANCE,
@@ -188,16 +190,14 @@ def find_equilibrium(
     bidder:
         Bidding strategy shared by all players; defaults to the paper's
         hill climb.
-    initial_bids:
-        Explicit warm-start bid matrix; defaults to every player
-        splitting its budget equally (the paper's initialization).
     warm_start:
         End-state of a previous search (``result.warm_start``).  Its
         bids are rescaled to the market's current budgets and each
         player's climb resumes with a step sized to its last move.
-        Ignored when ``initial_bids`` is given or the player/resource
-        shape does not match; when the warm bids still price-converge,
-        the loop exits after a single verification round.
+        Ignored when the player/resource shape does not match; when the
+        warm bids still price-converge, the loop exits after a single
+        verification round.  Without it every player starts by
+        splitting its budget equally (the paper's initialization).
     update:
         ``"jacobi"`` — all players re-bid against the same broadcast
         prices (the paper's distributed semantics); ``"gauss-seidel"`` —
@@ -224,10 +224,7 @@ def find_equilibrium(
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False
-    if initial_bids is not None:
-        bids = np.array(initial_bids, dtype=float)
-        warm_started = True
-    elif warm_start is not None and warm_start.compatible_with(market):
+    if warm_start is not None and warm_start.compatible_with(market):
         bids = warm_start.bids_for(market.budgets)
         last_moves = warm_start.last_moves
         anchor = warm_start.anchor_prices

@@ -27,7 +27,7 @@ from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from .bidding import BiddingStrategy, HillClimbBidder
-from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import WarmStart, find_equilibrium
 from .market import Market
 from .metrics import (
     efficiency as efficiency_metric,
@@ -58,6 +58,9 @@ __all__ = [
 
 #: Paper's per-player initial budget in all experiments.
 DEFAULT_BUDGET = 100.0
+
+#: Samples per resource axis of the EP rule's Cobb-Douglas fit.
+_EP_SAMPLES_PER_RESOURCE = 5
 
 
 @dataclass
@@ -282,39 +285,34 @@ class EqualShare(AllocationMechanism):
 class EqualBudget(AllocationMechanism):
     """Market equilibrium with identical budgets (XChange's default).
 
-    ``warm=True`` (the default) carries the previous call's equilibrium
-    bids across calls on the same player/resource set, so the epoch
-    simulator's per-millisecond re-runs resume from an almost-correct
-    answer instead of re-searching from an equal split.
+    Every call carries its equilibrium bids to the next call on the same
+    player/resource set, so the epoch simulator's per-millisecond re-runs
+    resume from an almost-correct answer instead of re-searching from an
+    equal split.
     """
 
     name = "EqualBudget"
 
-    def __init__(
-        self,
-        budget: float = DEFAULT_BUDGET,
-        bidder: Optional[BiddingStrategy] = None,
-        warm: bool = True,
-    ):
-        self.budget = budget
+    def __init__(self, bidder: Optional[BiddingStrategy] = None):
         self.bidder = bidder or HillClimbBidder()
-        self.warm = warm
         self.warm_state = None
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        market = problem.build_market([self.budget] * problem.num_players)
-        eq = find_equilibrium(
-            market,
-            bidder=self.bidder,
-            warm_start=self._warm_start_for(problem) if self.warm else None,
-        )
-        if self.warm:
-            self._store_warm_state(problem, eq.warm_start)
-        return self._result_from_equilibrium(problem, market, eq)
+        return self._solve(problem, [DEFAULT_BUDGET] * problem.num_players)
 
-    def _result_from_equilibrium(
-        self, problem: AllocationProblem, market: Market, eq: EquilibriumResult
+    def _solve(
+        self, problem: AllocationProblem, budgets: Sequence[float]
     ) -> MechanismResult:
+        """Clear the market at ``budgets``, warm-started from the last call.
+
+        The warm bids were computed for the previous call's budgets;
+        ``find_equilibrium`` rescales each row to the fresh ones.
+        """
+        market = problem.build_market(budgets)
+        eq = find_equilibrium(
+            market, bidder=self.bidder, warm_start=self._warm_start_for(problem)
+        )
+        self._store_warm_state(problem, eq.warm_start)
         result = self._finish(
             problem,
             eq.state.allocations,
@@ -336,7 +334,8 @@ class BalancedBudget(EqualBudget):
     between its maximum possible allocation (all per-player caps, or the
     full capacities) and its minimum (nothing beyond the free share),
     normalized to the former.  Budgets are rescaled so the largest equals
-    ``budget``, keeping the numbers comparable with EqualBudget.
+    :data:`DEFAULT_BUDGET`, keeping the numbers comparable with
+    EqualBudget.
     """
 
     name = "Balanced"
@@ -353,21 +352,11 @@ class BalancedBudget(EqualBudget):
             potentials[i] = (u_max - u_min) / u_max if u_max > 0 else 0.0
         top = potentials.max()
         if top <= 0.0:
-            budgets = np.full(problem.num_players, self.budget)
+            budgets = np.full(problem.num_players, DEFAULT_BUDGET)
         else:
             # Keep a small floor so no player is priced out entirely.
-            budgets = self.budget * np.maximum(potentials / top, 0.05)
-        market = problem.build_market(budgets)
-        # The warm bids were computed for the previous epoch's budgets;
-        # find_equilibrium rescales each row to the fresh ones.
-        eq = find_equilibrium(
-            market,
-            bidder=self.bidder,
-            warm_start=self._warm_start_for(problem) if self.warm else None,
-        )
-        if self.warm:
-            self._store_warm_state(problem, eq.warm_start)
-        return self._result_from_equilibrium(problem, market, eq)
+            budgets = DEFAULT_BUDGET * np.maximum(potentials / top, 0.05)
+        return self._solve(problem, budgets)
 
 
 class ReBudgetMechanism(AllocationMechanism):
@@ -382,19 +371,12 @@ class ReBudgetMechanism(AllocationMechanism):
         self,
         step: Optional[float] = None,
         min_envy_freeness: Optional[float] = None,
-        budget: float = DEFAULT_BUDGET,
-        bidder: Optional[BiddingStrategy] = None,
-        lambda_threshold: float = 0.5,
-        warm: bool = True,
     ):
         self.config = ReBudgetConfig(
-            initial_budget=budget,
+            initial_budget=DEFAULT_BUDGET,
             step=step,
             min_envy_freeness=min_envy_freeness,
-            lambda_threshold=lambda_threshold,
         )
-        self.bidder = bidder or HillClimbBidder()
-        self.warm = warm
         self.warm_state = None
         if step is not None:
             self.name = f"ReBudget-{step:g}"
@@ -406,16 +388,12 @@ class ReBudgetMechanism(AllocationMechanism):
             [self.config.initial_budget] * problem.num_players
         )
         rebudget: ReBudgetResult = run_rebudget(
-            market,
-            self.config,
-            bidder=self.bidder,
-            warm_start=self._warm_start_for(problem) if self.warm else None,
+            market, self.config, warm_start=self._warm_start_for(problem)
         )
-        if self.warm:
-            # Budgets restart from an equal split every epoch, so the
-            # right seed for the next epoch is this epoch's *first*
-            # (equal-budget) equilibrium, not the post-cut final one.
-            self._store_warm_state(problem, rebudget.rounds[0].equilibrium.warm_start)
+        # Budgets restart from an equal split every epoch, so the right
+        # seed for the next epoch is this epoch's *first* (equal-budget)
+        # equilibrium, not the post-cut final one.
+        self._store_warm_state(problem, rebudget.rounds[0].equilibrium.warm_start)
         eq = rebudget.final_equilibrium
         result = self._finish(
             problem,
@@ -454,13 +432,13 @@ class ElasticitiesProportional(AllocationMechanism):
     ``U = A * prod_j r_j^{e_j}`` by log-log least squares; resource ``j``
     is then split in proportion to the fitted elasticities ``e_ij``.  The
     paper argues this misallocates when utilities do not fit the
-    Cobb-Douglas family — our benchmarks quantify that.
+    Cobb-Douglas family — our benchmarks quantify that.  The fit runs
+    over the resources with positive capacity only (``log 0`` has no
+    fit); a resource with zero capacity gets elasticity 0 and allocates
+    nothing.
     """
 
     name = "EP"
-
-    def __init__(self, samples_per_resource: int = 5):
-        self.samples_per_resource = samples_per_resource
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
         elasticities = np.array(
@@ -481,35 +459,44 @@ class ElasticitiesProportional(AllocationMechanism):
         result.details["elasticities"] = elasticities
         return result
 
+    @staticmethod
     def _fit_elasticities(
-        self, utility: UtilityFunction, capacities: np.ndarray
+        utility: UtilityFunction, capacities: np.ndarray
     ) -> np.ndarray:
-        m = capacities.size
+        fitted = capacities > 0.0
+        m = int(fitted.sum())
+        elasticities = np.zeros(capacities.size)
+        if m == 0:
+            return elasticities
         # Sample away from zero: Cobb-Douglas is degenerate at the origin.
+        # Resources without capacity are held at zero in every sample.
         axes = [
-            np.linspace(0.1, 1.0, self.samples_per_resource) * cap
-            for cap in capacities
+            np.linspace(0.1, 1.0, _EP_SAMPLES_PER_RESOURCE) * cap if positive
+            else np.zeros(1)
+            for cap, positive in zip(capacities, fitted)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
         values = np.array([utility.value(p) for p in points])
         mask = values > 1e-12
         if mask.sum() < m + 1:
-            return np.full(m, 1.0 / m)
-        design = np.column_stack([np.ones(mask.sum()), np.log(points[mask])])
+            elasticities[fitted] = 1.0 / m
+            return elasticities
+        design = np.column_stack(
+            [np.ones(mask.sum()), np.log(points[mask][:, fitted])]
+        )
         coeffs, *_ = np.linalg.lstsq(design, np.log(values[mask]), rcond=None)
-        return np.maximum(coeffs[1:], 0.0)
+        elasticities[fitted] = np.maximum(coeffs[1:], 0.0)
+        return elasticities
 
 
-def standard_mechanism_suite(
-    rebudget_steps: Sequence[float] = (20.0, 40.0),
-) -> List[AllocationMechanism]:
+def standard_mechanism_suite() -> List[AllocationMechanism]:
     """The mechanism line-up of Figures 4 and 5."""
-    suite: List[AllocationMechanism] = [
+    return [
         EqualShare(),
         EqualBudget(),
         BalancedBudget(),
+        ReBudgetMechanism(step=20.0),
+        ReBudgetMechanism(step=40.0),
+        MaxEfficiency(),
     ]
-    suite.extend(ReBudgetMechanism(step=s) for s in rebudget_steps)
-    suite.append(MaxEfficiency())
-    return suite

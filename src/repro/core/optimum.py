@@ -38,6 +38,12 @@ from ..utility.base import UtilityFunction
 
 __all__ = ["max_efficiency_allocation", "GreedyOptimum"]
 
+#: Move budgets of the single-resource and joint exchange passes.
+_EXCHANGE_MAX_MOVES = 20000
+_JOINT_MAX_MOVES = 5000
+#: A move must raise total utility by more than this to be made.
+_MOVE_TOLERANCE = 1e-12
+
 
 @dataclass
 class GreedyOptimum:
@@ -124,7 +130,6 @@ def max_efficiency_allocation(
     capacities: Sequence[float],
     quanta: Sequence[float],
     per_player_caps: Optional[np.ndarray] = None,
-    polish: bool = False,
 ) -> GreedyOptimum:
     """Greedily maximize ``sum_i U_i(r_i)`` subject to capacity limits.
 
@@ -229,80 +234,10 @@ def max_efficiency_allocation(
     final_utilities = np.array(
         [lattice.value(i, coords[i], allocations[i]) for i in range(num_players)]
     )
-    if polish:
-        # Optional gradient-based polish (SLSQP on the continuous
-        # relaxation, started from the greedy point and an equal split);
-        # the better solution is kept.  Off by default: the exchange
-        # passes already dominate the market on the paper's 2-resource
-        # problems, and under strong 3-way complementarity the landscape
-        # is not jointly concave, so local continuous search stalls in
-        # the same basins the exchanges do.
-        polished = _slsqp_polish(utilities, result, capacities, per_player_caps)
-        if polished is not None and polished is not result:
-            result = polished
-            final_utilities = np.array(
-                [utilities[i].value(result[i]) for i in range(num_players)]
-            )
     return GreedyOptimum(allocations=result, utilities=final_utilities, steps=steps)
 
 
-def _slsqp_polish(
-    utilities: Sequence[UtilityFunction],
-    allocations: np.ndarray,
-    capacities: np.ndarray,
-    per_player_caps: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Continuous polish of the greedy solution; None if unavailable/worse."""
-    try:
-        from scipy.optimize import LinearConstraint, minimize
-    except ImportError:  # pragma: no cover - scipy is an optional polish
-        return None
-
-    num_players, num_resources = allocations.shape
-
-    def objective(x: np.ndarray) -> float:
-        r = x.reshape(num_players, num_resources)
-        return -sum(utilities[i].value(r[i]) for i in range(num_players))
-
-    # One linear constraint per resource: allocations sum to capacity.
-    coefficient_rows = np.zeros((num_resources, allocations.size))
-    for j in range(num_resources):
-        coefficient_rows[j, j::num_resources] = 1.0
-    constraint = LinearConstraint(coefficient_rows, 0.0, capacities)
-
-    if per_player_caps is not None:
-        upper = per_player_caps.reshape(-1)
-    else:
-        upper = np.tile(capacities, num_players)
-    bounds = [(0.0, float(u)) for u in upper]
-
-    starts = [allocations.reshape(-1)]
-    equal = np.tile(capacities / num_players, num_players)
-    starts.append(np.minimum(equal, upper))
-    best = allocations
-    best_value = -objective(allocations.reshape(-1))
-    for start in starts:
-        result = minimize(
-            objective,
-            start,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[constraint],
-            options={"maxiter": 200, "ftol": 1e-9},
-        )
-        if result.success or result.status in (4, 8):
-            candidate = result.x.reshape(num_players, num_resources)
-            candidate = np.clip(candidate, 0.0, None)
-            value = -objective(candidate.reshape(-1))
-            if value > best_value + 1e-12:
-                best = candidate
-                best_value = value
-    return best
-
-
-def _exchange_refinement(
-    lattice: _Lattice, max_moves: int = 20000, tolerance: float = 1e-12
-) -> int:
+def _exchange_refinement(lattice: _Lattice) -> int:
     """Quantum-exchange hill climbing on top of the greedy fill.
 
     Every resource keeps its players' gains and losses between passes,
@@ -321,7 +256,7 @@ def _exchange_refinement(
     stale = [set(range(num_players)) for _ in range(num_resources)]
     moves = 0
     improved = True
-    while improved and moves < max_moves:
+    while improved and moves < _EXCHANGE_MAX_MOVES:
         improved = False
         for j, q in enumerate(lattice.quanta):
             gains, losses = gains_by_resource[j], losses_by_resource[j]
@@ -338,7 +273,7 @@ def _exchange_refinement(
             recipient, donor = _best_exchange_pair(np.array(gains), np.array(losses))
             if (
                 recipient is not None
-                and gains[recipient] - losses[donor] > tolerance
+                and gains[recipient] - losses[donor] > _MOVE_TOLERANCE
             ):
                 lattice.move(recipient, j, 1)
                 lattice.move(donor, j, -1)
@@ -351,9 +286,7 @@ def _exchange_refinement(
     return moves
 
 
-def _joint_exchange_pass(
-    lattice: _Lattice, max_moves: int = 5000, tolerance: float = 1e-12
-) -> int:
+def _joint_exchange_pass(lattice: _Lattice) -> int:
     """Move one quantum of *every* resource between players at once.
 
     A recipient's gain depends on the donor only through the bundle, so
@@ -371,7 +304,7 @@ def _joint_exchange_pass(
     scored: dict = {}
     moves = 0
     improved = True
-    while improved and moves < max_moves:
+    while improved and moves < _JOINT_MAX_MOVES:
         improved = False
         for donor in range(num_players):
             bundle = [min(q, a) for q, a in zip(lattice.quanta, allocations[donor])]
@@ -410,7 +343,7 @@ def _joint_exchange_pass(
                 if gain > best_gain:
                     best_gain = gain
                     best_recipient = recipient
-            if best_recipient is not None and best_gain - loss > tolerance:
+            if best_recipient is not None and best_gain - loss > _MOVE_TOLERANCE:
                 allocations[donor] = donor_after
                 coords[donor] = donor_coords
                 allocations[best_recipient] = [

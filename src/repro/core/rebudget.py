@@ -26,12 +26,18 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from .bidding import BiddingStrategy, HillClimbBidder
-from .equilibrium import MAX_ITERATIONS, EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import market_budget_range, market_utility_range
 from .theory import ef_lower_bound, min_mbr_for_envy_freeness
 
 __all__ = ["ReBudgetConfig", "ReBudgetRound", "ReBudgetResult", "run_rebudget"]
+
+#: The loop stops once ``step`` falls below this fraction of the initial
+#: budget (the paper's 1%).
+_STEP_STOP_FRACTION = 0.01
+#: Fail-safe on outer rounds; the default back-off ends the loop in a few.
+_MAX_ROUNDS = 32
 
 
 @dataclass
@@ -49,10 +55,7 @@ class ReBudgetConfig:
     step: Optional[float] = None
     min_envy_freeness: Optional[float] = None
     lambda_threshold: float = 0.5
-    step_stop_fraction: float = 0.01
     backoff: float = 0.5
-    max_rounds: int = 32
-    equilibrium_max_iterations: int = MAX_ITERATIONS
 
     def resolve(self) -> tuple:
         """Return ``(initial_step, budget_floor)`` for this configuration."""
@@ -160,7 +163,7 @@ def run_rebudget(
     bidder = bidder or HillClimbBidder()
     step, floor = config.resolve()
     initial_budget = config.initial_budget
-    min_step = config.step_stop_fraction * initial_budget
+    min_step = _STEP_STOP_FRACTION * initial_budget
 
     for player in market.players:
         player.budget = initial_budget
@@ -168,13 +171,8 @@ def run_rebudget(
     result = ReBudgetResult()
     round_warm: Optional[WarmStart] = warm_start
     step_exhausted = False
-    for round_index in range(config.max_rounds):
-        equilibrium = find_equilibrium(
-            market,
-            bidder=bidder,
-            warm_start=round_warm,
-            max_iterations=config.equilibrium_max_iterations,
-        )
+    for round_index in range(_MAX_ROUNDS):
+        equilibrium = find_equilibrium(market, bidder=bidder, warm_start=round_warm)
         lambdas = equilibrium.lambdas
         budgets = market.budgets
         cut_players: List[int] = []

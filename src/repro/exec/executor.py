@@ -40,6 +40,8 @@ import numpy as np
 
 __all__ = ["CellOutcome", "SweepProgress", "SweepRun", "SweepExecutor"]
 
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
 
 @dataclass
 class CellOutcome:
@@ -139,14 +141,11 @@ class SweepExecutor:
     progress:
         Optional callback receiving a :class:`SweepProgress` per
         completed cell.
-    mp_context:
-        ``multiprocessing`` start-method name.  Defaults to ``"fork"``
-        where available (cheap, inherits imports) and ``"spawn"``
-        elsewhere.
-    chunksize:
-        Tasks handed to a worker per dispatch.  ``1`` (default) gives
-        the best load balance for heterogeneous cell costs (a
-        MaxEfficiency cell is ~40x an EqualShare cell).
+
+    The pool forks where the platform can (cheap, inherits imports) and
+    spawns elsewhere, and hands each worker one task per dispatch: the
+    best load balance for heterogeneous cell costs (a MaxEfficiency cell
+    is ~40x an EqualShare cell).
     """
 
     def __init__(
@@ -154,24 +153,12 @@ class SweepExecutor:
         workers: int = 1,
         seed: Optional[int] = 0,
         progress: Optional[Callable[[SweepProgress], None]] = None,
-        mp_context: Optional[str] = None,
-        chunksize: int = 1,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.workers = workers
         self.seed = seed
         self.progress = progress
-        self.mp_context = mp_context
-        self.chunksize = chunksize
-
-    def _start_method(self) -> str:
-        if self.mp_context is not None:
-            return self.mp_context
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
     def run(
         self,
@@ -228,9 +215,7 @@ class SweepExecutor:
             for task in tasks:
                 yield _execute_cell(task)
             return
-        ctx = multiprocessing.get_context(self._start_method())
+        ctx = multiprocessing.get_context(_START_METHOD)
         with ctx.Pool(workers) as pool:
-            for outcome in pool.imap_unordered(
-                _execute_cell, tasks, chunksize=self.chunksize
-            ):
+            for outcome in pool.imap_unordered(_execute_cell, tasks, chunksize=1):
                 yield outcome

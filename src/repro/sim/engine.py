@@ -42,11 +42,17 @@ from .phases import PhaseTracker
 from .trace import EpochRecord, SimulationTrace
 
 __all__ = [
+    "POWER_QUANTUM_WATTS",
     "ContextSwitch",
     "SimulationConfig",
     "SimulationResult",
     "ExecutionDrivenSimulator",
 ]
+
+#: Power quantum of the per-epoch problems, for mechanisms that search
+#: on a lattice (MaxEfficiency); coarser than the 0.125 W RAPL unit to
+#: keep per-epoch cost sane.
+POWER_QUANTUM_WATTS = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,6 @@ class SimulationConfig:
     #: Per-core instruction rate assumed for stream synthesis is derived
     #: from the model; this seed drives all monitoring noise.
     seed: int = 1
-    #: Enable the RC thermal model (False pins the leakage reference).
-    thermal: bool = True
-    #: Optimum-search quanta for mechanisms that need them (MaxEfficiency);
-    #: coarser than the RAPL default to keep per-epoch cost sane.
-    power_quantum_watts: float = 0.5
     #: Scheduled context switches (see :class:`ContextSwitch`).
     context_switches: tuple = ()
 
@@ -276,7 +277,7 @@ class ExecutionDrivenSimulator:
 
             # (3) DVFS: resolve purchased watts into frequency at the
             # current temperature (leakage rises with heat).
-            temps = thermal.temperatures_c if cfg.thermal else [None] * n
+            temps = thermal.temperatures_c
             frequencies = np.empty(n)
             powers = np.empty(n)
             for i, core in enumerate(self._cores):
@@ -316,8 +317,7 @@ class ExecutionDrivenSimulator:
                 )
 
             # (5) Feedback: thermals and DRAM contention for next epoch.
-            if cfg.thermal:
-                thermal.step(powers, cfg.epoch_ms * 1e-3)
+            thermal.step(powers, cfg.epoch_ms * 1e-3)
             miss_bw_gbps = float(np.sum(perf * misses_per_instr) * dram.line_bytes)
             dram_latency = dram.latency_ns(miss_bw_gbps)
 
@@ -402,7 +402,7 @@ class ExecutionDrivenSimulator:
             quanta=np.array(
                 [
                     float(self.chip.config.cache_region_bytes),
-                    self.config.power_quantum_watts,
+                    POWER_QUANTUM_WATTS,
                 ]
             ),
             per_player_caps=caps,

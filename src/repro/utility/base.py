@@ -31,8 +31,11 @@ __all__ = [
     "is_nondecreasing_on_grid",
 ]
 
-#: Default relative step used by the numeric differentiator.
+#: Relative step used by the numeric differentiator.
 _GRADIENT_EPS = 1e-6
+
+#: Slack of the monotonicity and concavity probes.
+_GRID_TOLERANCE = 1e-9
 
 
 class EvalCounters:
@@ -203,7 +206,7 @@ def _as_point_matrix(allocations: np.ndarray, num_resources: int) -> np.ndarray:
     return points
 
 
-def numeric_gradient(func, allocation: Sequence[float], eps: float = _GRADIENT_EPS) -> np.ndarray:
+def numeric_gradient(func, allocation: Sequence[float]) -> np.ndarray:
     """Central-difference gradient of ``func`` at ``allocation``.
 
     Steps are scaled to the magnitude of each coordinate so that the
@@ -214,7 +217,7 @@ def numeric_gradient(func, allocation: Sequence[float], eps: float = _GRADIENT_E
     point = np.asarray(allocation, dtype=float)
     grad = np.empty_like(point)
     for j in range(point.size):
-        step = eps * max(1.0, abs(point[j]))
+        step = _GRADIENT_EPS * max(1.0, abs(point[j]))
         lo = point.copy()
         hi = point.copy()
         EVAL_COUNTERS.scalar_value_calls += 2
@@ -228,9 +231,7 @@ def numeric_gradient(func, allocation: Sequence[float], eps: float = _GRADIENT_E
     return grad
 
 
-def numeric_gradient_batch(
-    value_batch, points: np.ndarray, eps: float = _GRADIENT_EPS
-) -> np.ndarray:
+def numeric_gradient_batch(value_batch, points: np.ndarray) -> np.ndarray:
     """Vectorized central-difference gradients at a ``(K, M)`` batch.
 
     Mirrors :func:`numeric_gradient` coordinate for coordinate — the same
@@ -244,8 +245,8 @@ def numeric_gradient_batch(
     n_points, n_dims = points.shape
     if n_points == 0:
         return np.zeros_like(points)
-    steps = eps * np.maximum(1.0, np.abs(points))          # (K, M)
-    forward = points - steps < 0.0                          # (K, M)
+    steps = _GRADIENT_EPS * np.maximum(1.0, np.abs(points))  # (K, M)
+    forward = points - steps < 0.0                           # (K, M)
     # Probe layout: for each dim j, K hi-points then K lo-points.  The
     # lo-point of a forward-difference coordinate is the point itself.
     probes = np.empty((2 * n_dims * n_points, n_dims), dtype=float)
@@ -271,26 +272,26 @@ def numeric_gradient_batch(
     return grad
 
 
-def is_nondecreasing_on_grid(func, grids: Sequence[np.ndarray], tol: float = 1e-9) -> bool:
+def is_nondecreasing_on_grid(func, grids: Sequence[np.ndarray]) -> bool:
     """Check that ``func`` is non-decreasing along each axis of a grid.
 
     ``grids`` holds one sorted 1-D sample array per resource.  Every grid
     point is evaluated; the check passes if increasing any single
-    coordinate never decreases utility by more than ``tol``.
+    coordinate never decreases utility by more than ``1e-9``.
     """
     values = _tabulate(func, grids)
     for axis in range(values.ndim):
         diffs = np.diff(values, axis=axis)
-        if np.any(diffs < -tol):
+        if np.any(diffs < -_GRID_TOLERANCE):
             return False
     return True
 
 
-def is_concave_on_grid(func, grids: Sequence[np.ndarray], tol: float = 1e-9) -> bool:
+def is_concave_on_grid(func, grids: Sequence[np.ndarray]) -> bool:
     """Check midpoint concavity of ``func`` on the cartesian grid.
 
     For every pair of grid points ``a, b`` whose midpoint is evaluable we
-    require ``f((a+b)/2) >= (f(a)+f(b))/2 - tol``.  For 1-D grids this
+    require ``f((a+b)/2) >= (f(a)+f(b))/2 - 1e-9``.  For 1-D grids this
     reduces to the standard second-difference test, which we use directly
     because it is much cheaper.
     """
@@ -299,7 +300,7 @@ def is_concave_on_grid(func, grids: Sequence[np.ndarray], tol: float = 1e-9) -> 
         ys = np.array([func((x,)) for x in xs])
         # Slopes between consecutive samples must be non-increasing.
         slopes = np.diff(ys) / np.diff(xs)
-        return bool(np.all(np.diff(slopes) <= tol))
+        return bool(np.all(np.diff(slopes) <= _GRID_TOLERANCE))
 
     points = _grid_points(grids)
     values = np.array([func(p) for p in points])
@@ -313,7 +314,7 @@ def is_concave_on_grid(func, grids: Sequence[np.ndarray], tol: float = 1e-9) -> 
         pairs = [tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(max_pairs)]
     for i, j in pairs:
         mid = (points[i] + points[j]) / 2.0
-        if func(mid) < (values[i] + values[j]) / 2.0 - tol:
+        if func(mid) < (values[i] + values[j]) / 2.0 - _GRID_TOLERANCE:
             return False
     return True
 

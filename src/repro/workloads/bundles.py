@@ -24,7 +24,6 @@ __all__ = [
     "BUNDLES_PER_CATEGORY",
     "Bundle",
     "category_fingerprint",
-    "bundle_seed_sequence",
     "generate_bundle",
     "generate_bundles",
     "generate_all_bundles",
@@ -65,23 +64,6 @@ def category_fingerprint(category: str) -> int:
     RNGs reproducibly; this positional character sum can.
     """
     return sum(ord(c) * 31 ** k for k, c in enumerate(category))
-
-
-def bundle_seed_sequence(
-    seed: int, category: str, index: int, num_cores: int = 0
-) -> np.random.SeedSequence:
-    """A per-bundle :class:`~numpy.random.SeedSequence` for sweep cells.
-
-    The sequence depends only on the bundle's identity ``(category,
-    index)`` and the sweep seed — never on which categories or bundles
-    share the sweep, or on how a parallel executor sharded the cells —
-    so per-cell entropy (e.g. the simulator's monitoring noise) is
-    reproducible under any subsetting or worker count.  Spawn one child
-    per mechanism to seed the individual (bundle, mechanism) cells.
-    """
-    return np.random.SeedSequence(
-        [seed, category_fingerprint(category), index, num_cores]
-    )
 
 
 def generate_bundle(

@@ -34,3 +34,6 @@ class TestCharacterizeSuite:
         assert len(rows) == 24
         for cls in "CPBN":
             assert sum(r.cls == cls for r in rows) == 6
+
+    def test_pooled_rows_match_serial(self):
+        assert characterize_suite(workers=2) == characterize_suite()

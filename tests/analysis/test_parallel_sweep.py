@@ -97,12 +97,9 @@ class TestAnalyticSweepParallel:
 
 
 class TestSimulationParallel:
-    @pytest.mark.parametrize("per_cell_seeds", [False, True])
-    def test_parallel_matches_serial(self, per_cell_seeds):
+    def test_parallel_matches_serial(self):
         kwargs = dict(
-            categories=("CPBN",),
-            sim_config=SimulationConfig(duration_ms=3.0),
-            per_cell_seeds=per_cell_seeds,
+            categories=("CPBN",), sim_config=SimulationConfig(duration_ms=3.0)
         )
         serial = run_simulation_experiment(workers=1, **kwargs)
         pooled = run_simulation_experiment(workers=2, **kwargs)

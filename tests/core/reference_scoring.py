@@ -9,7 +9,6 @@
 
 The library's stacked envy scoring and its incremental integer-coordinate
 optimum must return exactly these bits; the tests compare against them.
-The optional SLSQP polish is not part of the reference.
 """
 
 from __future__ import annotations

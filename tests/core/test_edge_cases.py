@@ -4,12 +4,15 @@ The market layer must stay well-behaved when players are broke,
 indifferent, or alone, and when resources attract no bids at all.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import (
-    EqualBudget,
     AllocationProblem,
+    ElasticitiesProportional,
+    EqualBudget,
     Market,
     Player,
     ReBudgetConfig,
@@ -107,3 +110,17 @@ class TestProblemEdgeCases:
             result.allocations, 10.0 / n, rtol=0.05
         )
         assert result.envy_freeness > 0.9
+
+    def test_ep_zero_capacity_resource(self):
+        problem = AllocationProblem(
+            utilities=[LogUtility([1.0, 1.0]), LogUtility([2.0, 1.0])],
+            capacities=np.array([4.0, 0.0]),
+            resource_names=["cache", "power"],
+            player_names=["a", "b"],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ElasticitiesProportional().allocate(problem)
+        np.testing.assert_array_equal(result.allocations[:, 1], 0.0)
+        np.testing.assert_allclose(result.allocations[:, 0].sum(), 4.0)
+        assert np.all(np.isfinite(result.details["elasticities"]))

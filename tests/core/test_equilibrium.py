@@ -65,7 +65,7 @@ class TestFindEquilibrium:
 
     def test_warm_start(self, small_market):
         cold = find_equilibrium(small_market)
-        warm = find_equilibrium(small_market, initial_bids=cold.state.bids)
+        warm = find_equilibrium(small_market, warm_start=cold.warm_start)
         assert warm.iterations <= cold.iterations
         assert warm.efficiency == pytest.approx(cold.efficiency, rel=1e-2)
 

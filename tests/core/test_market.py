@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Market, Player, Resource, ResourceSet, find_equilibrium
+from repro.core import (
+    Market,
+    Player,
+    Resource,
+    ResourceSet,
+    WarmStart,
+    find_equilibrium,
+)
 from repro.exceptions import MarketConfigurationError
 from repro.utility import LinearUtility
 
@@ -64,9 +71,16 @@ class TestPricing:
             m.prices(bids)
         with pytest.raises(MarketConfigurationError, match="finite"):
             m.allocate(bids)
-        # An all-NaN seed must not run an equilibrium search on NaN prices.
-        with pytest.raises(MarketConfigurationError, match="finite"):
-            find_equilibrium(m, initial_bids=np.full((3, 2), bad))
+        # A non-finite warm seed must not run an equilibrium search on
+        # NaN prices: every row falls back to the equal split.
+        seed = WarmStart(
+            bids=np.full((3, 2), bad), budgets=m.budgets, prices=np.ones(2)
+        )
+        eq = find_equilibrium(m, warm_start=seed)
+        np.testing.assert_array_equal(
+            eq.price_history[0], m.prices(m.equal_split_bids())
+        )
+        assert np.all(np.isfinite(eq.state.prices))
 
 
 class TestAllocation:

@@ -261,13 +261,6 @@ class TestMechanismWarmState:
             atol=self.ALLOC_BAND * problem.capacities.max(),
         )
 
-    def test_warm_false_stays_cold(self, problem):
-        mech = EqualBudget(warm=False)
-        first = mech.allocate(problem)
-        assert mech.warm_state is None
-        second = mech.allocate(problem)
-        assert second.iterations == first.iterations
-
     def test_balanced_budget_reuses_state(self, problem):
         mech = BalancedBudget()
         first = mech.allocate(problem)

@@ -97,10 +97,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="workers"):
             SweepExecutor(workers=0)
 
-    def test_rejects_bad_chunksize(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            SweepExecutor(chunksize=0)
-
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             SweepExecutor().run(_square_cell, [1, 2], labels=["only-one"])

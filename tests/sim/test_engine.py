@@ -101,13 +101,6 @@ class TestConfigKnobs:
         result = ExecutionDrivenSimulator(bbpc_chip_module, EqualBudget(), cfg).run()
         assert result.trace.num_epochs == 4
 
-    def test_thermal_disabled(self, bbpc_chip_module):
-        cfg = SimulationConfig(duration_ms=3.0, thermal=False, seed=1)
-        result = ExecutionDrivenSimulator(bbpc_chip_module, EqualBudget(), cfg).run()
-        temps = result.trace.epochs[-1].temperatures_c
-        # Without thermal stepping, nodes stay at their initial value.
-        assert np.all(temps == temps[0])
-
     def test_rebudget_in_simulation(self, bbpc_chip_module):
         cfg = SimulationConfig(duration_ms=3.0, seed=1)
         result = ExecutionDrivenSimulator(

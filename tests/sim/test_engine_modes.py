@@ -7,6 +7,7 @@ from repro.cmp import ChipModel, cmp_8core
 from repro.core import EqualBudget
 from repro.cmp.spec_suite import app_by_name
 from repro.sim import ContextSwitch, ExecutionDrivenSimulator, SimulationConfig
+from repro.sim.engine import POWER_QUANTUM_WATTS
 from repro.workloads import paper_bbpc_bundle
 
 
@@ -24,10 +25,11 @@ def _fresh_monitors(sim):
 
 class TestProblemConstruction:
     def test_monitored_problem_quanta(self, chip):
-        cfg = SimulationConfig(duration_ms=2.0, seed=1, power_quantum_watts=1.0)
+        cfg = SimulationConfig(duration_ms=2.0, seed=1)
         sim = ExecutionDrivenSimulator(chip, EqualBudget(), cfg)
         problem = sim._build_problem(_fresh_monitors(sim))
-        np.testing.assert_allclose(problem.quanta[1], 1.0)
+        assert POWER_QUANTUM_WATTS == 0.5
+        assert problem.quanta[1] == POWER_QUANTUM_WATTS
 
     def test_true_utility_problem_matches_chip(self, chip):
         cfg = SimulationConfig(duration_ms=1.0, seed=1, use_monitors=False)

@@ -10,6 +10,14 @@ from repro.sim import ContextSwitch, ExecutionDrivenSimulator, SimulationConfig
 from repro.workloads import paper_bbpc_bundle
 
 
+class _ColdEqualBudget(EqualBudget):
+    """EqualBudget that re-searches from an equal split on every call."""
+
+    def allocate(self, problem):
+        self.reset_warm_state()
+        return super().allocate(problem)
+
+
 @pytest.fixture(scope="module")
 def chip():
     return ChipModel(cmp_8core(), paper_bbpc_bundle().apps)
@@ -84,7 +92,7 @@ class TestWarmStateLifecycle:
     def test_warm_run_matches_cold_run_closely(self, chip):
         cfg = SimulationConfig(duration_ms=5.0, seed=9)
         warm = ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
-        cold = ExecutionDrivenSimulator(chip, EqualBudget(warm=False), cfg).run()
+        cold = ExecutionDrivenSimulator(chip, _ColdEqualBudget(), cfg).run()
         # Same seed, same monitored trajectory: measured utilities agree
         # within the equilibrium tolerance, and warm epochs use no more
         # market iterations than cold ones.

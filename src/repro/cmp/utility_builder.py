@@ -18,7 +18,7 @@ power" step in Section 6.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,40 +85,22 @@ def build_true_utility(
     Evaluates the analytic core model exactly and (by default) applies
     the Talus-style convexification, producing the concave continuous
     utility over extras that the theory requires.
-
-    The grid is evaluated in vectorized form: the power axis and its
-    frequencies come from the power model's memoized
-    :meth:`~repro.cmp.power.DVFSPowerModel.power_axis` (one elementwise
-    bisection per activity), and the compute/memory decomposition is
-    separable, so the (cache x power) surface is an outer combination of
-    two 1-D arrays.
     """
-    cache_cap, _ = extra_capacity_for(core, config)
     min_cache = float(config.cache_region_bytes)
-    region = config.cache_region_bytes
-
-    num_regions = int(round(cache_cap / region))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis, frequencies = core.power_model.power_axis(
-        core.app.activity, POWER_GRID_POINTS
-    )
-
     monitor_cap = float(config.umon_max_bytes)
-    memory_ns = np.array(
-        [
-            core.app.misses_per_instruction(min(min_cache + c, monitor_cap))
-            * core.memory_latency_ns
-            for c in cache_axis
-        ]
-    )
-    compute_ns = core.app.cpi_exe / frequencies
-    # perf[i, j] = 1 / (compute(f_j) + memory(s_i)); utility normalizes.
-    values = 1.0 / (compute_ns[None, :] + memory_ns[:, None])
-    values /= core.alone_performance_gips
 
-    if convexify:
-        values = convexify_grid(cache_axis, power_axis, values)
-    return GridUtility2D(cache_axis, power_axis, values)
+    def memory_ns(cache_axis: np.ndarray) -> np.ndarray:
+        return np.array(
+            [
+                core.app.misses_per_instruction(min(min_cache + c, monitor_cap))
+                * core.memory_latency_ns
+                for c in cache_axis
+            ]
+        )
+
+    return _separable_grid(
+        core, config, core.app.cpi_exe, memory_ns, core.alone_performance_gips, convexify
+    )
 
 
 def build_utility_from_miss_curve(
@@ -126,7 +108,6 @@ def build_utility_from_miss_curve(
     config: CMPConfig,
     miss_curve: np.ndarray,
     cpi_estimate: Optional[float] = None,
-    convexify: bool = True,
 ) -> GridUtility2D:
     """Phase-2 utility from a *monitored* miss curve (UMON output).
 
@@ -134,26 +115,18 @@ def build_utility_from_miss_curve(
     regions.  The compute-phase CPI may also be an estimate; the power
     model and DRAM latency are shared with the true model (the paper
     estimates them with Isci-style counters, whose error is small
-    relative to MRC sampling noise).
+    relative to MRC sampling noise).  The grid is always convexified.
     """
-    cache_cap, _ = extra_capacity_for(core, config)
     cpi = core.app.cpi_exe if cpi_estimate is None else cpi_estimate
     apki = core.app.apki
     latency = core.memory_latency_ns
     region = config.cache_region_bytes
     max_regions = miss_curve.size
 
-    num_regions = int(round(cache_cap / region))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis, frequencies = core.power_model.power_axis(
-        core.app.activity, POWER_GRID_POINTS
-    )
-
-    region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
-    miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
-    memory_ns = apki / 1000.0 * miss * latency
-    compute_ns = cpi / frequencies
-    values = 1.0 / (compute_ns[None, :] + memory_ns[:, None])
+    def memory_ns(cache_axis: np.ndarray) -> np.ndarray:
+        region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
+        miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
+        return apki / 1000.0 * miss * latency
 
     # Normalize by the *estimated* standalone performance (the paper's
     # monitors never see the true one).
@@ -161,8 +134,38 @@ def build_utility_from_miss_curve(
         cpi / config.core.max_frequency_ghz
         + apki / 1000.0 * miss_curve[-1] * latency
     )
-    values /= alone
+    return _separable_grid(core, config, cpi, memory_ns, alone, convexify=True)
 
+
+def _separable_grid(
+    core: CoreModel,
+    config: CMPConfig,
+    cpi: float,
+    memory_ns: Callable[[np.ndarray], np.ndarray],
+    alone: float,
+    convexify: bool,
+) -> GridUtility2D:
+    """The steps both builders share, on the (extra cache x extra power) grid.
+
+    The cache axis is one sample per region up to the cap; the power
+    axis and its frequencies come from the power model's memoized
+    :meth:`~repro.cmp.power.DVFSPowerModel.power_axis` (one elementwise
+    bisection per activity).  Performance is separable into compute and
+    memory time, ``perf[i, j] = 1 / (cpi / f_j + memory_ns(s)[i])``, so
+    the surface is an outer combination of two 1-D arrays; it is then
+    normalized by the standalone performance ``alone`` and, optionally,
+    convexified.
+    """
+    cache_cap, _ = extra_capacity_for(core, config)
+    region = config.cache_region_bytes
+    num_regions = int(round(cache_cap / region))
+    cache_axis = np.arange(num_regions + 1, dtype=float) * region
+    power_axis, frequencies = core.power_model.power_axis(
+        core.app.activity, POWER_GRID_POINTS
+    )
+    compute_ns = cpi / frequencies
+    values = 1.0 / (compute_ns[None, :] + memory_ns(cache_axis)[:, None])
+    values /= alone
     if convexify:
         values = convexify_grid(cache_axis, power_axis, values)
     return GridUtility2D(cache_axis, power_axis, values)

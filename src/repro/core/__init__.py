@@ -35,7 +35,6 @@ from .optimum import GreedyOptimum, max_efficiency_allocation
 from .player import (
     Player,
     bid_to_allocation,
-    bid_to_allocation_batch,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ResourceSet",
     "Player",
     "bid_to_allocation",
-    "bid_to_allocation_batch",
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
     "Market",

@@ -29,7 +29,7 @@ budget whenever any resource still has positive marginal utility.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,13 +51,17 @@ __all__ = [
 #: Relative spread of marginal utilities at which a hill climb stops.
 _LAMBDA_TOLERANCE = 0.05
 
+#: A hill climb stops once its shift amount ``S`` falls below this
+#: fraction of the player's budget (the paper's 1%).
+_STEP_STOP_FRACTION = 0.01
+
 #: Gradient steps, and the move (relative to the budget) below which the
 #: ascent stops, of :class:`ExactBidder`.
 _EXACT_MAX_ITERATIONS = 200
 _EXACT_TOLERANCE = 1e-9
 
 #: ``marginals(rows, bids)``: the ``(K, M)`` marginal utilities of money
-#: of players ``rows`` at their bid rows ``bids``.
+#: of block rows ``rows`` at their bid rows ``bids``.
 _MarginalRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -95,37 +99,36 @@ class BiddingStrategy(abc.ABC):
 
     def optimize_all(
         self,
-        utilities: Sequence[UtilityFunction],
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
         budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-        evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
-        """Best-respond for every player against fixed ``others`` bids.
+        """Best-respond for a block of players against fixed ``others`` bids.
 
-        Parameters mirror :meth:`optimize` row-wise: ``budgets`` is
-        ``(N,)``, ``others`` is ``(N, M)`` (row ``i`` is the sum of the
-        *other* players' bids as player ``i`` sees them), and
-        ``current_bids`` / ``step_hints`` are the optional ``(N, M)`` /
-        ``(N,)`` warm-start state.  ``evaluator`` is a prebuilt
-        :class:`~repro.utility.batch.BatchedUtilitySet` over
-        ``utilities`` for strategies that evaluate in batches.  Returns
-        the new ``(N, M)`` bid matrix; this default calls
-        :meth:`optimize` row by row.
+        Row ``k`` of the block belongs to ``evaluator``'s player
+        ``players[k]``.  The other parameters mirror :meth:`optimize`
+        row-wise: ``budgets`` is ``(K,)``, ``others`` is ``(K, M)`` (row
+        ``k`` is the sum of the *other* players' bids as that player sees
+        them), and ``current_bids`` / ``step_hints`` are the optional
+        ``(K, M)`` / ``(K,)`` warm-start state.  Returns the new ``(K,
+        M)`` bid matrix; this default calls :meth:`optimize` row by row
+        on ``evaluator.utilities[players[k]]``.
         """
         return np.array(
             [
                 self.optimize(
-                    utility,
-                    float(budgets[i]),
-                    others[i],
+                    evaluator.utilities[player],
+                    float(budgets[k]),
+                    others[k],
                     capacities,
-                    current_bids=None if current_bids is None else current_bids[i],
-                    step_hint=None if step_hints is None else float(step_hints[i]),
+                    current_bids=None if current_bids is None else current_bids[k],
+                    step_hint=None if step_hints is None else float(step_hints[k]),
                 )
-                for i, utility in enumerate(utilities)
+                for k, player in enumerate(players)
             ]
         )
 
@@ -155,27 +158,20 @@ class HillClimbBidder(BiddingStrategy):
 
     Jacobi rounds make players independent within a round (everyone
     best-responds to the same broadcast bids), so :meth:`optimize_all`
-    advances every player's climb in lockstep: each iteration costs one
+    advances every climb of a block in lockstep: each iteration costs one
     ``(K, M)`` batched gradient dispatch serving every still-active
     player, each with its own step size and stop state.  On hinted (warm)
     calls the staleness probe counts as the first iteration, which then
     evaluates only rows the probe did not cover; a warm verification
     round therefore costs one dispatch.  :meth:`optimize` is the same
-    climb for a single row.  Subclasses change the marginal the climb
-    reads through :meth:`_marginal_rule`.
+    climb for a single row over its own one-utility evaluator.
+    Subclasses change the marginal the climb reads through
+    :meth:`_marginal_rule`.
 
     A climb stops when its max and min marginal utilities agree within
-    5% (the paper's tolerance).
-
-    Parameters
-    ----------
-    step_stop_fraction:
-        Stop when the shift amount ``S`` falls below this fraction of the
-        player's budget (paper: 1%).
+    5%, or when its shift amount ``S`` falls below 1% of the player's
+    budget (the paper's tolerances).
     """
-
-    def __init__(self, step_stop_fraction: float = 0.01):
-        self.step_stop_fraction = step_stop_fraction
 
     def optimize(
         self,
@@ -187,7 +183,8 @@ class HillClimbBidder(BiddingStrategy):
         step_hint: float | None = None,
     ) -> np.ndarray:
         return self.optimize_all(
-            [utility],
+            BatchedUtilitySet([utility]),
+            np.zeros(1, dtype=np.intp),
             np.array([budget], dtype=float),
             np.asarray(others, dtype=float)[None, :],
             capacities,
@@ -197,40 +194,41 @@ class HillClimbBidder(BiddingStrategy):
 
     def _marginal_rule(
         self,
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
         budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray],
-        evaluator: BatchedUtilitySet,
     ) -> _MarginalRule:
         """The marginal utility of money the climb equalizes: Equation 7."""
 
         def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
             return marginal_utility_of_bids_batch(
-                bids, others[rows], capacities, evaluator=evaluator, players=rows
+                bids, others[rows], capacities,
+                evaluator=evaluator, players=players[rows],
             )
 
         return marginals
 
     def optimize_all(
         self,
-        utilities: Sequence[UtilityFunction],
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
         budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-        evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
+        players = np.asarray(players, dtype=np.intp)
         budgets = np.asarray(budgets, dtype=float)
         others = np.asarray(others, dtype=float)
         capacities = np.asarray(capacities, dtype=float)
         num_players = budgets.size
         num_resources = capacities.size
-        if evaluator is None:
-            evaluator = BatchedUtilitySet(utilities)
         marginals_at = self._marginal_rule(
-            budgets, others, capacities, current_bids, evaluator
+            evaluator, players, budgets, others, capacities, current_bids
         )
 
         bids = np.zeros((num_players, num_resources))
@@ -243,7 +241,7 @@ class HillClimbBidder(BiddingStrategy):
             return bids
 
         cold_step = budgets / (2.0 * num_resources)
-        min_step = self.step_stop_fraction * budgets
+        min_step = _STEP_STOP_FRACTION * budgets
         step = cold_step.copy()
 
         # Step 1: start from the previous bids when they are reusable
@@ -417,27 +415,28 @@ class PriceTakingBidder(HillClimbBidder):
 
     def optimize_all(
         self,
-        utilities: Sequence[UtilityFunction],
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
         budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-        evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
         bids = super().optimize_all(
-            utilities, budgets, others, capacities, current_bids, None, evaluator
+            evaluator, players, budgets, others, capacities, current_bids, None
         )
         self.last_marginals = self.last_fresh = None
         return bids
 
     def _marginal_rule(
         self,
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
         budgets: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray],
-        evaluator: BatchedUtilitySet,
     ) -> _MarginalRule:
         """``dU/dr / p`` at prices fixed from the previous bids."""
         # Fixed prices from the last broadcast (Equation 1 with the
@@ -452,7 +451,7 @@ class PriceTakingBidder(HillClimbBidder):
         def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
             row_prices = prices[rows]
             allocations = np.minimum(bids / row_prices, capacities)
-            du_dr = evaluator.gradients(allocations, rows)
+            du_dr = evaluator.gradients(allocations, players[rows])
             return np.where(allocations < capacities, du_dr / row_prices, 0.0)
 
         return marginals

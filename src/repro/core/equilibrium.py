@@ -205,12 +205,16 @@ def find_equilibrium(
         before it in the round.  Jacobi is the default and the one used
         in all experiments.
 
-    A Jacobi round is one ``bidder.optimize_all`` call over every
-    player; the default :class:`~repro.core.bidding.HillClimbBidder`
-    advances all climbs in lockstep at one batched gradient dispatch per
-    climb iteration (a warm round's staleness probe is its first), so a
-    warm verification round costs one dispatch and its final lambdas
-    none.  A Gauss–Seidel round calls ``bidder.optimize`` once per player.
+    The search compiles one :class:`~repro.utility.batch.BatchedUtilitySet`
+    over the players' utilities, and every round best-responds through
+    ``bidder.optimize_all`` on row blocks of it: a Jacobi round is one
+    block of every player, a Gauss–Seidel round one one-row block per
+    player.  The default :class:`~repro.core.bidding.HillClimbBidder`
+    advances a block's climbs in lockstep at one batched gradient
+    dispatch per climb iteration (a warm round's staleness probe is its
+    first), so a warm verification round costs one dispatch and its
+    final lambdas none.  The final utilities cost one batched value
+    dispatch.
     """
     if bidder is None:
         bidder = HillClimbBidder()
@@ -218,14 +222,15 @@ def find_equilibrium(
         raise ValueError(f"unknown update mode {update!r}")
 
     capacities = market.capacities
+    budgets = market.budgets
+    everyone = np.arange(market.num_players)
     counters_at_entry = EVAL_COUNTERS.snapshot()
-    utilities_of = [p.utility for p in market.players]
-    evaluator = BatchedUtilitySet(utilities_of)
+    evaluator = BatchedUtilitySet([p.utility for p in market.players])
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False
     if warm_start is not None and warm_start.compatible_with(market):
-        bids = warm_start.bids_for(market.budgets)
+        bids = warm_start.bids_for(budgets)
         last_moves = warm_start.last_moves
         anchor = warm_start.anchor_prices
         warm_started = True
@@ -247,13 +252,13 @@ def find_equilibrium(
         resume = warm_started or iterations > 1
         if update == "jacobi":
             bids = bidder.optimize_all(
-                utilities_of,
-                market.budgets,
+                evaluator,
+                everyone,
+                budgets,
                 totals[None, :] - bids,
                 capacities,
                 current_bids=bids if resume else None,
                 step_hints=last_moves,
-                evaluator=evaluator,
             )
         else:
             # Sequential rounds maintain the per-resource bid totals
@@ -264,16 +269,17 @@ def find_equilibrium(
             # regression test pins the resulting equilibria to the
             # recomputed-sum oracle within 1e-9.
             bids = bids.copy()
-            for i, player in enumerate(market.players):
-                others = totals - bids[i]
-                new_row = bidder.optimize(
-                    player.utility,
-                    player.budget,
-                    others,
+            for i in everyone:
+                row = everyone[i : i + 1]
+                new_row = bidder.optimize_all(
+                    evaluator,
+                    row,
+                    budgets[row],
+                    (totals - bids[i])[None, :],
                     capacities,
-                    current_bids=bids[i] if resume else None,
-                    step_hint=None if last_moves is None else float(last_moves[i]),
-                )
+                    current_bids=bids[row] if resume else None,
+                    step_hints=None if last_moves is None else last_moves[row],
+                )[0]
                 totals += new_row - bids[i]
                 bids[i] = new_row
 
@@ -323,7 +329,7 @@ def find_equilibrium(
     if _sanitize.ACTIVE:
         _sanitize.check_convergence(converged, price_history, price_tolerance)
     state = market.allocate(bids)
-    utilities = market.utilities(state.allocations)
+    utilities = evaluator.values(state.allocations)
     lambdas = _final_lambdas(
         bids, capacities, bidder, evaluator,
         last_moves=last_moves if iterations > 0 else None, damped=damped,
@@ -337,7 +343,7 @@ def find_equilibrium(
         price_history=price_history,
         warm_start=WarmStart(
             bids=bids.copy(),
-            budgets=market.budgets,
+            budgets=budgets,
             prices=prices.copy(),
             last_moves=None if last_moves is None else last_moves.copy(),
             converged=converged,
@@ -369,7 +375,7 @@ def _final_lambdas(
     when the final round's climbs already evaluated marginals at exactly
     these bids.  That requires the bidder's last call to have covered
     every row with *fresh* Equation 7 marginals (:attr:`last_fresh` of
-    length N, all true — never after Gauss–Seidel's one-row calls, and
+    length N, all true — never after Gauss–Seidel's one-row blocks, and
     never for a bidder that exposes no marginals), no bid to have moved
     in the final round (``last_moves`` all zero, so each climb's
     round-start ``others`` equals the final matrix's), and no
@@ -394,7 +400,7 @@ def _final_lambdas(
     else:
         totals = bids.sum(axis=0)
         marginals = marginal_utility_of_bids_batch(
-            bids, totals[None, :] - bids, capacities, evaluator=evaluator
+            bids, totals[None, :] - bids, capacities, evaluator
         )
     # Vectorized player_lambda: max marginal over actively-bid
     # resources, falling back to max(marginals, 0) for all-zero rows.

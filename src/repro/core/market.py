@@ -16,7 +16,6 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from ..utility.base import EVAL_COUNTERS
 from .player import Player, bid_to_allocation
 from .resources import ResourceSet
 
@@ -102,7 +101,6 @@ class Market:
 
     def utilities(self, allocations: np.ndarray) -> np.ndarray:
         """Vector of player utilities for an allocation matrix."""
-        EVAL_COUNTERS.scalar_value_calls += len(self.players)
         return np.array(
             [p.utility_of(allocations[i]) for i, p in enumerate(self.players)]
         )

@@ -16,12 +16,12 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from ..utility.base import EVAL_COUNTERS, UtilityFunction
+from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet
 
 __all__ = [
     "Player",
     "bid_to_allocation",
-    "bid_to_allocation_batch",
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
 ]
@@ -70,6 +70,10 @@ def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarr
     ``r_j = b_j / (b_j + y_j) * C_j``, where ``y_j`` is the sum of the
     other players' bids on resource ``j``.  When nobody bids on a
     resource at all (``b_j + y_j == 0``) the player receives nothing.
+
+    The arithmetic broadcasts over a leading axis: ``(K, M)`` bid rows
+    against ``(K, M)`` or ``(M,)`` others give row ``k`` bitwise equal
+    to the one-row call.
     """
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -78,26 +82,6 @@ def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarr
     if _sanitize.ACTIVE:
         _sanitize.check_player_allocations(allocation, capacities)
     return allocation
-
-
-def bid_to_allocation_batch(
-    bids: np.ndarray, others: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Equation 2 applied to a ``(K, M)`` batch of bid rows at once.
-
-    Row ``k`` of the result equals ``bid_to_allocation(bids[k],
-    others[k], capacities)`` bitwise — the arithmetic is identical, numpy
-    merely broadcasts it over the leading axis.  ``others`` may be
-    ``(K, M)`` (each row's view of the rest of the market, the Jacobi
-    lockstep case) or ``(M,)`` broadcast to all rows.
-    """
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = np.where(total > 0.0, bids / np.where(total > 0.0, total, 1.0), 0.0)
-    allocations = shares * capacities
-    if _sanitize.ACTIVE:
-        _sanitize.check_player_allocations(allocations, capacities)
-    return allocations
 
 
 def marginal_utility_of_bids(
@@ -116,7 +100,6 @@ def marginal_utility_of_bids(
     positive bid, so the marginal value of bidding more is zero.
     """
     allocation = bid_to_allocation(bids, others, capacities)
-    EVAL_COUNTERS.scalar_gradient_calls += 1
     du_dr = np.asarray(utility.gradient(allocation), dtype=float)
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -140,27 +123,18 @@ def marginal_utility_of_bids_batch(
     bids: np.ndarray,
     others: np.ndarray,
     capacities: np.ndarray,
-    *,
-    utility: Optional[UtilityFunction] = None,
-    evaluator=None,
+    evaluator: BatchedUtilitySet,
     players: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Equation 7 marginals for a ``(K, M)`` batch of bid rows.
 
-    Row ``k`` equals ``marginal_utility_of_bids(utility_k, bids[k],
-    others[k], capacities)`` bitwise.  Callers either pass a shared
-    ``utility`` (all rows belong to the same player) or an ``evaluator``
-    — a :class:`~repro.utility.batch.BatchedUtilitySet` — plus the
-    ``players`` row-ownership vector it should evaluate each allocation
-    row under (the multi-player lockstep case).
+    Row ``k`` is evaluated under ``evaluator``'s player ``players[k]``
+    (default: players ``0..K-1``) and equals ``marginal_utility_of_bids(
+    evaluator.utilities[players[k]], bids[k], others[k], capacities)``
+    bitwise.
     """
-    allocations = bid_to_allocation_batch(bids, others, capacities)
-    if evaluator is not None:
-        du_dr = evaluator.gradients(allocations, players)
-    elif utility is not None:
-        du_dr = np.asarray(utility.gradient_batch(allocations), dtype=float)
-    else:
-        raise ValueError("pass either a utility or a batched evaluator")
+    allocations = bid_to_allocation(bids, others, capacities)
+    du_dr = evaluator.gradients(allocations, players)
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
         dr_db = np.where(

@@ -18,6 +18,7 @@ guarantee, is maintained by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -72,8 +73,12 @@ class ReBudgetConfig:
             floor = mbr * self.initial_budget
 
         if self.step is not None:
-            if self.step <= 0:
-                raise MarketConfigurationError("step must be positive")
+            # NaN fails every comparison, so the range is spelled to
+            # reject it along with inf.
+            if not 0.0 < self.step < math.inf:
+                raise MarketConfigurationError(
+                    f"step must be positive and finite, got {self.step}"
+                )
             step = float(self.step)
         elif self.min_envy_freeness is not None:
             mbr = min_mbr_for_envy_freeness(self.min_envy_freeness)

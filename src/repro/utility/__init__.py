@@ -21,7 +21,7 @@ from .functions import (
     SaturatingUtility,
     ScaledUtility,
 )
-from .tabular import GridUtility2D, HullUtility1D, TabularUtility1D, grid_bilinear_batch
+from .tabular import GridUtility2D, HullUtility1D, TabularUtility1D
 
 __all__ = [
     "UtilityFunction",
@@ -31,7 +31,6 @@ __all__ = [
     "numeric_gradient_batch",
     "BatchedUtilitySet",
     "StackedGrids",
-    "grid_bilinear_batch",
     "is_concave_on_grid",
     "is_nondecreasing_on_grid",
     "upper_convex_hull",

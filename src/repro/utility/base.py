@@ -43,29 +43,24 @@ class EvalCounters:
 
     The equilibrium search snapshots these around every run so
     :class:`~repro.core.equilibrium.EquilibriumResult` can report how many
-    Python-level utility evaluations the search cost — benches and
-    profilers read the result instead of monkeypatching the utility
-    classes.  Counting semantics:
+    utility evaluations the search cost — benches and profilers read the
+    result instead of monkeypatching the utility classes.
 
-    * ``scalar_value_calls`` / ``scalar_gradient_calls`` — one per scalar
-      ``value()`` / ``gradient()`` dispatch made through the market seams
-      (``marginal_utility_of_bids``, ``Market.utilities``) or by numeric
-      differentiation, and one per point when a batched entry point has
-      to fall back to the scalar loop.
-    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per
-      *vectorized* dispatch (``value_batch`` / ``gradient_batch`` on a
-      class with a ``_value_batch`` / ``_gradient_batch`` body, or a
-      stacked-grid group evaluation), however many points it covers.
-    * ``batch_points`` — total points covered by those vectorized
-      dispatches.
+    :meth:`BatchedUtilitySet._dispatch
+    <repro.utility.batch.BatchedUtilitySet._dispatch>` is the one place
+    that counts, once per group it dispatches to:
 
-    Increments happen in three places only: the two base-class batched
-    entry points (:meth:`UtilityFunction.value_batch` and
-    :meth:`UtilityFunction.gradient_batch`), the stacked-grid group
-    evaluations (:class:`~repro.utility.batch.StackedGrids`), and the
-    scalar seams (:func:`numeric_gradient`, ``marginal_utility_of_bids``,
-    ``Market.utilities``).
+    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per group
+      with a vectorized body (a stacked-grid group, or a utility with a
+      ``_value_batch`` / ``_gradient_batch`` body), however many rows it
+      covers; nested dispatches inside that body (numeric-gradient
+      probes, the components of a wrapper utility) are not counted again.
+    * ``batch_points`` — rows covered by those vectorized dispatches.
+    * ``scalar_value_calls`` / ``scalar_gradient_calls`` — one per row
+      of a group with no vectorized body, which loops the scalar method.
 
+    Evaluations made outside an evaluator (direct ``value`` /
+    ``value_batch`` calls, scalar reference seams) are not counted.
     Counters are per-process (each :class:`~repro.exec.SweepExecutor`
     worker tallies its own) and are never consulted by the allocation
     logic, so they cannot affect results.
@@ -113,8 +108,9 @@ class EvalCounters:
         return delta
 
 
-#: Process-global tally every seam increments.  A plain attribute-bearing
-#: object (not a dict) so the hot path pays one attribute add per event.
+#: Process-global tally the batched evaluator increments.  A plain
+#: attribute-bearing object (not a dict) so the hot path pays one
+#: attribute add per event.
 EVAL_COUNTERS = EvalCounters()
 
 
@@ -157,39 +153,29 @@ class UtilityFunction(abc.ABC):
 
         Returns a ``(K,)`` vector; point ``k`` equals
         ``value(allocations[k])`` exactly.  This is the one batched entry
-        point: it validates the shape, then either counts one vectorized
-        dispatch and runs :attr:`_value_batch`, or loops the scalar
-        method and counts each point as a scalar evaluation, so batched
-        callers that land on the loop do not under-report their cost.
+        point: it validates the shape, then runs :attr:`_value_batch` or,
+        without one, loops the scalar method.
         """
         points = _as_point_matrix(allocations, self.num_resources)
-        body = self._value_batch
-        if body is None:
-            EVAL_COUNTERS.scalar_value_calls += points.shape[0]
+        if self._value_batch is None:
             return np.array([self.value(p) for p in points], dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        return body(points)
+        return self._value_batch(points)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Per-resource marginals of a ``(K, num_resources)`` batch.
 
         Returns a ``(K, num_resources)`` matrix; row ``k`` equals
-        ``gradient(allocations[k])`` exactly.  Validates and counts like
+        ``gradient(allocations[k])`` exactly.  Validates like
         :meth:`value_batch`; without a :attr:`_gradient_batch` body it
         loops the scalar method, so every subclass — including external
         ones that only implement the scalar interface — is batch-callable.
         """
         points = _as_point_matrix(allocations, self.num_resources)
-        body = self._gradient_batch
-        if body is None:
-            EVAL_COUNTERS.scalar_gradient_calls += points.shape[0]
+        if self._gradient_batch is None:
             if points.shape[0] == 0:
                 return np.zeros_like(points)
             return np.stack([np.asarray(self.gradient(p), dtype=float) for p in points])
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        return body(points)
+        return self._gradient_batch(points)
 
     def __call__(self, allocation: Sequence[float]) -> float:
         return self.value(allocation)
@@ -220,7 +206,6 @@ def numeric_gradient(func, allocation: Sequence[float]) -> np.ndarray:
         step = _GRADIENT_EPS * max(1.0, abs(point[j]))
         lo = point.copy()
         hi = point.copy()
-        EVAL_COUNTERS.scalar_value_calls += 2
         if point[j] - step >= 0.0:
             lo[j] -= step
             hi[j] += step

@@ -22,7 +22,11 @@ dispatches as possible:
 * **Everything else** — one ``gradient_batch`` call per distinct
   utility; utilities without a vectorized body fall back to the
   scalar loop inside :meth:`UtilityFunction.gradient_batch`, so results
-  are always defined (and counted honestly).
+  are always defined.
+
+:meth:`BatchedUtilitySet._dispatch` is the one place that counts utility
+work into :data:`~repro.utility.base.EVAL_COUNTERS`: one call per group
+it dispatches to, never the dispatches nested inside that group's body.
 
 Every group path mirrors the scalar arithmetic operation for operation,
 so batched gradients agree bitwise with per-player scalar gradients —
@@ -37,7 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .base import EVAL_COUNTERS, UtilityFunction, _as_point_matrix, numeric_gradient_batch
-from .tabular import GridUtility2D
+from .tabular import GridUtility2D, _bilinear_points
 
 __all__ = ["BatchedUtilitySet", "StackedGrids"]
 
@@ -58,35 +62,10 @@ class StackedGrids:
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Values of ``points[k]`` under grid ``owners[k]``.
 
-        Mirrors :meth:`GridUtility2D.value` (clamp, clamped-index lookup,
-        four-term bilinear blend) elementwise.  The cell index uses a
-        broadcast count ``sum(axis <= x)`` — exactly
-        ``searchsorted(axis, x, side="right")`` for a sorted axis — since
-        numpy's searchsorted cannot look up a different axis per point.
+        :func:`~repro.utility.tabular._bilinear_points` over the stack,
+        the elementwise mirror of :meth:`GridUtility2D.value`.
         """
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        xs = self.xs[owners]                               # (K, nx)
-        ys = self.ys[owners]                               # (K, ny)
-        xc = np.clip(points[:, 0], xs[:, 0], xs[:, -1])
-        yc = np.clip(points[:, 1], ys[:, 0], ys[:, -1])
-        i = np.clip(np.sum(xs <= xc[:, None], axis=1) - 1, 0, xs.shape[1] - 2)
-        j = np.clip(np.sum(ys <= yc[:, None], axis=1) - 1, 0, ys.shape[1] - 2)
-        span = np.arange(points.shape[0])
-        x0, x1 = xs[span, i], xs[span, i + 1]
-        y0, y1 = ys[span, j], ys[span, j + 1]
-        tx = (xc - x0) / (x1 - x0)
-        ty = (yc - y0) / (y1 - y0)
-        v00 = self.values[owners, i, j]
-        v01 = self.values[owners, i, j + 1]
-        v10 = self.values[owners, i + 1, j]
-        v11 = self.values[owners, i + 1, j + 1]
-        return (
-            v00 * (1 - tx) * (1 - ty)
-            + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v11 * tx * ty
-        )
+        return _bilinear_points(self.xs, self.ys, self.values, points, owners)
 
     def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
@@ -97,8 +76,6 @@ class StackedGrids:
         probes come in ``2M`` blocks of ``K`` rows, so their owners are
         ``owners`` tiled ``2M`` times.
         """
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         probe_owners = np.tile(owners, 2 * points.shape[1])
         return numeric_gradient_batch(
             lambda probes: self.value_points(probes, probe_owners), points
@@ -198,7 +175,12 @@ class BatchedUtilitySet:
     def _dispatch(
         self, allocations: np.ndarray, players: Optional[np.ndarray], gradient: bool
     ) -> np.ndarray:
-        """One vectorized call per group holding any of ``players``."""
+        """One vectorized call per group holding any of ``players``.
+
+        Counts each group once: a group with a vectorized body as one
+        batched call covering its rows, a group that loops the scalar
+        method as one scalar call per row.
+        """
         allocations = _as_point_matrix(allocations, self.num_resources)
         if players is None:
             players = np.arange(allocations.shape[0])
@@ -217,7 +199,20 @@ class BatchedUtilitySet:
             if kind == _STACKED:
                 points = evaluator.gradient_points if gradient else evaluator.value_points
                 out[rows] = points(allocations[rows], self._slot_of[players[rows]])
+                vectorized = True
             else:
                 batch = evaluator.gradient_batch if gradient else evaluator.value_batch
                 out[rows] = batch(allocations[rows])
+                body = evaluator._gradient_batch if gradient else evaluator._value_batch
+                vectorized = body is not None
+            if vectorized:
+                if gradient:
+                    EVAL_COUNTERS.batch_gradient_calls += 1
+                else:
+                    EVAL_COUNTERS.batch_value_calls += 1
+                EVAL_COUNTERS.batch_points += rows.size
+            elif gradient:
+                EVAL_COUNTERS.scalar_gradient_calls += rows.size
+            else:
+                EVAL_COUNTERS.scalar_value_calls += rows.size
         return out

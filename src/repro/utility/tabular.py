@@ -22,7 +22,7 @@ import numpy as np
 from .base import UtilityFunction, numeric_gradient_batch
 from .convex_hull import PiecewiseLinearConcave
 
-__all__ = ["TabularUtility1D", "HullUtility1D", "GridUtility2D", "grid_bilinear_batch"]
+__all__ = ["TabularUtility1D", "HullUtility1D", "GridUtility2D"]
 
 
 class TabularUtility1D(UtilityFunction):
@@ -169,13 +169,16 @@ class GridUtility2D(UtilityFunction):
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         if self.xs.size == 1 and self.ys.size == 1:
             return np.full(points.shape[0], float(self.values[0, 0]))
-        xc = np.clip(points[:, 0], self.xs[0], self.xs[-1])
-        yc = np.clip(points[:, 1], self.ys[0], self.ys[-1])
         if self.xs.size == 1:
+            yc = np.clip(points[:, 1], self.ys[0], self.ys[-1])
             return np.interp(yc, self.ys, self.values[0, :])
         if self.ys.size == 1:
+            xc = np.clip(points[:, 0], self.xs[0], self.xs[-1])
             return np.interp(xc, self.xs, self.values[:, 0])
-        return grid_bilinear_batch(self.xs, self.ys, self.values, xc, yc)
+        owners = np.zeros(points.shape[0], dtype=np.intp)
+        return _bilinear_points(
+            self.xs[None], self.ys[None], self.values[None], points, owners
+        )
 
     def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         # The scalar gradient is the generic numeric differentiator over
@@ -187,28 +190,39 @@ class GridUtility2D(UtilityFunction):
         return f"GridUtility2D({self.xs.size}x{self.ys.size} grid)"
 
 
-def grid_bilinear_batch(
+def _bilinear_points(
     xs: np.ndarray,
     ys: np.ndarray,
     values: np.ndarray,
-    xc: np.ndarray,
-    yc: np.ndarray,
+    points: np.ndarray,
+    owners: np.ndarray,
 ) -> np.ndarray:
-    """Bilinear interpolation of pre-clamped points, vectorized.
+    """Values of ``points[k]`` under grid ``owners[k]``, vectorized.
 
-    This is :meth:`GridUtility2D.value` applied elementwise — identical
-    clamped-index lookups and the identical four-term blend, so results
-    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)``; both
-    axes must have at least two samples.
+    ``xs`` / ``ys`` are ``(G, nx)`` / ``(G, ny)`` per-grid axes with at
+    least two samples each and ``values`` is ``(G, nx, ny)``.  This is
+    :meth:`GridUtility2D.value` applied elementwise — the same clamp,
+    clamped-index lookup and four-term blend — so results agree bitwise
+    with the scalar path.  The cell index is a broadcast count
+    ``sum(axis <= x)``, exactly ``searchsorted(axis, x, side="right")``
+    for a sorted axis, since numpy's searchsorted cannot look up a
+    different axis per point.
     """
-    i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
-    j = np.clip(np.searchsorted(ys, yc, side="right") - 1, 0, ys.size - 2)
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[j], ys[j + 1]
+    xs = xs[owners]                                    # (K, nx)
+    ys = ys[owners]                                    # (K, ny)
+    xc = np.clip(points[:, 0], xs[:, 0], xs[:, -1])
+    yc = np.clip(points[:, 1], ys[:, 0], ys[:, -1])
+    i = np.clip(np.sum(xs <= xc[:, None], axis=1) - 1, 0, xs.shape[1] - 2)
+    j = np.clip(np.sum(ys <= yc[:, None], axis=1) - 1, 0, ys.shape[1] - 2)
+    span = np.arange(points.shape[0])
+    x0, x1 = xs[span, i], xs[span, i + 1]
+    y0, y1 = ys[span, j], ys[span, j + 1]
     tx = (xc - x0) / (x1 - x0)
     ty = (yc - y0) / (y1 - y0)
-    v00, v01 = values[i, j], values[i, j + 1]
-    v10, v11 = values[i + 1, j], values[i + 1, j + 1]
+    v00 = values[owners, i, j]
+    v01 = values[owners, i, j + 1]
+    v10 = values[owners, i + 1, j]
+    v11 = values[owners, i + 1, j + 1]
     return (
         v00 * (1 - tx) * (1 - ty)
         + v10 * tx * (1 - ty)

@@ -122,8 +122,8 @@ def test_each_point_is_evaluated_once_and_bids_match_the_oracle(
     evaluator = BatchedUtilitySet(utilities)
     recorder = Recorder(monkeypatch, evaluator)
     bids = HillClimbBidder().optimize_all(
-        utilities, budgets, others, capacities,
-        current_bids=seed, step_hints=hints, evaluator=evaluator,
+        evaluator, np.arange(len(utilities)), budgets, others, capacities,
+        current_bids=seed, step_hints=hints,
     )
     assert recorder.dispatches and all(d.size for d in recorder.dispatches)
     assert sum(d.size for d in recorder.dispatches) == len(recorder.points)
@@ -224,12 +224,12 @@ def test_array_seed_matches_scalar_warm_start_bids(call, hinted):
     # dispatch) then reveals which rows were hinted, in order.
     evaluator = BatchedUtilitySet(utilities)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bidding_module, "_STEP_STOP_FRACTION", 1.0)
         recorder = Recorder(patch, evaluator)
-        bids = HillClimbBidder(step_stop_fraction=1.0).optimize_all(
-            utilities, budgets, others, capacities,
+        bids = HillClimbBidder().optimize_all(
+            evaluator, np.arange(num_players), budgets, others, capacities,
             current_bids=current_bids,
             step_hints=np.ones(num_players) if hinted else None,
-            evaluator=evaluator,
         )
     assert bids.tobytes() == expected.tobytes()
     probed = [d.tolist() for d in recorder.dispatches]

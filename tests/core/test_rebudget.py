@@ -58,6 +58,16 @@ class TestReBudgetConfig:
         with pytest.raises(MarketConfigurationError):
             ReBudgetConfig(step=1.0, backoff=1.0).resolve()
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_step(self, step):
+        # NaN used to fail deep in the market ("bids must be finite") and
+        # inf to cut a budget straight to the floor; both are rejected
+        # up front, naming the step.
+        with pytest.raises(MarketConfigurationError, match="step must be positive and finite"):
+            ReBudgetConfig(step=step).resolve()
+        with pytest.raises(MarketConfigurationError, match="step must be positive and finite"):
+            run_rebudget(_heterogeneous_market(), ReBudgetConfig(step=step))
+
 
 class TestReBudgetRun:
     def test_cuts_low_lambda_players(self):

@@ -26,7 +26,6 @@ from repro.core import (
     Resource,
     ResourceSet,
     bid_to_allocation,
-    bid_to_allocation_batch,
     find_equilibrium,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
@@ -53,6 +52,14 @@ def scalar_reference(
             step_hint=None if step_hints is None else float(step_hints[i]),
         )
     return out
+
+
+def optimize_all(bidder, utilities, budgets, others, capacities, **warm):
+    """``bidder.optimize_all`` over one block of every player of ``utilities``."""
+    return bidder.optimize_all(
+        BatchedUtilitySet(utilities), np.arange(len(utilities)),
+        budgets, others, capacities, **warm,
+    )
 
 
 @pytest.fixture
@@ -86,7 +93,7 @@ class TestPlayerBatchSeams:
     CAPACITIES = np.array([10.0, 0.0, 5.0])
 
     def test_allocation_batch_matches_scalar(self):
-        batch = bid_to_allocation_batch(self.BIDS, self.OTHERS, self.CAPACITIES)
+        batch = bid_to_allocation(self.BIDS, self.OTHERS, self.CAPACITIES)
         for k in range(self.BIDS.shape[0]):
             expected = bid_to_allocation(
                 self.BIDS[k], self.OTHERS[k], self.CAPACITIES
@@ -95,15 +102,17 @@ class TestPlayerBatchSeams:
 
     def test_allocation_batch_broadcasts_shared_others(self):
         shared = self.OTHERS[0]
-        batch = bid_to_allocation_batch(self.BIDS, shared, self.CAPACITIES)
+        batch = bid_to_allocation(self.BIDS, shared, self.CAPACITIES)
         for k in range(self.BIDS.shape[0]):
             expected = bid_to_allocation(self.BIDS[k], shared, self.CAPACITIES)
             assert np.array_equal(batch[k], expected)
 
     def test_marginal_batch_matches_scalar(self):
         utility = LogUtility([1.0, 0.5, 2.0], [2.0, 1.0, 3.0])
+        rows = self.BIDS.shape[0]
         batch = marginal_utility_of_bids_batch(
-            self.BIDS, self.OTHERS, self.CAPACITIES, utility=utility
+            self.BIDS, self.OTHERS, self.CAPACITIES,
+            BatchedUtilitySet([utility]), np.zeros(rows, dtype=np.intp),
         )
         for k in range(self.BIDS.shape[0]):
             expected = marginal_utility_of_bids(
@@ -111,19 +120,11 @@ class TestPlayerBatchSeams:
             )
             assert np.array_equal(batch[k], expected)
 
-    def test_marginal_batch_requires_an_evaluation_route(self):
-        with pytest.raises(ValueError):
-            marginal_utility_of_bids_batch(
-                self.BIDS, self.OTHERS, self.CAPACITIES
-            )
-
 
 class TestOptimizeAll:
     def test_cold_matches_scalar_bitwise(self, mixed_setup):
         utilities, budgets, others, capacities = mixed_setup
-        bids = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities
-        )
+        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
 
@@ -137,8 +138,8 @@ class TestOptimizeAll:
         seed = cold * rng.uniform(0.9, 1.1, size=cold.shape)
         seed = seed * (budgets / seed.sum(axis=1))[:, None]
         hints = rng.uniform(0.5, 5.0, size=budgets.size)
-        bids = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities,
+        bids = optimize_all(
+            HillClimbBidder(), utilities, budgets, others, capacities,
             current_bids=seed, step_hints=hints,
         )
         expected = scalar_reference(
@@ -152,9 +153,7 @@ class TestOptimizeAll:
         budgets = budgets.copy()
         budgets[1] = 0.0
         budgets[3] = -5.0
-        bids = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities
-        )
+        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
         assert np.all(bids[1] == 0.0) and np.all(bids[3] == 0.0)
@@ -164,22 +163,26 @@ class TestOptimizeAll:
         budgets = np.array([10.0, 0.0, 3.0])
         others = np.array([[5.0], [5.0], [5.0]])
         capacities = np.array([4.0])
-        bids = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities
-        )
+        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
 
     def test_prebuilt_evaluator_gives_same_answer(self, mixed_setup):
+        # A block of rows of the search's evaluator climbs exactly as an
+        # evaluator compiled for those players alone: a scattered
+        # multi-row block (mixed groups) and one-row (Gauss-Seidel) blocks.
         utilities, budgets, others, capacities = mixed_setup
         evaluator = BatchedUtilitySet(utilities)
-        with_eval = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities, evaluator=evaluator
-        )
-        without = HillClimbBidder().optimize_all(
-            utilities, budgets, others, capacities
-        )
-        assert np.array_equal(with_eval, without)
+        for block in ([1, 4, 8, 9], [0], [9]):
+            rows = np.array(block)
+            subset = [utilities[i] for i in block]
+            with_eval = HillClimbBidder().optimize_all(
+                evaluator, rows, budgets[rows], others[rows], capacities
+            )
+            alone = optimize_all(
+                HillClimbBidder(), subset, budgets[rows], others[rows], capacities
+            )
+            assert np.array_equal(with_eval, alone)
 
 
 class TestFindEquilibriumLockstep:
@@ -284,6 +287,26 @@ class TestGaussSeidelIncrementalTotals:
         np.testing.assert_allclose(
             result.state.bids, bids, rtol=0.0, atol=1e-9 * 100.0
         )
+
+
+@pytest.mark.parametrize("update", ["jacobi", "gauss-seidel"])
+def test_search_compiles_one_evaluator(monkeypatch, bbpc_problem, update):
+    """Every round of either update mode best-responds through the one
+    evaluator the search compiles; the final utilities reuse it too."""
+    compiled = []
+    compile_plan = BatchedUtilitySet._compile
+
+    def counting(self):
+        compiled.append(len(self.utilities))
+        compile_plan(self)
+
+    monkeypatch.setattr(BatchedUtilitySet, "_compile", counting)
+    market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
+    result = find_equilibrium(market, update=update)
+    assert result.iterations > 1
+    assert compiled == [market.num_players]
+    assert result.eval_counts["batch_value_calls"] == 1
+    assert result.eval_counts["scalar_calls"] == 0
 
 
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
@@ -413,8 +436,8 @@ def concave_markets(draw):
 def test_single_climb_equals_scalar_oracle(single, oracle, market):
     utilities, budgets, others, capacities, current_bids, step_hints = market
     with np.errstate(divide="ignore", invalid="ignore"):
-        bids = single().optimize_all(
-            utilities, budgets, others, capacities,
+        bids = optimize_all(
+            single(), utilities, budgets, others, capacities,
             current_bids=current_bids, step_hints=step_hints,
         )
         expected = scalar_reference(

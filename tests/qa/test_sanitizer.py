@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.exceptions import SanitizerError
 from repro.qa import sanitize
-from repro.utility import LogUtility, UtilityFunction
+from repro.utility import BatchedUtilitySet, LogUtility, UtilityFunction
 
 
 @pytest.fixture
@@ -279,15 +279,12 @@ class TestEndToEndInjections:
         bids = np.array([[10.0, 10.0], [20.0, 5.0]])
         others = np.array([[5.0, 5.0], [1.0, 9.0]])
         capacities = np.array([10.0, 5.0])
+        evaluator = BatchedUtilitySet([utility, utility])
         with sanitize.enabled():
             with trips("marginal-finite"):
-                marginal_utility_of_bids_batch(
-                    bids, others, capacities, utility=utility
-                )
+                marginal_utility_of_bids_batch(bids, others, capacities, evaluator)
         with sanitize.enabled(False):
-            out = marginal_utility_of_bids_batch(
-                bids, others, capacities, utility=utility
-            )
+            out = marginal_utility_of_bids_batch(bids, others, capacities, evaluator)
         assert np.isnan(out[:, 0]).all()
 
     def test_sub_floor_budget_trips_rebudget(self, small_market, monkeypatch):

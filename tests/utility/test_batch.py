@@ -168,30 +168,20 @@ class OnlyScalar(UtilityFunction):
         return float(np.sqrt(1.0 + r[0]) + np.log1p(r[1]))
 
 
-#: ``EVAL_COUNTERS`` deltas of one ``value_batch`` and one
-#: ``gradient_batch`` call on each case's points, as
+#: ``EVAL_COUNTERS`` fields of one evaluator dispatch, as
 #: (batch_value_calls, batch_gradient_calls, batch_points, scalar_calls).
-#: Grid gradients add one inner value dispatch over their 4K probes;
-#: Additive and Scaled count their nested component/inner dispatches.
 COUNT_FIELDS = ("batch_value_calls", "batch_gradient_calls", "batch_points", "scalar_calls")
-EXPECTED_COUNTS = {
-    "tabular1d": ((1, 0, 7, 0), (0, 1, 7, 0)),
-    "hull1d": ((1, 0, 7, 0), (0, 1, 7, 0)),
-    "grid2d": ((1, 0, 7, 0), (1, 1, 35, 0)),
-    "grid2d-degenerate-x": ((1, 0, 7, 0), (1, 1, 35, 0)),
-    "grid2d-degenerate-y": ((1, 0, 7, 0), (1, 1, 35, 0)),
-    "linear": ((1, 0, 6, 0), (0, 1, 6, 0)),
-    "log": ((1, 0, 6, 0), (0, 1, 6, 0)),
-    "power": ((1, 0, 5, 0), (0, 1, 5, 0)),
-    "cobb-douglas": ((1, 0, 5, 0), (0, 1, 5, 0)),
-    "saturating": ((1, 0, 6, 0), (0, 1, 6, 0)),
-    "additive": ((3, 0, 18, 0), (0, 3, 18, 0)),
-    "scaled": ((2, 0, 12, 0), (0, 2, 12, 0)),
-}
-COUNT_CASES = [
-    pytest.param(*case.values, EXPECTED_COUNTS[case.id], id=case.id)
-    for case in CASES
-]
+
+
+def evaluator_counts(utility, points, method):
+    """Counter deltas of one ``values`` / ``gradients`` call over ``points``
+    on a one-player evaluator."""
+    evaluator = BatchedUtilitySet([utility])
+    owners = np.zeros(points.shape[0], dtype=np.intp)
+    before = EVAL_COUNTERS.snapshot()
+    getattr(evaluator, method)(points, owners)
+    return EVAL_COUNTERS.since(before)
+
 
 FALLBACK_CASE = pytest.param(OnlyScalar, NONNEG_2D, True, id="fallback")
 
@@ -225,10 +215,7 @@ class TestGenericFallback:
         assert_batch_matches(u, NONNEG_2D, exact=True)
 
     def test_fallback_counts_scalar_per_point(self):
-        u = OnlyScalar()
-        before = EVAL_COUNTERS.snapshot()
-        u.value_batch(NONNEG_2D)
-        delta = EVAL_COUNTERS.since(before)
+        delta = evaluator_counts(OnlyScalar(), NONNEG_2D, "values")
         assert delta["scalar_value_calls"] == NONNEG_2D.shape[0]
         assert delta["batch_calls"] == 0
 
@@ -240,25 +227,32 @@ class TestGenericFallback:
 
         u = ValueBodyOnly()
         assert_batch_matches(u, NONNEG_2D, exact=True)
-        before = EVAL_COUNTERS.snapshot()
-        u.value_batch(NONNEG_2D)
-        u.gradient_batch(NONNEG_2D)
-        delta = EVAL_COUNTERS.since(before)
-        assert delta["batch_value_calls"] == 1
-        assert delta["batch_gradient_calls"] == 0
-        assert delta["scalar_gradient_calls"] == NONNEG_2D.shape[0]
+        values = evaluator_counts(u, NONNEG_2D, "values")
+        gradients = evaluator_counts(u, NONNEG_2D, "gradients")
+        assert values["batch_value_calls"] == 1
+        assert values["scalar_calls"] == 0
+        assert gradients["batch_gradient_calls"] == 0
+        assert gradients["scalar_gradient_calls"] == NONNEG_2D.shape[0]
 
-    @pytest.mark.parametrize("factory, points, exact, expected", COUNT_CASES)
-    def test_fast_override_counts_batch_not_scalar(
-        self, factory, points, exact, expected
-    ):
+    @pytest.mark.parametrize("factory, points, exact", CASES)
+    def test_fast_override_counts_batch_not_scalar(self, factory, points, exact):
+        # Every family is one vectorized dispatch covering its rows;
+        # nested dispatches (a grid gradient's probe values, the
+        # components of Additive and Scaled) are not counted again, so
+        # the wrappers count one dispatch, not two or three.
+        k = points.shape[0]
+        for method, want in (("values", (1, 0, k, 0)), ("gradients", (0, 1, k, 0))):
+            delta = evaluator_counts(factory(), points, method)
+            assert tuple(delta[name] for name in COUNT_FIELDS) == want, method
+
+    @pytest.mark.parametrize("factory, points, exact", CASES + [FALLBACK_CASE])
+    def test_direct_batch_calls_count_nothing(self, factory, points, exact):
+        # The evaluator is the one place that counts.
         u = factory()
-        for method, want in zip(("value_batch", "gradient_batch"), expected):
-            before = EVAL_COUNTERS.snapshot()
-            getattr(u, method)(points)
-            delta = EVAL_COUNTERS.since(before)
-            got = tuple(delta[name] for name in COUNT_FIELDS)
-            assert got == want, method
+        before = EVAL_COUNTERS.snapshot()
+        u.value_batch(points)
+        u.gradient_batch(points)
+        assert EVAL_COUNTERS.since(before)["total_calls"] == 0
 
 
 class TestNumericGradientBatch:
@@ -318,7 +312,8 @@ class TestBatchedUtilitySet:
     def test_all_grids_compile_to_one_group(self):
         # 8 same-shape grids with distinct power axes must fuse into a
         # single stacked group: one gradients() call costs exactly one
-        # batched gradient dispatch (plus its inner value dispatch).
+        # batched gradient dispatch, its central-difference probes
+        # included.
         utilities = [make_grid(seed) for seed in range(8)]
         evaluator = BatchedUtilitySet(utilities)
         allocations = np.tile([1.5, 0.8], (8, 1))
@@ -326,9 +321,8 @@ class TestBatchedUtilitySet:
         evaluator.gradients(allocations)
         delta = EVAL_COUNTERS.since(before)
         assert delta["batch_gradient_calls"] == 1
-        assert delta["batch_value_calls"] == 1
-        # K gradient points plus the 4K central-difference probes.
-        assert delta["batch_points"] == 8 + 4 * 8
+        assert delta["batch_value_calls"] == 0
+        assert delta["batch_points"] == 8
         assert delta["scalar_calls"] == 0
 
     def test_mixed_groups_match_per_player_scalar(self):

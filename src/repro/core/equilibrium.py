@@ -205,8 +205,10 @@ def find_equilibrium(
         before it in the round.  Jacobi is the default and the one used
         in all experiments.
 
-    The search compiles one :class:`~repro.utility.batch.BatchedUtilitySet`
-    over the players' utilities, and every round best-responds through
+    The search uses the market's one compiled
+    :class:`~repro.utility.batch.BatchedUtilitySet` (:attr:`Market.evaluator
+    <repro.core.market.Market.evaluator>`, shared with every other search
+    on the same market), and every round best-responds through
     ``bidder.optimize_all`` on row blocks of it: a Jacobi round is one
     block of every player, a Gauss–Seidel round one one-row block per
     player.  The default :class:`~repro.core.bidding.HillClimbBidder`
@@ -225,7 +227,7 @@ def find_equilibrium(
     budgets = market.budgets
     everyone = np.arange(market.num_players)
     counters_at_entry = EVAL_COUNTERS.snapshot()
-    evaluator = BatchedUtilitySet([p.utility for p in market.players])
+    evaluator = market.evaluator
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False

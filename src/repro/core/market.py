@@ -10,12 +10,13 @@ strategies and in the budget-reassignment layer above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
+from ..utility.batch import BatchedUtilitySet
 from .player import Player, bid_to_allocation
 from .resources import ResourceSet
 
@@ -53,6 +54,7 @@ class Market:
                 )
         self.resources = resources
         self.players: List[Player] = list(players)
+        self._evaluator: Optional[BatchedUtilitySet] = None
 
     @property
     def num_players(self) -> int:
@@ -65,6 +67,18 @@ class Market:
     @property
     def capacities(self) -> np.ndarray:
         return self.resources.capacities
+
+    @property
+    def evaluator(self) -> BatchedUtilitySet:
+        """The players' utilities compiled into one batched evaluator.
+
+        Compiled on first use, not at construction, and shared by every
+        search on this market: all rounds of a ReBudget run best-respond
+        through the same compiled plan.
+        """
+        if self._evaluator is None:
+            self._evaluator = BatchedUtilitySet([p.utility for p in self.players])
+        return self._evaluator
 
     @property
     def budgets(self) -> np.ndarray:

@@ -63,6 +63,28 @@ class Player:
         return f"Player({self.name!r}, budget={self.budget})"
 
 
+def _equation_2_and_7(bids, others, capacities):
+    """Equation 2's allocation and Equation 7's ``dr_j/db_j`` from one total.
+
+    ``total > 0`` and its divisor-safe copy are computed once and shared
+    by the allocation ``b_j / (b_j + y_j) * C_j`` and the allocation's
+    bid derivative ``y_j * C_j / (b_j + y_j)^2``.  When nobody bids on a
+    resource the allocation is zero and a first bid captures all of it,
+    a rate taken as ``C_j * _FIRST_BID_RATE``, as is a derivative that
+    overflows.  Broadcasts over a leading row axis.
+    """
+    total = bids + others
+    positive = total > 0.0
+    safe = np.where(positive, total, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        allocation = np.where(positive, bids / safe, 0.0) * capacities
+        dr_db = np.where(positive, others * capacities / safe ** 2, np.inf)
+    dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
+    if _sanitize.ACTIVE:
+        _sanitize.check_player_allocations(allocation, capacities)
+    return allocation, dr_db
+
+
 def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     """Allocation a player receives for ``bids`` given others' bids.
 
@@ -75,13 +97,7 @@ def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarr
     against ``(K, M)`` or ``(M,)`` others give row ``k`` bitwise equal
     to the one-row call.
     """
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = np.where(total > 0.0, bids / np.where(total > 0.0, total, 1.0), 0.0)
-    allocation = shares * capacities
-    if _sanitize.ACTIVE:
-        _sanitize.check_player_allocations(allocation, capacities)
-    return allocation
+    return _equation_2_and_7(bids, others, capacities)[0]
 
 
 def marginal_utility_of_bids(
@@ -99,21 +115,8 @@ def marginal_utility_of_bids(
     When ``y_j == 0`` the player already owns the whole resource for any
     positive bid, so the marginal value of bidding more is zero.
     """
-    allocation = bid_to_allocation(bids, others, capacities)
-    du_dr = np.asarray(utility.gradient(allocation), dtype=float)
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr_db = np.where(
-            total > 0.0,
-            others * capacities / np.where(total > 0.0, total, 1.0) ** 2,
-            # A first bid on an un-bid resource captures all of it; treat
-            # the marginal as the utility slope times full capture rate.
-            np.inf,
-        )
-    # Replace the infinite first-bid marginals with a large finite value
-    # proportional to the utility slope so comparisons stay meaningful.
-    dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
-    marginals = du_dr * dr_db
+    allocation, dr_db = _equation_2_and_7(bids, others, capacities)
+    marginals = np.asarray(utility.gradient(allocation), dtype=float) * dr_db
     if _sanitize.ACTIVE:
         _sanitize.check_marginals(marginals)
     return marginals
@@ -131,19 +134,11 @@ def marginal_utility_of_bids_batch(
     Row ``k`` is evaluated under ``evaluator``'s player ``players[k]``
     (default: players ``0..K-1``) and equals ``marginal_utility_of_bids(
     evaluator.utilities[players[k]], bids[k], others[k], capacities)``
-    bitwise.
+    bitwise.  Both run :func:`_equation_2_and_7`; only the utility
+    gradient differs, here one batched dispatch for every row.
     """
-    allocations = bid_to_allocation(bids, others, capacities)
-    du_dr = evaluator.gradients(allocations, players)
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr_db = np.where(
-            total > 0.0,
-            others * capacities / np.where(total > 0.0, total, 1.0) ** 2,
-            np.inf,
-        )
-    dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
-    marginals = du_dr * dr_db
+    allocation, dr_db = _equation_2_and_7(bids, others, capacities)
+    marginals = evaluator.gradients(allocation, players) * dr_db
     if _sanitize.ACTIVE:
         _sanitize.check_marginals(marginals)
     return marginals

@@ -10,7 +10,7 @@ from .base import (
     numeric_gradient,
     numeric_gradient_batch,
 )
-from .batch import BatchedUtilitySet, StackedGrids
+from .batch import BatchedUtilitySet
 from .convex_hull import PiecewiseLinearConcave, hull_interpolate, upper_convex_hull
 from .functions import (
     AdditiveUtility,
@@ -21,7 +21,7 @@ from .functions import (
     SaturatingUtility,
     ScaledUtility,
 )
-from .tabular import GridUtility2D, HullUtility1D, TabularUtility1D
+from .tabular import GridUtility2D, HullUtility1D, StackedGrids, TabularUtility1D
 
 __all__ = [
     "UtilityFunction",

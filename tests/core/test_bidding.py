@@ -106,6 +106,29 @@ class TestExactBidder:
         )
         assert bids.sum() == pytest.approx(50.0)
 
+    @pytest.mark.parametrize(
+        "seed, start",
+        [
+            ([np.inf, 1.0], None),  # non-finite: the equal split
+            ([-50.0, 60.0], [0.0, 60.0]),  # clamped at 0, then rescaled
+        ],
+    )
+    def test_warm_seed_follows_the_shared_seed_rule(self, seed, start):
+        # A seed is reused only when finite; negative entries are clamped
+        # at 0 before rescaling, so the bids stay non-negative.
+        utility = LogUtility([1.0, 2.0])
+        others = np.array([40.0, 60.0])
+        caps = np.array([10.0, 10.0])
+        bidder = ExactBidder()
+        bids = bidder.optimize(utility, 100.0, others, caps, current_bids=np.array(seed))
+        expected = bidder.optimize(
+            utility, 100.0, others, caps,
+            current_bids=None if start is None else np.array(start),
+        )
+        assert np.all(bids >= 0.0)
+        assert bids.sum() == pytest.approx(100.0)
+        assert np.array_equal(bids, expected)
+
     def test_saturating_utility_stops_buying(self):
         # Once saturated, extra bids add nothing; budget still feasible.
         utility = SaturatingUtility([1.0, 1.0], [1.0, 1.0])

@@ -17,22 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_bidding import ScalarHillClimbBidder, ScalarPriceTakingBidder
+from repro.cmp import ChipModel, cmp_8core
 from repro.core import (
     BiddingStrategy,
     HillClimbBidder,
     Market,
     Player,
     PriceTakingBidder,
+    ReBudgetConfig,
     Resource,
     ResourceSet,
     bid_to_allocation,
     find_equilibrium,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
+    run_rebudget,
 )
 from repro.core import equilibrium as equilibrium_module
 from repro.utility import LinearUtility, LogUtility, PowerUtility, SaturatingUtility
 from repro.utility.batch import BatchedUtilitySet
+from repro.workloads import generate_bundles
 
 
 def scalar_reference(
@@ -307,6 +311,27 @@ def test_search_compiles_one_evaluator(monkeypatch, bbpc_problem, update):
     assert compiled == [market.num_players]
     assert result.eval_counts["batch_value_calls"] == 1
     assert result.eval_counts["scalar_calls"] == 0
+
+
+def test_rebudget_compiles_one_evaluator(monkeypatch):
+    """Every ReBudget round searches the same market, so all rounds
+    share the market's one evaluator; building the market compiles
+    nothing."""
+    bundle = generate_bundles("CPBN", 8, count=1, seed=2016)[0]
+    problem = ChipModel(cmp_8core(), bundle.apps).build_problem()
+    compiled = []
+    compile_plan = BatchedUtilitySet._compile
+
+    def counting(self):
+        compiled.append(len(self.utilities))
+        compile_plan(self)
+
+    monkeypatch.setattr(BatchedUtilitySet, "_compile", counting)
+    market = problem.build_market(np.full(problem.num_players, 100.0))
+    assert compiled == []
+    result = run_rebudget(market, ReBudgetConfig(step=40.0))
+    assert len(result.rounds) > 1
+    assert compiled == [market.num_players]
 
 
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):

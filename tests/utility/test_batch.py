@@ -9,6 +9,8 @@ the exact evaluation-counter deltas of every dispatch.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utility import (
     EVAL_COUNTERS,
@@ -302,6 +304,93 @@ class TestStackedGrids:
             grid = grids[owners[k]]
             assert values[k] == grid.value(points[k])
             assert np.array_equal(gradients[k], grid.gradient(points[k]))
+
+
+@st.composite
+def stacks_and_points(draw):
+    """Same-shape grids whose x / y axes are shared or differ per owner,
+    plus rows of points under random owners.
+
+    Each coordinate is a knot of its owner's axis, an axis end, a point
+    beyond either end, 0.0 or -0.0, a value inside the forward-difference
+    band ``[0, 1e-6)`` or a uniform draw across the axis.
+    """
+    num_grids = draw(st.integers(1, 4))
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+
+    def axes(n, shared):
+        start = draw(st.sampled_from([0.0, -1.0, 0.25]))
+        steps = draw(st.lists(st.floats(0.05, 4.0), min_size=n - 1, max_size=n - 1))
+        base = start + np.concatenate([[0.0], np.cumsum(steps)])
+        # Scaling by 1 + g keeps every owner's axis distinct.
+        return [base if shared else base * (1.0 + g) for g in range(num_grids)]
+
+    xs = axes(nx, draw(st.booleans()))
+    ys = axes(ny, draw(st.booleans()))
+    cell = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-5.0, 5.0)
+    grids = [
+        GridUtility2D(
+            xs[g], ys[g],
+            np.array(draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny),
+        )
+        for g in range(num_grids)
+    ]
+    rows = draw(st.integers(0, 12))
+    owners = np.array(
+        draw(st.lists(st.integers(0, num_grids - 1), min_size=rows, max_size=rows)),
+        dtype=np.intp,
+    )
+
+    def coordinate(axis):
+        special = [0.0, -0.0, 5e-7, axis[0], axis[-1], axis[0] - 1.0, axis[-1] + 1.0]
+        return draw(
+            st.sampled_from(special + list(axis))
+            | st.floats(float(axis[0]) - 0.5, float(axis[-1]) + 0.5)
+        )
+
+    points = np.array(
+        [[coordinate(xs[g]), coordinate(ys[g])] for g in owners], dtype=float
+    ).reshape(rows, 2)
+    return grids, points, owners
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(stacks_and_points())
+@settings(max_examples=300, deadline=None)
+def test_stacked_kernel_is_bitwise_the_scalar_grid(case):
+    """The one bilinear kernel — ``StackedGrids.value_points`` /
+    ``gradient_points`` and ``GridUtility2D.value_batch`` — reproduces
+    per-grid ``value`` / ``gradient`` bit for bit (signed zeros
+    included), on shared and per-owner axes alike."""
+    grids, points, owners = case
+    stack = StackedGrids(grids)
+    values = stack.value_points(points, owners)
+    gradients = stack.gradient_points(points, owners)
+    assert values.shape == (points.shape[0],)
+    assert gradients.shape == points.shape
+    assert _bits(values) == _bits([grids[g].value(p) for g, p in zip(owners, points)])
+    assert _bits(gradients) == _bits(
+        np.reshape([grids[g].gradient(p) for g, p in zip(owners, points)], points.shape)
+    )
+    for g, grid in enumerate(grids):
+        mine = points[owners == g]
+        assert _bits(grid.value_batch(mine)) == _bits([grid.value(p) for p in mine])
+
+
+def test_stacked_axes_shared_only_when_bitwise_equal():
+    """A shared lookup serves only axes that are the same bits; an axis
+    equal up to the sign of a zero stays per-owner."""
+    values = np.arange(6.0).reshape(2, 3)
+    ys = np.array([0.0, 1.0, 2.0])
+    shared = StackedGrids([GridUtility2D([0.0, 1.0], ys, values)] * 2)
+    signed = StackedGrids(
+        [GridUtility2D([0.0, 1.0], ys, values), GridUtility2D([-0.0, 1.0], ys, values)]
+    )
+    assert shared._x.shared and shared._y.shared
+    assert not signed._x.shared and signed._y.shared
 
 
 class TestBatchedUtilitySet:

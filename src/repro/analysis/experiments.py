@@ -92,7 +92,7 @@ def fig2_data() -> Dict[str, Dict[str, np.ndarray]]:
                 for r in regions
             ]
         )
-        hull = convexify_grid(regions, np.array([0.0]), raw[:, None])[:, 0]
+        hull = convexify_grid(regions, np.zeros((1, 1)), raw[None, :, None])[0, :, 0]
         out[name] = {"regions": regions, "raw": raw, "hull": hull}
     return out
 

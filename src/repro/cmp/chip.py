@@ -25,7 +25,7 @@ from .config import CMPConfig
 from .core_model import CoreModel, OperatingPoint
 from .dram import DRAMModel
 from .power import RAPL_QUANTUM_WATTS, DVFSPowerModel
-from .utility_builder import build_true_utility, extra_capacity_for
+from .utility_builder import build_true_utilities, extra_capacity_for
 
 __all__ = ["ChipModel"]
 
@@ -97,10 +97,12 @@ class ChipModel:
         if self.extra_power_capacity <= 0:
             raise MarketConfigurationError("power budget below the free minimums")
         if utilities is None:
-            utilities = [
-                build_true_utility(core, self.config, convexify=convexify)
-                for core in self.cores
-            ]
+            # The cores share the power and DRAM models, so a true grid
+            # depends on the application alone: one grid per app.
+            by_app = {core.app: core for core in self.cores}
+            grids = build_true_utilities(list(by_app.values()), self.config, convexify)
+            grid_of = dict(zip(by_app, grids))
+            utilities = [grid_of[core.app] for core in self.cores]
         caps = np.array(
             [extra_capacity_for(core, self.config) for core in self.cores]
         )

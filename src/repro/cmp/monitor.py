@@ -15,7 +15,7 @@ phase-1 vs phase-2 difference of Section 6.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
 from .core_model import CoreModel
 from .umon import UMONShadowTags
-from .utility_builder import build_utility_from_miss_curve
+from .utility_builder import build_utilities_from_miss_curves
 
-__all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor"]
+__all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor", "estimated_utilities"]
 
 #: Cap on sampled accesses fed to the shadow tags per epoch; real UMON
 #: sees the full stream, but the histogram converges long before this.
@@ -120,10 +120,25 @@ class RuntimeMonitor:
     def estimated_utility(self) -> GridUtility2D:
         """The concave utility the market should bid with this epoch."""
         if self._utility_cache is None:
-            self._utility_cache = build_utility_from_miss_curve(
-                self.core,
-                self.config,
-                self.miss_curve,
-                cpi_estimate=self._cpi_estimate,
-            )
+            estimated_utilities([self])
         return self._utility_cache
+
+
+def estimated_utilities(monitors: Sequence[RuntimeMonitor]) -> List[GridUtility2D]:
+    """Every monitor's :meth:`~RuntimeMonitor.estimated_utility`.
+
+    The monitors must share one chip configuration.  Those with no
+    utility cached since their last epoch are rebuilt in one batch, so
+    their grids are hulled together.
+    """
+    stale = [m for m in monitors if m._utility_cache is None]
+    if stale:
+        grids = build_utilities_from_miss_curves(
+            [m.core for m in stale],
+            stale[0].config,
+            [m.miss_curve for m in stale],
+            [m.cpi_estimate for m in stale],
+        )
+        for monitor, grid in zip(stale, grids):
+            monitor._utility_cache = grid
+    return [m.estimated_utility() for m in monitors]

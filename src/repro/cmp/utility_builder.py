@@ -18,11 +18,11 @@ power" step in Section 6.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..utility.convex_hull import hull_columns
+from ..utility.convex_hull import hull_lines
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
 from .core_model import CoreModel
@@ -31,7 +31,9 @@ __all__ = [
     "POWER_GRID_POINTS",
     "convexify_grid",
     "build_true_utility",
+    "build_true_utilities",
     "build_utility_from_miss_curve",
+    "build_utilities_from_miss_curves",
     "extra_capacity_for",
 ]
 
@@ -54,23 +56,36 @@ def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
 
 
 def convexify_grid(
-    cache_axis: np.ndarray, power_axis: np.ndarray, values: np.ndarray
+    cache_axis: np.ndarray, power_axes: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Hull the grid along both axes until concave along each.
+    """Hull a stack of grids along both axes until each is concave along each.
 
-    Each pass replaces every cache column (power fixed) and every power
-    row (cache fixed) with its upper convex hull evaluated back on the
-    grid.  Hulling can only raise values, and values are bounded by the
-    global maximum, so the iteration converges; in practice two passes
-    suffice (:func:`hull_columns` skips already strictly concave lines),
-    and at most six run.
+    ``values`` is ``(G, C, P)``: ``G`` grids over the shared
+    ``cache_axis`` (``C``) and their own power axes, ``power_axes``
+    ``(G, P)``.  Each pass replaces every cache column (power fixed) and
+    then every power row (cache fixed) of every grid with its upper
+    convex hull evaluated back on the grid, all in one lockstep
+    :func:`~repro.utility.convex_hull.hull_lines` call per axis.
+    Hulling can only raise values, and values are bounded by the global
+    maximum, so the iteration converges; a grid leaves the stack after
+    the first pass that moves no value by more than 1e-12, and at most
+    six passes run.
     """
-    out = values.copy()
+    out = np.array(values, dtype=float)
+    num, cache, power = out.shape
+    power_axes = np.asarray(power_axes, dtype=float)
+    live = np.arange(num)
     for _ in range(_CONVEXIFY_MAX_PASSES):
-        before = out.copy()
-        hull_columns(cache_axis, out)
-        hull_columns(power_axis, out.T)
-        if np.allclose(before, out, rtol=0.0, atol=1e-12):
+        before = out[live]
+        columns = before.transpose(0, 2, 1).reshape(-1, cache)
+        hulled = hull_lines(cache_axis, columns).reshape(live.size, power, cache)
+        rows = hulled.transpose(0, 2, 1).reshape(-1, power)
+        axes = np.repeat(power_axes[live], cache, axis=0)
+        after = hull_lines(axes, rows).reshape(live.size, cache, power)
+        out[live] = after
+        settled = np.isclose(before, after, rtol=0.0, atol=1e-12).all(axis=(1, 2))
+        live = live[~settled]
+        if not live.size:
             break
     return out
 
@@ -88,19 +103,31 @@ def build_true_utility(
     """
     min_cache = float(config.cache_region_bytes)
     monitor_cap = float(config.umon_max_bytes)
-
-    def memory_ns(cache_axis: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                core.app.misses_per_instruction(min(min_cache + c, monitor_cap))
-                * core.memory_latency_ns
-                for c in cache_axis
-            ]
-        )
-
-    return _separable_grid(
-        core, config, core.app.cpi_exe, memory_ns, core.alone_performance_gips, convexify
+    memory_ns = np.array(
+        [
+            core.app.misses_per_instruction(min(min_cache + c, monitor_cap))
+            * core.memory_latency_ns
+            for c in _cache_axis(config)
+        ]
     )
+    power_axis, values = _separable_grid(
+        core, core.app.cpi_exe, memory_ns, core.alone_performance_gips
+    )
+    if convexify:
+        return _convexified(config, [power_axis], [values])[0]
+    return GridUtility2D(_cache_axis(config), power_axis, values)
+
+
+def build_true_utilities(
+    cores: Sequence[CoreModel],
+    config: CMPConfig,
+    convexify: bool = True,
+) -> List[GridUtility2D]:
+    """:func:`build_true_utility` of every core, all grids hulled in one batch."""
+    grids = [build_true_utility(core, config, convexify=False) for core in cores]
+    if not convexify:
+        return grids
+    return _convexified(config, [grid.ys for grid in grids], [grid.values for grid in grids])
 
 
 def build_utility_from_miss_curve(
@@ -117,55 +144,86 @@ def build_utility_from_miss_curve(
     estimates them with Isci-style counters, whose error is small
     relative to MRC sampling noise).  The grid is always convexified.
     """
+    return build_utilities_from_miss_curves([core], config, [miss_curve], [cpi_estimate])[0]
+
+
+def build_utilities_from_miss_curves(
+    cores: Sequence[CoreModel],
+    config: CMPConfig,
+    miss_curves: Sequence[np.ndarray],
+    cpi_estimates: Sequence[Optional[float]],
+) -> List[GridUtility2D]:
+    """:func:`build_utility_from_miss_curve` of every core, hulled in one batch."""
+    grids = [
+        _monitored_grid(core, config, miss_curve, cpi_estimate)
+        for core, miss_curve, cpi_estimate in zip(cores, miss_curves, cpi_estimates)
+    ]
+    return _convexified(config, [power for power, _ in grids], [values for _, values in grids])
+
+
+def _monitored_grid(
+    core: CoreModel,
+    config: CMPConfig,
+    miss_curve: np.ndarray,
+    cpi_estimate: Optional[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw grid :func:`build_utility_from_miss_curve` convexifies."""
     cpi = core.app.cpi_exe if cpi_estimate is None else cpi_estimate
     apki = core.app.apki
     latency = core.memory_latency_ns
     region = config.cache_region_bytes
     max_regions = miss_curve.size
-
-    def memory_ns(cache_axis: np.ndarray) -> np.ndarray:
-        region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
-        miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
-        return apki / 1000.0 * miss * latency
-
+    cache_axis = _cache_axis(config)
+    region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
+    miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
     # Normalize by the *estimated* standalone performance (the paper's
     # monitors never see the true one).
     alone = 1.0 / (
         cpi / config.core.max_frequency_ghz
         + apki / 1000.0 * miss_curve[-1] * latency
     )
-    return _separable_grid(core, config, cpi, memory_ns, alone, convexify=True)
+    return _separable_grid(core, cpi, apki / 1000.0 * miss * latency, alone)
+
+
+def _cache_axis(config: CMPConfig) -> np.ndarray:
+    """One sample per region, from no extra cache up to UMON's limit."""
+    return np.arange(config.umon_max_regions, dtype=float) * config.cache_region_bytes
 
 
 def _separable_grid(
     core: CoreModel,
-    config: CMPConfig,
     cpi: float,
-    memory_ns: Callable[[np.ndarray], np.ndarray],
+    memory_ns: np.ndarray,
     alone: float,
-    convexify: bool,
-) -> GridUtility2D:
-    """The steps both builders share, on the (extra cache x extra power) grid.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw (extra cache x extra power) grid both builders share.
 
-    The cache axis is one sample per region up to the cap; the power
-    axis and its frequencies come from the power model's memoized
-    :meth:`~repro.cmp.power.DVFSPowerModel.power_axis` (one elementwise
-    bisection per activity).  Performance is separable into compute and
-    memory time, ``perf[i, j] = 1 / (cpi / f_j + memory_ns(s)[i])``, so
-    the surface is an outer combination of two 1-D arrays; it is then
-    normalized by the standalone performance ``alone`` and, optionally,
-    convexified.
+    The power axis and its frequencies come from the power model's
+    memoized :meth:`~repro.cmp.power.DVFSPowerModel.power_axis` (one
+    elementwise bisection per activity).  Performance is separable into
+    compute and memory time, ``perf[i, j] = 1 / (cpi / f_j +
+    memory_ns[i])``, so the surface is an outer combination of two 1-D
+    arrays; it is then normalized by the standalone performance
+    ``alone``.  Returns the power axis and the values.
     """
-    cache_cap, _ = extra_capacity_for(core, config)
-    region = config.cache_region_bytes
-    num_regions = int(round(cache_cap / region))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region
     power_axis, frequencies = core.power_model.power_axis(
         core.app.activity, POWER_GRID_POINTS
     )
     compute_ns = cpi / frequencies
-    values = 1.0 / (compute_ns[None, :] + memory_ns(cache_axis)[:, None])
+    values = 1.0 / (compute_ns[None, :] + memory_ns[:, None])
     values /= alone
-    if convexify:
-        values = convexify_grid(cache_axis, power_axis, values)
-    return GridUtility2D(cache_axis, power_axis, values)
+    return power_axis, values
+
+
+def _convexified(
+    config: CMPConfig, power_axes: Sequence[np.ndarray], values: Sequence[np.ndarray]
+) -> List[GridUtility2D]:
+    """Raw grids over the chip's cache axis, hulled by one :func:`convexify_grid` call."""
+    if not values:
+        return []
+    cache_axis = _cache_axis(config)
+    hulled = convexify_grid(cache_axis, np.array(power_axes), np.array(values))
+    return [
+        GridUtility2D(cache_axis, power_axis, grid)
+        for power_axis, grid in zip(power_axes, hulled)
+    ]

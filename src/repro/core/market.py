@@ -10,7 +10,7 @@ strategies and in the budget-reassignment layer above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,12 @@ class MarketState:
 class Market:
     """A proportional-share market over a fixed player and resource set."""
 
-    def __init__(self, resources: ResourceSet, players: Sequence[Player]):
+    def __init__(
+        self,
+        resources: ResourceSet,
+        players: Sequence[Player],
+        compile_evaluator: Optional[Callable[[], BatchedUtilitySet]] = None,
+    ):
         if not players:
             raise MarketConfigurationError("a market needs at least one player")
         for player in players:
@@ -54,6 +59,9 @@ class Market:
                 )
         self.resources = resources
         self.players: List[Player] = list(players)
+        self._compile_evaluator = compile_evaluator or (
+            lambda: BatchedUtilitySet([p.utility for p in self.players])
+        )
         self._evaluator: Optional[BatchedUtilitySet] = None
 
     @property
@@ -74,10 +82,13 @@ class Market:
 
         Compiled on first use, not at construction, and shared by every
         search on this market: all rounds of a ReBudget run best-respond
-        through the same compiled plan.
+        through the same compiled plan.  A market built with
+        ``compile_evaluator`` takes its plan from that callable (an
+        :class:`~repro.core.mechanisms.AllocationProblem` hands out the
+        one it compiled for the same utilities).
         """
         if self._evaluator is None:
-            self._evaluator = BatchedUtilitySet([p.utility for p in self.players])
+            self._evaluator = self._compile_evaluator()
         return self._evaluator
 
     @property

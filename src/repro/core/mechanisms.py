@@ -26,12 +26,14 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, HillClimbBidder
 from .equilibrium import WarmStart, find_equilibrium
 from .market import Market
 from .metrics import (
     efficiency as efficiency_metric,
     envy_freeness,
+    envy_matrix,
     market_budget_range,
     market_utility_range,
 )
@@ -79,6 +81,9 @@ class AllocationProblem:
     player_names: Sequence[str]
     quanta: Optional[np.ndarray] = None
     per_player_caps: Optional[np.ndarray] = None
+    _evaluator: Optional[BatchedUtilitySet] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.capacities = np.asarray(self.capacities, dtype=float)
@@ -109,6 +114,18 @@ class AllocationProblem:
     def num_resources(self) -> int:
         return self.capacities.size
 
+    @property
+    def evaluator(self) -> BatchedUtilitySet:
+        """The players' utilities compiled into one batched evaluator.
+
+        Compiled on first use and shared by every market
+        :meth:`build_market` makes and by the envy scoring of every
+        result, so one allocation compiles one plan.
+        """
+        if self._evaluator is None:
+            self._evaluator = BatchedUtilitySet(self.utilities)
+        return self._evaluator
+
     def build_market(self, budgets: Sequence[float]) -> Market:
         resources = ResourceSet.of(
             *[
@@ -120,7 +137,7 @@ class AllocationProblem:
             Player(name, utility, budget)
             for name, utility, budget in zip(self.player_names, self.utilities, budgets)
         ]
-        return Market(resources, players)
+        return Market(resources, players, compile_evaluator=lambda: self.evaluator)
 
 
 @dataclass
@@ -258,15 +275,15 @@ class AllocationMechanism(abc.ABC):
             )
         if _sanitize.ACTIVE:
             _sanitize.check_allocation(allocations, problem.capacities)
-        utilities = np.array(
-            [u.value(allocations[i]) for i, u in enumerate(problem.utilities)]
-        )
+        matrix = envy_matrix(problem.evaluator, allocations)
+        # U_i(r_i), bitwise ``problem.utilities[i].value(allocations[i])``.
+        utilities = matrix.diagonal().copy()
         return MechanismResult(
             mechanism=self.name,
             allocations=allocations,
             utilities=utilities,
             efficiency=efficiency_metric(utilities),
-            envy_freeness=envy_freeness(problem.utilities, allocations),
+            envy_freeness=envy_freeness(problem.evaluator, allocations, matrix=matrix),
             **extra,
         )
 

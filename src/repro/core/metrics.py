@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,19 +37,24 @@ def efficiency(utilities: Sequence[float]) -> float:
     return float(np.sum(np.asarray(utilities, dtype=float)))
 
 
-def envy_matrix(
-    utilities: Sequence[UtilityFunction], allocations: np.ndarray
-) -> np.ndarray:
+#: The players' utilities, as a list or already compiled.
+_Utilities = Union[Sequence[UtilityFunction], BatchedUtilitySet]
+
+
+def envy_matrix(utilities: _Utilities, allocations: np.ndarray) -> np.ndarray:
     """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
 
     ``allocations`` needs one row per utility.  All N² (player, bundle)
     pairs are scored in one :meth:`BatchedUtilitySet.values` call: one
     stacked-grid dispatch for the same-shape grids of a chip, one
     ``value_batch`` per distinct utility object otherwise.  Both mirror
-    ``value`` bit for bit.
+    ``value`` bit for bit.  An already compiled ``utilities`` (a
+    problem's :attr:`~repro.core.mechanisms.AllocationProblem.evaluator`)
+    is used as it is.
     """
     allocations = np.asarray(allocations, dtype=float)
-    n = len(utilities)
+    compiled = isinstance(utilities, BatchedUtilitySet)
+    n = len(utilities.utilities if compiled else utilities)
     if allocations.ndim != 2 or allocations.shape[0] != n:
         raise MarketConfigurationError(
             f"envy scoring needs one row per utility ({n}), "
@@ -59,11 +64,14 @@ def envy_matrix(
         return np.empty((0, 0))
     players = np.repeat(np.arange(n), n)
     pairs = np.tile(allocations, (n, 1))
-    return BatchedUtilitySet(utilities).values(pairs, players).reshape(n, n)
+    evaluator = utilities if compiled else BatchedUtilitySet(utilities)
+    return evaluator.values(pairs, players).reshape(n, n)
 
 
 def envy_freeness(
-    utilities: Sequence[UtilityFunction], allocations: np.ndarray
+    utilities: _Utilities,
+    allocations: np.ndarray,
+    matrix: Optional[np.ndarray] = None,
 ) -> float:
     """Envy-freeness of an allocation (Definition 3).
 
@@ -75,9 +83,12 @@ def envy_freeness(
     valued at zero impose no constraint (nobody envies a worthless
     bundle).  A non-finite utility anywhere in the envy matrix raises
     :class:`MarketConfigurationError` naming the player, since no ratio
-    involving it means anything.
+    involving it means anything.  A caller that already holds
+    ``envy_matrix(utilities, allocations)`` passes it as ``matrix``, and
+    it is not scored again.
     """
-    matrix = envy_matrix(utilities, allocations)
+    if matrix is None:
+        matrix = envy_matrix(utilities, allocations)
     finite = np.isfinite(matrix)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]

@@ -32,10 +32,10 @@ import numpy as np
 from ..cmp.chip import ChipModel
 from ..cmp.config import CMPConfig
 from ..cmp.futility import FutilityScalingController
-from ..cmp.monitor import RuntimeMonitor
+from ..cmp.monitor import RuntimeMonitor, estimated_utilities
 from ..cmp.talus import TalusController
 from ..cmp.thermal import ThermalModel
-from ..cmp.utility_builder import build_true_utility
+from ..cmp.utility_builder import build_true_utilities, extra_capacity_for
 from ..core.mechanisms import AllocationMechanism, AllocationProblem
 from ..core.metrics import envy_freeness
 from .phases import PhaseTracker
@@ -160,6 +160,10 @@ class ExecutionDrivenSimulator:
         # True (phase-1) utilities per core, built on first use and
         # dropped when a context switch replaces the core's application.
         self._true_utilities: list = [None] * self.num_cores
+        # Per-core constants of the resident application, recomputed
+        # only when a context switch replaces it.
+        self._caps = [extra_capacity_for(core, chip.config) for core in self._cores]
+        self._min_power = [core.min_power_watts() for core in self._cores]
 
     def _build_talus(self, app) -> TalusController:
         region = self.chip.config.cache_region_bytes
@@ -198,6 +202,8 @@ class ExecutionDrivenSimulator:
             self._trackers[i] = PhaseTracker(switch.app)
             self._talus[i] = self._build_talus(switch.app)
             self._true_utilities[i] = None
+            self._caps[i] = extra_capacity_for(self._cores[i], self.chip.config)
+            self._min_power[i] = self._cores[i].min_power_watts()
             # Fresh monitors: the shadow tags know nothing about the
             # incoming application and must re-learn its miss curve.
             monitors[i] = RuntimeMonitor(
@@ -369,8 +375,7 @@ class ExecutionDrivenSimulator:
 
     def _extra_power_capacity(self) -> float:
         """Watts beyond the free minimums of the *current* applications."""
-        free = sum(core.min_power_watts() for core in self._cores)
-        return float(self.chip.config.power_budget_watts - free)
+        return float(self.chip.config.power_budget_watts - sum(self._min_power))
 
     def _warmup(self, monitors, extras, dram_latency) -> None:
         if not self.config.use_monitors:
@@ -383,15 +388,10 @@ class ExecutionDrivenSimulator:
             monitors[i].observe_epoch(perf * self.config.epoch_ms * 1e6)
 
     def _build_problem(self, monitors) -> AllocationProblem:
-        from ..cmp.utility_builder import extra_capacity_for
-
         if self.config.use_monitors:
-            utilities = [m.estimated_utility() for m in monitors]
+            utilities = estimated_utilities(monitors)
         else:
             utilities = self._current_true_utilities()
-        caps = np.array(
-            [extra_capacity_for(core, self.chip.config) for core in self._cores]
-        )
         return AllocationProblem(
             utilities=utilities,
             capacities=np.array(
@@ -405,7 +405,7 @@ class ExecutionDrivenSimulator:
                     POWER_QUANTUM_WATTS,
                 ]
             ),
-            per_player_caps=caps,
+            per_player_caps=np.array(self._caps),
         )
 
     def _score_envy_freeness(self, mean_extras: np.ndarray) -> float:
@@ -417,8 +417,14 @@ class ExecutionDrivenSimulator:
         return envy_freeness(self._current_true_utilities(), mean_extras)
 
     def _current_true_utilities(self) -> list:
-        """The resident applications' true utilities, built once per app."""
-        for i, utility in enumerate(self._true_utilities):
-            if utility is None:
-                self._true_utilities[i] = build_true_utility(self._cores[i], self.chip.config)
+        """The resident applications' true utilities, built once per app.
+
+        Every core without one (all of them at the start, a switched one
+        after a context switch) is built in one batch.
+        """
+        missing = [i for i, utility in enumerate(self._true_utilities) if utility is None]
+        if missing:
+            grids = build_true_utilities([self._cores[i] for i in missing], self.chip.config)
+            for i, grid in zip(missing, grids):
+                self._true_utilities[i] = grid
         return list(self._true_utilities)

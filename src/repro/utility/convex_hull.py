@@ -11,7 +11,9 @@ achievable utility exactly the linear interpolation between the PoIs.
 
 The hull of a set of ``(x, y)`` samples is computed with a monotone-chain
 scan, keeping the points whose incremental slopes are strictly
-decreasing.
+decreasing.  :func:`hull_lines` runs that scan on many lines in
+lockstep, which is how a utility grid's cache columns and power rows
+are hulled together.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "upper_convex_hull", "hull_columns", "hull_interpolate", "PiecewiseLinearConcave"
+    "upper_convex_hull", "hull_lines", "hull_interpolate", "PiecewiseLinearConcave"
 ]
 
 
@@ -43,46 +45,91 @@ def upper_convex_hull(
         raise ValueError("need at least one sample")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly increasing")
-    if xs.size == 1:
-        return xs.copy(), ys.copy()
-
-    idx = np.array(_chain(xs.tolist(), ys.tolist()))
-    return xs[idx], ys[idx]
+    vertex = _lockstep_chain(xs[None, :], ys[None, :])[0]
+    return xs[vertex], ys[vertex]
 
 
-def hull_columns(xs: np.ndarray, lines: np.ndarray) -> None:
-    """Replace each column of ``lines`` (sampled at ``xs``) by its upper hull.
+def hull_lines(xs: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Every row of ``lines`` replaced by its upper hull, at its own knots.
 
-    Columns whose consecutive triples all turn strictly down keep every
-    point in the chain, and ``np.interp`` at its own knots returns them
-    exactly, so one array test finds and skips them.
+    ``lines`` is ``(L, K)``; ``xs`` holds each line's strictly
+    increasing knots, ``(L, K)`` or one shared ``(K,)`` axis.  A hull
+    vertex keeps its own value; every other knot takes ``np.interp``'s
+    value between the two vertices around it, ``slope * (x - xa) + ya``
+    with ``np.interp``'s fallbacks when that is NaN, so each row equals
+    ``np.interp(x, *upper_convex_hull(x, row))`` bit for bit.
     """
-    xa, xb, xc = xs[:-2, None], xs[1:-1, None], xs[2:, None]
-    ya, yb, yc = lines[:-2], lines[1:-1], lines[2:]
-    turning = np.any((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa) >= 0.0, axis=0)
-    knots = xs.tolist()
-    for j in np.flatnonzero(turning):
-        idx = _chain(knots, lines[:, j].tolist())
-        lines[:, j] = np.interp(xs, xs[idx], lines[idx, j])
+    y = np.asarray(lines, dtype=float)
+    num, k = y.shape
+    x = np.broadcast_to(np.asarray(xs, dtype=float), (num, k))
+    out = y.copy()
+    if k < 3:
+        return out
+    vertex = _lockstep_chain(x, y)
+    inner = ~vertex
+    if not inner.any():
+        return out
+    # The vertices around each knot: the first and last knot always are.
+    knots = np.arange(k)
+    prev = np.maximum.accumulate(np.where(vertex, knots, 0), axis=1)[inner]
+    after = np.minimum.accumulate(np.where(vertex, knots, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    after = after[inner]
+    row = np.nonzero(inner)[0]
+    xa, ya = x[row, prev], y[row, prev]
+    xb, yb = x[row, after], y[row, after]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        slope = (yb - ya) / (xb - xa)
+        fit = slope * (x[inner] - xa) + ya
+        nan = np.isnan(fit)
+        if nan.any():
+            back = slope * (x[inner] - xb) + yb
+            back = np.where(np.isnan(back) & (ya == yb), ya, back)
+            fit = np.where(nan, back, fit)
+    out[inner] = fit
+    return out
 
 
-def _chain(xs: list, ys: list) -> list:
-    """Monotone chain over Python floats: the upper-hull vertex indices.
+def _lockstep_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The monotone chain on every row of ``(x, y)`` at once.
 
-    Pops the top ``b`` while it lies (weakly) below the chord from ``a``
-    to the next point ``c``; :func:`hull_columns` vectorizes that test.
+    Returns the ``(L, K)`` mask of each row's upper-hull vertices.  The
+    sequential chain pops the top ``b`` while it lies (weakly) below the
+    chord from the one beneath it, ``a``, to the next point ``c``:
+    ``(xb - xa) * (yc - ya) - (yb - ya) * (xc - xa) >= 0``.  Those
+    triples are fixed by the stack before ``c`` arrives, so the test runs
+    on every adjacent stack pair at once, and ``c`` lands in the slot
+    just above the highest pair that keeps its top.  Stacks are stored
+    depth-major, so every step works on contiguous blocks.
     """
-    stack: list[int] = []
-    for c, (xc, yc) in enumerate(zip(xs, ys)):
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            xa, ya = xs[a], ys[a]
-            if (xs[b] - xa) * (yc - ya) - (ys[b] - ya) * (xc - xa) >= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(c)
-    return stack
+    num, k = y.shape
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    lines = np.arange(num)
+    depth = np.arange(k)[:, None]
+    sx, sy = np.zeros((k, num)), np.zeros((k, num))
+    flat_x, flat_y = sx.reshape(-1), sy.reshape(-1)
+    # The stack slot each knot landed in; the first two land in 0 and 1.
+    slot = np.zeros((k, num), dtype=np.intp)
+    head = min(k, 2)
+    slot[:head], sx[:head], sy[:head] = depth[:head], xt[:head], yt[:head]
+    last = slot[head - 1].copy()
+    # Huge and non-finite samples are valid input: their inf and NaN
+    # intermediates decide the pop test as in scalar code, unwarned.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in range(2, k):
+            xc, yc = xt[c], yt[c]
+            xa, ya = sx[: c - 1], sy[: c - 1]
+            pops = (sx[1:c] - xa) * (yc - ya) - (sy[1:c] - ya) * (xc - xa) >= 0.0
+            # Pair j (slots j, j + 1) is on the stack while j < last, and
+            # keeps its top when it does not pop (False < True).
+            kept = pops < (depth[: c - 1] < last)
+            last = slot[c] = np.where(kept, depth[1:c], 0).max(axis=0) + 1
+            at = last * num + lines
+            flat_x[at], flat_y[at] = xc, yc
+    # A knot stays on its stack unless a later knot lands at or below it.
+    later = np.minimum.accumulate(slot[:0:-1], axis=0)[::-1]
+    vertex = np.ones((k, num), dtype=bool)
+    vertex[:-1] = slot[:-1] < later
+    return vertex.T
 
 
 def hull_interpolate(

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cmp import MB, ChipModel, cmp_8core
+from repro.cmp import MB, ChipModel, cmp_8core, cmp_64core
 from repro.cmp.spec_suite import app_by_name
+from repro.cmp.utility_builder import build_true_utility
 from repro.exceptions import MarketConfigurationError
-from repro.workloads import paper_bbpc_bundle
+from repro.workloads import BUNDLE_CATEGORIES, generate_bundles, paper_bbpc_bundle
 
 
 class TestChipModel:
@@ -51,6 +52,26 @@ class TestBuildProblem:
         utilities = [LogUtility([1.0, 1.0])] * 8
         problem = bbpc_chip.build_problem(utilities=utilities)
         assert problem.utilities[0] is utilities[0]
+
+
+def _grid_bits(grid):
+    return grid.xs.tobytes() + grid.ys.tobytes() + grid.values.tobytes()
+
+
+@pytest.mark.parametrize("category", BUNDLE_CATEGORIES)
+@pytest.mark.parametrize("convexify", [True, False])
+def test_64core_problem_has_one_true_grid_per_app(category, convexify):
+    """Each core's grid equals its own build bitwise, and every core
+    running an application shares that application's one grid."""
+    config = cmp_64core()
+    chip = ChipModel(config, generate_bundles(category, 64, count=1, seed=2016)[0].apps)
+    problem = chip.build_problem(convexify=convexify)
+    by_app = {}
+    for core, grid in zip(chip.cores, problem.utilities):
+        assert grid is by_app.setdefault(core.app, grid)
+        own = build_true_utility(core, config, convexify=convexify)
+        assert _grid_bits(grid) == _grid_bits(own)
+    assert len({id(grid) for grid in problem.utilities}) == len(set(chip.apps)) < 64
 
 
 class TestOperatingPoints:

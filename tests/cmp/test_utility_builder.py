@@ -75,11 +75,16 @@ def _bits(array):
     return np.asarray(array, dtype=float).tobytes()
 
 
+def _convexify_one(cache_axis, power_axis, values):
+    """:func:`convexify_grid` on a stack of one grid."""
+    return convexify_grid(cache_axis, power_axis[None, :], values[None])[0]
+
+
 @given(_grids())
 @settings(max_examples=200, deadline=None)
 def test_convexify_equals_hull_every_line_oracle_bitwise(grid):
     xs, ys, values = grid
-    assert _bits(convexify_grid(xs, ys, values)) == _bits(
+    assert _bits(_convexify_one(xs, ys, values)) == _bits(
         _reference_convexify(xs, ys, values)
     )
 
@@ -87,9 +92,67 @@ def test_convexify_equals_hull_every_line_oracle_bitwise(grid):
 @pytest.mark.parametrize("app", ["mcf", "vpr", "libquantum", "gcc"])
 def test_convexify_equals_oracle_on_raw_true_grids(cfg, app):
     raw = build_true_utility(CoreModel(app_by_name(app), cfg), cfg, convexify=False)
-    assert _bits(convexify_grid(raw.xs, raw.ys, raw.values)) == _bits(
+    assert _bits(_convexify_one(raw.xs, raw.ys, raw.values)) == _bits(
         _reference_convexify(raw.xs, raw.ys, raw.values)
     )
+
+
+def _passes(cache_axis, power_axis, values):
+    """How many hull passes the oracle runs on one grid."""
+    out = values.copy()
+    for passes in range(1, 7):
+        before = out.copy()
+        out = _reference_convexify(cache_axis, power_axis, out, max_passes=1)
+        if np.allclose(before, out, rtol=0.0, atol=1e-12):
+            return passes
+    return 6
+
+
+@st.composite
+def _grid_stacks(draw):
+    """G grids over one cache axis, each with its own power axis.
+
+    Cells mix concave, cliffy, flat and NaN values, so the grids settle
+    after different numbers of passes (NaN grids never settle and run
+    all six).
+    """
+    count = draw(st.integers(1, 5))
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.sampled_from([0.0, 1.0, 0.5, 2.0, np.nan]) | st.floats(-5.0, 5.0)
+    cache_axis = draw(_axis(nx))
+    power_axes = np.array([draw(_axis(ny)) for _ in range(count)])
+    values = draw(
+        st.lists(cell, min_size=count * nx * ny, max_size=count * nx * ny)
+    )
+    return cache_axis, power_axes, np.array(values).reshape(count, nx, ny)
+
+
+@given(_grid_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stack_equals_oracle_per_grid_bitwise(stack):
+    cache_axis, power_axes, values = stack
+    expected = [
+        _reference_convexify(cache_axis, power, grid)
+        for power, grid in zip(power_axes, values)
+    ]
+    assert _bits(convexify_grid(cache_axis, power_axes, values)) == _bits(expected)
+
+
+def test_stack_grids_run_their_own_pass_counts():
+    """A grid that settles early leaves the stack, so grids that need
+    one, several or all six passes still each equal the oracle."""
+    xs = np.arange(5.0)
+    ys = np.array([0.0, 1.0, 2.5])
+    concave = np.sqrt(xs[:, None] + 1.0) + np.sqrt(ys[None, :] + 1.0)
+    cliff = np.where(xs[:, None] >= 3.0, 1.0, 0.1) * (1.0 + ys[None, :] ** 2)
+    nan = cliff.copy()
+    nan[2, 1] = np.nan
+    values = np.array([concave, cliff, nan])
+    power_axes = np.array([ys, ys * 2.0, ys + 1.0])
+    counts = [_passes(xs, p, v) for p, v in zip(power_axes, values)]
+    assert counts[0] == 1 and counts[1] > 1 and counts[2] == 6
+    expected = [_reference_convexify(xs, p, v) for p, v in zip(power_axes, values)]
+    assert _bits(convexify_grid(xs, power_axes, values)) == _bits(expected)
 
 
 def _axis_concave(values, axis):
@@ -113,7 +176,7 @@ class TestConvexifyGrid:
         xs = np.arange(5.0)
         ys = np.arange(3.0)
         vals = np.sqrt(xs[:, None] + 1.0) + np.sqrt(ys[None, :] + 1.0)
-        once = convexify_grid(xs, ys, vals)
+        once = _convexify_one(xs, ys, vals)
         np.testing.assert_allclose(once, vals, atol=1e-9)
 
 

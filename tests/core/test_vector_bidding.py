@@ -11,6 +11,8 @@ price-taking marginal.  The same holds end-to-end through
 ``climb_reference`` fixture.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from reference_bidding import ScalarHillClimbBidder, ScalarPriceTakingBidder
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import (
     BiddingStrategy,
+    EqualBudget,
     HillClimbBidder,
     Market,
     Player,
@@ -297,6 +300,8 @@ class TestGaussSeidelIncrementalTotals:
 def test_search_compiles_one_evaluator(monkeypatch, bbpc_problem, update):
     """Every round of either update mode best-responds through the one
     evaluator the search compiles; the final utilities reuse it too."""
+    # A copy of the shared problem, so no earlier test compiled its plan.
+    problem = dataclasses.replace(bbpc_problem)
     compiled = []
     compile_plan = BatchedUtilitySet._compile
 
@@ -305,7 +310,7 @@ def test_search_compiles_one_evaluator(monkeypatch, bbpc_problem, update):
         compile_plan(self)
 
     monkeypatch.setattr(BatchedUtilitySet, "_compile", counting)
-    market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
+    market = problem.build_market(np.full(bbpc_problem.num_players, 100.0))
     result = find_equilibrium(market, update=update)
     assert result.iterations > 1
     assert compiled == [market.num_players]
@@ -332,6 +337,26 @@ def test_rebudget_compiles_one_evaluator(monkeypatch):
     result = run_rebudget(market, ReBudgetConfig(step=40.0))
     assert len(result.rounds) > 1
     assert compiled == [market.num_players]
+
+
+def test_allocation_compiles_one_evaluator(monkeypatch):
+    """The market's search and the result's envy scoring share the
+    problem's one evaluator, and each player's own utility is the envy
+    matrix's diagonal, bitwise its scalar ``value``."""
+    bundle = generate_bundles("CPBN", 8, count=1, seed=2016)[0]
+    problem = ChipModel(cmp_8core(), bundle.apps).build_problem()
+    compiled = []
+    compile_plan = BatchedUtilitySet._compile
+
+    def counting(self):
+        compiled.append(len(self.utilities))
+        compile_plan(self)
+
+    monkeypatch.setattr(BatchedUtilitySet, "_compile", counting)
+    result = EqualBudget().allocate(problem)
+    assert compiled == [problem.num_players]
+    own = [u.value(r) for u, r in zip(problem.utilities, result.allocations)]
+    assert result.utilities.tobytes() == np.array(own).tobytes()
 
 
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):

@@ -48,12 +48,12 @@ class TestTrueUtilityCache:
 
         built = []
 
-        def counting(core, *args, **kwargs):
-            built.append(core.app.name)
-            return real(core, *args, **kwargs)
+        def counting(cores, *args, **kwargs):
+            built.extend(core.app.name for core in cores)
+            return real(cores, *args, **kwargs)
 
-        real = engine.build_true_utility
-        monkeypatch.setattr(engine, "build_true_utility", counting)
+        real = engine.build_true_utilities
+        monkeypatch.setattr(engine, "build_true_utilities", counting)
         cfg = SimulationConfig(duration_ms=6.0, seed=1, **config)
         ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
         return built

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.utility.convex_hull import (
     PiecewiseLinearConcave,
-    hull_columns,
     hull_interpolate,
+    hull_lines,
     upper_convex_hull,
 )
 
@@ -103,42 +103,98 @@ class TestUpperConvexHull:
         assert vm >= (v1 + v2) / 2.0 - 1e-9
 
 
-class TestHullColumns:
-    @given(
+def _oracle_chain(xs, ys):
+    """The sequential monotone chain on Python floats: hull vertex indices."""
+    stack = []
+    for c in range(len(xs)):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            xa, ya = xs[a], ys[a]
+            if (xs[b] - xa) * (ys[c] - ya) - (ys[b] - ya) * (xs[c] - xa) >= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(c)
+    return stack
+
+
+def _oracle_lines(xs, lines):
+    """Each line's hull, one sequential chain and ``np.interp`` per line."""
+    out = []
+    for x, y in zip(xs, lines):
+        idx = _oracle_chain(x.tolist(), y.tolist())
+        out.append(np.interp(x, x[idx], y[idx]))
+    return np.array(out).reshape(lines.shape)
+
+
+_CELLS = st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, -0.0, np.nan]) | st.floats(
+    min_value=-10.0, max_value=10.0
+)
+
+
+@st.composite
+def _line_sets(draw, min_knots=1, max_knots=9):
+    """Lines of one length, on a shared axis or on an axis each."""
+    num = draw(st.integers(1, 6))
+    knots = draw(st.integers(min_knots, max_knots))
+    steps = st.floats(min_value=0.01, max_value=5.0)
+    shared = draw(st.booleans())
+    axes = draw(
         st.lists(
-            st.lists(
-                st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, np.nan])
-                | st.floats(min_value=-10.0, max_value=10.0),
-                min_size=6,
-                max_size=6,
-            ),
-            min_size=1,
-            max_size=5,
+            st.lists(steps, min_size=knots, max_size=knots),
+            min_size=1 if shared else num,
+            max_size=1 if shared else num,
         )
     )
+    xs = np.cumsum(np.array(axes), axis=1)
+    values = draw(st.lists(_CELLS, min_size=num * knots, max_size=num * knots))
+    lines = np.array(values).reshape(num, knots)
+    return (xs[0] if shared else xs), lines
+
+
+class TestHullLines:
+    @given(_line_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sequential_chain_bitwise(self, line_set):
+        xs, lines = line_set
+        expected = _oracle_lines(np.broadcast_to(xs, lines.shape), lines)
+        assert hull_lines(xs, lines).tobytes() == expected.tobytes()
+
+    @given(_line_sets(min_knots=1, max_knots=2))
+    @settings(max_examples=100, deadline=None)
+    def test_one_and_two_knot_lines_equal_the_chain(self, line_set):
+        xs, lines = line_set
+        expected = _oracle_lines(np.broadcast_to(xs, lines.shape), lines)
+        assert hull_lines(xs, lines).tobytes() == expected.tobytes()
+        assert expected.tobytes() == lines.tobytes()
+
+    @given(_curves(min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_equals_hull_of_every_column_bitwise(self, rows):
-        xs = np.array([0.0, 0.5, 1.5, 2.0, 3.25, 7.0])
-        lines = np.array(rows).T  # one line per column
-        expected = np.column_stack(
-            [np.interp(xs, *upper_convex_hull(xs, col)) for col in lines.T]
-        )
-        hull_columns(xs, lines)
-        assert lines.tobytes() == expected.tobytes()
+    def test_vertices_equal_the_chain(self, curve):
+        xs, ys = curve
+        idx = _oracle_chain(xs.tolist(), ys.tolist())
+        hx, hy = upper_convex_hull(xs, ys)
+        assert hx.tobytes() == xs[idx].tobytes()
+        assert hy.tobytes() == ys[idx].tobytes()
 
-    def test_raises_dips_and_keeps_concave_columns(self):
+    def test_collinear_points_are_dropped(self):
+        hx, hy = upper_convex_hull([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+        assert hx.tolist() == [0.0, 3.0]
+        assert hy.tolist() == [0.0, 3.0]
+
+    def test_raises_dips_and_keeps_concave_lines(self):
         xs = np.arange(4.0)
-        lines = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [1.75, 3.0]])
-        hull_columns(xs, lines)
-        np.testing.assert_array_equal(lines[:, 0], [0.0, 1.0, 1.5, 1.75])
-        np.testing.assert_array_equal(lines[:, 1], [0.0, 1.0, 2.0, 3.0])
+        lines = np.array([[0.0, 1.0, 1.5, 1.75], [0.0, 0.0, 0.0, 3.0]])
+        out = hull_lines(xs, lines)
+        np.testing.assert_array_equal(out[0], [0.0, 1.0, 1.5, 1.75])
+        np.testing.assert_array_equal(out[1], [0.0, 1.0, 2.0, 3.0])
 
-    def test_short_columns_are_left_alone(self):
+    def test_short_lines_are_left_alone(self):
         for n in (1, 2):
-            lines = np.arange(3.0 * n).reshape(n, 3)
-            before = lines.copy()
-            hull_columns(np.arange(float(n)), lines)
-            np.testing.assert_array_equal(lines, before)
+            lines = np.arange(3.0 * n).reshape(3, n)
+            out = hull_lines(np.arange(float(n)), lines)
+            np.testing.assert_array_equal(out, lines)
+            assert out is not lines
 
 
 class TestHullInterpolate:

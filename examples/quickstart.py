@@ -10,13 +10,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import (
-    EqualBudget,
-    Market,
+    AllocationProblem,
     MaxEfficiency,
-    Player,
     ReBudgetConfig,
-    Resource,
-    ResourceSet,
     ef_lower_bound,
     envy_freeness,
     find_equilibrium,
@@ -28,18 +24,21 @@ from repro.utility import LogUtility, SaturatingUtility
 
 
 def main() -> None:
-    # Two divisible resources: 10 units of "cache", 5 units of "power".
-    resources = ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0))
-
-    # Three players with different appetites.  The third saturates
-    # quickly — it cannot use much, so its marginal utility of money
-    # (lambda) will be low and ReBudget will cut its budget.
-    players = [
-        Player("cache-hungry", LogUtility([2.0, 0.3], [1.0, 1.0]), budget=100.0),
-        Player("power-hungry", LogUtility([0.3, 2.0], [1.0, 1.0]), budget=100.0),
-        Player("content", SaturatingUtility([0.2, 0.2], [0.5, 0.5]), budget=100.0),
-    ]
-    market = Market(resources, players)
+    # Three players with different appetites over two divisible
+    # resources: 10 units of "cache", 5 units of "power".  The third
+    # saturates quickly — it cannot use much, so its marginal utility of
+    # money (lambda) will be low and ReBudget will cut its budget.
+    problem = AllocationProblem(
+        utilities=[
+            LogUtility([2.0, 0.3], [1.0, 1.0]),
+            LogUtility([0.3, 2.0], [1.0, 1.0]),
+            SaturatingUtility([0.2, 0.2], [0.5, 0.5]),
+        ],
+        capacities=[10.0, 5.0],
+        resource_names=["cache", "power"],
+        player_names=["cache-hungry", "power-hungry", "content"],
+    )
+    market = problem.build_market([100.0] * problem.num_players)
 
     # --- Market equilibrium (the iterative bidding-pricing loop) ------
     eq = find_equilibrium(market)
@@ -49,7 +48,7 @@ def main() -> None:
     print(f"efficiency:  {eq.efficiency:.3f}")
 
     mur = market_utility_range(eq.lambdas)
-    ef = envy_freeness([p.utility for p in players], eq.state.allocations)
+    ef = envy_freeness(problem.utilities, eq.state.allocations)
     print(f"MUR = {mur:.3f}  ->  PoA >= {poa_lower_bound(mur):.3f}  (Theorem 1)")
     print(f"MBR = 1.000  ->  EF >= {ef_lower_bound(1.0):.3f}; realized EF = {ef:.3f}")
 
@@ -61,23 +60,10 @@ def main() -> None:
     print(f"MBR = {rebudget.mbr:.3f} -> guaranteed EF >= {rebudget.guaranteed_envy_freeness:.3f}")
 
     # --- Reference: the welfare-maximizing allocation ------------------
-    problem = _as_problem(market)
     opt = MaxEfficiency().allocate(problem)
     print(f"\nMaxEfficiency reference: {opt.efficiency:.3f}")
     print(f"realized eff/OPT: equal-budget {eq.efficiency / opt.efficiency:.3f}, "
           f"ReBudget-40 {rebudget.efficiency / opt.efficiency:.3f}")
-
-
-def _as_problem(market):
-    from repro.core import AllocationProblem
-
-    return AllocationProblem(
-        utilities=[p.utility for p in market.players],
-        capacities=market.capacities,
-        resource_names=list(market.resources.names),
-        player_names=[p.name for p in market.players],
-        quanta=market.capacities / 256.0,
-    )
 
 
 if __name__ == "__main__":

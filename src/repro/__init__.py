@@ -32,11 +32,8 @@ from .core import (
     EqualShare,
     Market,
     MaxEfficiency,
-    Player,
     ReBudgetConfig,
     ReBudgetMechanism,
-    Resource,
-    ResourceSet,
     ef_lower_bound,
     envy_freeness,
     find_equilibrium,
@@ -58,9 +55,6 @@ __all__ = [
     "sim",
     "analysis",
     "Market",
-    "Player",
-    "Resource",
-    "ResourceSet",
     "find_equilibrium",
     "run_rebudget",
     "ReBudgetConfig",

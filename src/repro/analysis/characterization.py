@@ -55,8 +55,8 @@ def characterize_app(app: AppProfile, config: Optional[CMPConfig] = None) -> App
     )
 
 
-def _characterize_cell(spec, seed_seq) -> AppCharacterization:
-    """Executor cell: profile one application (deterministic, seed unused)."""
+def _characterize_cell(spec) -> AppCharacterization:
+    """Executor cell: profile one application (deterministic)."""
     app, config = spec
     return characterize_app(app, config)
 

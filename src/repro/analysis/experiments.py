@@ -282,13 +282,11 @@ def _cached_problem(token, config: CMPConfig, bundle: Bundle):
     return problem
 
 
-def _analytic_cell(spec, seed_seq: np.random.SeedSequence):
+def _analytic_cell(spec):
     """Score one (bundle, mechanism) cell; runs inside a sweep worker.
 
-    The analytic pipeline is fully deterministic (the bidder and the
-    greedy optimum use no randomness), so the executor-provided seed is
-    unused; it is part of the cell signature so stochastic cells can be
-    added without changing the executor contract.
+    The analytic pipeline is fully deterministic: the bidder and the
+    greedy optimum use no randomness.
     """
     token, config, bundle, mechanism = spec
     problem = _cached_problem(token, config, bundle)
@@ -403,9 +401,7 @@ def run_analytic_sweep(
     specs, labels, lineup = _line_up(
         bundles, mechanisms_factory, lambda bundle, mech: (token, config, bundle, mech)
     )
-    executor = SweepExecutor(
-        workers=workers, seed=seed, progress=_progress_adapter(progress)
-    )
+    executor = SweepExecutor(workers=workers, progress=_progress_adapter(progress))
     complete, failures = _collate(
         executor.run(_analytic_cell, specs, labels=labels), lineup
     )
@@ -449,7 +445,7 @@ class SimulationSweepResult(List[SimulationScore]):
         self.failures: List[SweepFailure] = list(failures or [])
 
 
-def _simulation_cell(spec, seed_seq: np.random.SeedSequence):
+def _simulation_cell(spec):
     """Simulate one (bundle, mechanism) cell; runs inside a sweep worker."""
     config, bundle, mechanism, sim_config = spec
     chip = ChipModel(config, bundle.apps)
@@ -494,9 +490,7 @@ def run_simulation_experiment(
         mechanisms_factory,
         lambda bundle, mech: (config, bundle, mech, sim_config),
     )
-    executor = SweepExecutor(
-        workers=workers, seed=seed, progress=_progress_adapter(progress)
-    )
+    executor = SweepExecutor(workers=workers, progress=_progress_adapter(progress))
     complete, failures = _collate(
         executor.run(_simulation_cell, specs, labels=labels), lineup
     )

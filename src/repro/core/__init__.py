@@ -33,13 +33,11 @@ from .metrics import (
 )
 from .optimum import GreedyOptimum, max_efficiency_allocation
 from .player import (
-    Player,
     bid_to_allocation,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
 )
 from .rebudget import ReBudgetConfig, ReBudgetResult, ReBudgetRound, run_rebudget
-from .resources import Resource, ResourceSet
 from .theory import (
     check_theorem1,
     check_theorem2,
@@ -53,9 +51,6 @@ from .theory import (
 )
 
 __all__ = [
-    "Resource",
-    "ResourceSet",
-    "Player",
     "bid_to_allocation",
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",

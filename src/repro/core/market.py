@@ -10,15 +10,16 @@ strategies and in the budget-reassignment layer above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.batch import BatchedUtilitySet
-from .player import Player, bid_to_allocation
-from .resources import ResourceSet
+
+if TYPE_CHECKING:
+    from .mechanisms import AllocationProblem
 
 __all__ = ["Market", "MarketState"]
 
@@ -41,59 +42,76 @@ class MarketState:
 
 
 class Market:
-    """A proportional-share market over a fixed player and resource set."""
+    """A proportional-share market: an allocation problem plus budgets.
 
-    def __init__(
-        self,
-        resources: ResourceSet,
-        players: Sequence[Player],
-        compile_evaluator: Optional[Callable[[], BatchedUtilitySet]] = None,
-    ):
-        if not players:
-            raise MarketConfigurationError("a market needs at least one player")
-        for player in players:
-            if player.utility.num_resources != len(resources):
+    ``problem`` supplies the players' utilities, the resource names and
+    capacities ``C``, and the compiled evaluator; the market adds one
+    budget ``B_i`` per player.  A market prices every resource, so it
+    rejects the problems an :class:`~repro.core.mechanisms.AllocationProblem`
+    admits but a market cannot clear: no resources, duplicate resource
+    names, a zero capacity, or a utility over a different resource count.
+    """
+
+    def __init__(self, problem: "AllocationProblem", budgets: Sequence[float]):
+        names = list(problem.resource_names)
+        if not names:
+            raise MarketConfigurationError("a market needs at least one resource")
+        if len(set(names)) != len(names):
+            raise MarketConfigurationError(f"duplicate resource names: {names}")
+        for name, capacity in zip(names, problem.capacities):
+            if capacity <= 0.0:
                 raise MarketConfigurationError(
-                    f"player {player.name!r} utility covers "
-                    f"{player.utility.num_resources} resources, market has {len(resources)}"
+                    f"resource {name!r} must have positive capacity, got {capacity}"
                 )
-        self.resources = resources
-        self.players: List[Player] = list(players)
-        self._compile_evaluator = compile_evaluator or (
-            lambda: BatchedUtilitySet([p.utility for p in self.players])
-        )
-        self._evaluator: Optional[BatchedUtilitySet] = None
+        for name, utility in zip(problem.player_names, problem.utilities):
+            if utility.num_resources != len(names):
+                raise MarketConfigurationError(
+                    f"player {name!r} utility covers "
+                    f"{utility.num_resources} resources, market has {len(names)}"
+                )
+        self.problem = problem
+        self.budgets = budgets
 
     @property
     def num_players(self) -> int:
-        return len(self.players)
+        return self.problem.num_players
 
     @property
     def num_resources(self) -> int:
-        return len(self.resources)
+        return self.problem.num_resources
 
     @property
     def capacities(self) -> np.ndarray:
-        return self.resources.capacities
+        return self.problem.capacities
 
     @property
     def evaluator(self) -> BatchedUtilitySet:
-        """The players' utilities compiled into one batched evaluator.
-
-        Compiled on first use, not at construction, and shared by every
-        search on this market: all rounds of a ReBudget run best-respond
-        through the same compiled plan.  A market built with
-        ``compile_evaluator`` takes its plan from that callable (an
-        :class:`~repro.core.mechanisms.AllocationProblem` hands out the
-        one it compiled for the same utilities).
-        """
-        if self._evaluator is None:
-            self._evaluator = self._compile_evaluator()
-        return self._evaluator
+        """The problem's compiled evaluator, shared by every search on it."""
+        return self.problem.evaluator
 
     @property
     def budgets(self) -> np.ndarray:
-        return np.array([p.budget for p in self.players], dtype=float)
+        """Per-player budgets ``B_i`` as one read-only array.
+
+        Budgets change only by assignment (:func:`~repro.core.rebudget.run_rebudget`
+        assigns each round's cuts), so an array read earlier — a round's
+        budgets, a warm start's — never changes under its reader.
+        """
+        return self._budgets
+
+    @budgets.setter
+    def budgets(self, budgets: Sequence[float]) -> None:
+        budgets = np.array(budgets, dtype=float)
+        if budgets.shape != (self.num_players,):
+            raise MarketConfigurationError(
+                f"budgets shape {budgets.shape} != (players,) {(self.num_players,)}"
+            )
+        if not np.all(np.isfinite(budgets) & (budgets >= 0.0)):
+            raise MarketConfigurationError(
+                f"budgets must be finite and >= 0, got {budgets}"
+            )
+        budgets.flags.writeable = False
+        self._budgets = budgets
 
     def prices(self, bids: np.ndarray) -> np.ndarray:
         """Per-unit resource prices for a bid matrix (Equation 1)."""
@@ -113,22 +131,6 @@ class Market:
             _sanitize.check_spending(bids, self.budgets)
             _sanitize.check_allocation(allocations, self.capacities)
         return MarketState(bids=bids, prices=prices, allocations=allocations)
-
-    def others_bids(self, bids: np.ndarray, player_index: int) -> np.ndarray:
-        """``y_ij``: the sum of every other player's bids per resource."""
-        bids = self._check_bids(bids)
-        return bids.sum(axis=0) - bids[player_index]
-
-    def allocation_for(self, bids: np.ndarray, player_index: int) -> np.ndarray:
-        """Allocation player ``player_index`` receives under ``bids``."""
-        others = self.others_bids(bids, player_index)
-        return bid_to_allocation(bids[player_index], others, self.capacities)
-
-    def utilities(self, allocations: np.ndarray) -> np.ndarray:
-        """Vector of player utilities for an allocation matrix."""
-        return np.array(
-            [p.utility_of(allocations[i]) for i, p in enumerate(self.players)]
-        )
 
     def equal_split_bids(self) -> np.ndarray:
         """Every player splits its whole budget evenly across resources.

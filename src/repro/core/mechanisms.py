@@ -38,9 +38,7 @@ from .metrics import (
     market_utility_range,
 )
 from .optimum import max_efficiency_allocation
-from .player import Player
 from .rebudget import ReBudgetConfig, ReBudgetResult, run_rebudget
-from .resources import Resource, ResourceSet
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -127,17 +125,8 @@ class AllocationProblem:
         return self._evaluator
 
     def build_market(self, budgets: Sequence[float]) -> Market:
-        resources = ResourceSet.of(
-            *[
-                Resource(name=name, capacity=cap)
-                for name, cap in zip(self.resource_names, self.capacities)
-            ]
-        )
-        players = [
-            Player(name, utility, budget)
-            for name, utility, budget in zip(self.player_names, self.utilities, budgets)
-        ]
-        return Market(resources, players, compile_evaluator=lambda: self.evaluator)
+        """A market over this problem with one budget per player."""
+        return Market(self, budgets)
 
 
 @dataclass

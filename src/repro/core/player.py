@@ -1,26 +1,24 @@
-"""Market players.
+"""A player's view of the market: Equations 2 and 7.
 
 A player (one per core in the multicore instantiation) owns a budget and
-a concave utility function over the market's resources.  The player's
-only interaction with the market is through its bid vector; everything
-else (utility introspection, marginal utilities with respect to bids) is
-local, which is what makes the mechanism distributed and scalable.
+a concave utility function over the market's resources; the market holds
+both (:class:`~repro.core.market.Market`).  The player's only
+interaction with the market is through its bid vector; everything else
+(the allocation its bids buy, marginal utilities with respect to bids)
+is local, which is what makes the mechanism distributed and scalable.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 
 __all__ = [
-    "Player",
     "bid_to_allocation",
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
@@ -30,37 +28,6 @@ __all__ = [
 #: large enough to dominate any real marginal, scaled by capacity so the
 #: bytes-vs-watts resources keep their relative ordering.
 _FIRST_BID_RATE = 1e9
-
-
-class Player:
-    """A budget-constrained utility maximizer.
-
-    Parameters
-    ----------
-    name:
-        Display name (e.g. the application running on the core).
-    utility:
-        Concave, non-decreasing utility over the market's M resources.
-    budget:
-        Total money the player may spend across all resources
-        (``sum_j b_ij <= B_i``).
-    """
-
-    def __init__(self, name: str, utility: UtilityFunction, budget: float):
-        if not 0.0 <= budget < math.inf:
-            raise MarketConfigurationError(
-                f"player {name!r} budget must be finite and >= 0, got {budget}"
-            )
-        self.name = name
-        self.utility = utility
-        self.budget = float(budget)
-
-    def utility_of(self, allocation: Sequence[float]) -> float:
-        """Utility of an allocation vector (length M)."""
-        return self.utility.value(allocation)
-
-    def __repr__(self) -> str:
-        return f"Player({self.name!r}, budget={self.budget})"
 
 
 def _equation_2_and_7(bids, others, capacities):

@@ -154,10 +154,12 @@ def run_rebudget(
 ) -> ReBudgetResult:
     """Execute the ReBudget loop on ``market``.
 
-    Player budgets on ``market`` are overwritten: they start at
-    ``config.initial_budget`` for everyone and end at the reassigned
-    values.  The result records every intermediate round so the
-    efficiency/fairness trajectory can be inspected.
+    ``market.budgets`` is reassigned: it starts at
+    ``config.initial_budget`` for everyone and ends at the reassigned
+    values.  Each round's cuts assign a new array, so a round's
+    ``budgets`` keep the values its equilibrium was solved at.  The
+    result records every intermediate round so the efficiency/fairness
+    trajectory can be inspected.
 
     ``warm_start`` seeds the *first* round's equilibrium search — in the
     epoch simulator this is the previous epoch's equal-budget
@@ -170,8 +172,7 @@ def run_rebudget(
     initial_budget = config.initial_budget
     min_step = _STEP_STOP_FRACTION * initial_budget
 
-    for player in market.players:
-        player.budget = initial_budget
+    market.budgets = np.full(market.num_players, initial_budget)
 
     result = ReBudgetResult()
     round_warm: Optional[WarmStart] = warm_start
@@ -193,10 +194,9 @@ def run_rebudget(
         # made.
         if not step_exhausted:
             threshold = config.lambda_threshold * float(lambdas.max(initial=0.0))
-            for i, player in enumerate(market.players):
-                if lambdas[i] < threshold and player.budget > floor + 1e-12:
-                    player.budget = max(player.budget - step, floor)
-                    cut_players.append(i)
+            cut = (lambdas < threshold) & (budgets > floor + 1e-12)
+            cut_players = np.flatnonzero(cut).tolist()
+            market.budgets = np.where(cut, np.maximum(budgets - step, floor), budgets)
 
         if _sanitize.ACTIVE:
             _sanitize.check_budget_floor(market.budgets, floor, initial_budget)

@@ -6,12 +6,11 @@ so they shard cleanly over a :mod:`multiprocessing` pool.  The
 :class:`SweepExecutor` here is the one engine both sweeps (and any
 future fan-out workload) run on.  Its contract:
 
-* **Determinism** — every work item receives its own
-  :class:`numpy.random.SeedSequence`, spawned from a single root in
-  submission order (``root.spawn(n)``).  The seed an item sees depends
-  only on its position in the submission list, never on how items were
-  sharded over workers, so ``workers=1`` and ``workers=N`` produce
-  identical results for the same root seed.
+* **Determinism** — a work item sees only its spec, never how items
+  were sharded over workers, and results come back in submission order,
+  so ``workers=1`` and ``workers=N`` produce identical results for
+  deterministic cells.  A cell that needs randomness carries its seed
+  in its spec.
 * **Error isolation** — an exception inside one item is caught in the
   worker, recorded as a failed :class:`CellOutcome` carrying the
   formatted traceback, and the rest of the sweep continues.
@@ -20,8 +19,8 @@ future fan-out workload) run on.  Its contract:
   receives a :class:`SweepProgress` beat with counts, elapsed time and
   a naive ETA.
 * **Serial fallback** — ``workers=1`` runs every item in-process through
-  the exact same envelope (same seeding, same isolation, same progress),
-  with no pool and no pickling of results.
+  the exact same envelope (same isolation, same progress), with no pool
+  and no pickling of results.
 
 Work functions must be module-level callables (pickled by reference)
 and work specs must be picklable; both constraints only bite when
@@ -35,8 +34,6 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Sequence
-
-import numpy as np
 
 __all__ = ["CellOutcome", "SweepProgress", "SweepRun", "SweepExecutor"]
 
@@ -104,10 +101,10 @@ class SweepRun:
 
 def _execute_cell(task) -> CellOutcome:
     """Run one work item inside its isolation envelope (worker side)."""
-    index, label, fn, spec, seed_seq = task
+    index, label, fn, spec = task
     start = time.perf_counter()
     try:
-        value = fn(spec, seed_seq)
+        value = fn(spec)
         return CellOutcome(
             index=index,
             label=label,
@@ -132,12 +129,8 @@ class SweepExecutor:
     ----------
     workers:
         Pool size.  ``1`` (the default) runs everything serially
-        in-process — same seeding, isolation and progress reporting,
-        no pickling.
-    seed:
-        Root of the per-item :class:`~numpy.random.SeedSequence` spawn
-        tree.  Two runs with the same seed and submission order hand
-        every item the same entropy regardless of ``workers``.
+        in-process — same isolation and progress reporting, no
+        pickling.
     progress:
         Optional callback receiving a :class:`SweepProgress` per
         completed cell.
@@ -151,22 +144,20 @@ class SweepExecutor:
     def __init__(
         self,
         workers: int = 1,
-        seed: Optional[int] = 0,
         progress: Optional[Callable[[SweepProgress], None]] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.seed = seed
         self.progress = progress
 
     def run(
         self,
-        fn: Callable[[Any, np.random.SeedSequence], Any],
+        fn: Callable[[Any], Any],
         specs: Sequence[Any],
         labels: Optional[Sequence[str]] = None,
     ) -> SweepRun:
-        """Apply ``fn(spec, seed_sequence)`` to every spec.
+        """Apply ``fn(spec)`` to every spec.
 
         ``fn`` must be a module-level callable when ``workers > 1`` (it
         is pickled by reference into the workers).  Returns a
@@ -180,10 +171,7 @@ class SweepExecutor:
         elif len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} specs")
 
-        children = np.random.SeedSequence(self.seed).spawn(n) if n else []
-        tasks = [
-            (i, str(labels[i]), fn, specs[i], children[i]) for i in range(n)
-        ]
+        tasks = [(i, str(labels[i]), fn, specs[i]) for i in range(n)]
 
         cells: List[Optional[CellOutcome]] = [None] * n
         start = time.perf_counter()

@@ -9,8 +9,8 @@ been burned by (or is structurally exposed to):
 * ``REPRO103`` overbroad-except — swallowed tracebacks hide the exact
   silent-domain-violation class PR 2/3 shipped fixes for.
 * ``REPRO104`` unseeded-rng — module-level ``np.random.*`` / ``random.*``
-  state breaks the executor's per-item ``SeedSequence`` determinism
-  contract.
+  state breaks the executor's determinism contract: a cell's result
+  must depend on its spec alone.
 * ``REPRO105`` worker-nondeterminism — a process-parallelism "race
   detector": walks the call graph from ``SweepExecutor`` worker entry
   points and flags module-level mutable-global access, wall-clock
@@ -228,9 +228,9 @@ class UnseededRngRule(ModuleRule):
     severity = Severity.ERROR
     rationale = (
         "module-level np.random.* / random.* state is invisible to the "
-        "SweepExecutor's per-item SeedSequence contract: results would "
-        "depend on sharding and interleaving — route entropy through "
-        "the seed_seq handed to each cell."
+        "SweepExecutor's determinism contract: results would depend on "
+        "sharding and interleaving — draw from a generator seeded by a "
+        "seed the cell's spec carries."
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -253,8 +253,8 @@ class UnseededRngRule(ModuleRule):
                             module,
                             node,
                             f"'from random import {alias.name}' pulls "
-                            f"module-level RNG state — use the per-cell "
-                            f"numpy SeedSequence instead",
+                            f"module-level RNG state — use a seeded numpy "
+                            f"generator instead",
                         )
                 elif node.module == "numpy.random" and node.level == 0:
                     for alias in node.names:
@@ -285,8 +285,8 @@ class UnseededRngRule(ModuleRule):
                         module,
                         node,
                         f"np.random.{node.attr} touches numpy's module-level "
-                        f"global RNG — spawn entropy from the cell's "
-                        f"SeedSequence (np.random.default_rng(seed_seq))",
+                        f"global RNG — draw from a generator seeded by "
+                        f"the caller (np.random.default_rng(seed))",
                     )
             # random.<attr> where random is the stdlib module
             elif (

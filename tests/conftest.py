@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cmp import ChipModel, cmp_8core
-from repro.core import Market, Player, Resource, ResourceSet
+from repro.core import AllocationProblem
 from repro.utility import LogUtility
 from repro.workloads import paper_bbpc_bundle
 
@@ -22,19 +22,19 @@ def rng():
 
 
 @pytest.fixture
-def two_resource_set():
-    return ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0))
-
-
-@pytest.fixture
-def small_market(two_resource_set):
+def small_market():
     """Three log-utility players over two resources, equal budgets."""
-    players = [
-        Player("a", LogUtility([1.0, 0.2], [1.0, 1.0]), 100.0),
-        Player("b", LogUtility([0.2, 1.0], [1.0, 1.0]), 100.0),
-        Player("c", LogUtility([0.6, 0.6], [1.0, 1.0]), 100.0),
-    ]
-    return Market(two_resource_set, players)
+    problem = AllocationProblem(
+        utilities=[
+            LogUtility([1.0, 0.2], [1.0, 1.0]),
+            LogUtility([0.2, 1.0], [1.0, 1.0]),
+            LogUtility([0.6, 0.6], [1.0, 1.0]),
+        ],
+        capacities=[10.0, 5.0],
+        resource_names=["cache", "power"],
+        player_names=["a", "b", "c"],
+    )
+    return problem.build_market([100.0] * 3)
 
 
 @pytest.fixture(scope="session")

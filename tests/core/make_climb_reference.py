@@ -28,15 +28,13 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from markets import make_market
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import (
     ExactBidder,
     Market,
-    Player,
     PriceTakingBidder,
     ReBudgetConfig,
-    Resource,
-    ResourceSet,
     find_equilibrium,
     run_rebudget,
 )
@@ -94,13 +92,12 @@ def problems() -> List[Tuple[str, object]]:
 
 def small_market() -> Market:
     """Three log-utility players over cache/power, budget 100 each."""
-    resources = ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0))
-    players = [
-        Player("a", LogUtility([1.0, 0.2], [1.0, 1.0]), BUDGET),
-        Player("b", LogUtility([0.2, 1.0], [1.0, 1.0]), BUDGET),
-        Player("c", LogUtility([0.6, 0.6], [1.0, 1.0]), BUDGET),
+    utilities = [
+        LogUtility([1.0, 0.2], [1.0, 1.0]),
+        LogUtility([0.2, 1.0], [1.0, 1.0]),
+        LogUtility([0.6, 0.6], [1.0, 1.0]),
     ]
-    return Market(resources, players)
+    return make_market(utilities, [10.0, 5.0], BUDGET)
 
 
 def case_runners() -> Dict[str, Callable[[], Dict]]:

@@ -9,15 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+from markets import make_market
 from repro.core import (
     AllocationProblem,
     ElasticitiesProportional,
     EqualBudget,
-    Market,
-    Player,
     ReBudgetConfig,
-    Resource,
-    ResourceSet,
     find_equilibrium,
     run_rebudget,
 )
@@ -26,32 +23,21 @@ from repro.utility import LinearUtility, LogUtility, SaturatingUtility
 
 class TestDegenerateMarkets:
     def test_single_player_takes_everything(self):
-        rs = ResourceSet.of(Resource("cache", 8.0), Resource("power", 4.0))
-        market = Market(rs, [Player("solo", LogUtility([1.0, 1.0]), 50.0)])
+        market = make_market([LogUtility([1.0, 1.0])], [8.0, 4.0], 50.0)
         eq = find_equilibrium(market)
         np.testing.assert_allclose(eq.state.allocations[0], [8.0, 4.0])
 
     def test_broke_player_gets_nothing(self):
-        rs = ResourceSet.of(Resource("cache", 8.0))
-        market = Market(
-            rs,
-            [
-                Player("rich", LogUtility([1.0]), 100.0),
-                Player("broke", LogUtility([1.0]), 0.0),
-            ],
+        market = make_market(
+            [LogUtility([1.0]), LogUtility([1.0])], [8.0], [100.0, 0.0]
         )
         eq = find_equilibrium(market)
         assert eq.state.allocations[1, 0] == 0.0
         assert eq.state.allocations[0, 0] == pytest.approx(8.0)
 
     def test_indifferent_player_leaves_resource_to_others(self):
-        rs = ResourceSet.of(Resource("cache", 8.0), Resource("power", 4.0))
-        market = Market(
-            rs,
-            [
-                Player("cache-only", LinearUtility([1.0, 0.0]), 100.0),
-                Player("power-only", LinearUtility([0.0, 1.0]), 100.0),
-            ],
+        market = make_market(
+            [LinearUtility([1.0, 0.0]), LinearUtility([0.0, 1.0])], [8.0, 4.0]
         )
         eq = find_equilibrium(market)
         # Each specialist ends up with (almost) all of its resource.
@@ -61,23 +47,16 @@ class TestDegenerateMarkets:
     def test_fully_saturated_market_is_stable(self):
         # Everyone's utility is flat at their current holdings: lambdas
         # are 0, MUR degenerates to 1, ReBudget does nothing.
-        rs = ResourceSet.of(Resource("cache", 8.0), Resource("power", 4.0))
-        market = Market(
-            rs,
-            [
-                Player(f"p{i}", SaturatingUtility([1.0, 1.0], [1e-6, 1e-6]), 100.0)
-                for i in range(3)
-            ],
+        market = make_market(
+            [SaturatingUtility([1.0, 1.0], [1e-6, 1e-6]) for _ in range(3)],
+            [8.0, 4.0],
         )
         result = run_rebudget(market, ReBudgetConfig(step=20.0))
         np.testing.assert_allclose(result.final_budgets, 100.0)
         assert result.mur == 1.0
 
     def test_zero_budget_everywhere(self):
-        rs = ResourceSet.of(Resource("cache", 8.0))
-        market = Market(
-            rs, [Player(f"p{i}", LogUtility([1.0]), 0.0) for i in range(2)]
-        )
+        market = make_market([LogUtility([1.0]) for _ in range(2)], [8.0], 0.0)
         eq = find_equilibrium(market)
         assert eq.state.allocations.sum() == 0.0
         assert eq.converged  # zero prices are stable prices

@@ -3,25 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    ExactBidder,
-    HillClimbBidder,
-    Market,
-    Player,
-    Resource,
-    ResourceSet,
-    find_equilibrium,
-)
+from markets import make_market
+from repro.core import ExactBidder, HillClimbBidder, find_equilibrium
 from repro.core.equilibrium import _prices_stable
 from repro.utility import LogUtility
 
 
 def _symmetric_market(n=4):
-    rs = ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0))
-    players = [
-        Player(f"p{i}", LogUtility([1.0, 1.0], [1.0, 1.0]), 100.0) for i in range(n)
-    ]
-    return Market(rs, players)
+    return make_market(
+        [LogUtility([1.0, 1.0], [1.0, 1.0]) for _ in range(n)], [10.0, 5.0]
+    )
 
 
 class TestFindEquilibrium:
@@ -77,16 +68,13 @@ class TestFindEquilibrium:
     def test_budget_constraint_respected(self, small_market):
         eq = find_equilibrium(small_market)
         spent = eq.state.bids.sum(axis=1)
-        for player, s in zip(small_market.players, spent):
-            assert s <= player.budget + 1e-9
+        assert np.all(spent <= small_market.budgets + 1e-9)
 
     def test_higher_budget_buys_more(self):
-        rs = ResourceSet.of(Resource("cache", 10.0))
-        players = [
-            Player("rich", LogUtility([1.0]), 200.0),
-            Player("poor", LogUtility([1.0]), 50.0),
-        ]
-        eq = find_equilibrium(Market(rs, players))
+        market = make_market(
+            [LogUtility([1.0]), LogUtility([1.0])], [10.0], [200.0, 50.0]
+        )
+        eq = find_equilibrium(market)
         assert eq.state.allocations[0, 0] > eq.state.allocations[1, 0]
         # With identical single-resource utilities, allocation is exactly
         # budget-proportional.

@@ -12,11 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markets import make_market
 from repro.core import (
-    Market,
-    Player,
-    Resource,
-    ResourceSet,
     envy_freeness,
     find_equilibrium,
     market_budget_range,
@@ -32,17 +29,17 @@ _budget = st.floats(min_value=10.0, max_value=200.0)
 @st.composite
 def random_markets(draw):
     num_players = draw(st.integers(min_value=2, max_value=6))
-    players = []
-    for i in range(num_players):
+    utilities, budgets = [], []
+    for _ in range(num_players):
         kind = draw(st.sampled_from(["log", "power"]))
         w = [draw(_weight), draw(_weight)]
         if kind == "log":
             utility = LogUtility(w, [1.0, 1.0])
         else:
             utility = PowerUtility(w, [0.5, 0.7])
-        players.append(Player(f"p{i}", utility, draw(_budget)))
-    resources = ResourceSet.of(Resource("r0", 10.0), Resource("r1", 4.0))
-    return Market(resources, players)
+        utilities.append(utility)
+        budgets.append(draw(_budget))
+    return make_market(utilities, [10.0, 4.0], budgets)
 
 
 class TestEquilibriumInvariants:
@@ -57,8 +54,7 @@ class TestEquilibriumInvariants:
         )
         # Nobody exceeds its budget.
         spent = eq.state.bids.sum(axis=1)
-        for player, s in zip(market.players, spent):
-            assert s <= player.budget + 1e-9
+        assert np.all(spent <= market.budgets + 1e-9)
         # Prices reconstruct total bids (Equation 1).
         np.testing.assert_allclose(
             eq.state.prices * market.capacities, eq.state.bids.sum(axis=0), rtol=1e-9
@@ -82,9 +78,7 @@ class TestEquilibriumInvariants:
     def test_theorem2_on_random_markets(self, market):
         eq = find_equilibrium(market)
         mbr = market_budget_range(market.budgets)
-        realized = envy_freeness(
-            [p.utility for p in market.players], eq.state.allocations
-        )
+        realized = envy_freeness(market.problem.utilities, eq.state.allocations)
         assert realized >= ef_lower_bound(mbr) - 1e-6
 
     @given(random_markets())

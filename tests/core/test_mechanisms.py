@@ -112,7 +112,8 @@ class TestAllocationProblem:
     def test_build_market(self, synthetic_problem):
         market = synthetic_problem.build_market([10.0, 20.0, 30.0])
         np.testing.assert_allclose(market.budgets, [10.0, 20.0, 30.0])
-        assert market.resources.names == ["cache", "power"]
+        assert market.problem is synthetic_problem
+        assert market.evaluator is synthetic_problem.evaluator
 
 
 class TestEqualShare:

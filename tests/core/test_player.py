@@ -1,31 +1,10 @@
-"""Player mechanics: Equation 2 allocation and the bid-marginal chain rule."""
+"""A player's view: Equation 2 allocation and the bid-marginal chain rule."""
 
 import numpy as np
 import pytest
 
-from repro.core import Player, bid_to_allocation, marginal_utility_of_bids
-from repro.exceptions import MarketConfigurationError
+from repro.core import bid_to_allocation, marginal_utility_of_bids
 from repro.utility import LinearUtility, LogUtility
-
-
-class TestPlayer:
-    def test_fields_and_utility(self):
-        p = Player("mcf", LinearUtility([1.0, 2.0]), 100.0)
-        assert p.budget == 100.0
-        assert p.utility_of([1.0, 1.0]) == pytest.approx(3.0)
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(MarketConfigurationError):
-            Player("x", LinearUtility([1.0]), -5.0)
-
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite_budget(self, budget):
-        with pytest.raises(MarketConfigurationError, match="finite"):
-            Player("x", LinearUtility([1.0]), budget)
-
-    def test_accepts_zero_and_numpy_budgets(self):
-        assert Player("x", LinearUtility([1.0]), 0).budget == 0.0
-        assert Player("x", LinearUtility([1.0]), np.float64(2.5)).budget == 2.5
 
 
 class TestBidToAllocation:

@@ -8,25 +8,17 @@ ones (each player's bid is a vanishing share of the price).
 import numpy as np
 import pytest
 
-from repro.core import (
-    HillClimbBidder,
-    Market,
-    Player,
-    PriceTakingBidder,
-    Resource,
-    ResourceSet,
-    find_equilibrium,
-)
+from markets import make_market
+from repro.core import HillClimbBidder, PriceTakingBidder, find_equilibrium
 from repro.utility import LogUtility
 
 
 def _market(n, weights=None):
-    rs = ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0))
-    players = []
+    utilities = []
     for i in range(n):
         w = weights[i] if weights else [1.0 + (i % 3), 1.0 + ((i + 1) % 3)]
-        players.append(Player(f"p{i}", LogUtility(w, [1.0, 1.0]), 100.0))
-    return Market(rs, players)
+        utilities.append(LogUtility(w, [1.0, 1.0]))
+    return make_market(utilities, [10.0, 5.0])
 
 
 class TestPriceTakingBidder:

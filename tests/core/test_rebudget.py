@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    Market,
-    Player,
-    ReBudgetConfig,
-    Resource,
-    ResourceSet,
-    run_rebudget,
-)
+from markets import make_market
+from repro.core import ReBudgetConfig, run_rebudget
 from repro.core.theory import ef_lower_bound, min_mbr_for_envy_freeness
 from repro.exceptions import MarketConfigurationError
 from repro.utility import LogUtility, SaturatingUtility
@@ -22,13 +16,10 @@ def _heterogeneous_market():
     The flat player's lambda is far below the hungry one's, so ReBudget
     must cut its budget.
     """
-    rs = ResourceSet.of(Resource("cache", 10.0), Resource("power", 10.0))
-    players = [
-        Player("hungry", LogUtility([5.0, 5.0], [5.0, 5.0]), 100.0),
-        Player("modest", LogUtility([1.0, 1.0], [1.0, 1.0]), 100.0),
-        Player("flat", SaturatingUtility([0.05, 0.05], [0.5, 0.5]), 100.0),
-    ]
-    return Market(rs, players)
+    hungry = LogUtility([5.0, 5.0], [5.0, 5.0])
+    modest = LogUtility([1.0, 1.0], [1.0, 1.0])
+    flat = SaturatingUtility([0.05, 0.05], [0.5, 0.5])
+    return make_market([hungry, modest, flat], [10.0, 10.0])
 
 
 class TestReBudgetConfig:
@@ -138,6 +129,17 @@ class TestReBudgetRun:
         # The final recorded round makes no further cuts.
         assert last.cut_players == []
 
+    def test_round_budgets_do_not_alias(self):
+        # A cut assigns a new budget array, so a round's budgets and the
+        # warm start its equilibrium hands on keep the values that round
+        # was solved at.
+        market = _heterogeneous_market()
+        result = run_rebudget(market, ReBudgetConfig(step=20.0))
+        assert result.rounds[0].cut_players
+        np.testing.assert_array_equal(result.rounds[0].budgets, 100.0)
+        for r in result.rounds:
+            np.testing.assert_array_equal(r.equilibrium.warm_start.budgets, r.budgets)
+
     def test_quiescent_market_stops_immediately(self, small_market):
         # Symmetric-ish log players: lambdas are close, nobody is below
         # half the max, so the loop ends after one round.
@@ -167,7 +169,5 @@ class TestReBudgetRun:
         eq = result.final_equilibrium
         from repro.core import envy_freeness
 
-        realized = envy_freeness(
-            [p.utility for p in market.players], eq.state.allocations
-        )
+        realized = envy_freeness(market.problem.utilities, eq.state.allocations)
         assert realized >= ef_lower_bound(result.mbr) - 1e-9

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Market, Player, ReBudgetConfig, Resource, ResourceSet, run_rebudget
+from markets import make_market
+from repro.core import ReBudgetConfig, run_rebudget
 from repro.core.theory import ef_lower_bound, min_mbr_for_envy_freeness
 from repro.utility import LogUtility, SaturatingUtility
 
@@ -15,16 +16,15 @@ _weight = st.floats(min_value=0.05, max_value=4.0)
 def rebudget_markets(draw):
     """Random 3-5 player markets mixing hungry and saturating utilities."""
     num_players = draw(st.integers(min_value=3, max_value=5))
-    players = []
-    for i in range(num_players):
+    utilities = []
+    for _ in range(num_players):
         if draw(st.booleans()):
             utility = LogUtility([draw(_weight), draw(_weight)], [1.0, 1.0])
         else:
             cap = draw(st.floats(min_value=0.2, max_value=3.0))
             utility = SaturatingUtility([draw(_weight), draw(_weight)], [cap, cap])
-        players.append(Player(f"p{i}", utility, 100.0))
-    resources = ResourceSet.of(Resource("r0", 10.0), Resource("r1", 6.0))
-    return Market(resources, players)
+        utilities.append(utility)
+    return make_market(utilities, [10.0, 6.0])
 
 
 class TestReBudgetInvariants:
@@ -62,7 +62,7 @@ class TestReBudgetInvariants:
 
         result = run_rebudget(market, ReBudgetConfig(step=40.0))
         realized = envy_freeness(
-            [p.utility for p in market.players],
+            market.problem.utilities,
             result.final_equilibrium.state.allocations,
         )
         assert realized >= ef_lower_bound(result.mbr) - 1e-6

@@ -18,18 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markets import make_market
 from reference_bidding import ScalarHillClimbBidder, ScalarPriceTakingBidder
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import (
     BiddingStrategy,
     EqualBudget,
     HillClimbBidder,
-    Market,
-    Player,
     PriceTakingBidder,
     ReBudgetConfig,
-    Resource,
-    ResourceSet,
     bid_to_allocation,
     find_equilibrium,
     marginal_utility_of_bids,
@@ -267,11 +264,11 @@ class TestGaussSeidelIncrementalTotals:
             previous_bids = bids
             resume = iterations > 1
             bids = bids.copy()
-            for i, player in enumerate(market.players):
+            for i, utility in enumerate(market.problem.utilities):
                 others = bids.sum(axis=0) - bids[i]
                 bids[i] = bidder.optimize(
-                    player.utility,
-                    player.budget,
+                    utility,
+                    market.budgets[i],
                     others,
                     capacities,
                     current_bids=bids[i] if resume else None,
@@ -382,11 +379,9 @@ class TestLambdaReuse:
         # Symmetric players for whom the equal split is already optimal:
         # nobody moves, so the first round converges with all-zero last
         # moves — every reuse precondition except the bidder's own holds.
-        resources = ResourceSet.of(Resource("cache", 10.0), Resource("power", 10.0))
-        players = [
-            Player(f"p{i}", LogUtility([1.0, 1.0], [1.0, 1.0]), 100.0) for i in range(3)
-        ]
-        return Market(resources, players)
+        return make_market(
+            [LogUtility([1.0, 1.0], [1.0, 1.0]) for _ in range(3)], [10.0, 10.0]
+        )
 
     @staticmethod
     def _solve(monkeypatch, market, **kwargs):
@@ -407,8 +402,8 @@ class TestLambdaReuse:
     def _eq7_lambdas(market, bids):
         totals = bids.sum(axis=0)
         return np.array([
-            BiddingStrategy.player_lambda(p.utility, bids[i], totals - bids[i], market.capacities)
-            for i, p in enumerate(market.players)
+            BiddingStrategy.player_lambda(u, bids[i], totals - bids[i], market.capacities)
+            for i, u in enumerate(market.problem.utilities)
         ])
 
     def test_reused_after_lockstep_jacobi_round(self, monkeypatch):

@@ -20,13 +20,9 @@ from repro.core import (
     BalancedBudget,
     EqualBudget,
     HillClimbBidder,
-    Market,
-    Player,
     PriceTakingBidder,
     ReBudgetConfig,
     ReBudgetMechanism,
-    Resource,
-    ResourceSet,
     WarmStart,
     find_equilibrium,
     run_rebudget,
@@ -35,16 +31,9 @@ from repro.utility import LogUtility, SaturatingUtility
 
 
 @pytest.fixture
-def market():
+def market(small_market):
     """Three heterogeneous log-utility players over two resources."""
-    return Market(
-        ResourceSet.of(Resource("cache", 10.0), Resource("power", 5.0)),
-        [
-            Player("a", LogUtility([1.0, 0.2], [1.0, 1.0]), 100.0),
-            Player("b", LogUtility([0.2, 1.0], [1.0, 1.0]), 100.0),
-            Player("c", LogUtility([0.6, 0.6], [1.0, 1.0]), 100.0),
-        ],
-    )
+    return small_market
 
 
 @pytest.fixture
@@ -225,7 +214,7 @@ class TestFindEquilibriumWarmStart:
         # re-derived); the search must still converge, to a point in the
         # same tolerance band as a cold search.
         cold = find_equilibrium(market)
-        market.players[0].budget = 40.0
+        market.budgets = [40.0, 100.0, 100.0]
         warm = find_equilibrium(market, warm_start=cold.warm_start)
         reference = find_equilibrium(market)
         assert warm.converged

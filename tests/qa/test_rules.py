@@ -183,7 +183,7 @@ from repro.exec import SweepExecutor
 
 {globals_block}
 
-def worker(spec, seed_seq):
+def worker(spec):
 {worker_body}
 
 def run_all(specs):
@@ -266,7 +266,7 @@ class TestWorkerNondeterminism:
         cells = """
         _HITS = {}
 
-        def cell(spec, seed_seq):
+        def cell(spec):
             _HITS[spec] = 1
             return spec
         """

@@ -18,7 +18,6 @@ from .mechanisms import (
     EqualShare,
     MaxEfficiency,
     MechanismResult,
-    MechanismWarmState,
     ReBudgetMechanism,
     clamp_to_per_player_caps,
     standard_mechanism_suite,
@@ -86,7 +85,6 @@ __all__ = [
     "max_efficiency_allocation",
     "AllocationProblem",
     "MechanismResult",
-    "MechanismWarmState",
     "AllocationMechanism",
     "EqualShare",
     "EqualBudget",

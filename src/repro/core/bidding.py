@@ -71,37 +71,9 @@ _MarginalRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class BiddingStrategy(abc.ABC):
-    """Finds a player's (approximately) optimal bids given others' bids."""
-
-    #: Equation 7 marginals ``(N, M)`` the last :meth:`optimize_all` call
-    #: evaluated for each row, and an ``(N,)`` flag saying whether they
-    #: are *fresh* — evaluated at exactly the returned bids rather than
-    #: before a final move.  ``None`` when the strategy exposes none.
-    #: Lets ``find_equilibrium`` skip re-deriving ``lambda_i`` when the
-    #: climb already paid for it.
-    last_marginals: Optional[np.ndarray] = None
-    last_fresh: Optional[np.ndarray] = None
+    """Best-responds a block of players to the broadcast bids."""
 
     @abc.abstractmethod
-    def optimize(
-        self,
-        utility: UtilityFunction,
-        budget: float,
-        others: np.ndarray,
-        capacities: np.ndarray,
-        current_bids: np.ndarray | None = None,
-        step_hint: float | None = None,
-    ) -> np.ndarray:
-        """Return the player's new bid vector (length M, sums to budget).
-
-        ``current_bids`` is the player's bid vector from the previous
-        round (or epoch); strategies that support warm starts begin the
-        search there instead of from an equal split.  ``step_hint`` is
-        how far the player's bids moved in the previous round — warm
-        climbs size their first step to it so a near-converged player
-        does not re-explore the whole simplex.
-        """
-
     def optimize_all(
         self,
         evaluator: BatchedUtilitySet,
@@ -111,51 +83,24 @@ class BiddingStrategy(abc.ABC):
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Best-respond for a block of players against fixed ``others`` bids.
 
         Row ``k`` of the block belongs to ``evaluator``'s player
-        ``players[k]``.  The other parameters mirror :meth:`optimize`
-        row-wise: ``budgets`` is ``(K,)``, ``others`` is ``(K, M)`` (row
-        ``k`` is the sum of the *other* players' bids as that player sees
-        them), and ``current_bids`` / ``step_hints`` are the optional
-        ``(K, M)`` / ``(K,)`` warm-start state.  Returns the new ``(K,
-        M)`` bid matrix; this default calls :meth:`optimize` row by row
-        on ``evaluator.utilities[players[k]]``.
-        """
-        return np.array(
-            [
-                self.optimize(
-                    evaluator.utilities[player],
-                    float(budgets[k]),
-                    others[k],
-                    capacities,
-                    current_bids=None if current_bids is None else current_bids[k],
-                    step_hint=None if step_hints is None else float(step_hints[k]),
-                )
-                for k, player in enumerate(players)
-            ]
-        )
+        ``players[k]``: ``budgets`` is ``(K,)`` and ``others`` is ``(K,
+        M)`` (row ``k`` is the sum of the *other* players' bids as that
+        player sees them).  ``current_bids`` is the block's ``(K, M)``
+        bids from the previous round (or epoch); strategies that support
+        warm starts begin each search there instead of from an equal
+        split.  ``step_hints`` is how far each player's bids moved in the
+        previous round — warm climbs size their first step to it so a
+        near-converged player does not re-explore the whole simplex.
 
-    @staticmethod
-    def player_lambda(
-        utility: UtilityFunction,
-        bids: np.ndarray,
-        others: np.ndarray,
-        capacities: np.ndarray,
-    ) -> float:
-        """The player-specific multiplier ``lambda_i`` at a bid vector.
-
-        At an optimum, all resources with non-zero bids share the same
-        marginal utility (Equation 4); we report the maximum marginal
-        over resources with non-zero bids, which equals that shared
-        value at an optimum and degrades gracefully away from one.
+        Returns ``(bids, marginals)``: the new non-negative ``(K, M)`` bid
+        matrix, each row within its budget, and the ``(K, M)``
+        Equation 7 marginals at exactly those bids for every row — or
+        ``None`` when the strategy did not evaluate them all.
         """
-        marginals = marginal_utility_of_bids(utility, bids, others, capacities)
-        active = bids > 1e-12
-        if not np.any(active):
-            return float(marginals.max(initial=0.0))
-        return float(marginals[active].max())
 
 
 class HillClimbBidder(BiddingStrategy):
@@ -168,34 +113,15 @@ class HillClimbBidder(BiddingStrategy):
     player, each with its own step size and stop state.  On hinted (warm)
     calls the staleness probe counts as the first iteration, which then
     evaluates only rows the probe did not cover; a warm verification
-    round therefore costs one dispatch.  :meth:`optimize` is the same
-    climb for a single row over its own one-utility evaluator.
-    Subclasses change the marginal the climb reads through
-    :meth:`_marginal_rule`.
+    round therefore costs one dispatch.  When every row's last
+    evaluation was at its returned bids — no row moved after it — the
+    call returns those Equation 7 marginals with the bids.  Subclasses
+    change the marginal the climb reads through :meth:`_marginal_rule`.
 
     A climb stops when its max and min marginal utilities agree within
     5%, or when its shift amount ``S`` falls below 1% of the player's
     budget (the paper's tolerances).
     """
-
-    def optimize(
-        self,
-        utility: UtilityFunction,
-        budget: float,
-        others: np.ndarray,
-        capacities: np.ndarray,
-        current_bids: np.ndarray | None = None,
-        step_hint: float | None = None,
-    ) -> np.ndarray:
-        return self.optimize_all(
-            BatchedUtilitySet([utility]),
-            np.zeros(1, dtype=np.intp),
-            np.array([budget], dtype=float),
-            np.asarray(others, dtype=float)[None, :],
-            capacities,
-            current_bids=None if current_bids is None else np.asarray(current_bids)[None],
-            step_hints=None if step_hint is None else np.array([step_hint], dtype=float),
-        )[0]
 
     def _marginal_rule(
         self,
@@ -225,7 +151,7 @@ class HillClimbBidder(BiddingStrategy):
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         players = np.asarray(players, dtype=np.intp)
         budgets = np.asarray(budgets, dtype=float)
         others = np.asarray(others, dtype=float)
@@ -236,14 +162,11 @@ class HillClimbBidder(BiddingStrategy):
             evaluator, players, budgets, others, capacities, current_bids
         )
 
-        self.last_marginals = np.zeros((num_players, num_resources))
-        self.last_fresh = np.zeros(num_players, dtype=bool)
-
         if num_resources == 1:
             bids = np.zeros((num_players, 1))
             bids[:, 0] = np.maximum(budgets, 0.0)
             bids[budgets <= 0.0, 0] = 0.0
-            return bids
+            return bids, None
 
         cold_step = budgets / (2.0 * num_resources)
         min_step = _STEP_STOP_FRACTION * budgets
@@ -281,7 +204,10 @@ class HillClimbBidder(BiddingStrategy):
 
         # Each iteration works on the rows still climbing, in ascending
         # order; a row leaves once it stops or its step falls below the
-        # stop size.
+        # stop size.  ``fresh`` marks the rows whose last evaluated
+        # marginals are at their current bids.
+        evaluated = np.zeros((num_players, num_resources))
+        fresh = np.zeros(num_players, dtype=bool)
         rows = np.flatnonzero((budgets > 0.0) & (step >= min_step))
         while rows.size:
             current = bids.take(rows, axis=0)
@@ -296,8 +222,8 @@ class HillClimbBidder(BiddingStrategy):
                 if unprobed.any():
                     marginals[unprobed] = marginals_at(rows[unprobed], current[unprobed])
                 probe = None
-            self.last_marginals[rows] = marginals
-            self.last_fresh[rows] = True
+            evaluated[rows] = marginals
+            fresh[rows] = True
             # Donor: lowest marginal among resources the player bids on
             # (np.inf masking keeps the first index among ties);
             # recipient: highest marginal overall.
@@ -321,11 +247,11 @@ class HillClimbBidder(BiddingStrategy):
             moved = np.minimum(step[move], current[go, d])
             bids[move, d] -= moved
             bids[move, r] += moved
-            self.last_fresh[move] = False
+            fresh[move] = False
             # Step 3: exponential back-off.
             step[move] *= 0.5
             rows = move[step[move] >= min_step[move]]
-        return bids
+        return bids, evaluated if fresh.all() else None
 
 
 class ExactBidder(BiddingStrategy):
@@ -338,15 +264,37 @@ class ExactBidder(BiddingStrategy):
     than :class:`HillClimbBidder`; used in the bidding ablation.
     """
 
-    def optimize(
+    def optimize_all(
         self,
+        evaluator: BatchedUtilitySet,
+        players: np.ndarray,
+        budgets: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: Optional[np.ndarray] = None,
+        step_hints: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, None]:
+        bids = np.array([
+            self._ascend(
+                evaluator.utilities[player],
+                float(budgets[k]),
+                others[k],
+                capacities,
+                None if current_bids is None else current_bids[k],
+            )
+            for k, player in enumerate(players)
+        ])
+        return bids, None
+
+    @staticmethod
+    def _ascend(
         utility: UtilityFunction,
         budget: float,
         others: np.ndarray,
         capacities: np.ndarray,
-        current_bids: np.ndarray | None = None,
-        step_hint: float | None = None,
+        current_bids: Optional[np.ndarray],
     ) -> np.ndarray:
+        """One player's best response, from its seed or the equal split."""
         num_resources = capacities.size
         if budget <= 0.0:
             return np.zeros(num_resources)
@@ -397,8 +345,8 @@ class PriceTakingBidder(HillClimbBidder):
     behaviour the bidding ablation quantifies.
 
     The climb is :class:`HillClimbBidder`'s with this marginal; it always
-    starts at full step (step hints are ignored), and it exposes no
-    :attr:`last_marginals`, since its marginals are not Equation 7's.
+    starts at full step (step hints are ignored), and it returns no
+    marginals, since its marginals are not Equation 7's.
     """
 
     def optimize_all(
@@ -410,12 +358,11 @@ class PriceTakingBidder(HillClimbBidder):
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        bids = super().optimize_all(
-            evaluator, players, budgets, others, capacities, current_bids, None
+    ) -> Tuple[np.ndarray, None]:
+        bids, _ = super().optimize_all(
+            evaluator, players, budgets, others, capacities, current_bids
         )
-        self.last_marginals = self.last_fresh = None
-        return bids
+        return bids, None
 
     def _marginal_rule(
         self,
@@ -472,9 +419,11 @@ def _seed_bids(
         finite = np.isfinite(seed).all(axis=1)
         seed = np.maximum(np.where(finite[:, None], seed, 0.0), 0.0)
         totals = seed.sum(axis=1)
-        warm = (totals > 0.0) & ~(
-            np.abs(totals - budgets) > tolerance * np.maximum(budgets, totals)
-        )
+        positive = totals > 0.0
+        # A row without a positive total never warms; its tolerance is
+        # scaled by 1 so that an infinite tolerance never multiplies 0.
+        scale = np.where(positive, np.maximum(budgets, totals), 1.0)
+        warm = positive & ~(np.abs(totals - budgets) > tolerance * scale)
         bids[warm] = seed[warm] * (budgets[warm] / totals[warm])[:, None]
     return bids, warm
 

@@ -26,15 +26,16 @@ search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..qa import sanitize as _sanitize
 from ..utility.base import EVAL_COUNTERS
 from ..utility.batch import BatchedUtilitySet
-from .bidding import BiddingStrategy, HillClimbBidder
+from .bidding import BiddingStrategy, HillClimbBidder, _seed_bids
 from .market import Market, MarketState
 from .player import marginal_utility_of_bids_batch
 
@@ -81,6 +82,11 @@ class WarmStart:
         total lag of a warm chain behind a cold re-solve to roughly the
         price tolerance, instead of letting sub-tolerance drift
         compound every epoch.
+    player_names, resource_names:
+        Names of the problem the search ran on.  A state is only reused
+        on the same players over the same resources, so the names catch
+        a context switch that keeps the shape; a hand-built state with
+        no names matches no market.
     """
 
     bids: np.ndarray
@@ -89,18 +95,18 @@ class WarmStart:
     last_moves: Optional[np.ndarray] = None
     converged: bool = False
     anchor_prices: Optional[np.ndarray] = None
-
-    @property
-    def num_players(self) -> int:
-        return self.bids.shape[0]
-
-    @property
-    def num_resources(self) -> int:
-        return self.bids.shape[1]
+    player_names: Tuple[str, ...] = ()
+    resource_names: Tuple[str, ...] = ()
 
     def compatible_with(self, market: Market) -> bool:
-        """True when this state has ``market``'s player/resource shape."""
-        return self.bids.shape == (market.num_players, market.num_resources)
+        """True when this state was produced for ``market``'s players and
+        resources: the same names, in order, and the same bid shape."""
+        problem = market.problem
+        return (
+            self.player_names == tuple(problem.player_names)
+            and self.resource_names == tuple(problem.resource_names)
+            and self.bids.shape == (market.num_players, market.num_resources)
+        )
 
     def bids_for(self, budgets: np.ndarray) -> Optional[np.ndarray]:
         """The stored bid matrix rescaled row-wise to new ``budgets``.
@@ -108,19 +114,14 @@ class WarmStart:
         Players whose budget changed keep their *split* but spend the
         new amount (the ReBudget re-seeding idiom); players with no
         usable previous bids (none positive, or a non-finite one) fall
-        back to an equal split.  Returns ``None`` when the player count
-        does not match.
+        back to an equal split.  This is the climb's seed rule at any
+        total.  Returns ``None`` when the player count does not match.
         """
         budgets = np.asarray(budgets, dtype=float)
-        if budgets.shape != (self.num_players,):
+        num_players, num_resources = self.bids.shape
+        if budgets.shape != (num_players,):
             return None
-        bids = np.maximum(np.asarray(self.bids, dtype=float), 0.0)
-        sums = bids.sum(axis=1)
-        usable = np.isfinite(sums) & (sums > 0.0)
-        safe = np.where(usable, sums, 1.0)
-        equal = np.tile(budgets[:, None] / self.num_resources, (1, self.num_resources))
-        scaled = np.where(usable[:, None], bids, 0.0) * (budgets / safe)[:, None]
-        return np.where(usable[:, None], scaled, equal)
+        return _seed_bids(budgets, self.bids, num_resources, math.inf)[0]
 
 
 @dataclass
@@ -194,7 +195,8 @@ def find_equilibrium(
         End-state of a previous search (``result.warm_start``).  Its
         bids are rescaled to the market's current budgets and each
         player's climb resumes with a step sized to its last move.
-        Ignored when the player/resource shape does not match; when the
+        Ignored unless it was produced for the market's players and
+        resources (:meth:`WarmStart.compatible_with`); when the
         warm bids still price-converge, the loop exits after a single
         verification round.  Without it every player starts by
         splitting its budget equally (the paper's initialization).
@@ -214,9 +216,12 @@ def find_equilibrium(
     player.  The default :class:`~repro.core.bidding.HillClimbBidder`
     advances a block's climbs in lockstep at one batched gradient
     dispatch per climb iteration (a warm round's staleness probe is its
-    first), so a warm verification round costs one dispatch and its
-    final lambdas none.  The final utilities cost one batched value
-    dispatch.
+    first), so a warm verification round costs one dispatch.  Its final
+    lambdas cost none: they reuse the Equation 7 marginals the round's
+    block call returned, which are at exactly the final bids when the
+    round was a Jacobi round that moved no bid and was not damped; any
+    other ending costs one batched evaluation.  The final utilities cost
+    one batched value dispatch.
     """
     if bidder is None:
         bidder = HillClimbBidder()
@@ -244,6 +249,7 @@ def find_equilibrium(
     converged = False
     iterations = 0
     damped = False
+    marginals: Optional[np.ndarray] = None
     for iterations in range(1, max_iterations + 1):
         totals = bids.sum(axis=0)
         previous_bids = bids
@@ -253,7 +259,7 @@ def find_equilibrium(
         # player's previous bids with a step sized to its last move.
         resume = warm_started or iterations > 1
         if update == "jacobi":
-            bids = bidder.optimize_all(
+            bids, marginals = bidder.optimize_all(
                 evaluator,
                 everyone,
                 budgets,
@@ -270,6 +276,7 @@ def find_equilibrium(
             # from a fresh column sum by float-rounding dust — the
             # regression test pins the resulting equilibria to the
             # recomputed-sum oracle within 1e-9.
+            marginals = None
             bids = bids.copy()
             for i in everyone:
                 row = everyone[i : i + 1]
@@ -281,7 +288,7 @@ def find_equilibrium(
                     capacities,
                     current_bids=bids[row] if resume else None,
                     step_hints=None if last_moves is None else last_moves[row],
-                )[0]
+                )[0][0]
                 totals += new_row - bids[i]
                 bids[i] = new_row
 
@@ -332,10 +339,12 @@ def find_equilibrium(
         _sanitize.check_convergence(converged, price_history, price_tolerance)
     state = market.allocate(bids)
     utilities = evaluator.values(state.allocations)
-    lambdas = _final_lambdas(
-        bids, capacities, bidder, evaluator,
-        last_moves=last_moves if iterations > 0 else None, damped=damped,
-    )
+    # "No bid moved": last_moves entries are non-negative maxima of
+    # |bid deltas|, so none-positive means all-zero (spelled without a
+    # float equality); only then are the marginals at the final bids.
+    if damped or last_moves is None or np.any(last_moves > 0.0):
+        marginals = None
+    lambdas = _final_lambdas(bids, capacities, evaluator, marginals)
     return EquilibriumResult(
         state=state,
         utilities=utilities,
@@ -356,6 +365,8 @@ def find_equilibrium(
                 if (warm_started and iterations == 1 and anchor is not None)
                 else prices.copy()
             ),
+            player_names=tuple(market.problem.player_names),
+            resource_names=tuple(market.problem.resource_names),
         ),
         warm_started=warm_started,
         eval_counts=EVAL_COUNTERS.since(counters_at_entry),
@@ -365,47 +376,23 @@ def find_equilibrium(
 def _final_lambdas(
     bids: np.ndarray,
     capacities: np.ndarray,
-    bidder: BiddingStrategy,
     evaluator: BatchedUtilitySet,
-    *,
-    last_moves: Optional[np.ndarray],
-    damped: bool,
+    marginals: Optional[np.ndarray],
 ) -> np.ndarray:
     """Per-player ``lambda_i`` at the final bid matrix.
 
-    Needs at most one batched Equation 7 evaluation — and none at all
-    when the final round's climbs already evaluated marginals at exactly
-    these bids.  That requires the bidder's last call to have covered
-    every row with *fresh* Equation 7 marginals (:attr:`last_fresh` of
-    length N, all true — never after Gauss–Seidel's one-row blocks, and
-    never for a bidder that exposes no marginals), no bid to have moved
-    in the final round (``last_moves`` all zero, so each climb's
-    round-start ``others`` equals the final matrix's), and no
-    oscillation damping to have averaged the matrix after the climbs
-    ran.  Warm verification rounds — the common case in epoch chains —
-    meet all three, so their lambda collection is free.
+    ``marginals`` are the Equation 7 marginals at exactly ``bids`` when
+    the last round's climbs already evaluated them; otherwise one
+    batched evaluation derives them.  ``lambda_i`` is the maximum
+    marginal over the resources the player bids on — the shared value
+    of Equation 4 at an optimum, degrading gracefully away from one —
+    or ``max(marginals, 0)`` for a player bidding on nothing.
     """
-    fresh = bidder.last_fresh
-    reusable = (
-        not damped
-        and last_moves is not None
-        # "no player moved": last_moves entries are non-negative
-        # maxima of |bid deltas|, so none-positive means all-zero
-        # (spelled without a float equality).
-        and not np.any(last_moves > 0.0)
-        and fresh is not None
-        and fresh.shape == (bids.shape[0],)
-        and bool(np.all(fresh))
-    )
-    if reusable:
-        marginals = bidder.last_marginals
-    else:
+    if marginals is None:
         totals = bids.sum(axis=0)
         marginals = marginal_utility_of_bids_batch(
             bids, totals[None, :] - bids, capacities, evaluator
         )
-    # Vectorized player_lambda: max marginal over actively-bid
-    # resources, falling back to max(marginals, 0) for all-zero rows.
     active = bids > 1e-12
     has_active = active.any(axis=1)
     over_active = np.where(active, marginals, -np.inf).max(axis=1)

@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "AllocationProblem",
     "MechanismResult",
-    "MechanismWarmState",
     "AllocationMechanism",
     "EqualShare",
     "EqualBudget",
@@ -95,7 +94,9 @@ class AllocationProblem:
             raise MarketConfigurationError("capacities must be finite and non-negative")
         if self.quanta is None:
             # Default optimum-search granularity: 1/256 of each capacity.
-            self.quanta = self.capacities / 256.0
+            # A zero capacity hands out no quanta, so any positive one
+            # will do for it.
+            self.quanta = np.where(self.capacities > 0.0, self.capacities / 256.0, 1.0)
         else:
             self.quanta = np.asarray(self.quanta, dtype=float)
         shape = (self.num_players, self.num_resources)
@@ -190,42 +191,21 @@ def clamp_to_per_player_caps(
     return alloc
 
 
-@dataclass
-class MechanismWarmState:
-    """Epoch-to-epoch state a stateful mechanism carries between calls.
-
-    The warm start is only reusable when the next problem has the same
-    players over the same resources; the names double as a cheap
-    identity check that catches context switches even if the caller
-    forgets to invalidate.
-    """
-
-    warm_start: WarmStart
-    player_names: tuple
-    resource_names: tuple
-
-    def matches(self, problem: "AllocationProblem") -> bool:
-        return (
-            tuple(self.player_names) == tuple(problem.player_names)
-            and tuple(self.resource_names) == tuple(problem.resource_names)
-            and self.warm_start.bids.shape
-            == (problem.num_players, problem.num_resources)
-        )
-
-
 class AllocationMechanism(abc.ABC):
     """Common interface for all allocation mechanisms.
 
-    Mechanisms that run the market carry an optional persistent
-    ``warm_state`` so consecutive calls on the same player/resource set
-    (the simulator's 1 ms epochs) resume from the previous equilibrium
-    instead of an equal split.  Callers that change the underlying
-    problem out from under the mechanism — e.g. a context switch — must
-    call :meth:`reset_warm_state`.
+    Mechanisms that run the market carry the :class:`WarmStart` of
+    their last search as ``warm_state``, so consecutive calls on the
+    same player/resource set (the simulator's 1 ms epochs) resume from
+    the previous equilibrium instead of an equal split.  The search
+    reuses it only on the players and resources it was produced for;
+    callers that change the underlying problem out from under the
+    mechanism — e.g. a context switch — should still call
+    :meth:`reset_warm_state`.
     """
 
     name: str = "mechanism"
-    warm_state: Optional[MechanismWarmState] = None
+    warm_state: Optional[WarmStart] = None
 
     @abc.abstractmethod
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
@@ -234,23 +214,6 @@ class AllocationMechanism(abc.ABC):
     def reset_warm_state(self) -> None:
         """Drop any carried equilibrium state (e.g. on a context switch)."""
         self.warm_state = None
-
-    def _warm_start_for(self, problem: AllocationProblem) -> Optional[WarmStart]:
-        state = self.warm_state
-        if state is None or not state.matches(problem):
-            return None
-        return state.warm_start
-
-    def _store_warm_state(
-        self, problem: AllocationProblem, warm_start: Optional[WarmStart]
-    ) -> None:
-        if warm_start is None:
-            return
-        self.warm_state = MechanismWarmState(
-            warm_start=warm_start,
-            player_names=tuple(problem.player_names),
-            resource_names=tuple(problem.resource_names),
-        )
 
     def _finish(
         self,
@@ -315,10 +278,8 @@ class EqualBudget(AllocationMechanism):
         ``find_equilibrium`` rescales each row to the fresh ones.
         """
         market = problem.build_market(budgets)
-        eq = find_equilibrium(
-            market, bidder=self.bidder, warm_start=self._warm_start_for(problem)
-        )
-        self._store_warm_state(problem, eq.warm_start)
+        eq = find_equilibrium(market, bidder=self.bidder, warm_start=self.warm_state)
+        self.warm_state = eq.warm_start
         result = self._finish(
             problem,
             eq.state.allocations,
@@ -394,12 +355,12 @@ class ReBudgetMechanism(AllocationMechanism):
             [self.config.initial_budget] * problem.num_players
         )
         rebudget: ReBudgetResult = run_rebudget(
-            market, self.config, warm_start=self._warm_start_for(problem)
+            market, self.config, warm_start=self.warm_state
         )
         # Budgets restart from an equal split every epoch, so the right
         # seed for the next epoch is this epoch's *first* (equal-budget)
         # equilibrium, not the post-cut final one.
-        self._store_warm_state(problem, rebudget.rounds[0].equilibrium.warm_start)
+        self.warm_state = rebudget.rounds[0].equilibrium.warm_start
         eq = rebudget.final_equilibrium
         result = self._finish(
             problem,

@@ -5,18 +5,70 @@ straightforward reading of the paper's procedure.  The library's single
 batched climb (:class:`repro.core.HillClimbBidder` and its
 :class:`repro.core.PriceTakingBidder` subclass) must return exactly the
 bids these produce, row for row; the tests compare against them.
-Both inherit :meth:`BiddingStrategy.optimize_all`, so passing one to
-``find_equilibrium`` runs the per-player Jacobi rounds, and both seed
-from :func:`warm_start_bids`, the per-row form of the climb's Step 1.
+Both answer a block through :class:`ScalarBidder`'s row loop, which
+returns no marginals, so passing one to ``find_equilibrium`` runs the
+per-player rounds and has the search derive every final lambda afresh;
+:func:`player_lambda` is the scalar form of that lambda.  Both seed from
+:func:`warm_start_bids`, the per-row form of the climb's Step 1.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
 from repro.core import BiddingStrategy
 from repro.core.player import marginal_utility_of_bids
 from repro.utility.base import UtilityFunction
+
+
+def player_lambda(utility, bids, others, capacities) -> float:
+    """The player-specific multiplier ``lambda_i`` at a bid vector.
+
+    At an optimum, all resources with non-zero bids share the same
+    marginal utility (Equation 4); this is the maximum marginal over
+    resources with non-zero bids, or the largest non-negative marginal
+    when the player bids on nothing.
+    """
+    marginals = marginal_utility_of_bids(utility, bids, others, capacities)
+    active = bids > 1e-12
+    if not np.any(active):
+        return float(marginals.max(initial=0.0))
+    return float(marginals[active].max())
+
+
+class ScalarBidder(BiddingStrategy):
+    """Answers a block of rows with one scalar :meth:`optimize` per row."""
+
+    def optimize_all(
+        self, evaluator, players, budgets, others, capacities,
+        current_bids=None, step_hints=None,
+    ):
+        bids = np.array([
+            self.optimize(
+                evaluator.utilities[player],
+                float(budgets[k]),
+                others[k],
+                capacities,
+                current_bids=None if current_bids is None else current_bids[k],
+                step_hint=None if step_hints is None else float(step_hints[k]),
+            )
+            for k, player in enumerate(players)
+        ])
+        return bids, None
+
+    @abc.abstractmethod
+    def optimize(
+        self,
+        utility: UtilityFunction,
+        budget: float,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: np.ndarray | None = None,
+        step_hint: float | None = None,
+    ) -> np.ndarray:
+        """One player's new bid vector (length M, sums to budget)."""
 
 
 def warm_start_bids(
@@ -42,7 +94,7 @@ def warm_start_bids(
     return bids * (budget / total)
 
 
-class ScalarHillClimbBidder(BiddingStrategy):
+class ScalarHillClimbBidder(ScalarBidder):
     """Price-anticipating climb on Equation 7 marginals."""
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
@@ -113,7 +165,7 @@ class ScalarHillClimbBidder(BiddingStrategy):
         return bids
 
 
-class ScalarPriceTakingBidder(BiddingStrategy):
+class ScalarPriceTakingBidder(ScalarBidder):
     """Price-taking climb: ``r = b / p`` at prices fixed from the previous bids."""
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markets import best_response
+from reference_bidding import player_lambda
 from repro.core import ExactBidder, HillClimbBidder
-from repro.core.bidding import BiddingStrategy, _project_to_simplex
-from repro.core.player import bid_to_allocation
+from repro.core.bidding import _project_to_simplex
+from repro.core.equilibrium import _final_lambdas
+from repro.core.player import bid_to_allocation, marginal_utility_of_bids
 from repro.utility import LinearUtility, LogUtility, SaturatingUtility
+from repro.utility.batch import BatchedUtilitySet
 
 
 def _u_of_bids(utility, others, caps):
@@ -21,8 +25,8 @@ def _u_of_bids(utility, others, caps):
 class TestHillClimbBidder:
     def test_spends_full_budget(self):
         bidder = HillClimbBidder()
-        bids = bidder.optimize(
-            LogUtility([1.0, 1.0]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 10.0])
+        bids = best_response(
+            bidder, LogUtility([1.0, 1.0]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 10.0])
         )
         assert bids.sum() == pytest.approx(100.0)
         assert np.all(bids >= 0.0)
@@ -34,30 +38,28 @@ class TestHillClimbBidder:
         others = np.array([50.0, 50.0])
         caps = np.array([10.0, 10.0])
         bidder = HillClimbBidder()
-        bids = bidder.optimize(utility, 100.0, others, caps)
+        bids = best_response(bidder, utility, 100.0, others, caps)
         f = _u_of_bids(utility, others, caps)
         assert f(bids) >= f(np.array([50.0, 50.0]))
         assert bids[0] > bids[1]
 
     def test_single_resource_bids_everything(self):
-        bids = HillClimbBidder().optimize(
-            LinearUtility([1.0]), 42.0, np.array([10.0]), np.array([5.0])
+        bids = best_response(
+            HillClimbBidder(), LinearUtility([1.0]), 42.0, np.array([10.0]), np.array([5.0])
         )
         np.testing.assert_allclose(bids, [42.0])
 
     def test_zero_budget(self):
-        bids = HillClimbBidder().optimize(
-            LinearUtility([1.0, 1.0]), 0.0, np.array([1.0, 1.0]), np.array([5.0, 5.0])
+        bids = best_response(
+            HillClimbBidder(), LinearUtility([1.0, 1.0]), 0.0, np.array([1.0, 1.0]), np.array([5.0, 5.0])
         )
         np.testing.assert_allclose(bids, [0.0, 0.0])
 
     def test_near_equalizes_marginals_when_interior(self):
-        from repro.core.player import marginal_utility_of_bids
-
         utility = LogUtility([1.0, 1.0])
         others = np.array([80.0, 20.0])
         caps = np.array([10.0, 10.0])
-        bids = HillClimbBidder().optimize(utility, 100.0, others, caps)
+        bids = best_response(HillClimbBidder(), utility, 100.0, others, caps)
         marg = marginal_utility_of_bids(utility, bids, others, caps)
         # Stop criterion: within 5% (plus the finite final step).
         assert marg.max() - marg.min() <= 0.12 * marg.max()
@@ -72,7 +74,7 @@ class TestHillClimbBidder:
         utility = LogUtility([w0, w1])
         others = np.array([others_scale, others_scale / 2.0])
         caps = np.array([10.0, 10.0])
-        bids = HillClimbBidder().optimize(utility, 100.0, others, caps)
+        bids = best_response(HillClimbBidder(), utility, 100.0, others, caps)
         assert bids.sum() <= 100.0 + 1e-9
         assert np.all(bids >= -1e-12)
 
@@ -83,8 +85,8 @@ class TestExactBidder:
         others = np.array([40.0, 60.0])
         caps = np.array([10.0, 10.0])
         f = _u_of_bids(utility, others, caps)
-        hill = HillClimbBidder().optimize(utility, 100.0, others, caps)
-        exact = ExactBidder().optimize(utility, 100.0, others, caps)
+        hill = best_response(HillClimbBidder(), utility, 100.0, others, caps)
+        exact = best_response(ExactBidder(), utility, 100.0, others, caps)
         assert f(exact) >= f(hill) - 1e-6
 
     def test_analytic_two_symmetric_resources(self):
@@ -92,13 +94,13 @@ class TestExactBidder:
         utility = LogUtility([1.0, 1.0])
         others = np.array([30.0, 30.0])
         caps = np.array([10.0, 10.0])
-        bids = ExactBidder().optimize(utility, 100.0, others, caps)
+        bids = best_response(ExactBidder(), utility, 100.0, others, caps)
         assert bids[0] == pytest.approx(bids[1], rel=1e-3)
 
     def test_warm_start_rescaled(self):
         utility = LogUtility([1.0, 1.0])
-        bids = ExactBidder().optimize(
-            utility,
+        bids = best_response(
+            ExactBidder(), utility,
             50.0,
             np.array([10.0, 10.0]),
             np.array([5.0, 5.0]),
@@ -120,9 +122,11 @@ class TestExactBidder:
         others = np.array([40.0, 60.0])
         caps = np.array([10.0, 10.0])
         bidder = ExactBidder()
-        bids = bidder.optimize(utility, 100.0, others, caps, current_bids=np.array(seed))
-        expected = bidder.optimize(
-            utility, 100.0, others, caps,
+        bids = best_response(
+            bidder, utility, 100.0, others, caps, current_bids=np.array(seed)
+        )
+        expected = best_response(
+            bidder, utility, 100.0, others, caps,
             current_bids=None if start is None else np.array(start),
         )
         assert np.all(bids >= 0.0)
@@ -132,30 +136,40 @@ class TestExactBidder:
     def test_saturating_utility_stops_buying(self):
         # Once saturated, extra bids add nothing; budget still feasible.
         utility = SaturatingUtility([1.0, 1.0], [1.0, 1.0])
-        bids = ExactBidder().optimize(
-            utility, 100.0, np.array([1.0, 1.0]), np.array([10.0, 10.0])
+        bids = best_response(
+            ExactBidder(), utility, 100.0, np.array([1.0, 1.0]), np.array([10.0, 10.0])
         )
         assert bids.sum() <= 100.0 + 1e-9
 
 
 class TestPlayerLambda:
+    """``lambda_i`` as the search reports it, against the scalar oracle.
+
+    Row 0 of a two-player bid matrix sees row 1's bids as ``others``.
+    """
+
+    @staticmethod
+    def _lambda(utility, bids, others, caps):
+        matrix = np.array([bids, others], dtype=float)
+        evaluator = BatchedUtilitySet([utility, utility])
+        return _final_lambdas(matrix, np.asarray(caps, dtype=float), evaluator, None)[0]
+
     def test_lambda_is_max_active_marginal(self):
         utility = LogUtility([1.0, 1.0])
         bids = np.array([50.0, 0.0])
         others = np.array([50.0, 50.0])
         caps = np.array([10.0, 10.0])
-        lam = BiddingStrategy.player_lambda(utility, bids, others, caps)
-        from repro.core.player import marginal_utility_of_bids
-
+        lam = self._lambda(utility, bids, others, caps)
         marg = marginal_utility_of_bids(utility, bids, others, caps)
         assert lam == pytest.approx(marg[0])
+        assert lam == player_lambda(utility, bids, others, caps)
 
     def test_lambda_zero_bids(self):
         utility = LogUtility([1.0, 1.0])
-        lam = BiddingStrategy.player_lambda(
-            utility, np.zeros(2), np.array([1.0, 1.0]), np.array([5.0, 5.0])
-        )
+        bids, others, caps = np.zeros(2), np.array([1.0, 1.0]), np.array([5.0, 5.0])
+        lam = self._lambda(utility, bids, others, caps)
         assert lam >= 0.0
+        assert lam == player_lambda(utility, bids, others, caps)
 
 
 class TestSimplexProjection:

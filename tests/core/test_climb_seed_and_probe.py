@@ -121,7 +121,7 @@ def test_each_point_is_evaluated_once_and_bids_match_the_oracle(
     budgets, seed, hints = _seeds(case, budgets, cold)
     evaluator = BatchedUtilitySet(utilities)
     recorder = Recorder(monkeypatch, evaluator)
-    bids = HillClimbBidder().optimize_all(
+    bids, _ = HillClimbBidder().optimize_all(
         evaluator, np.arange(len(utilities)), budgets, others, capacities,
         current_bids=seed, step_hints=hints,
     )
@@ -226,7 +226,7 @@ def test_array_seed_matches_scalar_warm_start_bids(call, hinted):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bidding_module, "_STEP_STOP_FRACTION", 1.0)
         recorder = Recorder(patch, evaluator)
-        bids = HillClimbBidder().optimize_all(
+        bids, _ = HillClimbBidder().optimize_all(
             evaluator, np.arange(num_players), budgets, others, capacities,
             current_bids=current_bids,
             step_hints=np.ones(num_players) if hinted else None,

@@ -133,8 +133,11 @@ class TestPricing:
         # A non-finite warm seed must not run an equilibrium search on
         # NaN prices: every row falls back to the equal split.
         seed = WarmStart(
-            bids=np.full((3, 2), bad), budgets=m.budgets, prices=np.ones(2)
+            bids=np.full((3, 2), bad), budgets=m.budgets, prices=np.ones(2),
+            player_names=tuple(m.problem.player_names),
+            resource_names=tuple(m.problem.resource_names),
         )
+        assert seed.compatible_with(m)
         eq = find_equilibrium(m, warm_start=seed)
         np.testing.assert_array_equal(
             eq.price_history[0], m.prices(m.equal_split_bids())

@@ -107,7 +107,10 @@ class TestAllocationProblem:
             resource_names=["cache", "power"],
             player_names=["p"],
         )
-        np.testing.assert_array_equal(problem.quanta, [0.0, 10.0 / 256.0])
+        # A zero capacity hands out no quanta, so its default quantum is
+        # any positive one; a positive capacity keeps 1/256 of itself.
+        assert problem.quanta[0] > 0.0
+        assert problem.quanta[1] == 10.0 / 256.0
 
     def test_build_market(self, synthetic_problem):
         market = synthetic_problem.build_market([10.0, 20.0, 30.0])
@@ -247,3 +250,25 @@ class TestStandardSuite:
             "ReBudget-40",
             "MaxEfficiency",
         ]
+
+    def test_zero_capacity_resource(self):
+        # The mechanisms without a market hand out nothing of a resource
+        # with no capacity; the market mechanisms refuse to price it and
+        # name it.
+        problem = AllocationProblem(
+            utilities=[LogUtility([1.0, 1.0]), LogUtility([2.0, 0.5])],
+            capacities=np.array([4.0, 0.0]),
+            resource_names=["c", "p"],
+            player_names=["a", "b"],
+        )
+        refused = []
+        for mechanism in standard_mechanism_suite() + [ElasticitiesProportional()]:
+            if mechanism.name in ("EqualShare", "EP", "MaxEfficiency"):
+                result = mechanism.allocate(problem)
+                assert np.all(result.allocations[:, 1] == 0.0)
+                assert result.allocations[:, 0].sum() == pytest.approx(4.0)
+            else:
+                with pytest.raises(MarketConfigurationError, match="resource 'p'"):
+                    mechanism.allocate(problem)
+                refused.append(mechanism.name)
+        assert refused == ["EqualBudget", "Balanced", "ReBudget-20", "ReBudget-40"]

@@ -8,7 +8,7 @@ ones (each player's bid is a vanishing share of the price).
 import numpy as np
 import pytest
 
-from markets import make_market
+from markets import best_response, make_market
 from repro.core import HillClimbBidder, PriceTakingBidder, find_equilibrium
 from repro.utility import LogUtility
 
@@ -24,27 +24,27 @@ def _market(n, weights=None):
 class TestPriceTakingBidder:
     def test_spends_at_most_budget(self):
         bidder = PriceTakingBidder()
-        bids = bidder.optimize(
-            LogUtility([2.0, 1.0]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 5.0])
+        bids = best_response(
+            bidder, LogUtility([2.0, 1.0]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 5.0])
         )
         assert bids.sum() <= 100.0 + 1e-9
         assert np.all(bids >= 0.0)
 
     def test_single_resource(self):
-        bids = PriceTakingBidder().optimize(
-            LogUtility([1.0]), 40.0, np.array([10.0]), np.array([5.0])
+        bids = best_response(
+            PriceTakingBidder(), LogUtility([1.0]), 40.0, np.array([10.0]), np.array([5.0])
         )
         np.testing.assert_allclose(bids, [40.0])
 
     def test_zero_budget(self):
-        bids = PriceTakingBidder().optimize(
-            LogUtility([1.0, 1.0]), 0.0, np.array([1.0, 1.0]), np.array([5.0, 5.0])
+        bids = best_response(
+            PriceTakingBidder(), LogUtility([1.0, 1.0]), 0.0, np.array([1.0, 1.0]), np.array([5.0, 5.0])
         )
         np.testing.assert_allclose(bids, 0.0)
 
     def test_shifts_toward_valuable_resource(self):
-        bids = PriceTakingBidder().optimize(
-            LogUtility([5.0, 0.1]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 10.0])
+        bids = best_response(
+            PriceTakingBidder(), LogUtility([5.0, 0.1]), 100.0, np.array([50.0, 50.0]), np.array([10.0, 10.0])
         )
         assert bids[0] > bids[1]
 

@@ -8,7 +8,9 @@ must be *bitwise identical* to N independent scalar climbs
 single-resource alike, for both the price-anticipating and the
 price-taking marginal.  The same holds end-to-end through
 ``find_equilibrium``; its call counts are pinned by the
-``climb_reference`` fixture.
+``climb_reference`` fixture.  Whenever a block call returns Equation 7
+marginals with its bids, they are bitwise the batched marginals at
+those bids.
 """
 
 import dataclasses
@@ -18,12 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markets import make_market
-from reference_bidding import ScalarHillClimbBidder, ScalarPriceTakingBidder
+from markets import best_response, make_market
+from reference_bidding import (
+    ScalarHillClimbBidder,
+    ScalarPriceTakingBidder,
+    player_lambda,
+)
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import (
-    BiddingStrategy,
     EqualBudget,
+    ExactBidder,
     HillClimbBidder,
     PriceTakingBidder,
     ReBudgetConfig,
@@ -59,7 +65,8 @@ def scalar_reference(
 
 
 def optimize_all(bidder, utilities, budgets, others, capacities, **warm):
-    """``bidder.optimize_all`` over one block of every player of ``utilities``."""
+    """``bidder.optimize_all`` over one block of every player of ``utilities``:
+    the ``(bids, marginals)`` pair."""
     return bidder.optimize_all(
         BatchedUtilitySet(utilities), np.arange(len(utilities)),
         budgets, others, capacities, **warm,
@@ -128,7 +135,7 @@ class TestPlayerBatchSeams:
 class TestOptimizeAll:
     def test_cold_matches_scalar_bitwise(self, mixed_setup):
         utilities, budgets, others, capacities = mixed_setup
-        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
+        bids, _ = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
 
@@ -142,7 +149,7 @@ class TestOptimizeAll:
         seed = cold * rng.uniform(0.9, 1.1, size=cold.shape)
         seed = seed * (budgets / seed.sum(axis=1))[:, None]
         hints = rng.uniform(0.5, 5.0, size=budgets.size)
-        bids = optimize_all(
+        bids, _ = optimize_all(
             HillClimbBidder(), utilities, budgets, others, capacities,
             current_bids=seed, step_hints=hints,
         )
@@ -157,7 +164,7 @@ class TestOptimizeAll:
         budgets = budgets.copy()
         budgets[1] = 0.0
         budgets[3] = -5.0
-        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
+        bids, _ = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
         assert np.all(bids[1] == 0.0) and np.all(bids[3] == 0.0)
@@ -167,7 +174,7 @@ class TestOptimizeAll:
         budgets = np.array([10.0, 0.0, 3.0])
         others = np.array([[5.0], [5.0], [5.0]])
         capacities = np.array([4.0])
-        bids = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
+        bids, _ = optimize_all(HillClimbBidder(), utilities, budgets, others, capacities)
         expected = scalar_reference(utilities, budgets, others, capacities)
         assert np.array_equal(bids, expected)
 
@@ -180,13 +187,31 @@ class TestOptimizeAll:
         for block in ([1, 4, 8, 9], [0], [9]):
             rows = np.array(block)
             subset = [utilities[i] for i in block]
-            with_eval = HillClimbBidder().optimize_all(
+            with_eval, _ = HillClimbBidder().optimize_all(
                 evaluator, rows, budgets[rows], others[rows], capacities
             )
-            alone = optimize_all(
+            alone, _ = optimize_all(
                 HillClimbBidder(), subset, budgets[rows], others[rows], capacities
             )
             assert np.array_equal(with_eval, alone)
+
+    @pytest.mark.parametrize("bidder", [PriceTakingBidder, ExactBidder])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_other_bidders_return_no_marginals(self, bidder, warm):
+        # Neither evaluates Equation 7 at the bids it returns.
+        utilities = [LogUtility([1.0, 0.3], [1.0, 1.0]), LogUtility([0.5, 1.0], [1.0, 1.0])]
+        budgets = np.array([100.0, 60.0])
+        others = np.array([[50.0, 50.0], [30.0, 70.0]])
+        capacities = np.array([10.0, 5.0])
+        state = {}
+        if warm:
+            state = dict(current_bids=np.array([[70.0, 30.0], [20.0, 40.0]]),
+                         step_hints=np.array([1.0, 1.0]))
+        bids, marginals = optimize_all(
+            bidder(), utilities, budgets, others, capacities, **state
+        )
+        assert marginals is None
+        np.testing.assert_allclose(bids.sum(axis=1), budgets)
 
 
 class TestFindEquilibriumLockstep:
@@ -217,6 +242,23 @@ class TestFindEquilibriumLockstep:
         # The reused-lambda fast path must still agree bitwise with the
         # scalar path's freshly computed lambdas.
         assert np.array_equal(warm_vector.lambdas, warm_scalar.lambdas)
+
+    def test_warm_block_returns_equation_7_marginals_at_its_bids(self, bbpc_problem):
+        market = self._market(bbpc_problem)
+        seed = find_equilibrium(market).warm_start
+        bids = seed.bids
+        evaluator = market.evaluator
+        everyone = np.arange(market.num_players)
+        others = bids.sum(axis=0)[None, :] - bids
+        new_bids, marginals = HillClimbBidder().optimize_all(
+            evaluator, everyone, market.budgets, others, market.capacities,
+            current_bids=bids, step_hints=seed.last_moves,
+        )
+        assert marginals is not None
+        expected = marginal_utility_of_bids_batch(
+            new_bids, others, market.capacities, evaluator=evaluator, players=everyone
+        )
+        assert marginals.tobytes() == expected.tobytes()
 
     def test_warm_verification_round_reuses_climb_marginals(self, bbpc_problem):
         market = self._market(bbpc_problem)
@@ -266,7 +308,8 @@ class TestGaussSeidelIncrementalTotals:
             bids = bids.copy()
             for i, utility in enumerate(market.problem.utilities):
                 others = bids.sum(axis=0) - bids[i]
-                bids[i] = bidder.optimize(
+                bids[i] = best_response(
+                    bidder,
                     utility,
                     market.budgets[i],
                     others,
@@ -357,8 +400,8 @@ def test_allocation_compiles_one_evaluator(monkeypatch):
 
 
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
-    """GS rounds are sequential by construction: one ``optimize`` call
-    per player, each a one-row climb, must agree bitwise with the scalar
+    """GS rounds are sequential by construction: one one-row
+    ``optimize_all`` call per player must agree bitwise with the scalar
     reference climb."""
     market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
     scalar = find_equilibrium(
@@ -371,8 +414,9 @@ def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
 
 
 class TestLambdaReuse:
-    """``_final_lambdas`` may reuse the climb's marginals only when the
-    last climb call covered every row with Equation 7 marginals."""
+    """The final lambdas reuse the marginals a Jacobi round's block call
+    returned, and re-derive them after one-row (Gauss-Seidel) blocks or
+    from a bidder that returns none."""
 
     @staticmethod
     def _settled_market():
@@ -402,7 +446,7 @@ class TestLambdaReuse:
     def _eq7_lambdas(market, bids):
         totals = bids.sum(axis=0)
         return np.array([
-            BiddingStrategy.player_lambda(u, bids[i], totals - bids[i], market.capacities)
+            player_lambda(u, bids[i], totals - bids[i], market.capacities)
             for i, u in enumerate(market.problem.utilities)
         ])
 
@@ -414,19 +458,15 @@ class TestLambdaReuse:
 
     def test_not_reused_after_gauss_seidel_rounds(self, monkeypatch):
         market = self._settled_market()
-        bidder = HillClimbBidder()
         result, recomputed = self._solve(
-            monkeypatch, market, bidder=bidder, update="gauss-seidel"
+            monkeypatch, market, bidder=HillClimbBidder(), update="gauss-seidel"
         )
-        assert bidder.last_fresh.shape == (1,)
         assert recomputed == 1
         assert np.array_equal(result.lambdas, self._eq7_lambdas(market, result.state.bids))
 
     def test_not_reused_for_price_taking(self, monkeypatch):
         market = self._settled_market()
-        bidder = PriceTakingBidder()
-        result, recomputed = self._solve(monkeypatch, market, bidder=bidder)
-        assert bidder.last_fresh is None and bidder.last_marginals is None
+        result, recomputed = self._solve(monkeypatch, market, bidder=PriceTakingBidder())
         assert recomputed == 1
         # lambda_i stays the Equation 7 value, not the price-taking marginal.
         assert np.array_equal(result.lambdas, self._eq7_lambdas(market, result.state.bids))
@@ -480,13 +520,22 @@ def concave_markets(draw):
 @settings(max_examples=60, deadline=None)
 def test_single_climb_equals_scalar_oracle(single, oracle, market):
     utilities, budgets, others, capacities, current_bids, step_hints = market
+    evaluator = BatchedUtilitySet(utilities)
+    everyone = np.arange(len(utilities))
     with np.errstate(divide="ignore", invalid="ignore"):
-        bids = optimize_all(
-            single(), utilities, budgets, others, capacities,
+        bids, marginals = single().optimize_all(
+            evaluator, everyone, budgets, others, capacities,
             current_bids=current_bids, step_hints=step_hints,
         )
         expected = scalar_reference(
             utilities, budgets, others, capacities,
             current_bids=current_bids, step_hints=step_hints, bidder=oracle(),
         )
+        at_bids = marginal_utility_of_bids_batch(
+            bids, others, capacities, evaluator=evaluator, players=everyone
+        )
     assert np.array_equal(bids, expected)
+    if single is PriceTakingBidder:
+        assert marginals is None
+    elif marginals is not None:
+        assert marginals.tobytes() == at_bids.tobytes()

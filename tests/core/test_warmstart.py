@@ -15,6 +15,7 @@ Three contracts, bottom to top:
 import numpy as np
 import pytest
 
+from markets import best_response
 from repro.core import (
     AllocationProblem,
     BalancedBudget,
@@ -64,9 +65,9 @@ class TestHillClimbWarmStart:
 
     def test_optimum_is_a_fixed_point(self):
         bidder = HillClimbBidder()
-        first = bidder.optimize(self.utility, 100.0, self.others, self.capacities)
-        again = bidder.optimize(
-            self.utility, 100.0, self.others, self.capacities, current_bids=first
+        first = best_response(bidder, self.utility, 100.0, self.others, self.capacities)
+        again = best_response(
+            bidder, self.utility, 100.0, self.others, self.capacities, current_bids=first
         )
         # Resuming from an optimum must stay at the optimum.
         np.testing.assert_allclose(again, first, atol=1e-9)
@@ -75,10 +76,10 @@ class TestHillClimbWarmStart:
         # From a converged starting point with a tiny step hint the climb
         # cannot wander: the result stays within one minimal move.
         bidder = HillClimbBidder()
-        opt = bidder.optimize(self.utility, 100.0, self.others, self.capacities)
+        opt = best_response(bidder, self.utility, 100.0, self.others, self.capacities)
         nudged = opt + np.array([0.5, -0.5])
-        warm = bidder.optimize(
-            self.utility,
+        warm = best_response(
+            bidder, self.utility,
             100.0,
             self.others,
             self.capacities,
@@ -90,10 +91,10 @@ class TestHillClimbWarmStart:
     def test_budget_change_falls_back_to_equal_split(self):
         bidder = HillClimbBidder()
         stale = np.array([90.0, 10.0])  # sums to 100, budget is now 50
-        warm = bidder.optimize(
-            self.utility, 50.0, self.others, self.capacities, current_bids=stale
+        warm = best_response(
+            bidder, self.utility, 50.0, self.others, self.capacities, current_bids=stale
         )
-        cold = bidder.optimize(self.utility, 50.0, self.others, self.capacities)
+        cold = best_response(bidder, self.utility, 50.0, self.others, self.capacities)
         np.testing.assert_allclose(warm, cold)
 
     @pytest.mark.parametrize(
@@ -106,16 +107,16 @@ class TestHillClimbWarmStart:
     )
     def test_malformed_current_bids_ignored(self, bad):
         bidder = HillClimbBidder()
-        cold = bidder.optimize(self.utility, 100.0, self.others, self.capacities)
-        warm = bidder.optimize(
-            self.utility, 100.0, self.others, self.capacities, current_bids=bad
+        cold = best_response(bidder, self.utility, 100.0, self.others, self.capacities)
+        warm = best_response(
+            bidder, self.utility, 100.0, self.others, self.capacities, current_bids=bad
         )
         np.testing.assert_allclose(warm, cold)
 
     def test_budget_preserved(self):
         bidder = HillClimbBidder()
-        bids = bidder.optimize(
-            self.utility,
+        bids = best_response(
+            bidder, self.utility,
             80.0,
             self.others,
             self.capacities,
@@ -137,8 +138,8 @@ class TestPriceTakingWarmStart:
         caps = np.array([10.0, 5.0])
         bids = np.full(2, 50.0)
         for _ in range(30):
-            bids = bidder.optimize(utility, 100.0, others, caps, current_bids=bids)
-        settled = bidder.optimize(utility, 100.0, others, caps, current_bids=bids)
+            bids = best_response(bidder, utility, 100.0, others, caps, current_bids=bids)
+        settled = best_response(bidder, utility, 100.0, others, caps, current_bids=bids)
         assert np.abs(settled - bids).max() <= 2.0 + 1e-9
 
 
@@ -209,6 +210,26 @@ class TestFindEquilibriumWarmStart:
         rescaled = ws.bids_for(np.array([10.0, 8.0]))
         np.testing.assert_allclose(rescaled[1], [4.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_non_finite_bid_row_falls_back_to_equal_split(self, bad):
+        # A row with any non-finite bid is not reused, even where
+        # clamping it at 0 would leave a positive total.
+        ws = WarmStart(
+            bids=np.array([[bad, 3.0], [4.0, 6.0]]),
+            budgets=np.array([10.0, 10.0]),
+            prices=np.array([1.0, 1.0]),
+        )
+        rescaled = ws.bids_for(np.array([10.0, 10.0]))
+        assert rescaled.tolist() == [[5.0, 5.0], [4.0, 6.0]]
+
+    def test_zero_budget_zero_row_stays_zero_without_warnings(self):
+        ws = WarmStart(
+            bids=np.zeros((2, 2)), budgets=np.zeros(2), prices=np.ones(2)
+        )
+        with np.errstate(all="raise"):
+            rescaled = ws.bids_for(np.array([0.0, 6.0]))
+        assert rescaled.tolist() == [[0.0, 0.0], [3.0, 3.0]]
+
     def test_warm_start_after_budget_change_still_converges(self, market):
         # A budget change degrades the seed (bids are rescaled, not
         # re-derived); the search must still converge, to a point in the
@@ -271,6 +292,8 @@ class TestMechanismWarmState:
         )
 
     def test_reset_warm_state(self, problem):
+        # A context switch swaps the problem out from under the
+        # mechanism; the simulator drops the carried state.
         mech = EqualBudget()
         mech.allocate(problem)
         assert mech.warm_state is not None
@@ -290,21 +313,32 @@ class TestMechanismWarmState:
             player_names=["x", "y"],
             quanta=np.array([0.25, 0.25]),
         )
-        # Different player set: the stale state must not be consumed
-        # (and must be replaced by the new problem's state).
+        # Different player set (and shape): the stale state must not be
+        # consumed, and must be replaced by the new problem's state.
+        assert not mech.warm_state.compatible_with(different.build_market([100.0] * 2))
         result = mech.allocate(different)
         assert result.allocations.shape == (2, 2)
         assert mech.warm_state.player_names == ("x", "y")
 
     def test_stale_state_detected_by_names(self, problem):
+        # Same shape, different names (a player or a resource renamed):
+        # the carried state is not reused, so the call searches cold.
         mech = EqualBudget()
         mech.allocate(problem)
-        renamed = AllocationProblem(
-            utilities=problem.utilities,
-            capacities=problem.capacities,
-            resource_names=problem.resource_names,
-            player_names=["a", "b", "z"],
-            quanta=problem.quanta,
-        )
-        assert not mech.warm_state.matches(renamed)
-        assert mech.warm_state.matches(problem)
+        budgets = [100.0] * problem.num_players
+        assert mech.warm_state.compatible_with(problem.build_market(budgets))
+        for players, resources in [(["a", "b", "z"], ["cache", "power"]),
+                                   (["a", "b", "c"], ["cache", "bandwidth"])]:
+            renamed = AllocationProblem(
+                utilities=problem.utilities,
+                capacities=problem.capacities,
+                resource_names=resources,
+                player_names=players,
+                quanta=problem.quanta,
+            )
+            assert not mech.warm_state.compatible_with(renamed.build_market(budgets))
+            mech.allocate(problem)
+            stale = mech.allocate(renamed)
+            cold = EqualBudget().allocate(renamed)
+            assert stale.iterations == cold.iterations > 1
+            assert stale.allocations.tobytes() == cold.allocations.tobytes()

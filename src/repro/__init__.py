@@ -43,7 +43,7 @@ from .core import (
     run_rebudget,
     standard_mechanism_suite,
 )
-from .exceptions import ConvergenceError, MarketConfigurationError, ReproError
+from .exceptions import MarketConfigurationError, ReproError
 
 __version__ = "1.0.0"
 
@@ -71,6 +71,5 @@ __all__ = [
     "ef_lower_bound",
     "ReproError",
     "MarketConfigurationError",
-    "ConvergenceError",
     "__version__",
 ]

@@ -308,15 +308,19 @@ class BalancedBudget(EqualBudget):
     name = "Balanced"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        potentials = np.empty(problem.num_players)
-        for i, utility in enumerate(problem.utilities):
-            if problem.per_player_caps is not None:
-                best = np.minimum(problem.capacities, problem.per_player_caps[i])
-            else:
-                best = problem.capacities
-            u_max = utility.value(best)
-            u_min = utility.value(np.zeros(problem.num_resources))
-            potentials[i] = (u_max - u_min) / u_max if u_max > 0 else 0.0
+        num_players = problem.num_players
+        if problem.per_player_caps is not None:
+            best = np.minimum(problem.capacities, problem.per_player_caps)
+        else:
+            best = np.tile(problem.capacities, (num_players, 1))
+        # Every player's U at its best point and at zero, in one dispatch.
+        values = problem.evaluator.values(
+            np.concatenate([best, np.zeros_like(best)]), np.tile(np.arange(num_players), 2)
+        )
+        u_max, u_min = values[:num_players], values[num_players:]
+        potentials = np.divide(
+            u_max - u_min, u_max, out=np.zeros(num_players), where=u_max > 0
+        )
         top = potentials.max()
         if top <= 0.0:
             budgets = np.full(problem.num_players, DEFAULT_BUDGET)
@@ -444,7 +448,7 @@ class ElasticitiesProportional(AllocationMechanism):
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = np.array([utility.value(p) for p in points])
+        values = utility.value_batch(points)
         mask = values > 1e-12
         if mask.sum() < m + 1:
             elasticities[fitted] = 1.0 / m

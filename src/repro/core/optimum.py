@@ -9,25 +9,29 @@ gains are diminishing, so the lazy evaluation (a max-heap with stale
 entries re-validated on pop) is sound, and the greedy solution converges
 to the continuous optimum as the quantum shrinks.
 
-The search tracks every player's integer lattice coordinates (quanta
-held per resource) next to its float allocation and memoizes utility
-lookups by those integer tuples, not by rounded floats: a revisited
-point costs one dict probe, and a new one is evaluated at the float
-point the search holds when it first gets there.
+The search runs on the integer quantum lattice.  A player's state is its
+integer coordinates (quanta held per resource), and the allocation they
+stand for is ``coords × quanta``: the one float point the search ever
+evaluates or returns.  Utility values come from one table per distinct
+utility object, shared by every player that holds it (on a chip, every
+core running one application), so the greedy fill, the exchange passes
+and the final utilities read table entries by integer index.
 
 The exchange passes score incrementally.  The single-resource pass
 keeps every resource's gains and losses between passes and re-scores
 only the recipient and donor of each move; the joint pass scores the
 recipients of a bundle once and reuses those gains for every donor
 offering the same bundle until a move happens.  Rows that are not
-re-scored would come out of the memo with the same bits, so the result
-equals a full rescan's exactly.
+re-scored would read the same table entries against an unchanged
+``current``, so the result equals a full rescan's exactly.
 """
 
 from __future__ import annotations
 
+import array
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -43,6 +47,10 @@ _EXCHANGE_MAX_MOVES = 20000
 _JOINT_MAX_MOVES = 5000
 #: A move must raise total utility by more than this to be made.
 _MOVE_TOLERANCE = 1e-12
+#: Largest table filled up front by one ``value_batch`` call (512 KB of
+#: float64).  A chip's tables hold a few thousand points; the default
+#: 1/256 quanta of a three-resource market would give 17M.
+_EAGER_FILL_MAX_POINTS = 1 << 16
 
 
 @dataclass
@@ -58,71 +66,117 @@ class GreedyOptimum:
         return float(self.utilities.sum())
 
 
+class _LazyTable(dict):
+    """A utility table filled on first read: flat index -> value."""
+
+    __slots__ = ("utility", "shape", "quanta")
+
+    def __init__(self, utility: UtilityFunction, shape: tuple, quanta: np.ndarray):
+        super().__init__()
+        self.utility, self.shape, self.quanta = utility, shape, quanta
+
+    def __missing__(self, flat: int) -> float:
+        point = np.multiply(np.unravel_index(flat, self.shape), self.quanta)
+        value = self[flat] = self.utility.value(point)
+        return value
+
+
+def _utility_table(utility: UtilityFunction, shape: tuple, quanta: np.ndarray):
+    """``U(coords × quanta)`` over the box ``shape``, indexed C-order flat.
+
+    A utility with a vectorized body fills the whole box in one
+    ``value_batch`` call into a flat float64 buffer; a scalar-only one
+    (or an oversized box) fills each entry on its first read, since the
+    search visits a small corner of a large box.
+    """
+    if utility._value_batch is None or math.prod(shape) > _EAGER_FILL_MAX_POINTS:
+        return _LazyTable(utility, shape, quanta)
+    points = np.indices(shape).reshape(len(shape), -1).T * quanta
+    table = array.array("d")
+    table.frombytes(np.asarray(utility.value_batch(points), dtype=float).tobytes())
+    return table
+
+
+def _coordinate_limits(
+    quanta: np.ndarray, totals: np.ndarray, caps: Optional[np.ndarray], num_players: int
+) -> np.ndarray:
+    """Every player's largest reachable coordinate per resource, ``(N, M)``.
+
+    Coordinate ``c`` of resource ``j`` is within player ``i``'s cap when
+    ``c × quanta[j] <= caps[i, j] + 1e-9``.  No player ever holds more
+    than ``totals[j]`` quanta, so ``totals[j] + 1`` (the one-step
+    overshoot the exchange pass scores) stands in for any larger limit.
+    """
+    limits = np.tile(totals + 1, (num_players, 1))
+    if caps is None:
+        return limits
+    bound = caps + 1e-9
+    # The floor of the quotient is within one of the answer; step it.
+    count = np.floor(np.minimum(bound / quanta, limits)).astype(int)
+    count += (count + 1) * quanta <= bound
+    count -= count * quanta > bound
+    return np.minimum(count, limits)
+
+
 class _Lattice:
-    """The search state on the quantum lattice, with a per-player memo.
+    """The search state on the quantum lattice, reading shared value tables.
 
-    ``allocations[i][j]`` is the running float sum of the quanta player
-    ``i`` holds of resource ``j`` and ``coords[i][j]`` their integer
-    count; ``current[i]`` is the cached ``U_i(allocations[i])``.  Rows
-    are Python lists: the same IEEE doubles numpy would hold, without
+    ``coords[i][j]`` is the number of quanta player ``i`` holds of
+    resource ``j``, and ``limits[i][j]`` the largest count the player
+    may reach (its cap, or one past the resource's total quanta).  The
+    point of coordinates ``c`` is ``c × quanta``; ``current[i]`` is the
+    running ``U_i`` of the player's point, accumulated from the gains
+    and losses of its moves.
+
+    Players holding the same utility object share one table.  Its box
+    spans, per resource, coordinates ``0..max(limits[i][j])`` over those
+    players, which covers every point the search scores: a player's
+    coordinates plus one step, never beyond its limit.  Entry ``flat``
+    of the C-order box is ``U(coords × quanta)``; a vectorized utility
+    fills its box up front, a scalar-only one on first read.
+    ``flat[i]`` is player ``i``'s current index into ``tables[i]``, whose
+    per-resource steps are ``strides[i]``.  Rows are Python lists: the
+    same integers and IEEE doubles numpy would hold, without
     per-element boxing.
-
-    Every point the greedy fill, the exchange passes and the leftovers
-    pass evaluate lies on the lattice, and the refinement loop re-scores
-    the same candidate moves on every sweep — ~20x redundancy on a
-    64-player problem.  Utility lookups are therefore memoized per
-    player by integer lattice coordinates: a hit is one dict probe on an
-    integer tuple, and a miss evaluates the utility at the float point
-    the search holds for those coordinates at that moment (with
-    non-power-of-two quanta, later float sums for the same coordinates
-    may differ in the last bits; they reuse the first value).
     """
 
-    __slots__ = ("utilities", "quanta", "caps", "allocations", "coords", "current", "_memo")
+    __slots__ = ("quanta", "limits", "coords", "current", "tables", "strides", "flat")
 
-    def __init__(self, utilities, quanta: List[float], caps: Optional[List[List[float]]]):
-        self.utilities = utilities
-        self.quanta = quanta
-        self.caps = caps
-        num_players, num_resources = len(utilities), len(quanta)
-        self.allocations = [[0.0] * num_resources for _ in range(num_players)]
+    def __init__(self, utilities, quanta: np.ndarray, limits: np.ndarray):
+        num_players, num_resources = limits.shape
+        players_of: dict = {}
+        for i, utility in enumerate(utilities):
+            players_of.setdefault(id(utility), []).append(i)
+        self.tables: list = [None] * num_players
+        self.strides: list = [None] * num_players
+        for players in players_of.values():
+            shape = tuple((limits[players].max(axis=0) + 1).tolist())
+            table = _utility_table(utilities[players[0]], shape, quanta)
+            strides = [math.prod(shape[j + 1:]) for j in range(num_resources)]
+            for i in players:
+                self.tables[i], self.strides[i] = table, strides
+        self.quanta = quanta.tolist()
+        self.limits = limits.tolist()
         self.coords = [[0] * num_resources for _ in range(num_players)]
-        self.current = [0.0] * num_players
-        self._memo: List[dict] = [{} for _ in range(num_players)]
+        self.flat = [0] * num_players
+        self.current = [table[0] for table in self.tables]
 
-    def value(self, i: int, coords: List[int], point: List[float]) -> float:
-        """``U_i(point)``, memoized by ``point``'s lattice ``coords``."""
-        key = tuple(coords)
-        hit = self._memo[i].get(key)
-        if hit is None:
-            hit = self._memo[i][key] = self.utilities[i].value(np.array(point))
-        return hit
+    def value(self, i: int) -> float:
+        """``U_i`` at player ``i``'s current point."""
+        return self.tables[i][self.flat[i]]
 
     def step_value(self, i: int, j: int, sign: int) -> float:
         """``U_i`` after moving ``sign`` (+1 or -1) quanta of ``j``."""
-        coords = self.coords[i]
-        coords[j] += sign
-        key = tuple(coords)
-        coords[j] -= sign
-        memo = self._memo[i]
-        hit = memo.get(key)
-        if hit is None:
-            point = self.allocations[i].copy()
-            point[j] += sign * self.quanta[j]
-            hit = memo[key] = self.utilities[i].value(np.array(point))
-        return hit
+        return self.tables[i][self.flat[i] + sign * self.strides[i][j]]
 
     def capped(self, i: int, j: int) -> bool:
         """Would one more quantum of ``j`` push player ``i`` past its cap?"""
-        return (
-            self.caps is not None
-            and self.allocations[i][j] + self.quanta[j] > self.caps[i][j] + 1e-9
-        )
+        return self.coords[i][j] >= self.limits[i][j]
 
     def move(self, i: int, j: int, sign: int) -> None:
         """Give (``sign`` = +1) or take (-1) one quantum of ``j``."""
-        self.allocations[i][j] += sign * self.quanta[j]
         self.coords[i][j] += sign
+        self.flat[i] += sign * self.strides[i][j]
 
 
 def max_efficiency_allocation(
@@ -152,7 +206,8 @@ def max_efficiency_allocation(
     Capacity that yields no player any positive gain is still handed out
     round-robin at the end so the result honours the paper's "no
     leftovers" invariant; those quanta are utility-neutral by
-    construction.
+    construction.  Every returned allocation is its lattice point
+    ``coords × quanta``.
     """
     capacities = np.asarray(capacities, dtype=float)
     quanta = np.asarray(quanta, dtype=float)
@@ -171,30 +226,28 @@ def max_efficiency_allocation(
         if not np.all(per_player_caps >= 0):
             raise MarketConfigurationError("per_player_caps must be non-negative, not NaN")
 
+    totals = np.floor(capacities / quanta + 1e-9).astype(int)
     lattice = _Lattice(
-        utilities,
-        quanta.tolist(),
-        None if per_player_caps is None else per_player_caps.tolist(),
+        utilities, quanta, _coordinate_limits(quanta, totals, per_player_caps, num_players)
     )
-    allocations, coords, current = lattice.allocations, lattice.coords, lattice.current
-    capped = lattice.capped
-    remaining = np.floor(capacities / quanta + 1e-9).astype(int).tolist()
+    tables, strides, flat = lattice.tables, lattice.strides, lattice.flat
+    coords, limits, current = lattice.coords, lattice.limits, lattice.current
+    remaining = totals.tolist()
 
     def gain(i: int, j: int) -> float:
-        return lattice.step_value(i, j, 1) - current[i]
+        return tables[i][flat[i] + strides[i][j]] - current[i]
 
     counter = itertools.count()
     heap: list = []
     for i in range(num_players):
-        current[i] = lattice.value(i, coords[i], allocations[i])
         for j in range(num_resources):
-            if remaining[j] > 0 and not capped(i, j):
+            if remaining[j] > 0 and coords[i][j] < limits[i][j]:
                 heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
 
     steps = 0
     while heap:
         neg_gain, _, i, j = heapq.heappop(heap)
-        if remaining[j] <= 0 or capped(i, j):
+        if remaining[j] <= 0 or coords[i][j] >= limits[i][j]:
             continue
         fresh = gain(i, j)
         if fresh <= 0.0:
@@ -205,11 +258,12 @@ def max_efficiency_allocation(
             # Stale entry: re-insert with the recomputed gain.
             heapq.heappush(heap, (-fresh, next(counter), i, j))
             continue
-        lattice.move(i, j, 1)
+        coords[i][j] += 1
+        flat[i] += strides[i][j]
         current[i] += fresh
         remaining[j] -= 1
         steps += 1
-        if remaining[j] > 0 and not capped(i, j):
+        if remaining[j] > 0 and coords[i][j] < limits[i][j]:
             heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
 
     _distribute_leftovers(lattice, remaining)
@@ -230,55 +284,51 @@ def max_efficiency_allocation(
         # Joint moves open new single-resource opportunities; re-run.
         steps += joint_moves + _exchange_refinement(lattice)
 
-    result = np.array(allocations, dtype=float).reshape(num_players, num_resources)
-    final_utilities = np.array(
-        [lattice.value(i, coords[i], allocations[i]) for i in range(num_players)]
+    allocations = np.array(lattice.coords, dtype=float).reshape(num_players, num_resources)
+    final_utilities = np.array([lattice.value(i) for i in range(num_players)], dtype=float)
+    return GreedyOptimum(
+        allocations=allocations * quanta, utilities=final_utilities, steps=steps
     )
-    return GreedyOptimum(allocations=result, utilities=final_utilities, steps=steps)
 
 
 def _exchange_refinement(lattice: _Lattice) -> int:
     """Quantum-exchange hill climbing on top of the greedy fill.
 
-    Every resource keeps its players' gains and losses between passes,
-    and a pass re-scores only the rows marked stale: every player on the
-    first pass, then the recipient and donor of each move, for every
-    resource.  Any other row would be re-scored from memo hits at an
-    unchanged ``current`` to the same bits.  A stale row is re-scored at
-    the point of the pass where a full rescan would reach it, so every
-    memo miss is evaluated at the float point a full rescan would use.
+    Every resource keeps its players' gains and losses in one float64
+    array each between passes, and a pass re-scores only the rows marked
+    stale: every player on the first pass, then the recipient and donor
+    of each move, for every resource.  Any other row would read the same
+    table entries against an unchanged ``current``, to the same bits.
     """
-    allocations, current = lattice.allocations, lattice.current
-    num_players = len(allocations)
-    num_resources = len(lattice.quanta)
-    gains_by_resource = [[-np.inf] * num_players for _ in range(num_resources)]
-    losses_by_resource = [[np.inf] * num_players for _ in range(num_resources)]
+    coords, limits, current = lattice.coords, lattice.limits, lattice.current
+    step_value = lattice.step_value
+    num_players, num_resources = len(coords), len(lattice.quanta)
+    gains_by_resource = [np.full(num_players, -np.inf) for _ in range(num_resources)]
+    losses_by_resource = [np.full(num_players, np.inf) for _ in range(num_resources)]
     stale = [set(range(num_players)) for _ in range(num_resources)]
     moves = 0
     improved = True
     while improved and moves < _EXCHANGE_MAX_MOVES:
         improved = False
-        for j, q in enumerate(lattice.quanta):
+        for j in range(num_resources):
             gains, losses = gains_by_resource[j], losses_by_resource[j]
             for i in stale[j]:
+                held = coords[i][j]
                 gains[i] = (
-                    -np.inf if lattice.capped(i, j)
-                    else lattice.step_value(i, j, 1) - current[i]
+                    -math.inf if held >= limits[i][j]
+                    else step_value(i, j, 1) - current[i]
                 )
-                losses[i] = (
-                    current[i] - lattice.step_value(i, j, -1)
-                    if allocations[i][j] >= q - 1e-9 else np.inf
-                )
+                losses[i] = current[i] - step_value(i, j, -1) if held > 0 else math.inf
             stale[j].clear()
-            recipient, donor = _best_exchange_pair(np.array(gains), np.array(losses))
-            if (
-                recipient is not None
-                and gains[recipient] - losses[donor] > _MOVE_TOLERANCE
-            ):
+            recipient, donor = _best_exchange_pair(gains, losses)
+            if recipient is None:
+                continue
+            gain, loss = gains.item(recipient), losses.item(donor)
+            if gain - loss > _MOVE_TOLERANCE:
                 lattice.move(recipient, j, 1)
                 lattice.move(donor, j, -1)
-                current[recipient] += gains[recipient]
-                current[donor] -= losses[donor]
+                current[recipient] += gain
+                current[donor] -= loss
                 for rows in stale:
                     rows.update((recipient, donor))
                 moves += 1
@@ -287,38 +337,33 @@ def _exchange_refinement(lattice: _Lattice) -> int:
 
 
 def _joint_exchange_pass(lattice: _Lattice) -> int:
-    """Move one quantum of *every* resource between players at once.
+    """Move one quantum of *every* resource the donor holds at once.
 
-    A recipient's gain depends on the donor only through the bundle, so
-    the gains are kept per distinct ``(bundle, bundle_coords)`` and
-    reused by every donor offering the same bundle until a move changes
-    the allocations; the donor's own entry is scored only when another
-    donor needs it, exactly when the full scan would first score it.
+    A recipient's gain depends on the donor only through the bundle (the
+    set of resources the donor holds any of), so the gains are kept per
+    bundle and reused by every donor offering the same bundle until a
+    move changes the allocations.
     """
-    allocations, coords, current, caps = (
-        lattice.allocations, lattice.coords, lattice.current, lattice.caps
-    )
-    num_players = len(allocations)
-    # (bundle, bundle_coords) -> each recipient's gain (-inf if capped,
-    # None until scored); valid until the next move.
+    coords, limits, current = lattice.coords, lattice.limits, lattice.current
+    tables, strides, flat = lattice.tables, lattice.strides, lattice.flat
+    num_players = len(coords)
+
+    def offset(i: int, bundle: tuple) -> int:
+        return sum(s for s, b in zip(strides[i], bundle) if b)
+
+    # bundle -> each recipient's gain (-inf past a cap, None until
+    # scored); valid until the next move.
     scored: dict = {}
     moves = 0
     improved = True
     while improved and moves < _JOINT_MAX_MOVES:
         improved = False
         for donor in range(num_players):
-            bundle = [min(q, a) for q, a in zip(lattice.quanta, allocations[donor])]
-            if all(b <= 0.0 for b in bundle):
+            bundle = tuple(1 if c > 0 else 0 for c in coords[donor])
+            if not any(bundle):
                 continue
-            # The bundle's lattice coordinates: one quantum of every
-            # resource the donor holds any of.
-            bundle_coords = [1 if c > 0 else 0 for c in coords[donor]]
-            donor_after = [a - b for a, b in zip(allocations[donor], bundle)]
-            donor_coords = [c - s for c, s in zip(coords[donor], bundle_coords)]
-            loss = current[donor] - lattice.value(donor, donor_coords, donor_after)
-            gains = scored.setdefault(
-                (tuple(bundle), tuple(bundle_coords)), [None] * num_players
-            )
+            loss = current[donor] - tables[donor][flat[donor] - offset(donor, bundle)]
+            gains = scored.setdefault(bundle, [None] * num_players)
             best_gain = 0.0
             best_recipient = None
             for recipient in range(num_players):
@@ -326,17 +371,14 @@ def _joint_exchange_pass(lattice: _Lattice) -> int:
                     continue
                 gain = gains[recipient]
                 if gain is None:
-                    trial = [a + b for a, b in zip(allocations[recipient], bundle)]
-                    if caps is not None and any(
-                        t > c + 1e-9 for t, c in zip(trial, caps[recipient])
+                    if any(
+                        c + b > limit
+                        for c, b, limit in zip(coords[recipient], bundle, limits[recipient])
                     ):
-                        gain = -np.inf
+                        gain = -math.inf
                     else:
-                        trial_coords = [
-                            c + s for c, s in zip(coords[recipient], bundle_coords)
-                        ]
                         gain = (
-                            lattice.value(recipient, trial_coords, trial)
+                            tables[recipient][flat[recipient] + offset(recipient, bundle)]
                             - current[recipient]
                         )
                     gains[recipient] = gain
@@ -344,14 +386,10 @@ def _joint_exchange_pass(lattice: _Lattice) -> int:
                     best_gain = gain
                     best_recipient = recipient
             if best_recipient is not None and best_gain - loss > _MOVE_TOLERANCE:
-                allocations[donor] = donor_after
-                coords[donor] = donor_coords
-                allocations[best_recipient] = [
-                    a + b for a, b in zip(allocations[best_recipient], bundle)
-                ]
-                coords[best_recipient] = [
-                    c + s for c, s in zip(coords[best_recipient], bundle_coords)
-                ]
+                for j, b in enumerate(bundle):
+                    if b:
+                        lattice.move(donor, j, -1)
+                        lattice.move(best_recipient, j, 1)
                 current[donor] -= loss
                 current[best_recipient] += best_gain
                 scored.clear()
@@ -365,35 +403,40 @@ def _best_exchange_pair(gains: np.ndarray, losses: np.ndarray):
 
     The top gainer and the top (least-loss) donor may be the same
     player; in that case the optimum pairs one of them with the runner-up
-    on the other side, so both combinations are evaluated.
+    on the other side, so both combinations are evaluated.  The top two
+    entries of each side are read as Python floats.
 
     Ties between identical players follow numpy's default ``argsort``,
     which is unstable and picks a SIMD kernel for the host CPU, so a tie
     can resolve differently on another machine.  On numpy 2.4 with
     AVX-512, ``kind="stable"`` changes the 64-core BBNN-00, CCPP-00 and
     CPBN-00 optima, and disabling the X86_V3/X86_V4 kernels through
-    ``NPY_DISABLE_CPU_FEATURES`` changes BBNN-00 and CPBN-00.  The arrays
-    therefore stay float64 with the same contents, sorted by the default
-    kind, as when the recorded references were made.
+    ``NPY_DISABLE_CPU_FEATURES`` changes BBNN-00 and CPBN-00.  The
+    persistent arrays therefore stay float64, holding the same contents
+    a full rescan would build, sorted by the default kind, as when the
+    recorded references were made.
     """
-    order_gain = np.argsort(gains)[::-1]
-    order_loss = np.argsort(losses)
+    donors = losses.argsort()[:2].tolist()
     best = (None, None)
-    best_value = -np.inf
-    for r in order_gain[:2]:
-        for d in order_loss[:2]:
-            if r == d or not np.isfinite(gains[r]) or not np.isfinite(losses[d]):
+    best_value = -math.inf
+    for r in gains.argsort()[:-3:-1].tolist():
+        gain = gains.item(r)
+        if not math.isfinite(gain):
+            continue
+        for d in donors:
+            loss = losses.item(d)
+            if r == d or not math.isfinite(loss):
                 continue
-            value = gains[r] - losses[d]
+            value = gain - loss
             if value > best_value:
                 best_value = value
-                best = (int(r), int(d))
+                best = (r, d)
     return best
 
 
 def _distribute_leftovers(lattice: _Lattice, remaining: List[int]) -> None:
     """Hand out utility-neutral residual quanta round-robin ("no leftovers")."""
-    num_players = len(lattice.allocations)
+    num_players = len(lattice.coords)
     for j in range(len(remaining)):
         i = 0
         guard = remaining[j] * num_players + num_players

@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "MarketConfigurationError",
-    "ConvergenceError",
     "SanitizerError",
 ]
 
@@ -16,10 +15,6 @@ class ReproError(Exception):
 
 class MarketConfigurationError(ReproError):
     """A market, player, or mechanism was configured inconsistently."""
-
-
-class ConvergenceError(ReproError):
-    """An iterative solver failed to converge and no fail-safe was allowed."""
 
 
 class SanitizerError(ReproError):

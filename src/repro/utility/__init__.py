@@ -5,8 +5,6 @@ from .base import (
     EVAL_COUNTERS,
     EvalCounters,
     UtilityFunction,
-    is_concave_on_grid,
-    is_nondecreasing_on_grid,
     numeric_gradient,
     numeric_gradient_batch,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "numeric_gradient_batch",
     "BatchedUtilitySet",
     "StackedGrids",
-    "is_concave_on_grid",
-    "is_nondecreasing_on_grid",
     "upper_convex_hull",
     "hull_interpolate",
     "PiecewiseLinearConcave",

@@ -74,8 +74,9 @@ class BatchedUtilitySet:
 
     def _compile(self) -> None:
         # Stackable 2-D grids, one stack per grid shape (degenerate
-        # single-sample axes take the np.interp branches in the scalar
-        # path, so those grids stay out); same-object grids share a slot.
+        # single-sample axes take the np.interp branches of
+        # GridUtility2D._value_batch, so those grids stay out);
+        # same-object grids share a slot.
         stacks: dict = {}
         remaining: List[int] = []
         slots = [0] * len(self.utilities)

@@ -14,7 +14,6 @@ objects the market can consume:
 
 from __future__ import annotations
 
-import bisect
 from typing import Sequence
 
 import numpy as np
@@ -128,43 +127,12 @@ class GridUtility2D(UtilityFunction):
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise ValueError("grid axes must be strictly increasing")
 
+    # The scalar methods are one-row batches: one bilinear body.
     def value(self, allocation: Sequence[float]) -> float:
-        # Python-float arithmetic mirroring value_batch bit for bit.  The
-        # strict-comparison clamps reproduce np.clip exactly: NaN passes
-        # through and a point equal to an axis end (-0.0 at 0.0 too)
-        # keeps its own bits.
-        xs, ys, values = self.xs, self.ys, self.values
-        nx, ny = xs.size, ys.size
-        x, y = float(allocation[0]), float(allocation[1])
-        x_lo, x_hi, y_lo, y_hi = xs.item(0), xs.item(-1), ys.item(0), ys.item(-1)
-        if x < x_lo:
-            x = x_lo
-        elif x > x_hi:
-            x = x_hi
-        if y < y_lo:
-            y = y_lo
-        elif y > y_hi:
-            y = y_hi
-        if nx == 1 and ny == 1:
-            return values.item(0, 0)
-        if nx == 1:
-            return float(np.interp(y, ys, values[0, :]))
-        if ny == 1:
-            return float(np.interp(x, xs, values[:, 0]))
-        i = min(bisect.bisect_right(xs, x), nx - 1) - 1
-        j = min(bisect.bisect_right(ys, y), ny - 1) - 1
-        x0, x1 = xs.item(i), xs.item(i + 1)
-        y0, y1 = ys.item(j), ys.item(j + 1)
-        tx = (x - x0) / (x1 - x0)
-        ty = (y - y0) / (y1 - y0)
-        v00, v01 = values.item(i, j), values.item(i, j + 1)
-        v10, v11 = values.item(i + 1, j), values.item(i + 1, j + 1)
-        return (
-            v00 * (1 - tx) * (1 - ty)
-            + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v11 * tx * ty
-        )
+        return self.value_batch(np.reshape(allocation, (1, 2))).item()
+
+    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
+        return self.gradient_batch(np.reshape(allocation, (1, 2)))[0]
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         if self.xs.size == 1 and self.ys.size == 1:
@@ -179,23 +147,20 @@ class GridUtility2D(UtilityFunction):
         return StackedGrids([self]).value_points(points, owners)
 
     def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
-        # The scalar gradient is the generic numeric differentiator over
-        # value(); mirror it exactly, with all probe points evaluated in
-        # one vectorized value_batch dispatch.
+        # The generic numeric differentiator over value(), with all probe
+        # points evaluated in one vectorized value_batch dispatch.
         return numeric_gradient_batch(self.value_batch, points)
 
     def __repr__(self) -> str:
         return f"GridUtility2D({self.xs.size}x{self.ys.size} grid)"
 
 
-
-
 class _AxisCells:
     """Cell lookup along one axis of a stack of same-length grid axes.
 
     ``axes`` is ``(G, n)``: one strictly increasing axis per grid, with
-    ``n >= 2``.  :meth:`cells` is :meth:`GridUtility2D.value`'s clamp and
-    clamped ``bisect_right`` for one coordinate per row.  When every
+    ``n >= 2``.  :meth:`cells` clamps one coordinate per row to its axis
+    and finds its cell by a clamped right bisection.  When every
     grid's axis is bitwise the same (the cache axis of every core of a
     chip) one shared axis serves all rows and the cell index is local to
     the grid.  Otherwise the axes are concatenated into one flat array
@@ -215,8 +180,8 @@ class _AxisCells:
             self.lo, self.hi = axes[:, 0], axes[:, -1]
             self.top = np.arange(n - 2, num_grids * n, n)
             self.keys = (np.arange(num_grids)[:, None] + 1j * axes).ravel()
-        # Cell widths, the scalar path's ``x1 - x0``; an entry that spans
-        # two grids of the flat array is never looked up.
+        # Cell widths ``x1 - x0``; an entry that spans two grids of the
+        # flat array is never looked up.
         self.widths = self.knots[1:] - self.knots[:-1]
 
     def cells(self, u: np.ndarray, owners: np.ndarray):
@@ -225,7 +190,7 @@ class _AxisCells:
             lo, hi, top = self.lo, self.hi, self.top
         else:
             lo, hi, top = self.lo[owners], self.hi[owners], self.top[owners]
-        # The strict comparisons mirror the scalar clamp: NaN passes
+        # The strict comparisons clamp as np.clip does: NaN passes
         # through and a coordinate equal to an end (-0.0 at 0.0 too)
         # keeps its own bits.
         u = np.where(u < lo, lo, u)
@@ -271,9 +236,10 @@ class StackedGrids:
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Values of ``points[k]`` under grid ``owners[k]``.
 
-        :meth:`GridUtility2D.value` applied elementwise — the same clamp,
-        clamped cell lookup and four-term blend in the same operation
-        order — so results agree bitwise with the scalar path.
+        The one bilinear body: clamp, clamped cell lookup and the
+        four-term blend, elementwise.  Row ``k`` depends on that row
+        alone, so it equals the one-row ``grids[owners[k]].value`` bit
+        for bit.
         """
         i, tx = self._x.cells(points[:, 0], owners)
         j, ty = self._y.cells(points[:, 1], owners)

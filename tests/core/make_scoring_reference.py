@@ -19,6 +19,12 @@ Problems:
 * a two-player log-utility market with the non-power-of-two quantum
   0.01 (the analytic water-filling case of ``test_optimum.py``).
 
+MaxEfficiency searches the integer quantum lattice: its allocations are
+the lattice points ``coords × quanta`` and its utilities ``U(coords ×
+quanta)``.  With the chip's power-of-two quanta these equal running sums
+of quanta; the non-power-of-two cases (``log-q0.01`` and the 0.1 GB/s
+bandwidth axis) record the lattice points.
+
 MaxEfficiency's optima are host-dependent where identical players tie:
 its exchange pass breaks ties by numpy's default ``argsort``, which is
 unstable and SIMD-dispatched.  With ``kind="stable"``, or with

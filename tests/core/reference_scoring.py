@@ -3,12 +3,15 @@
 * :func:`envy_matrix` / :func:`envy_freeness` — the N² double loop of
   scalar ``value`` calls and the sequential minimum (Definition 3).
 * :func:`max_efficiency_allocation` — the lazy greedy plus exchange
-  passes that rescan every player on every pass, with every utility
-  lookup memoized by the *rounded* float lattice coordinates of its
-  point (off-lattice points uncached).
+  passes that rescan every player on every pass, on integer lattice
+  coordinates: a player holding ``coords`` quanta is at the point
+  ``coords × quanta``, evaluated by a scalar ``value`` call, and may step
+  to ``c + 1`` quanta of a resource while ``(c + 1) × quantum <= cap +
+  1e-9``.
 
-The library's stacked envy scoring and its incremental integer-coordinate
-optimum must return exactly these bits; the tests compare against them.
+The library's stacked envy scoring and its incremental optimum on shared
+value tables must return exactly these bits; the tests compare against
+them.
 """
 
 from __future__ import annotations
@@ -52,25 +55,21 @@ def envy_freeness(utilities: Sequence[UtilityFunction], allocations: np.ndarray)
     return float(worst)
 
 
-class _LatticeValueCache:
-    """Utility evaluation memoized by rounded lattice coordinates."""
+class _LatticeUtilities:
+    """``U_i(coords × quanta)`` by scalar ``value`` calls, cached by coordinates."""
 
-    __slots__ = ("_utility", "_quanta", "_cache")
+    __slots__ = ("_utilities", "_quanta", "_cache")
 
-    def __init__(self, utility: UtilityFunction, quanta: np.ndarray):
-        self._utility = utility
+    def __init__(self, utilities: Sequence[UtilityFunction], quanta: np.ndarray):
+        self._utilities = utilities
         self._quanta = quanta
         self._cache: dict = {}
 
-    def value(self, allocation) -> float:
-        coords = np.asarray(allocation, dtype=float) / self._quanta
-        rounded = np.rint(coords)
-        if coords.size and float(np.max(np.abs(coords - rounded))) > 1e-6:
-            return self._utility.value(allocation)
-        key = tuple(int(c) for c in rounded)
+    def value(self, i: int, coords: np.ndarray) -> float:
+        key = (i, tuple(coords.tolist()))
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = self._utility.value(allocation)
+            hit = self._cache[key] = self._utilities[i].value(coords * self._quanta)
         return hit
 
 
@@ -94,26 +93,31 @@ def max_efficiency_allocation(
         if per_player_caps.shape != (num_players, num_resources):
             raise MarketConfigurationError("per_player_caps must be (N, M)")
 
-    utilities = [_LatticeValueCache(u, quanta) for u in utilities]
-    allocations = np.zeros((num_players, num_resources))
-    current = np.zeros(num_players)  # cached U_i(r_i)
+    lattice = _LatticeUtilities(utilities, quanta)
+    coords = np.zeros((num_players, num_resources), dtype=int)
+    current = np.zeros(num_players)  # running U_i(coords_i × quanta)
     remaining = np.floor(capacities / quanta + 1e-9).astype(int)
 
+    def within_caps(i: int, trial: np.ndarray) -> bool:
+        return per_player_caps is None or bool(
+            np.all(trial * quanta <= per_player_caps[i] + 1e-9)
+        )
+
+    def step(i: int, j: int, sign: int) -> np.ndarray:
+        trial = coords[i].copy()
+        trial[j] += sign
+        return trial
+
     def gain(i: int, j: int) -> float:
-        trial = allocations[i].copy()
-        trial[j] += quanta[j]
-        return utilities[i].value(trial) - current[i]
+        return lattice.value(i, step(i, j, 1)) - current[i]
 
     def capped(i: int, j: int) -> bool:
-        return (
-            per_player_caps is not None
-            and allocations[i, j] + quanta[j] > per_player_caps[i, j] + 1e-9
-        )
+        return not within_caps(i, step(i, j, 1))
 
     counter = itertools.count()
     heap: list = []
     for i in range(num_players):
-        current[i] = utilities[i].value(allocations[i])
+        current[i] = lattice.value(i, coords[i])
         for j in range(num_resources):
             if remaining[j] > 0 and not capped(i, j):
                 heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
@@ -129,103 +133,91 @@ def max_efficiency_allocation(
         if heap and fresh < -heap[0][0] - 1e-15:
             heapq.heappush(heap, (-fresh, next(counter), i, j))
             continue
-        allocations[i, j] += quanta[j]
+        coords[i, j] += 1
         current[i] += fresh
         remaining[j] -= 1
         steps += 1
         if remaining[j] > 0 and not capped(i, j):
             heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
 
-    _distribute_leftovers(allocations, remaining, quanta, per_player_caps)
-    steps += _exchange_refinement(utilities, allocations, current, quanta, per_player_caps)
-    joint_moves = _joint_exchange_pass(
-        utilities, allocations, current, quanta, per_player_caps
-    )
+    for j in range(num_resources):
+        i = 0
+        guard = remaining[j] * num_players + num_players
+        while remaining[j] > 0 and guard > 0:
+            guard -= 1
+            target = i % num_players
+            i += 1
+            if capped(target, j):
+                continue
+            coords[target, j] += 1
+            remaining[j] -= 1
+
+    def exchange_refinement(max_moves: int = 20000, tolerance: float = 1e-12) -> int:
+        moves = 0
+        improved = True
+        while improved and moves < max_moves:
+            improved = False
+            for j in range(num_resources):
+                gains = np.full(num_players, -np.inf)
+                losses = np.full(num_players, np.inf)
+                for i in range(num_players):
+                    if not capped(i, j):
+                        gains[i] = lattice.value(i, step(i, j, 1)) - current[i]
+                    if coords[i, j] > 0:
+                        losses[i] = current[i] - lattice.value(i, step(i, j, -1))
+                recipient, donor = _best_exchange_pair(gains, losses)
+                if recipient is not None and gains[recipient] - losses[donor] > tolerance:
+                    coords[recipient, j] += 1
+                    coords[donor, j] -= 1
+                    current[recipient] += gains[recipient]
+                    current[donor] -= losses[donor]
+                    moves += 1
+                    improved = True
+        return moves
+
+    def joint_exchange_pass(max_moves: int = 5000, tolerance: float = 1e-12) -> int:
+        moves = 0
+        improved = True
+        while improved and moves < max_moves:
+            improved = False
+            for donor in range(num_players):
+                # One quantum of every resource the donor holds any of.
+                bundle = (coords[donor] > 0).astype(int)
+                if not bundle.any():
+                    continue
+                loss = current[donor] - lattice.value(donor, coords[donor] - bundle)
+                best_gain = 0.0
+                best_recipient = None
+                for recipient in range(num_players):
+                    if recipient == donor:
+                        continue
+                    trial = coords[recipient] + bundle
+                    if not within_caps(recipient, trial):
+                        continue
+                    gain = lattice.value(recipient, trial) - current[recipient]
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_recipient = recipient
+                if best_recipient is not None and best_gain - loss > tolerance:
+                    coords[donor] -= bundle
+                    coords[best_recipient] += bundle
+                    current[donor] -= loss
+                    current[best_recipient] += best_gain
+                    moves += 1
+                    improved = True
+        return moves
+
+    steps += exchange_refinement()
+    joint_moves = joint_exchange_pass()
     if joint_moves:
-        steps += joint_moves + _exchange_refinement(
-            utilities, allocations, current, quanta, per_player_caps
-        )
+        steps += joint_moves + exchange_refinement()
 
     final_utilities = np.array(
-        [utilities[i].value(allocations[i]) for i in range(num_players)]
+        [lattice.value(i, coords[i]) for i in range(num_players)]
     )
-    return GreedyOptimum(allocations=allocations, utilities=final_utilities, steps=steps)
-
-
-def _exchange_refinement(
-    utilities, allocations, current, quanta, per_player_caps,
-    max_moves: int = 20000, tolerance: float = 1e-12,
-) -> int:
-    num_players, num_resources = allocations.shape
-    moves = 0
-    improved = True
-    while improved and moves < max_moves:
-        improved = False
-        for j in range(num_resources):
-            q = quanta[j]
-            gains = np.full(num_players, -np.inf)
-            losses = np.full(num_players, np.inf)
-            for i in range(num_players):
-                at_cap = (
-                    per_player_caps is not None
-                    and allocations[i, j] + q > per_player_caps[i, j] + 1e-9
-                )
-                if not at_cap:
-                    trial = allocations[i].copy()
-                    trial[j] += q
-                    gains[i] = utilities[i].value(trial) - current[i]
-                if allocations[i, j] >= q - 1e-9:
-                    trial = allocations[i].copy()
-                    trial[j] -= q
-                    losses[i] = current[i] - utilities[i].value(trial)
-            recipient, donor = _best_exchange_pair(gains, losses)
-            if recipient is not None and gains[recipient] - losses[donor] > tolerance:
-                allocations[recipient, j] += q
-                allocations[donor, j] -= q
-                current[recipient] += gains[recipient]
-                current[donor] -= losses[donor]
-                moves += 1
-                improved = True
-    return moves
-
-
-def _joint_exchange_pass(
-    utilities, allocations, current, quanta, per_player_caps,
-    max_moves: int = 5000, tolerance: float = 1e-12,
-) -> int:
-    num_players, num_resources = allocations.shape
-    moves = 0
-    improved = True
-    while improved and moves < max_moves:
-        improved = False
-        for donor in range(num_players):
-            bundle = np.minimum(quanta, allocations[donor])
-            if np.all(bundle <= 0.0):
-                continue
-            donor_after = allocations[donor] - bundle
-            loss = current[donor] - utilities[donor].value(donor_after)
-            best_gain = 0.0
-            best_recipient = None
-            for recipient in range(num_players):
-                if recipient == donor:
-                    continue
-                trial = allocations[recipient] + bundle
-                if per_player_caps is not None and np.any(
-                    trial > per_player_caps[recipient] + 1e-9
-                ):
-                    continue
-                gain = utilities[recipient].value(trial) - current[recipient]
-                if gain > best_gain:
-                    best_gain = gain
-                    best_recipient = recipient
-            if best_recipient is not None and best_gain - loss > tolerance:
-                allocations[donor] -= bundle
-                allocations[best_recipient] += bundle
-                current[donor] -= loss
-                current[best_recipient] += best_gain
-                moves += 1
-                improved = True
-    return moves
+    return GreedyOptimum(
+        allocations=coords * quanta, utilities=final_utilities, steps=steps
+    )
 
 
 def _best_exchange_pair(gains: np.ndarray, losses: np.ndarray):
@@ -242,21 +234,3 @@ def _best_exchange_pair(gains: np.ndarray, losses: np.ndarray):
                 best_value = value
                 best = (int(r), int(d))
     return best
-
-
-def _distribute_leftovers(allocations, remaining, quanta, per_player_caps) -> None:
-    num_players = allocations.shape[0]
-    for j in range(remaining.size):
-        i = 0
-        guard = remaining[j] * num_players + num_players
-        while remaining[j] > 0 and guard > 0:
-            guard -= 1
-            target = i % num_players
-            i += 1
-            if (
-                per_player_caps is not None
-                and allocations[target, j] + quanta[j] > per_player_caps[target, j] + 1e-9
-            ):
-                continue
-            allocations[target, j] += quanta[j]
-            remaining[j] -= 1

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scoring
-from repro.cmp import ChipModel, cmp_64core
+from repro.cmp import ChipModel, cmp_8core, cmp_64core
+from repro.cmp.bandwidth import BandwidthAwareUtility, build_bandwidth_problem
 from repro.core import max_efficiency_allocation, optimum
 from repro.exceptions import MarketConfigurationError
 from repro.utility import (
@@ -170,7 +171,7 @@ def concave_markets(draw):
 
 @given(market=concave_markets())
 @settings(max_examples=150, deadline=None)
-def test_equals_rounded_float_memo_oracle_bitwise(market):
+def test_equals_lattice_oracle_bitwise(market):
     utilities, capacities, quanta, per_player_caps = market
     out = max_efficiency_allocation(utilities, capacities, quanta, per_player_caps)
     expected = reference_scoring.max_efficiency_allocation(
@@ -198,7 +199,7 @@ def _count_exchange_work(monkeypatch):
             moves = refinement(lattice, *args, **kwargs)
         finally:
             counts["inside"] = False
-        num_players, num_resources = len(lattice.allocations), len(lattice.quanta)
+        num_players, num_resources = len(lattice.coords), len(lattice.quanta)
         # One full scoring of every (player, resource, direction), then
         # one re-scoring of the recipient and donor of each move.
         counts["bound"] += 2 * num_resources * num_players + 4 * num_resources * moves
@@ -271,3 +272,102 @@ def test_joint_moves_then_exchange_moves_equal_oracle_bitwise(monkeypatch):
     assert out.allocations.tobytes() == expected.allocations.tobytes()
     assert out.utilities.tobytes() == expected.utilities.tobytes()
     assert out.steps == expected.steps
+
+
+def test_one_table_fill_per_distinct_grid(monkeypatch):
+    # Every chip utility is a GridUtility2D, one object per application:
+    # each object's table is filled by one value_batch over its box, and
+    # nothing calls the scalar value.
+    bundle = generate_bundles("CPBN", 64, count=1, seed=2016)[0]
+    problem = ChipModel(cmp_64core(), bundle.apps).build_problem()
+    batches, scalars = [], []
+    value_batch, value = GridUtility2D.value_batch, GridUtility2D.value
+
+    def counting_value_batch(self, points):
+        batches.append(id(self))
+        return value_batch(self, points)
+
+    def counting_value(self, allocation):
+        scalars.append(id(self))
+        return value(self, allocation)
+
+    monkeypatch.setattr(GridUtility2D, "value_batch", counting_value_batch)
+    monkeypatch.setattr(GridUtility2D, "value", counting_value)
+    max_efficiency_allocation(
+        problem.utilities, problem.capacities, problem.quanta, problem.per_player_caps
+    )
+    distinct = {id(u) for u in problem.utilities}
+    assert len(distinct) == 22
+    assert sorted(batches) == sorted(distinct)
+    assert scalars == []
+
+
+def test_scalar_only_tables_fill_on_first_read(monkeypatch):
+    # BandwidthAwareUtility has no vectorized body and a box of 160k-325k
+    # points per core on the uncapped bandwidth axis; the search reads
+    # only the points it visits, each once.  The per-player memo this
+    # table replaced evaluated exactly these counts.
+    bundle = generate_bundles("CPBN", 8, count=1, seed=9)[0]
+    problem = build_bandwidth_problem(ChipModel(cmp_8core(), bundle.apps))
+    calls = {}
+    value = BandwidthAwareUtility.value
+
+    def counting_value(self, allocation):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return value(self, allocation)
+
+    monkeypatch.setattr(BandwidthAwareUtility, "value", counting_value)
+    max_efficiency_allocation(
+        problem.utilities, problem.capacities, problem.quanta, problem.per_player_caps
+    )
+    counts = [calls[id(u)] for u in problem.utilities]
+    assert all(
+        n <= memo for n, memo in zip(counts, [216, 30, 133, 142, 150, 142, 223, 221])
+    )
+
+
+def test_allocations_are_lattice_points_bitwise():
+    # 0.1 and 0.3 quanta: a running sum of quanta drifts off the lattice
+    # point in the last bits, coords × quanta does not.
+    utilities, capacities, quanta, per_player_caps = _joint_move_market()
+    out = max_efficiency_allocation(utilities, capacities, quanta, per_player_caps)
+    coords = np.rint(out.allocations / quanta)
+    assert (coords * quanta).tobytes() == out.allocations.tobytes()
+    np.testing.assert_array_equal(coords.sum(axis=0), np.floor(capacities / quanta + 1e-9))
+    assert out.utilities.tobytes() == np.array(
+        [u.value(a) for u, a in zip(utilities, out.allocations)]
+    ).tobytes()
+
+
+def test_oversized_vectorized_box_fills_on_first_read(monkeypatch):
+    # A vectorized utility whose box exceeds the eager-fill bound (302 x
+    # 302 points here; 258**3 at the default 1/256 quanta of a
+    # three-resource market) is read like a scalar-only one.
+    utilities = [LogUtility([1.0, 2.0], [1.0, 1.0]), LogUtility([2.0, 0.5], [1.0, 1.0])]
+    batches = []
+    monkeypatch.setattr(
+        LogUtility, "value_batch", lambda self, points: batches.append(len(points))
+    )
+    capacities = np.array([3.0, 3.0])
+    out = max_efficiency_allocation(utilities, capacities, [0.01, 0.01])
+    assert batches == []
+    assert out.allocations.sum(axis=0) == pytest.approx(capacities)
+
+
+@pytest.mark.parametrize(
+    "quantum, cap, limit",
+    [(0.01, 4.969999999, 497), (1 / 3, 10.333333332333332, 31), (0.07, 26.389999999, 376)],
+)
+def test_cap_limit_is_the_last_lattice_point_within_the_cap(quantum, cap, limit):
+    # The quotient (cap + 1e-9) / quantum rounds to just below an integer
+    # whose lattice point is within the cap (the first two cases), or to
+    # an integer whose lattice point is just past it (the third).
+    utilities = [LinearUtility([2.0]), LinearUtility([1.0])]
+    capacities, caps = [2.0 * cap], np.array([[cap], [2.0 * cap]])
+    out = max_efficiency_allocation(utilities, capacities, [quantum], caps)
+    assert out.allocations[0, 0] == limit * quantum
+    expected = reference_scoring.max_efficiency_allocation(
+        utilities, capacities, [quantum], caps
+    )
+    assert out.allocations.tobytes() == expected.allocations.tobytes()
+    assert out.utilities.tobytes() == expected.utilities.tobytes()

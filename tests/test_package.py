@@ -29,10 +29,10 @@ class TestPackage:
             assert hasattr(repro, symbol), symbol
 
     def test_exceptions_hierarchy(self):
-        from repro.exceptions import ConvergenceError, MarketConfigurationError, ReproError
+        from repro.exceptions import MarketConfigurationError, ReproError, SanitizerError
 
         assert issubclass(MarketConfigurationError, ReproError)
-        assert issubclass(ConvergenceError, ReproError)
+        assert issubclass(SanitizerError, ReproError)
 
     def test_public_entry_points_documented(self):
         # Every public module carries a docstring (the documentation

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utility import (
-    LinearUtility,
-    is_concave_on_grid,
-    is_nondecreasing_on_grid,
-    numeric_gradient,
-)
+from grid_probes import is_concave_on_grid, is_nondecreasing_on_grid
+from repro.utility import LinearUtility, numeric_gradient
 from repro.utility.base import UtilityFunction
 
 

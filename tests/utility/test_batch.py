@@ -376,8 +376,7 @@ def test_stacked_kernel_is_bitwise_the_scalar_grid(case):
         np.reshape([grids[g].gradient(p) for g, p in zip(owners, points)], points.shape)
     )
     for g, grid in enumerate(grids):
-        mine = points[owners == g]
-        assert _bits(grid.value_batch(mine)) == _bits([grid.value(p) for p in mine])
+        assert _bits(grid.value_batch(points[owners == g])) == _bits(values[owners == g])
 
 
 def test_stacked_axes_shared_only_when_bitwise_equal():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_probes import is_concave_on_grid, is_nondecreasing_on_grid
 from repro.utility import (
     AdditiveUtility,
     CobbDouglasUtility,
@@ -13,8 +14,6 @@ from repro.utility import (
     PowerUtility,
     SaturatingUtility,
     ScaledUtility,
-    is_concave_on_grid,
-    is_nondecreasing_on_grid,
     numeric_gradient,
 )
 

@@ -6,7 +6,7 @@ from .characterization import (
     characterize_app,
     characterize_suite,
 )
-from .export import simulation_to_csv, sweep_to_csv, write_csv
+from .export import sweep_to_csv, write_csv
 from .experiments import (
     BundleScore,
     SimulationScore,
@@ -20,7 +20,7 @@ from .experiments import (
     run_simulation_experiment,
 )
 from .reporting import format_series, format_table, summarize_simulation, summarize_sweep
-from .stats import fraction_at_least, geometric_mean, series_summary
+from .stats import fraction_at_least
 from .validation import (
     UMONErrorRow,
     dram_contention_study,
@@ -46,11 +46,8 @@ __all__ = [
     "format_series",
     "summarize_sweep",
     "summarize_simulation",
-    "series_summary",
     "fraction_at_least",
-    "geometric_mean",
     "sweep_to_csv",
-    "simulation_to_csv",
     "write_csv",
     "UMONErrorRow",
     "umon_error_study",

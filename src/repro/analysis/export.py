@@ -1,16 +1,15 @@
 """CSV export of experiment results (for external plotting).
 
-The benchmarks print text; anyone wanting to re-plot Figures 4/5 in
-their own tooling can export the raw series here.
+The benchmarks print text; anyone wanting to re-plot Figure 4 in
+their own tooling can export the raw sweep here.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import List
 
-__all__ = ["sweep_to_csv", "simulation_to_csv", "write_csv"]
+__all__ = ["sweep_to_csv", "write_csv"]
 
 
 def sweep_to_csv(sweep) -> str:
@@ -47,30 +46,6 @@ def sweep_to_csv(sweep) -> str:
                     result.converged,
                     "" if result.mur is None else f"{result.mur:.6f}",
                     "" if result.mbr is None else f"{result.mbr:.6f}",
-                ]
-            )
-    return out.getvalue()
-
-
-def simulation_to_csv(scores) -> str:
-    """One row per (bundle, mechanism) of a phase-2 experiment."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["bundle", "category", "mechanism", "efficiency", "efficiency_vs_opt",
-         "envy_freeness", "mean_market_iterations"]
-    )
-    for score in scores:
-        for mechanism in score.efficiency:
-            writer.writerow(
-                [
-                    score.bundle,
-                    score.category,
-                    mechanism,
-                    f"{score.efficiency[mechanism]:.6f}",
-                    f"{score.efficiency_vs_opt(mechanism):.6f}",
-                    f"{score.envy_freeness[mechanism]:.6f}",
-                    f"{score.mean_iterations[mechanism]:.3f}",
                 ]
             )
     return out.getvalue()

@@ -2,26 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["series_summary", "fraction_at_least", "geometric_mean"]
-
-
-def series_summary(values: Sequence[float]) -> Dict[str, float]:
-    """min / p25 / median / p75 / max / mean of a series."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    return {
-        "min": float(arr.min()),
-        "p25": float(np.percentile(arr, 25)),
-        "median": float(np.median(arr)),
-        "p75": float(np.percentile(arr, 75)),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-    }
+__all__ = ["fraction_at_least"]
 
 
 def fraction_at_least(values: Sequence[float], threshold: float) -> float:
@@ -31,12 +16,3 @@ def fraction_at_least(values: Sequence[float], threshold: float) -> float:
         raise ValueError("empty series")
     return float(np.mean(arr >= threshold))
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (all entries must be positive)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))

@@ -25,7 +25,6 @@ from .core_model import CoreModel, OperatingPoint
 from .dram import DDR3Timing, DRAMModel, ddr3_1600
 from .bandwidth import BandwidthAwareUtility, BandwidthModel, build_bandwidth_problem
 from .futility import FutilityScalingController
-from .groups import GroupUtility, build_grouped_problem, expand_group_allocation
 from .lru_cache import AddressStreamGenerator, CacheStats, SetAssociativeCache
 from .monitor import RuntimeMonitor
 from .power import RAPL_QUANTUM_WATTS, DVFSPowerModel
@@ -76,9 +75,6 @@ __all__ = [
     "BandwidthModel",
     "BandwidthAwareUtility",
     "build_bandwidth_problem",
-    "GroupUtility",
-    "build_grouped_problem",
-    "expand_group_allocation",
     "SetAssociativeCache",
     "AddressStreamGenerator",
     "CacheStats",

@@ -26,7 +26,7 @@ accepts a pre-hulled miss curve for that purpose.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -137,8 +137,12 @@ class BandwidthAwareUtility(UtilityFunction):
             latency = 0.5 * (latency + new_latency)
         return 1.0 / (app.cpi_exe / frequency_ghz + mpi * latency)
 
-    def value(self, allocation: Sequence[float]) -> float:
-        extra_cache, extra_power, extra_bw = allocation
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
+        # The model is per point (a bisection for the frequency, then the
+        # latency fixed point), so the rows loop over it.
+        return np.array([self._point_value(*point) for point in points], dtype=float)
+
+    def _point_value(self, extra_cache: float, extra_power: float, extra_bw: float) -> float:
         cache = self._min_cache + max(extra_cache, 0.0)
         frequency = self.core.frequency_for_power(self._min_power + max(extra_power, 0.0))
         bw = self.free_bandwidth + max(extra_bw, 0.0)

@@ -151,11 +151,10 @@ class EquilibriumResult:
         Whether this search was itself seeded from previous bids.
     eval_counts:
         Utility-evaluation tallies accumulated by this search
-        (:meth:`~repro.utility.base.EvalCounters.since` deltas: scalar
-        value/gradient dispatches, vectorized dispatches, points covered,
-        plus ``scalar_calls`` / ``batch_calls`` / ``total_calls``
-        roll-ups).  Benches and profilers read this instead of
-        monkeypatching the utility classes.
+        (:meth:`~repro.utility.base.EvalCounters.since` deltas: value
+        and gradient dispatches, points covered, plus ``batch_calls`` /
+        ``total_calls`` roll-ups).  Benches and profilers read this
+        instead of monkeypatching the utility classes.
     """
 
     state: MarketState

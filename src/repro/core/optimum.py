@@ -84,12 +84,12 @@ class _LazyTable(dict):
 def _utility_table(utility: UtilityFunction, shape: tuple, quanta: np.ndarray):
     """``U(coords × quanta)`` over the box ``shape``, indexed C-order flat.
 
-    A utility with a vectorized body fills the whole box in one
-    ``value_batch`` call into a flat float64 buffer; a scalar-only one
-    (or an oversized box) fills each entry on its first read, since the
-    search visits a small corner of a large box.
+    A box of up to ``_EAGER_FILL_MAX_POINTS`` fills in one
+    ``value_batch`` call into a flat float64 buffer; a larger one fills
+    each entry on its first read, since the search visits a small corner
+    of a large box.
     """
-    if utility._value_batch is None or math.prod(shape) > _EAGER_FILL_MAX_POINTS:
+    if math.prod(shape) > _EAGER_FILL_MAX_POINTS:
         return _LazyTable(utility, shape, quanta)
     points = np.indices(shape).reshape(len(shape), -1).T * quanta
     table = array.array("d")
@@ -132,8 +132,8 @@ class _Lattice:
     spans, per resource, coordinates ``0..max(limits[i][j])`` over those
     players, which covers every point the search scores: a player's
     coordinates plus one step, never beyond its limit.  Entry ``flat``
-    of the C-order box is ``U(coords × quanta)``; a vectorized utility
-    fills its box up front, a scalar-only one on first read.
+    of the C-order box is ``U(coords × quanta)``; a small box fills up
+    front, a large one on first read.
     ``flat[i]`` is player ``i``'s current index into ``tables[i]``, whose
     per-resource steps are ``strides[i]``.  Rows are Python lists: the
     same integers and IEEE doubles numpy would hold, without

@@ -5,11 +5,10 @@ from .base import (
     EVAL_COUNTERS,
     EvalCounters,
     UtilityFunction,
-    numeric_gradient,
     numeric_gradient_batch,
 )
 from .batch import BatchedUtilitySet
-from .convex_hull import PiecewiseLinearConcave, hull_interpolate, upper_convex_hull
+from .convex_hull import PiecewiseLinearConcave, upper_convex_hull
 from .functions import (
     AdditiveUtility,
     CobbDouglasUtility,
@@ -25,12 +24,10 @@ __all__ = [
     "UtilityFunction",
     "EvalCounters",
     "EVAL_COUNTERS",
-    "numeric_gradient",
     "numeric_gradient_batch",
     "BatchedUtilitySet",
     "StackedGrids",
     "upper_convex_hull",
-    "hull_interpolate",
     "PiecewiseLinearConcave",
     "LinearUtility",
     "LogUtility",

@@ -25,7 +25,6 @@ __all__ = [
     "UtilityFunction",
     "EvalCounters",
     "EVAL_COUNTERS",
-    "numeric_gradient",
     "numeric_gradient_batch",
 ]
 
@@ -46,14 +45,11 @@ class EvalCounters:
     step ``_group_eval``, is the one place that counts, once per group it
     dispatches to:
 
-    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per group
-      with a vectorized body (a stacked-grid group, or a utility with a
-      ``_value_batch`` / ``_gradient_batch`` body), however many rows it
-      covers; nested dispatches inside that body (numeric-gradient
-      probes, the components of a wrapper utility) are not counted again.
-    * ``batch_points`` — rows covered by those vectorized dispatches.
-    * ``scalar_value_calls`` / ``scalar_gradient_calls`` — one per row
-      of a group with no vectorized body, which loops the scalar method.
+    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per group,
+      however many rows it covers; nested dispatches inside that group's
+      body (numeric-gradient probes, the components of a wrapper
+      utility) are not counted again.
+    * ``batch_points`` — rows covered by those dispatches.
 
     Evaluations made outside an evaluator (direct ``value`` /
     ``value_batch`` calls, scalar reference seams) are not counted.
@@ -62,20 +58,12 @@ class EvalCounters:
     logic, so they cannot affect results.
     """
 
-    __slots__ = (
-        "scalar_value_calls",
-        "scalar_gradient_calls",
-        "batch_value_calls",
-        "batch_gradient_calls",
-        "batch_points",
-    )
+    __slots__ = ("batch_value_calls", "batch_gradient_calls", "batch_points")
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.scalar_value_calls = 0
-        self.scalar_gradient_calls = 0
         self.batch_value_calls = 0
         self.batch_gradient_calls = 0
         self.batch_points = 0
@@ -87,20 +75,22 @@ class EvalCounters:
     def since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
         """Per-field deltas accumulated after ``snapshot`` was taken.
 
-        The returned dict additionally carries ``scalar_calls`` /
-        ``batch_calls`` / ``total_calls`` roll-ups.
+        The returned dict additionally carries ``batch_calls`` /
+        ``total_calls`` roll-ups, and ``scalar_value_calls`` /
+        ``scalar_gradient_calls`` / ``scalar_calls``, always 0: every
+        utility evaluates through its batch body, and those keys stay for
+        readers of older tallies (perfbench's ``utility.scalar_calls``,
+        the tallies recorded in ``climb_reference.json``).
         """
         delta = {
             name: getattr(self, name) - snapshot.get(name, 0)
             for name in self.__slots__
         }
-        delta["scalar_calls"] = (
-            delta["scalar_value_calls"] + delta["scalar_gradient_calls"]
-        )
+        delta.update(scalar_value_calls=0, scalar_gradient_calls=0, scalar_calls=0)
         delta["batch_calls"] = (
             delta["batch_value_calls"] + delta["batch_gradient_calls"]
         )
-        delta["total_calls"] = delta["scalar_calls"] + delta["batch_calls"]
+        delta["total_calls"] = delta["batch_calls"]
         return delta
 
 
@@ -113,65 +103,47 @@ EVAL_COUNTERS = EvalCounters()
 class UtilityFunction(abc.ABC):
     """A concave, non-decreasing, continuous utility over M resources.
 
-    Subclasses must implement :meth:`value`; :meth:`gradient` has a numeric
-    default that subclasses with analytic derivatives should override.
+    A subclass implements one body, :meth:`_value_batch`, over a
+    ``(K, num_resources)`` batch; :meth:`_gradient_batch` defaults to the
+    numeric differentiator over it, and subclasses with analytic
+    derivatives override it.  The scalar :meth:`value` and
+    :meth:`gradient` are one-row batches of those bodies.
     """
 
     #: Number of resources this utility is defined over.
     num_resources: int = 1
 
     @abc.abstractmethod
-    def value(self, allocation: Sequence[float]) -> float:
-        """Return the utility of ``allocation`` (length ``num_resources``)."""
+    def _value_batch(self, points: np.ndarray) -> np.ndarray:
+        """Utilities of an already validated ``(K, num_resources)`` float matrix."""
 
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        """Return the marginal utility of each resource at ``allocation``.
-
-        The default implementation is a central finite difference that
-        falls back to one-sided differences at the domain boundary (we
-        never evaluate at negative allocations).
-        """
-        return numeric_gradient(self.value, allocation)
-
-    def marginal(self, allocation: Sequence[float], resource: int) -> float:
-        """Marginal utility of a single ``resource`` at ``allocation``."""
-        return float(self.gradient(allocation)[resource])
-
-    #: Optional vectorized bodies.  A subclass whose array arithmetic
-    #: mirrors its scalar methods bitwise defines ``_value_batch(points)``
-    #: / ``_gradient_batch(points)``, taking an already validated
-    #: ``(K, num_resources)`` float matrix; ``None`` selects the scalar loop.
-    _value_batch = None
-    _gradient_batch = None
+    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
+        """Marginals of a validated batch: central differences by default."""
+        return numeric_gradient_batch(self._value_batch, points)
 
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Utilities of a ``(K, num_resources)`` batch of allocations.
 
-        Returns a ``(K,)`` vector; point ``k`` equals
-        ``value(allocations[k])`` exactly.  This is the one batched entry
-        point: it validates the shape, then runs :attr:`_value_batch` or,
-        without one, loops the scalar method.
+        Returns a ``(K,)`` vector.  This is the one batched entry point:
+        it validates the shape, then runs :meth:`_value_batch`.
         """
-        points = _as_point_matrix(allocations, self.num_resources)
-        if self._value_batch is None:
-            return np.array([self.value(p) for p in points], dtype=float)
-        return self._value_batch(points)
+        return self._value_batch(_as_point_matrix(allocations, self.num_resources))
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Per-resource marginals of a ``(K, num_resources)`` batch.
 
-        Returns a ``(K, num_resources)`` matrix; row ``k`` equals
-        ``gradient(allocations[k])`` exactly.  Validates like
-        :meth:`value_batch`; without a :attr:`_gradient_batch` body it
-        loops the scalar method, so every subclass — including external
-        ones that only implement the scalar interface — is batch-callable.
+        Returns a ``(K, num_resources)`` matrix; validates like
+        :meth:`value_batch`, then runs :meth:`_gradient_batch`.
         """
-        points = _as_point_matrix(allocations, self.num_resources)
-        if self._gradient_batch is None:
-            if points.shape[0] == 0:
-                return np.zeros_like(points)
-            return np.stack([np.asarray(self.gradient(p), dtype=float) for p in points])
-        return self._gradient_batch(points)
+        return self._gradient_batch(_as_point_matrix(allocations, self.num_resources))
+
+    def value(self, allocation: Sequence[float]) -> float:
+        """The utility of one ``allocation`` (length ``num_resources``)."""
+        return self.value_batch(np.reshape(allocation, (1, -1))).item()
+
+    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
+        """The ``(num_resources,)`` marginal utilities at one ``allocation``."""
+        return self.gradient_batch(np.reshape(allocation, (1, -1)))[0]
 
     def __call__(self, allocation: Sequence[float]) -> float:
         return self.value(allocation)
@@ -188,39 +160,16 @@ def _as_point_matrix(allocations: np.ndarray, num_resources: int) -> np.ndarray:
     return points
 
 
-def numeric_gradient(func, allocation: Sequence[float]) -> np.ndarray:
-    """Central-difference gradient of ``func`` at ``allocation``.
-
-    Steps are scaled to the magnitude of each coordinate so that the
-    differentiator behaves sensibly for resources measured in bytes
-    (~1e6) and in watts (~1e0) alike.  Coordinates are clamped at zero:
-    if a backward step would go negative we use a forward difference.
-    """
-    point = np.asarray(allocation, dtype=float)
-    grad = np.empty_like(point)
-    for j in range(point.size):
-        step = _GRADIENT_EPS * max(1.0, abs(point[j]))
-        lo = point.copy()
-        hi = point.copy()
-        if point[j] - step >= 0.0:
-            lo[j] -= step
-            hi[j] += step
-            grad[j] = (func(hi) - func(lo)) / (2.0 * step)
-        else:
-            hi[j] += step
-            grad[j] = (func(hi) - func(point)) / step
-    return grad
-
-
 def numeric_gradient_batch(value_batch, points: np.ndarray) -> np.ndarray:
-    """Vectorized central-difference gradients at a ``(K, M)`` batch.
+    """Central-difference gradients of ``value_batch`` at a ``(K, M)`` batch.
 
-    Mirrors :func:`numeric_gradient` coordinate for coordinate — the same
-    relative step, the same forward-difference fallback at the zero
-    boundary, the same operation order — so the batched gradients agree
-    bitwise with the scalar ones whenever ``value_batch`` agrees bitwise
-    with the scalar ``value``.  All ``2 * K * M`` probe points are
-    evaluated in a single ``value_batch`` dispatch.
+    Steps are scaled to the magnitude of each coordinate
+    (``1e-6 * max(1, |r_j|)``), so the differentiator behaves sensibly
+    for resources measured in bytes (~1e6) and in watts (~1e0) alike.
+    Coordinates are clamped at zero: where a backward step would go
+    negative, a forward difference from the point itself is used.  All
+    ``2 * K * M`` probe points are evaluated in a single ``value_batch``
+    dispatch, and row ``k`` depends on row ``k`` of ``points`` alone.
     """
     points = np.asarray(points, dtype=float)
     n_points, n_dims = points.shape

@@ -13,25 +13,22 @@ dispatches as possible:
   axis is per-app) are compiled into one
   :class:`~repro.utility.tabular.StackedGrids` lookup table.  One
   vectorized central-difference evaluation then serves the whole group,
-  however many players are active — ``N`` numeric gradients (each 2M
-  scalar ``value()`` calls) collapse into one bilinear-kernel call.
+  however many players are active — ``N`` numeric gradients collapse
+  into one bilinear-kernel call.
 * **Shared objects** — players holding the *same* utility object (the
   synthetic theory markets) are evaluated with a single
   ``gradient_batch`` call.
 * **Everything else** — one ``gradient_batch`` call per distinct
-  utility; utilities without a vectorized body fall back to the
-  scalar loop inside :meth:`UtilityFunction.gradient_batch`, so results
-  are always defined.
+  utility.
 
 :meth:`BatchedUtilitySet._dispatch`, in its per-group step
 ``_group_eval``, is the one place that counts utility work into
 :data:`~repro.utility.base.EVAL_COUNTERS`: one call per group it
 dispatches to, never the dispatches nested inside that group's body.
 
-Every group path mirrors the scalar arithmetic operation for operation,
-so batched gradients agree bitwise with per-player scalar gradients —
-the property that lets the lockstep hill climb reproduce the per-player
-scalar climb exactly.
+A row's result depends on that row alone, so batched gradients agree
+bitwise with per-player one-row gradients — the property that lets the
+lockstep hill climb reproduce the per-player scalar climb exactly.
 """
 
 from __future__ import annotations
@@ -142,12 +139,8 @@ class BatchedUtilitySet:
     def _dispatch(
         self, allocations: np.ndarray, players: Optional[np.ndarray], gradient: bool
     ) -> np.ndarray:
-        """One vectorized call per group holding any of ``players``.
-
-        Counts each group once: a group with a vectorized body as one
-        batched call covering its rows, a group that loops the scalar
-        method as one scalar call per row.
-        """
+        """One vectorized call per group holding any of ``players``,
+        each counted once as a batched call covering its rows."""
         allocations = _as_point_matrix(allocations, self.num_resources)
         if players is None:
             players = np.arange(allocations.shape[0])
@@ -167,24 +160,15 @@ class BatchedUtilitySet:
     ) -> np.ndarray:
         """One group's vectorized call over its rows, counted once."""
         kind, evaluator = group
-        rows = allocations.shape[0]
         if kind == _STACKED:
             points = evaluator.gradient_points if gradient else evaluator.value_points
             result = points(allocations, self._slot_of[players])
-            vectorized = True
         else:
             batch = evaluator.gradient_batch if gradient else evaluator.value_batch
             result = batch(allocations)
-            body = evaluator._gradient_batch if gradient else evaluator._value_batch
-            vectorized = body is not None
-        if vectorized:
-            if gradient:
-                EVAL_COUNTERS.batch_gradient_calls += 1
-            else:
-                EVAL_COUNTERS.batch_value_calls += 1
-            EVAL_COUNTERS.batch_points += rows
-        elif gradient:
-            EVAL_COUNTERS.scalar_gradient_calls += rows
+        if gradient:
+            EVAL_COUNTERS.batch_gradient_calls += 1
         else:
-            EVAL_COUNTERS.scalar_value_calls += rows
+            EVAL_COUNTERS.batch_value_calls += 1
+        EVAL_COUNTERS.batch_points += allocations.shape[0]
         return result

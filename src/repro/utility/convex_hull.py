@@ -22,9 +22,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "upper_convex_hull", "hull_lines", "hull_interpolate", "PiecewiseLinearConcave"
-]
+__all__ = ["upper_convex_hull", "hull_lines", "PiecewiseLinearConcave"]
 
 
 def upper_convex_hull(
@@ -132,22 +130,6 @@ def _lockstep_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vertex.T
 
 
-def hull_interpolate(
-    hull_x: np.ndarray, hull_y: np.ndarray, x: float
-) -> float:
-    """Evaluate the piecewise-linear hull at ``x``.
-
-    Values outside the sampled range are clamped to the end-point values:
-    below the first PoI the utility is the first sample's (a player can
-    always leave capacity unused), above the last PoI it saturates.
-    """
-    if x <= hull_x[0]:
-        return float(hull_y[0])
-    if x >= hull_x[-1]:
-        return float(hull_y[-1])
-    return float(np.interp(x, hull_x, hull_y))
-
-
 class PiecewiseLinearConcave:
     """A concave piecewise-linear function defined by hull vertices.
 
@@ -172,19 +154,25 @@ class PiecewiseLinearConcave:
         return self.xs.copy(), self.ys.copy()
 
     def value(self, x: float) -> float:
-        return hull_interpolate(self.xs, self.ys, x)
+        """The hull at ``x``, clamped to the end-point values outside.
+
+        Below the first PoI the utility is the first sample's (a player
+        can always leave capacity unused); above the last it saturates.
+        """
+        return float(np.interp(x, self.xs, self.ys))
 
     def value_batch(self, x: np.ndarray) -> np.ndarray:
-        """Hull values at a 1-D batch of points.
-
-        ``np.interp`` clamps to the end-point values exactly like
-        :func:`hull_interpolate`, so this is the scalar path vectorized —
-        the two agree bitwise.
-        """
+        """Hull values at a 1-D batch of points, clamped as :meth:`value`."""
         return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
 
     def derivative_batch(self, x: np.ndarray) -> np.ndarray:
-        """Right-derivatives at a 1-D batch of points (0 past the last PoI)."""
+        """Right-derivatives at a 1-D batch of points (0 past the last PoI).
+
+        Using the right-derivative makes the marginal utility reported at
+        a vertex the gain from *adding* resources, which is what the
+        bidding hill climb and ReBudget's lambda comparisons need.  Below
+        the first PoI the first segment's slope applies.
+        """
         x = np.asarray(x, dtype=float)
         if self.slopes.size == 0:
             return np.zeros_like(x)
@@ -196,21 +184,6 @@ class PiecewiseLinearConcave:
             0.0,
             np.where(x < self.xs[0], self.slopes[0], self.slopes[seg]),
         )
-
-    def derivative(self, x: float) -> float:
-        """Right-derivative at ``x`` (0 beyond the last vertex).
-
-        Using the right-derivative makes the marginal utility reported at
-        a vertex the gain from *adding* resources, which is what the
-        bidding hill climb and ReBudget's lambda comparisons need.
-        """
-        if self.slopes.size == 0 or x >= self.xs[-1]:
-            return 0.0
-        if x < self.xs[0]:
-            return float(self.slopes[0])
-        seg = int(np.searchsorted(self.xs, x, side="right") - 1)
-        seg = min(seg, self.slopes.size - 1)
-        return float(self.slopes[seg])
 
     def bracketing_pois(self, x: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         """The two neighbouring PoIs around ``x`` (Talus shadow targets)."""

@@ -43,12 +43,6 @@ class LinearUtility(UtilityFunction):
             raise ValueError("weights must be non-negative")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return float(np.dot(self.weights, np.asarray(allocation, dtype=float)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return self.weights.copy()
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return points @ self.weights
 
@@ -73,14 +67,6 @@ class LogUtility(UtilityFunction):
             raise ValueError("weights must be >= 0 and scales > 0")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.log1p(r / self.scales)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.asarray(allocation, dtype=float)
-        return self.weights / (self.scales + r)
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(self.weights * np.log1p(points / self.scales), axis=-1)
 
@@ -102,14 +88,6 @@ class PowerUtility(UtilityFunction):
         if np.any(self.exponents <= 0) or np.any(self.exponents > 1):
             raise ValueError("exponents must lie in (0, 1] for concavity")
         self.num_resources = self.weights.size
-
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.power(np.maximum(r, 0.0), self.exponents)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.maximum(np.asarray(allocation, dtype=float), 1e-12)
-        return self.weights * self.exponents * np.power(r, self.exponents - 1.0)
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(
@@ -142,15 +120,6 @@ class CobbDouglasUtility(UtilityFunction):
         self.scale = float(scale)
         self.num_resources = self.elasticities.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.maximum(np.asarray(allocation, dtype=float), 0.0)
-        return float(self.scale * np.prod(np.power(r, self.elasticities)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.maximum(np.asarray(allocation, dtype=float), 1e-12)
-        u = self.scale * np.prod(np.power(r, self.elasticities))
-        return u * self.elasticities / r
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         r = np.maximum(points, 0.0)
         return self.scale * np.prod(np.power(r, self.elasticities), axis=-1)
@@ -179,14 +148,6 @@ class SaturatingUtility(UtilityFunction):
             raise ValueError("caps must be positive")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.minimum(r, self.caps) / self.caps))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.asarray(allocation, dtype=float)
-        return np.where(r < self.caps, self.weights / self.caps, 0.0)
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.sum(self.weights * np.minimum(points, self.caps) / self.caps, axis=-1)
 
@@ -211,16 +172,7 @@ class AdditiveUtility(UtilityFunction):
         self.components = list(components)
         self.num_resources = len(self.components)
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return float(sum(c.value((r,)) for c, r in zip(self.components, allocation)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return np.array(
-            [c.gradient((r,))[0] for c, r in zip(self.components, allocation)]
-        )
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
-        # Left-to-right accumulation matches the scalar sum() order.
         total = np.zeros(points.shape[0])
         for j, component in enumerate(self.components):
             total = total + component.value_batch(points[:, j : j + 1])
@@ -251,12 +203,6 @@ class ScaledUtility(UtilityFunction):
         self.scale = float(scale)
         self.offset = float(offset)
         self.num_resources = inner.num_resources
-
-    def value(self, allocation: Sequence[float]) -> float:
-        return self.scale * self.inner.value(allocation) + self.offset
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return self.scale * self.inner.gradient(allocation)
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return self.scale * self.inner.value_batch(points) + self.offset

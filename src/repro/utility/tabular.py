@@ -41,21 +41,6 @@ class TabularUtility1D(UtilityFunction):
         if np.any(np.diff(self.xs) <= 0):
             raise ValueError("xs must be strictly increasing")
 
-    def value(self, allocation: Sequence[float]) -> float:
-        x = float(allocation[0])
-        return float(np.interp(x, self.xs, self.ys))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        x = float(allocation[0])
-        if x >= self.xs[-1] or self.xs.size == 1:
-            return np.array([0.0])
-        if x < self.xs[0]:
-            return np.array([0.0])
-        seg = int(np.searchsorted(self.xs, x, side="right") - 1)
-        seg = min(seg, self.xs.size - 2)
-        slope = (self.ys[seg + 1] - self.ys[seg]) / (self.xs[seg + 1] - self.xs[seg])
-        return np.array([slope])
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return np.interp(points[:, 0], self.xs, self.ys)
 
@@ -85,12 +70,6 @@ class HullUtility1D(UtilityFunction):
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         self.hull = PiecewiseLinearConcave(xs, ys)
-
-    def value(self, allocation: Sequence[float]) -> float:
-        return self.hull.value(float(allocation[0]))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return np.array([self.hull.derivative(float(allocation[0]))])
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         return self.hull.value_batch(points[:, 0])
@@ -127,13 +106,6 @@ class GridUtility2D(UtilityFunction):
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise ValueError("grid axes must be strictly increasing")
 
-    # The scalar methods are one-row batches: one bilinear body.
-    def value(self, allocation: Sequence[float]) -> float:
-        return self.value_batch(np.reshape(allocation, (1, 2))).item()
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return self.gradient_batch(np.reshape(allocation, (1, 2)))[0]
-
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         if self.xs.size == 1 and self.ys.size == 1:
             return np.full(points.shape[0], float(self.values[0, 0]))
@@ -145,11 +117,6 @@ class GridUtility2D(UtilityFunction):
             return np.interp(xc, self.xs, self.values[:, 0])
         owners = np.zeros(points.shape[0], dtype=np.intp)
         return StackedGrids([self]).value_points(points, owners)
-
-    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
-        # The generic numeric differentiator over value(), with all probe
-        # points evaluated in one vectorized value_batch dispatch.
-        return numeric_gradient_batch(self.value_batch, points)
 
     def __repr__(self) -> str:
         return f"GridUtility2D({self.xs.size}x{self.ys.size} grid)"
@@ -254,8 +221,8 @@ class StackedGrids:
     def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
 
-        :func:`~repro.utility.base.numeric_gradient_batch` — the batched
-        mirror of :class:`GridUtility2D`'s scalar gradient — with all
+        :func:`~repro.utility.base.numeric_gradient_batch` — the
+        gradient body :class:`GridUtility2D` inherits — with all
         ``2MK`` probes evaluated in one :meth:`value_points` call.  The
         probes come in ``2M`` blocks of ``K`` rows, so their owners are
         ``owners`` repeated ``2M`` times.

@@ -5,7 +5,6 @@ from .bundles import (
     BUNDLE_CATEGORIES,
     BUNDLES_PER_CATEGORY,
     Bundle,
-    generate_all_bundles,
     generate_bundle,
     generate_bundles,
     paper_bbpc_bundle,
@@ -16,7 +15,6 @@ from .classification import (
     ApplicationProfileTable,
     Sensitivities,
     classify,
-    classify_suite,
     profile_application,
     sensitivities,
 )
@@ -29,12 +27,10 @@ __all__ = [
     "profile_application",
     "sensitivities",
     "classify",
-    "classify_suite",
     "BUNDLE_CATEGORIES",
     "BUNDLES_PER_CATEGORY",
     "Bundle",
     "generate_bundle",
     "generate_bundles",
-    "generate_all_bundles",
     "paper_bbpc_bundle",
 ]

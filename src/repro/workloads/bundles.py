@@ -12,7 +12,7 @@ BBPC bundle contains two copies each of *apsi*, *swim* and *mcf*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "category_fingerprint",
     "generate_bundle",
     "generate_bundles",
-    "generate_all_bundles",
     "paper_bbpc_bundle",
 ]
 
@@ -95,20 +94,6 @@ def generate_bundles(
     """The ``count`` random bundles of one category (deterministic seed)."""
     rng = np.random.default_rng([seed, category_fingerprint(category), num_cores])
     return [generate_bundle(category, num_cores, rng, index=k) for k in range(count)]
-
-
-def generate_all_bundles(
-    num_cores: int,
-    count: int = BUNDLES_PER_CATEGORY,
-    seed: int = 2016,
-    categories: Optional[Sequence[str]] = None,
-) -> Dict[str, List[Bundle]]:
-    """All six categories (240 bundles at the default count)."""
-    categories = categories or BUNDLE_CATEGORIES
-    return {
-        category: generate_bundles(category, num_cores, count=count, seed=seed)
-        for category in categories
-    }
 
 
 def paper_bbpc_bundle() -> Bundle:

@@ -18,7 +18,6 @@ Thresholds on the two sensitivities yield the four classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "Sensitivities",
     "sensitivities",
     "classify",
-    "classify_suite",
 ]
 
 #: The paper's profiling grid: 10 cache allocations x 9 frequencies.
@@ -115,12 +113,3 @@ def classify(app: AppProfile, config: CMPConfig | None = None) -> str:
         return "P"
     return "N"
 
-
-def classify_suite(
-    apps: Sequence[AppProfile], config: CMPConfig | None = None
-) -> Dict[str, List[AppProfile]]:
-    """Classify a suite; returns class letter -> application list."""
-    classes: Dict[str, List[AppProfile]] = {"C": [], "P": [], "B": [], "N": []}
-    for app in apps:
-        classes[classify(app, config)].append(app)
-    return classes

@@ -6,8 +6,7 @@ import io
 import pytest
 
 from repro.analysis import run_analytic_sweep
-from repro.analysis.export import simulation_to_csv, sweep_to_csv, write_csv
-from repro.analysis.experiments import SimulationScore
+from repro.analysis.export import sweep_to_csv, write_csv
 from repro.cmp import cmp_8core
 from repro.core import EqualBudget, EqualShare, MaxEfficiency
 
@@ -45,21 +44,6 @@ class TestSweepCsv:
         by_mech = {r["mechanism"]: r for r in rows}
         assert by_mech["EqualShare"]["mur"] == ""
         assert by_mech["EqualBudget"]["mur"] != ""
-
-
-class TestSimulationCsv:
-    def test_roundtrip(self):
-        score = SimulationScore(
-            bundle="CPBN-00",
-            category="CPBN",
-            efficiency={"EqualBudget": 4.0, "MaxEfficiency": 5.0},
-            envy_freeness={"EqualBudget": 0.99, "MaxEfficiency": 0.2},
-            mean_iterations={"EqualBudget": 4.0, "MaxEfficiency": 100.0},
-        )
-        rows = list(csv.DictReader(io.StringIO(simulation_to_csv([score]))))
-        assert len(rows) == 2
-        eq = next(r for r in rows if r["mechanism"] == "EqualBudget")
-        assert float(eq["efficiency_vs_opt"]) == pytest.approx(0.8)
 
 
 class TestWriteCsv:

@@ -2,20 +2,7 @@
 
 import pytest
 
-from repro.analysis import fraction_at_least, geometric_mean, series_summary
-
-
-class TestSeriesSummary:
-    def test_values(self):
-        s = series_summary([1.0, 2.0, 3.0, 4.0])
-        assert s["min"] == 1.0
-        assert s["max"] == 4.0
-        assert s["median"] == 2.5
-        assert s["mean"] == 2.5
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            series_summary([])
+from repro.analysis import fraction_at_least
 
 
 class TestFractionAtLeast:
@@ -26,15 +13,3 @@ class TestFractionAtLeast:
         with pytest.raises(ValueError):
             fraction_at_least([], 0.5)
 
-
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -25,8 +25,8 @@ class TableUtility(UtilityFunction):
     def __init__(self, row):
         self.row = list(row)
 
-    def value(self, allocation) -> float:
-        return self.row[int(allocation[0])]
+    def _value_batch(self, points):
+        return np.array([self.row[int(x)] for x in points[:, 0]], dtype=float)
 
 
 def _bundles(n):

@@ -277,7 +277,7 @@ def test_joint_moves_then_exchange_moves_equal_oracle_bitwise(monkeypatch):
 def test_one_table_fill_per_distinct_grid(monkeypatch):
     # Every chip utility is a GridUtility2D, one object per application:
     # each object's table is filled by one value_batch over its box, and
-    # nothing calls the scalar value.
+    # nothing calls the one-row value.
     bundle = generate_bundles("CPBN", 64, count=1, seed=2016)[0]
     problem = ChipModel(cmp_64core(), bundle.apps).build_problem()
     batches, scalars = [], []
@@ -303,10 +303,11 @@ def test_one_table_fill_per_distinct_grid(monkeypatch):
 
 
 def test_scalar_only_tables_fill_on_first_read(monkeypatch):
-    # BandwidthAwareUtility has no vectorized body and a box of 160k-325k
-    # points per core on the uncapped bandwidth axis; the search reads
-    # only the points it visits, each once.  The per-player memo this
-    # table replaced evaluated exactly these counts.
+    # BandwidthAwareUtility's body loops a per-point model, and its box
+    # holds 160k-325k points per core on the uncapped bandwidth axis;
+    # the search reads only the points it visits, each once, as one-row
+    # value calls.  The per-player memo this table replaced evaluated
+    # exactly these counts.
     bundle = generate_bundles("CPBN", 8, count=1, seed=9)[0]
     problem = build_bandwidth_problem(ChipModel(cmp_8core(), bundle.apps))
     calls = {}
@@ -340,17 +341,21 @@ def test_allocations_are_lattice_points_bitwise():
 
 
 def test_oversized_vectorized_box_fills_on_first_read(monkeypatch):
-    # A vectorized utility whose box exceeds the eager-fill bound (302 x
-    # 302 points here; 258**3 at the default 1/256 quanta of a
-    # three-resource market) is read like a scalar-only one.
+    # A utility whose box exceeds the eager-fill bound (302 x 302 points
+    # here; 258**3 at the default 1/256 quanta of a three-resource
+    # market) is read one point at a time, never filled as a box.
     utilities = [LogUtility([1.0, 2.0], [1.0, 1.0]), LogUtility([2.0, 0.5], [1.0, 1.0])]
     batches = []
-    monkeypatch.setattr(
-        LogUtility, "value_batch", lambda self, points: batches.append(len(points))
-    )
+    value_batch = LogUtility.value_batch
+
+    def counting_value_batch(self, points):
+        batches.append(len(points))
+        return value_batch(self, points)
+
+    monkeypatch.setattr(LogUtility, "value_batch", counting_value_batch)
     capacities = np.array([3.0, 3.0])
     out = max_efficiency_allocation(utilities, capacities, [0.01, 0.01])
-    assert batches == []
+    assert batches and set(batches) == {1}
     assert out.allocations.sum(axis=0) == pytest.approx(capacities)
 
 

@@ -248,18 +248,14 @@ class TestEndToEndInjections:
         assert result.allocations.sum() > problem.capacities.sum()
 
     class NaNGradient(UtilityFunction):
-        """Utility whose gradients are poisoned (both scalar and batch)."""
+        """Utility whose gradients are poisoned (one-row and batch alike)."""
 
         num_resources = 2
 
-        def value(self, allocation):
-            return 1.0
+        def _value_batch(self, points):
+            return np.ones(points.shape[0])
 
-        def gradient(self, allocation):
-            return np.array([np.nan, 1.0])
-
-        def gradient_batch(self, allocations):
-            points = np.asarray(allocations, dtype=float)
+        def _gradient_batch(self, points):
             return np.tile([np.nan, 1.0], (points.shape[0], 1))
 
     def test_nan_gradient_trips_scalar_marginal_seam(self):

@@ -1,10 +1,10 @@
-"""Batched utility evaluation: every ``value_batch`` / ``gradient_batch``
-must reproduce the looped scalar calls — bitwise for the families whose
-vectorized bodies mirror the scalar arithmetic operation for operation,
-within an explicit (documented) tolerance where a vectorized reduction
-may reassociate a summation.  Also covers input-shape validation, the
-stacked-grid fast path, the compiled :class:`BatchedUtilitySet`, and
-the exact evaluation-counter deltas of every dispatch.
+"""Batched utility evaluation: a utility's one body answers a batch and
+its one-row ``value`` / ``gradient`` calls alike, so every
+``value_batch`` / ``gradient_batch`` must equal its rows evaluated one
+at a time, bitwise.  Also covers input-shape validation, the default
+numeric gradient, the stacked-grid fast path, the compiled
+:class:`BatchedUtilitySet`, and the exact evaluation-counter deltas of
+every dispatch.
 """
 
 import numpy as np
@@ -12,6 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numeric_oracle import numeric_gradient
+from repro.cmp import CoreModel, cmp_8core
+from repro.cmp.bandwidth import BandwidthAwareUtility, BandwidthModel
+from repro.cmp.dram import DRAMModel
+from repro.cmp.spec_suite import app_by_name
 from repro.utility import (
     EVAL_COUNTERS,
     AdditiveUtility,
@@ -28,7 +33,6 @@ from repro.utility import (
     StackedGrids,
     TabularUtility1D,
     UtilityFunction,
-    numeric_gradient,
     numeric_gradient_batch,
 )
 
@@ -43,21 +47,13 @@ def looped_gradients(utility, points):
     )
 
 
-def assert_batch_matches(utility, points, exact=True):
+def assert_batch_matches(utility, points):
     values = utility.value_batch(points)
     gradients = utility.gradient_batch(points)
     assert values.shape == (points.shape[0],)
     assert gradients.shape == points.shape
-    if exact:
-        assert np.array_equal(values, looped_values(utility, points))
-        assert np.array_equal(gradients, looped_gradients(utility, points))
-    else:
-        np.testing.assert_allclose(
-            values, looped_values(utility, points), rtol=1e-12, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            gradients, looped_gradients(utility, points), rtol=1e-12, atol=1e-15
-        )
+    assert np.array_equal(values, looped_values(utility, points))
+    assert np.array_equal(gradients, looped_gradients(utility, points))
 
 
 def make_grid(seed=0, nx=5, ny=4, x_span=4.0, y_span=2.0):
@@ -95,49 +91,55 @@ NONNEG_2D = np.array(
 POSITIVE_2D = np.array([[0.5, 0.25], [1.0, 1.0], [4.0, 2.0], [1.7, 0.9], [9.0, 0.1]])
 
 
+def bandwidth_utility():
+    config = cmp_8core()
+    core = CoreModel(app_by_name("swim"), config)
+    bandwidth = BandwidthModel(DRAMModel(channels=config.memory_channels))
+    return BandwidthAwareUtility(core, bandwidth, config, free_bandwidth_gbps=0.3)
+
+
+#: (extra cache bytes, extra watts, extra GB/s), zero coordinates included.
+BANDWIDTH_POINTS = np.array(
+    [[0.0, 0.0, 0.0], [262144.0, 4.0, 1.0], [2e6, 0.0, 8.0], [0.0, 10.0, 0.5]]
+)
+
 CASES = [
     pytest.param(
         lambda: TabularUtility1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]),
         POINTS_1D,
-        True,
         id="tabular1d",
     ),
     pytest.param(
         lambda: HullUtility1D([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.2, 1.3]),
         POINTS_1D,
-        True,
         id="hull1d",
     ),
-    pytest.param(lambda: make_grid(1), POINTS_2D, True, id="grid2d"),
+    pytest.param(lambda: make_grid(1), POINTS_2D, id="grid2d"),
     pytest.param(
         lambda: GridUtility2D([1.0], [0.0, 1.0], np.array([[0.0, 2.0]])),
         POINTS_2D,
-        True,
         id="grid2d-degenerate-x",
     ),
     pytest.param(
         lambda: GridUtility2D([0.0, 1.0], [2.0], np.array([[0.0], [4.0]])),
         POINTS_2D,
-        True,
         id="grid2d-degenerate-y",
     ),
-    pytest.param(lambda: LinearUtility([1.0, 2.5]), NONNEG_2D, True, id="linear"),
+    pytest.param(lambda: LinearUtility([1.0, 2.5]), NONNEG_2D, id="linear"),
     pytest.param(
-        lambda: LogUtility([1.0, 0.5], [2.0, 1.0]), NONNEG_2D, True, id="log"
+        lambda: LogUtility([1.0, 0.5], [2.0, 1.0]), NONNEG_2D, id="log"
     ),
     pytest.param(
-        lambda: PowerUtility([1.0, 0.7], [0.5, 0.9]), POSITIVE_2D, True, id="power"
+        lambda: PowerUtility([1.0, 0.7], [0.5, 0.9]), POSITIVE_2D, id="power"
     ),
     pytest.param(
         lambda: CobbDouglasUtility([0.3, 0.4], scale=2.0),
         POSITIVE_2D,
-        True,
         id="cobb-douglas",
     ),
     pytest.param(
         lambda: SaturatingUtility([1.0, 2.0], [3.0, 1.5]),
         NONNEG_2D,
-        True,
         id="saturating",
     ),
     pytest.param(
@@ -148,26 +150,25 @@ CASES = [
             ]
         ),
         NONNEG_2D,
-        True,
         id="additive",
     ),
     pytest.param(
         lambda: ScaledUtility(LogUtility([1.0, 0.5], [2.0, 1.0]), 2.0, 0.1),
         NONNEG_2D,
-        True,
         id="scaled",
     ),
+    pytest.param(bandwidth_utility, BANDWIDTH_POINTS, id="bandwidth"),
 ]
 
 
-class OnlyScalar(UtilityFunction):
-    """A subclass implementing nothing beyond the scalar interface."""
+class ValueBodyOnly(UtilityFunction):
+    """A subclass with only a value body: its gradients are the default
+    numeric differentiator."""
 
     num_resources = 2
 
-    def value(self, allocation):
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sqrt(1.0 + r[0]) + np.log1p(r[1]))
+    def _value_batch(self, points):
+        return np.sqrt(1.0 + points[:, 0]) + np.log1p(points[:, 1])
 
 
 #: ``EVAL_COUNTERS`` fields of one evaluator dispatch, as
@@ -185,13 +186,13 @@ def evaluator_counts(utility, points, method):
     return EVAL_COUNTERS.since(before)
 
 
-FALLBACK_CASE = pytest.param(OnlyScalar, NONNEG_2D, True, id="fallback")
+FALLBACK_CASE = pytest.param(ValueBodyOnly, NONNEG_2D, id="fallback")
 
 
 class TestBatchEqualsScalar:
-    @pytest.mark.parametrize("factory, points, exact", CASES)
-    def test_batch_matches_looped_scalar(self, factory, points, exact):
-        assert_batch_matches(factory(), points, exact=exact)
+    @pytest.mark.parametrize("factory, points", CASES)
+    def test_batch_matches_looped_scalar(self, factory, points):
+        assert_batch_matches(factory(), points)
 
     def test_empty_batch(self):
         u = LogUtility([1.0, 0.5])
@@ -199,47 +200,49 @@ class TestBatchEqualsScalar:
         assert u.value_batch(points).shape == (0,)
         assert u.gradient_batch(points).shape == (0, 2)
 
-    @pytest.mark.parametrize("method", ["value_batch", "gradient_batch"])
-    @pytest.mark.parametrize("factory, points, exact", CASES + [FALLBACK_CASE])
-    def test_shape_validation(self, factory, points, exact, method):
-        # Every family, vectorized body or scalar loop, goes through the
-        # base-class entry point, which validates the (K, M) shape once.
+    @pytest.mark.parametrize("method", ["value_batch", "gradient_batch", "value", "gradient"])
+    @pytest.mark.parametrize("factory, points", CASES + [FALLBACK_CASE])
+    def test_shape_validation(self, factory, points, method):
+        # Every family goes through the base-class entry point, which
+        # validates the (K, M) shape once; a one-row call of the wrong
+        # length fails there too instead of dropping or ignoring a
+        # coordinate.
         u = factory()
         m = u.num_resources
-        for bad in (np.ones(m), np.ones((3, m - 1)), np.ones((3, m + 1))):
+        if method in ("value", "gradient"):
+            bads = (np.ones(m - 1), np.ones(m + 1))
+        else:
+            bads = (np.ones(m), np.ones((3, m - 1)), np.ones((3, m + 1)))
+        for bad in bads:
             with pytest.raises(ValueError):
                 getattr(u, method)(bad)
 
 
 class TestGenericFallback:
+    """The base class's default gradient body, and the counting of every
+    family's evaluator dispatches."""
+
     def test_fallback_matches_scalar_bitwise(self):
-        u = OnlyScalar()
-        assert_batch_matches(u, NONNEG_2D, exact=True)
-
-    def test_fallback_counts_scalar_per_point(self):
-        delta = evaluator_counts(OnlyScalar(), NONNEG_2D, "values")
-        assert delta["scalar_value_calls"] == NONNEG_2D.shape[0]
-        assert delta["batch_calls"] == 0
-
-    def test_value_body_only_keeps_scalar_gradient_loop(self):
-        # A subclass may vectorize one entry point and not the other.
-        class ValueBodyOnly(OnlyScalar):
-            def _value_batch(self, points):
-                return np.sqrt(1.0 + points[:, 0]) + np.log1p(points[:, 1])
-
+        # The default gradient is the numeric oracle over the one-row
+        # value, forward differences at zero coordinates included.
         u = ValueBodyOnly()
-        assert_batch_matches(u, NONNEG_2D, exact=True)
-        values = evaluator_counts(u, NONNEG_2D, "values")
-        gradients = evaluator_counts(u, NONNEG_2D, "gradients")
-        assert values["batch_value_calls"] == 1
-        assert values["scalar_calls"] == 0
-        assert gradients["batch_gradient_calls"] == 0
-        assert gradients["scalar_gradient_calls"] == NONNEG_2D.shape[0]
+        assert_batch_matches(u, NONNEG_2D)
+        expected = np.stack([numeric_gradient(u.value, p) for p in NONNEG_2D])
+        assert np.array_equal(u.gradient_batch(NONNEG_2D), expected)
 
-    @pytest.mark.parametrize("factory, points, exact", CASES)
-    def test_fast_override_counts_batch_not_scalar(self, factory, points, exact):
+    def test_bandwidth_gradient_is_the_oracle_over_its_point_model(self):
+        # The per-point model (a bisection plus a fixed point) the rows
+        # of the value body loop over, differentiated one point at a time.
+        u = bandwidth_utility()
+        expected = np.stack(
+            [numeric_gradient(lambda p: u._point_value(*p), p) for p in BANDWIDTH_POINTS]
+        )
+        assert np.array_equal(u.gradient_batch(BANDWIDTH_POINTS), expected)
+
+    @pytest.mark.parametrize("factory, points", CASES + [FALLBACK_CASE])
+    def test_fast_override_counts_batch_not_scalar(self, factory, points):
         # Every family is one vectorized dispatch covering its rows;
-        # nested dispatches (a grid gradient's probe values, the
+        # nested dispatches (a numeric gradient's probe values, the
         # components of Additive and Scaled) are not counted again, so
         # the wrappers count one dispatch, not two or three.
         k = points.shape[0]
@@ -247,8 +250,8 @@ class TestGenericFallback:
             delta = evaluator_counts(factory(), points, method)
             assert tuple(delta[name] for name in COUNT_FIELDS) == want, method
 
-    @pytest.mark.parametrize("factory, points, exact", CASES + [FALLBACK_CASE])
-    def test_direct_batch_calls_count_nothing(self, factory, points, exact):
+    @pytest.mark.parametrize("factory, points", CASES + [FALLBACK_CASE])
+    def test_direct_batch_calls_count_nothing(self, factory, points):
         # The evaluator is the one place that counts.
         u = factory()
         before = EVAL_COUNTERS.snapshot()
@@ -283,10 +286,15 @@ class TestPiecewiseLinearConcave:
             [0.0, 1.0, 2.0, 4.0], [0.0, 0.9, 1.3, 1.5]
         )
         xs = np.array([-1.0, 0.0, 0.5, 1.0, 3.0, 4.0, 9.0])
-        values = hull.value_batch(xs)
-        derivatives = hull.derivative_batch(xs)
-        assert np.array_equal(values, [hull.value(x) for x in xs])
-        assert np.array_equal(derivatives, [hull.derivative(x) for x in xs])
+        assert np.array_equal(hull.value_batch(xs), [hull.value(x) for x in xs])
+        # Right-derivatives: the first slope below and on the first
+        # vertex, the next segment's slope on an inner vertex, zero from
+        # the last vertex on.
+        first, second, third = 0.9 / 1.0, (1.3 - 0.9) / 1.0, (1.5 - 1.3) / 2.0
+        assert np.array_equal(
+            hull.derivative_batch(xs),
+            [first, first, first, second, third, 0.0, 0.0],
+        )
 
 
 class TestStackedGrids:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.utility.convex_hull import (
     PiecewiseLinearConcave,
-    hull_interpolate,
     hull_lines,
     upper_convex_hull,
 )
@@ -39,7 +38,7 @@ class TestUpperConvexHull:
         hx, hy = upper_convex_hull(xs, ys)
         # Collinear points may be kept or dropped; values must match.
         for x, y in zip(xs, ys):
-            assert hull_interpolate(hx, hy, x) == pytest.approx(y)
+            assert np.interp(x, hx, hy) == pytest.approx(y)
 
     def test_cliff_is_linearized(self):
         # An mcf-style step: flat then jump.
@@ -47,7 +46,7 @@ class TestUpperConvexHull:
         ys = np.array([0.2, 0.2, 0.2, 1.0, 1.0])
         hx, hy = upper_convex_hull(xs, ys)
         # The hull bridges straight from the first point to the jump.
-        assert hull_interpolate(hx, hy, 2.5) == pytest.approx(0.2 + 0.8 * 1.5 / 3.0)
+        assert np.interp(2.5, hx, hy) == pytest.approx(0.2 + 0.8 * 1.5 / 3.0)
 
     def test_rejects_unsorted_x(self):
         with pytest.raises(ValueError):
@@ -69,7 +68,7 @@ class TestUpperConvexHull:
         xs, ys = curve
         hx, hy = upper_convex_hull(xs, ys)
         for x, y in zip(xs, ys):
-            assert hull_interpolate(hx, hy, x) >= y - 1e-9
+            assert np.interp(x, hx, hy) >= y - 1e-9
 
     @given(_curves(min_size=2))
     @settings(max_examples=120, deadline=None)
@@ -97,9 +96,7 @@ class TestUpperConvexHull:
         x1 = a + t * (b - a)
         x2 = b - t * (b - a) / 2.0
         mid = (x1 + x2) / 2.0
-        v1 = hull_interpolate(hx, hy, x1)
-        v2 = hull_interpolate(hx, hy, x2)
-        vm = hull_interpolate(hx, hy, mid)
+        v1, v2, vm = np.interp([x1, x2, mid], hx, hy)
         assert vm >= (v1 + v2) / 2.0 - 1e-9
 
 
@@ -198,16 +195,17 @@ class TestHullLines:
 
 
 class TestHullInterpolate:
+    """``PiecewiseLinearConcave.value`` interpolates its hull vertices."""
+
     def test_clamps_below_and_above(self):
-        hx = np.array([1.0, 3.0])
-        hy = np.array([0.5, 1.5])
-        assert hull_interpolate(hx, hy, 0.0) == 0.5
-        assert hull_interpolate(hx, hy, 10.0) == 1.5
+        f = PiecewiseLinearConcave([1.0, 3.0], [0.5, 1.5])
+        assert f.value(0.0) == 0.5
+        assert f.value(10.0) == 1.5
+        assert type(f.value(2.0)) is float
 
     def test_linear_between_vertices(self):
-        hx = np.array([0.0, 2.0])
-        hy = np.array([0.0, 4.0])
-        assert hull_interpolate(hx, hy, 1.0) == pytest.approx(2.0)
+        f = PiecewiseLinearConcave([0.0, 2.0], [0.0, 4.0])
+        assert f.value(1.0) == pytest.approx(2.0)
 
 
 class TestPiecewiseLinearConcave:
@@ -221,14 +219,12 @@ class TestPiecewiseLinearConcave:
 
     def test_derivative_is_right_slope(self):
         f = PiecewiseLinearConcave([0.0, 1.0, 2.0], [0.0, 1.0, 1.2])
-        assert f.derivative(0.5) == pytest.approx(1.0)
-        assert f.derivative(1.5) == pytest.approx(0.2)
-        assert f.derivative(5.0) == 0.0
+        np.testing.assert_allclose(f.derivative_batch([0.5, 1.5, 5.0]), [1.0, 0.2, 0.0])
 
     def test_derivative_non_increasing(self):
         f = PiecewiseLinearConcave([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 3.0, 3.4])
-        ds = [f.derivative(x) for x in np.linspace(0.0, 3.0, 20)]
-        assert all(a >= b - 1e-12 for a, b in zip(ds, ds[1:]))
+        ds = f.derivative_batch(np.linspace(0.0, 3.0, 20))
+        assert np.all(np.diff(ds) <= 1e-12)
 
     def test_bracketing_pois(self):
         f = PiecewiseLinearConcave([0.0, 2.0, 4.0], [0.0, 3.0, 4.0])

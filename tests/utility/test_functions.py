@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grid_probes import is_concave_on_grid, is_nondecreasing_on_grid
+from numeric_oracle import numeric_gradient
 from repro.utility import (
     AdditiveUtility,
     CobbDouglasUtility,
@@ -14,7 +15,6 @@ from repro.utility import (
     PowerUtility,
     SaturatingUtility,
     ScaledUtility,
-    numeric_gradient,
 )
 
 _allocations = st.lists(

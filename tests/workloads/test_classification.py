@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cmp import cmp_8core
 from repro.cmp.spec_suite import INTENDED_CLASS, app_by_name, spec_suite
-from repro.workloads import classify, classify_suite, profile_application, sensitivities
+from repro.workloads import classify, profile_application, sensitivities
 from repro.workloads.classification import (
     PROFILE_CACHE_REGIONS,
     PROFILE_FREQUENCIES_GHZ,
@@ -51,10 +50,3 @@ class TestClassify:
     def test_matches_design_intent_for_all_24(self):
         for app in spec_suite():
             assert classify(app) == INTENDED_CLASS[app.name], app.name
-
-    def test_classify_suite_partitions(self):
-        classes = classify_suite(spec_suite(), cmp_8core())
-        assert sorted(classes.keys()) == ["B", "C", "N", "P"]
-        assert sum(len(v) for v in classes.values()) == 24
-        for cls, apps in classes.items():
-            assert len(apps) == 6, cls

@@ -9,7 +9,7 @@ from repro.analysis import fig1_data, format_series
 
 
 def test_fig1_bound_curves(benchmark, report):
-    data = benchmark(fig1_data, 101)
+    data = benchmark(fig1_data)
 
     assert data["poa_bound"][-1] == 0.75
     assert abs(data["ef_bound"][-1] - 0.828) < 5e-4

@@ -1,5 +1,5 @@
-"""Evaluation harness: per-figure experiment entry points, summary
-statistics and plain-text reporting."""
+"""Evaluation harness: per-figure experiment entry points and plain-text
+reporting."""
 
 from .characterization import (
     AppCharacterization,
@@ -20,7 +20,6 @@ from .experiments import (
     run_simulation_experiment,
 )
 from .reporting import format_series, format_table, summarize_simulation, summarize_sweep
-from .stats import fraction_at_least
 from .validation import (
     UMONErrorRow,
     dram_contention_study,
@@ -46,7 +45,6 @@ __all__ = [
     "format_series",
     "summarize_sweep",
     "summarize_simulation",
-    "fraction_at_least",
     "sweep_to_csv",
     "write_csv",
     "UMONErrorRow",

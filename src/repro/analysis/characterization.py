@@ -9,11 +9,12 @@ suite-characterization benchmark and handy when adding applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..cmp.application import AppProfile
 from ..cmp.config import CMPConfig, MB, cmp_8core
 from ..cmp.core_model import CoreModel
+from ..cmp.spec_suite import spec_suite
 from ..exec import SweepExecutor
 from ..workloads.classification import classify, profile_application, sensitivities
 
@@ -36,15 +37,19 @@ class AppCharacterization:
     peak_power_w: float
 
 
-def characterize_app(app: AppProfile, config: Optional[CMPConfig] = None) -> AppCharacterization:
-    """Profile one application into a characterization row."""
-    config = config or cmp_8core()
+def characterize_app(app: AppProfile) -> AppCharacterization:
+    """Profile one application on the 8-core chip into a characterization row.
+
+    The application is profiled once; its class comes from the same
+    sensitivities the row reports.
+    """
+    config = cmp_8core()
     core = CoreModel(app, config)
     sens = sensitivities(profile_application(app, config))
     return AppCharacterization(
         name=app.name,
         suite=app.suite,
-        cls=classify(app, config),
+        cls=classify(sens),
         cpi_exe=app.cpi_exe,
         apki=app.apki,
         footprint_mb=_footprint_mb(app, config),
@@ -55,31 +60,18 @@ def characterize_app(app: AppProfile, config: Optional[CMPConfig] = None) -> App
     )
 
 
-def _characterize_cell(spec) -> AppCharacterization:
-    """Executor cell: profile one application (deterministic)."""
-    app, config = spec
-    return characterize_app(app, config)
-
-
-def characterize_suite(
-    apps: Optional[List[AppProfile]] = None,
-    config: Optional[CMPConfig] = None,
-    workers: int = 1,
-) -> List[AppCharacterization]:
-    """Characterize a whole suite (defaults to the 24-app SPEC suite).
+def characterize_suite(workers: int = 1) -> List[AppCharacterization]:
+    """Characterize the 24-app SPEC suite.
 
     The per-application profiling runs on a
     :class:`~repro.exec.SweepExecutor` with ``workers`` processes
     (``1`` runs serially in-process); rows come back in suite order
     either way.
     """
-    if apps is None:
-        from ..cmp.spec_suite import spec_suite
-
-        apps = spec_suite()
+    apps = spec_suite()
     run = SweepExecutor(workers=workers).run(
-        _characterize_cell,
-        [(app, config) for app in apps],
+        characterize_app,
+        apps,
         labels=[app.name for app in apps],
     )
     run.raise_failures()

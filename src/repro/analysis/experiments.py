@@ -59,9 +59,9 @@ __all__ = [
 # Figure 1: theory curves
 # ----------------------------------------------------------------------
 
-def fig1_data(points: int = 101) -> Dict[str, np.ndarray]:
-    """The PoA-vs-MUR and EF-vs-MBR bound series of Figure 1."""
-    xs = np.linspace(0.0, 1.0, points)
+def fig1_data() -> Dict[str, np.ndarray]:
+    """The PoA-vs-MUR and EF-vs-MBR bound series of Figure 1, 101 points each."""
+    xs = np.linspace(0.0, 1.0, 101)
     return {
         "mur": xs,
         "poa_bound": np.array([poa_lower_bound(x) for x in xs]),
@@ -163,8 +163,8 @@ class BundleScore:
     category: str
     results: Dict[str, MechanismResult]
 
-    def efficiency_vs_opt(self, mechanism: str, reference: str = "MaxEfficiency") -> float:
-        return self.results[mechanism].efficiency / self.results[reference].efficiency
+    def efficiency_vs_opt(self, mechanism: str) -> float:
+        return self.results[mechanism].efficiency / self.results["MaxEfficiency"].efficiency
 
 
 @dataclass(frozen=True)
@@ -428,8 +428,8 @@ class SimulationScore:
     envy_freeness: Dict[str, float]
     mean_iterations: Dict[str, float]
 
-    def efficiency_vs_opt(self, mechanism: str, reference: str = "MaxEfficiency") -> float:
-        return self.efficiency[mechanism] / self.efficiency[reference]
+    def efficiency_vs_opt(self, mechanism: str) -> float:
+        return self.efficiency[mechanism] / self.efficiency["MaxEfficiency"]
 
 
 class SimulationSweepResult(List[SimulationScore]):

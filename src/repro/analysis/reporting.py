@@ -54,7 +54,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def summarize_sweep(sweep, reference: str = "MaxEfficiency") -> str:
+def summarize_sweep(sweep) -> str:
     """The Figure 4 summary: efficiency and fairness per mechanism."""
     rows: List[List[object]] = []
     for mech in sweep.mechanisms:
@@ -83,7 +83,7 @@ def summarize_sweep(sweep, reference: str = "MaxEfficiency") -> str:
         ],
         rows,
         title=f"Figure 4 summary over {len(sweep.scores)} bundles "
-        f"(normalized to {reference})",
+        "(normalized to MaxEfficiency)",
     )
 
 

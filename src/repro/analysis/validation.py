@@ -17,11 +17,11 @@ printed by ``benchmarks/test_substrate_validation.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..cmp.config import CMPConfig, cmp_8core
+from ..cmp.config import cmp_8core
 from ..cmp.core_model import CoreModel
 from ..cmp.dram import DRAMModel
 from ..cmp.futility import FutilityScalingController
@@ -46,19 +46,20 @@ class UMONErrorRow:
 
 
 def umon_error_study(
-    config: Optional[CMPConfig] = None,
-    epochs: int = 4,
-    instructions_per_epoch: float = 2e6,
-    seed: int = 17,
+    epochs: int = 4, instructions_per_epoch: float = 2e6
 ) -> List[UMONErrorRow]:
-    """Miss-curve estimation error per application, after ``epochs``."""
+    """Miss-curve estimation error per application, after ``epochs``.
+
+    Every application runs on the 8-core chip with its own monitor
+    seeded 17.
+    """
     from ..cmp.spec_suite import spec_suite
 
-    config = config or cmp_8core()
+    config = cmp_8core()
     rows: List[UMONErrorRow] = []
     for app in spec_suite():
         core = CoreModel(app, config)
-        monitor = RuntimeMonitor(core, config, rng=np.random.default_rng(seed))
+        monitor = RuntimeMonitor(core, config, rng=np.random.default_rng(17))
         for _ in range(epochs):
             monitor.observe_epoch(instructions_per_epoch)
         true = np.array(
@@ -79,19 +80,15 @@ def umon_error_study(
     return rows
 
 
-def futility_convergence_study(
-    capacity_bytes: float = 4 << 20,
-    num_partitions: int = 8,
-    tolerance: float = 0.05,
-    max_epochs: int = 200,
-    seed: int = 3,
-) -> List[int]:
-    """Epochs to reach ``tolerance`` occupancy error, over random targets.
+def futility_convergence_study(max_epochs: int = 200) -> List[int]:
+    """Epochs to reach 5% occupancy error, over random targets.
 
-    Returns one epoch count per trial (20 trials of random target
-    vectors and access rates).
+    Returns one epoch count per trial: 20 trials (seeded 3) of random
+    target vectors and access rates for 8 partitions of a 4 MB cache,
+    each capped at ``max_epochs``.
     """
-    rng = np.random.default_rng(seed)
+    capacity_bytes, num_partitions = 4 << 20, 8
+    rng = np.random.default_rng(3)
     results: List[int] = []
     for _ in range(20):
         controller = FutilityScalingController(capacity_bytes, num_partitions)
@@ -101,19 +98,22 @@ def futility_convergence_study(
         epochs = max_epochs
         for epoch in range(1, max_epochs + 1):
             controller.step(targets, rates)
-            if controller.max_error_fraction(targets) < tolerance:
+            if controller.max_error_fraction(targets) < 0.05:
                 epochs = epoch
                 break
         results.append(epochs)
     return results
 
 
-def dram_contention_study(channels: int = 2, points: int = 9) -> List[tuple]:
-    """(utilization, latency ns) samples of the contention model."""
-    dram = DRAMModel(channels=channels)
+def dram_contention_study() -> List[tuple]:
+    """(utilization, latency ns) samples of the two-channel contention model.
+
+    Nine utilizations from 0 to 120% of peak bandwidth.
+    """
+    dram = DRAMModel(channels=2)
     peak = dram.peak_bandwidth_gbps()
     rows = []
-    for utilization in np.linspace(0.0, 1.2, points):
+    for utilization in np.linspace(0.0, 1.2, 9):
         rows.append(
             (float(utilization), dram.latency_ns(utilization * peak))
         )

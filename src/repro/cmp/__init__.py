@@ -34,7 +34,6 @@ from .thermal import ThermalModel, ThermalNode
 from .umon import UMONShadowTags
 from .utility_builder import (
     build_true_utility,
-    build_utility_from_miss_curve,
     convexify_grid,
     extra_capacity_for,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "RuntimeMonitor",
     "ChipModel",
     "build_true_utility",
-    "build_utility_from_miss_curve",
     "convexify_grid",
     "extra_capacity_for",
 ]

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .config import CACHE_REGION_BYTES, MB
+from .config import MB
 
 __all__ = [
     "MissRateCurve",
@@ -73,29 +73,27 @@ class MissRateCurve(abc.ABC):
         value = (self.miss_fraction(size_bytes) - self.floor) / span
         return float(min(max(value, 0.0), 1.0))
 
-    def survival_table(
-        self, max_bytes: float = 8 * MB, points: int = 512
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    def survival_table(self, max_bytes: float = 8 * MB) -> "tuple[np.ndarray, np.ndarray]":
         """Tabulated survival function on a size grid (for fast sampling).
 
-        Returns ``(sizes, survival)`` with sizes from 0 to ``max_bytes``
-        and the survival values made strictly non-increasing (tiny
-        numerical wiggles are flattened) so the inverse is well defined.
-        Curves are immutable, so tables are memoized per curve, read-only.
+        Returns ``(sizes, survival)`` with 512 sizes from 0 to
+        ``max_bytes`` and the survival values made strictly
+        non-increasing (tiny numerical wiggles are flattened) so the
+        inverse is well defined.  Curves are immutable, so tables are
+        memoized per curve, read-only.
         """
         tables = vars(self).setdefault("_survival_tables", {})
-        if (max_bytes, points) not in tables:
-            sizes = np.linspace(0.0, max_bytes, points)
+        if max_bytes not in tables:
+            sizes = np.linspace(0.0, max_bytes, 512)
             surv = np.minimum.accumulate(np.array([self.survival(s) for s in sizes]))
             sizes.flags.writeable = surv.flags.writeable = False
-            tables[max_bytes, points] = (sizes, surv)
-        return tables[max_bytes, points]
+            tables[max_bytes] = (sizes, surv)
+        return tables[max_bytes]
 
     def sample_stack_distances(
         self,
         rng: np.random.Generator,
         count: int,
-        max_bytes: float = 8 * MB,
         table: "tuple[np.ndarray, np.ndarray] | None" = None,
         keep: slice = slice(None),
     ) -> np.ndarray:
@@ -106,9 +104,9 @@ class MissRateCurve(abc.ABC):
         ``m(s)``: a ``floor`` fraction of compulsory misses (infinite
         distance), a ``1 - ceiling`` fraction that hits at any size
         (distance 0), and the capacity-sensitive remainder drawn by
-        inverting the (tabulated) survival function.  Pass a precomputed
-        ``table`` from :meth:`survival_table` to amortize the tabulation
-        across epochs.
+        inverting the (tabulated) survival function, by default the 8 MB
+        :meth:`survival_table`.  Pass a precomputed ``table`` to amortize
+        the tabulation across epochs or to tabulate another range.
 
         Only the draws at ``keep`` are mapped and returned, bitwise as in
         a full draw: all ``count`` uniforms are still drawn, and the map
@@ -118,7 +116,7 @@ class MissRateCurve(abc.ABC):
             # The application never misses: all reuses are tiny.
             return np.zeros(count)[keep]
         if table is None:
-            table = self.survival_table(max_bytes)
+            table = self.survival_table()
         sizes, surv = table
         uniforms = rng.random(count)[keep]
         out = np.zeros(uniforms.size)  # the "always hit" mass keeps distance 0
@@ -286,7 +284,3 @@ class AppProfile:
     def misses_per_instruction(self, cache_bytes: float) -> float:
         """L2 misses per instruction at a partition size."""
         return self.apki / 1000.0 * self.mrc.miss_fraction(cache_bytes)
-
-    def min_cache_bytes(self) -> float:
-        """The free minimum partition: one cache region."""
-        return float(CACHE_REGION_BYTES)

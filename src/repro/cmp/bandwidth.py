@@ -53,14 +53,6 @@ class BandwidthModel:
         self._service_ns = dram.uncontended_latency_ns() - dram.controller_overhead_ns
         self._overhead_ns = dram.controller_overhead_ns
 
-    def demand_gbps(self, core: CoreModel, cache_bytes: float, frequency_ghz: float) -> float:
-        """Miss bandwidth the core generates at an operating point."""
-        perf = core.performance_gips(cache_bytes, frequency_ghz)
-        mpi = core.app.misses_per_instruction(
-            min(cache_bytes, core.config.umon_max_bytes)
-        )
-        return perf * mpi * self.dram.line_bytes
-
     def latency_ns(self, demand_gbps: float, allocated_gbps: float) -> float:
         """Queueing latency at a demand/allocation ratio."""
         if allocated_gbps <= 0.0:

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..core.mechanisms import AllocationProblem
 from ..exceptions import MarketConfigurationError
-from ..utility.base import UtilityFunction
 from .application import AppProfile
 from .config import CMPConfig
 from .core_model import CoreModel, OperatingPoint
@@ -81,33 +80,27 @@ class ChipModel:
         """Watts left after every core's free 800 MHz allocation."""
         return float(self.config.power_budget_watts - self.free.power_watts.sum())
 
-    def build_problem(
-        self,
-        utilities: Optional[Sequence[UtilityFunction]] = None,
-        convexify: bool = True,
-    ) -> AllocationProblem:
+    def build_problem(self, convexify: bool = True) -> AllocationProblem:
         """The 2-resource allocation problem this chip presents.
 
-        With ``utilities`` omitted, the *true* (phase-1, perfectly
-        modeled) utilities are built from the analytic core models;
-        pass monitor-estimated utilities for phase-2 runs.  Setting
-        ``convexify=False`` keeps the raw, possibly cliffy cache
-        behaviour — the Talus ablation.
+        The utilities are the *true* (phase-1, perfectly modeled) ones,
+        built from the analytic core models; the execution-driven
+        simulator builds its own per-epoch problem from monitored
+        estimates.  Setting ``convexify=False`` keeps the raw, possibly
+        cliffy cache behaviour — the Talus ablation.
         """
         if self.extra_power_capacity <= 0:
             raise MarketConfigurationError("power budget below the free minimums")
-        if utilities is None:
-            # The cores share the power and DRAM models, so a true grid
-            # depends on the application alone: one grid per app.
-            by_app = {core.app: core for core in self.cores}
-            grids = build_true_utilities(list(by_app.values()), self.config, convexify)
-            grid_of = dict(zip(by_app, grids))
-            utilities = [grid_of[core.app] for core in self.cores]
+        # The cores share the power and DRAM models, so a true grid
+        # depends on the application alone: one grid per app.
+        by_app = {core.app: core for core in self.cores}
+        grids = build_true_utilities(list(by_app.values()), self.config, convexify)
+        grid_of = dict(zip(by_app, grids))
         caps = np.array(
             [extra_capacity_for(core, self.config) for core in self.cores]
         )
         return AllocationProblem(
-            utilities=list(utilities),
+            utilities=[grid_of[core.app] for core in self.cores],
             capacities=np.array([self.extra_cache_capacity, self.extra_power_capacity]),
             resource_names=["cache_bytes", "power_watts"],
             player_names=[app.name for app in self.apps],
@@ -145,15 +138,3 @@ class ChipModel:
                 )
             )
         return points
-
-    def true_utilities(self, extra_allocations: np.ndarray) -> np.ndarray:
-        """Ground-truth utilities of an extras allocation (for scoring)."""
-        return np.array(
-            [p.utility for p in self.operating_points(extra_allocations)]
-        )
-
-    def total_power(self, extra_allocations: np.ndarray) -> float:
-        """Actual chip power draw at the resolved operating points."""
-        return float(
-            sum(p.power_watts for p in self.operating_points(extra_allocations))
-        )

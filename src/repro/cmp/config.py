@@ -87,17 +87,9 @@ class CMPConfig:
             raise ValueError("L2 capacity must be a whole number of cache regions")
 
     @property
-    def total_cache_regions(self) -> int:
-        return self.l2_capacity_bytes // self.cache_region_bytes
-
-    @property
     def umon_max_bytes(self) -> int:
         """Largest per-core partition the shadow tags can model (2 MB)."""
         return self.umon_max_regions * self.cache_region_bytes
-
-    @property
-    def power_per_core_watts(self) -> float:
-        return self.power_budget_watts / self.num_cores
 
 
 def cmp_8core() -> CMPConfig:

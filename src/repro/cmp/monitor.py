@@ -31,6 +31,14 @@ __all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor", "estimated_utilities"]
 #: sees the full stream, but the histogram converges long before this.
 MAX_EPOCH_ACCESSES = 200_000
 
+#: Relative noise on each epoch's compute-CPI estimate, modeling
+#: critical-path-predictor error.
+_CPI_NOISE_STD = 0.03
+
+#: EWMA weight on past epochs' miss curves, smoothing estimates across
+#: epochs the way hardware monitors effectively do.
+_HISTORY_WEIGHT = 0.5
+
 
 class RuntimeMonitor:
     """Online utility estimation for one core.
@@ -43,14 +51,9 @@ class RuntimeMonitor:
     config:
         Chip configuration (region size, UMON limits, sampling rate).
     rng:
-        Randomness source for the synthetic access stream — this is
-        where phase-2's monitoring noise comes from.
-    cpi_noise_std:
-        Relative noise on the compute-CPI estimate per epoch, modeling
-        critical-path-predictor error.
-    history_weight:
-        EWMA weight on past epochs' miss curves, smoothing estimates
-        across epochs the way hardware monitors effectively do.
+        Randomness source for the synthetic access stream and the
+        compute-CPI noise — this is where phase-2's monitoring noise
+        comes from.
     """
 
     def __init__(
@@ -58,14 +61,10 @@ class RuntimeMonitor:
         core: CoreModel,
         config: CMPConfig,
         rng: Optional[np.random.Generator] = None,
-        cpi_noise_std: float = 0.03,
-        history_weight: float = 0.5,
     ):
         self.core = core
         self.config = config
         self.rng = rng or np.random.default_rng(0)
-        self.cpi_noise_std = cpi_noise_std
-        self.history_weight = history_weight
         self.umon = UMONShadowTags(
             max_regions=config.umon_max_regions,
             region_bytes=config.cache_region_bytes,
@@ -98,11 +97,11 @@ class RuntimeMonitor:
             if self._smoothed_curve is None:
                 self._smoothed_curve = fresh
             else:
-                w = self.history_weight
+                w = _HISTORY_WEIGHT
                 self._smoothed_curve = w * self._smoothed_curve + (1.0 - w) * fresh
 
         # Critical-path / power-counter noise on the compute-CPI estimate.
-        noise = 1.0 + self.cpi_noise_std * self.rng.standard_normal()
+        noise = 1.0 + _CPI_NOISE_STD * self.rng.standard_normal()
         self._cpi_estimate = self.core.app.cpi_exe * max(noise, 0.5)
         self._utility_cache = None
 

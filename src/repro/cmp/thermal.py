@@ -44,9 +44,6 @@ class ThermalNode:
         self.temperature_c = steady + (self.temperature_c - steady) * decay
         return self.temperature_c
 
-    def steady_state_c(self, power_w: float) -> float:
-        return self.ambient_c + power_w * self.resistance_k_per_w
-
 
 class ThermalModel:
     """Per-core thermal state for a whole CMP."""

@@ -107,13 +107,6 @@ class UMONShadowTags:
         misses = self.sampled_accesses - hits_cumulative
         return misses / self.sampled_accesses
 
-    def misses_at(self, regions: int) -> float:
-        """Estimated miss fraction for a partition of ``regions`` regions."""
-        if regions < 1:
-            return 1.0
-        curve = self.miss_curve()
-        return float(curve[min(regions, self.max_regions) - 1])
-
     @property
     def storage_overhead_bytes(self) -> int:
         """Rough shadow-tag storage cost, for the <1% overhead check.

@@ -32,7 +32,6 @@ __all__ = [
     "convexify_grid",
     "build_true_utility",
     "build_true_utilities",
-    "build_utility_from_miss_curve",
     "build_utilities_from_miss_curves",
     "extra_capacity_for",
 ]
@@ -130,30 +129,21 @@ def build_true_utilities(
     return _convexified(config, [grid.ys for grid in grids], [grid.values for grid in grids])
 
 
-def build_utility_from_miss_curve(
-    core: CoreModel,
-    config: CMPConfig,
-    miss_curve: np.ndarray,
-    cpi_estimate: Optional[float] = None,
-) -> GridUtility2D:
-    """Phase-2 utility from a *monitored* miss curve (UMON output).
-
-    ``miss_curve[k]`` is the estimated miss fraction with ``k+1``
-    regions.  The compute-phase CPI may also be an estimate; the power
-    model and DRAM latency are shared with the true model (the paper
-    estimates them with Isci-style counters, whose error is small
-    relative to MRC sampling noise).  The grid is always convexified.
-    """
-    return build_utilities_from_miss_curves([core], config, [miss_curve], [cpi_estimate])[0]
-
-
 def build_utilities_from_miss_curves(
     cores: Sequence[CoreModel],
     config: CMPConfig,
     miss_curves: Sequence[np.ndarray],
     cpi_estimates: Sequence[Optional[float]],
 ) -> List[GridUtility2D]:
-    """:func:`build_utility_from_miss_curve` of every core, hulled in one batch."""
+    """Phase-2 utilities from *monitored* miss curves (UMON output).
+
+    ``miss_curves[n][k]`` is core ``n``'s estimated miss fraction with
+    ``k+1`` regions.  The compute-phase CPI may also be an estimate
+    (``None`` takes the application's own); the power model and DRAM
+    latency are shared with the true model (the paper estimates them
+    with Isci-style counters, whose error is small relative to MRC
+    sampling noise).  Every grid is convexified, all in one batch.
+    """
     grids = [
         _monitored_grid(core, config, miss_curve, cpi_estimate)
         for core, miss_curve, cpi_estimate in zip(cores, miss_curves, cpi_estimates)
@@ -167,7 +157,7 @@ def _monitored_grid(
     miss_curve: np.ndarray,
     cpi_estimate: Optional[float],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The raw grid :func:`build_utility_from_miss_curve` convexifies."""
+    """The raw grid :func:`build_utilities_from_miss_curves` convexifies."""
     cpi = core.app.cpi_exe if cpi_estimate is None else cpi_estimate
     apki = core.app.apki
     latency = core.memory_latency_ns

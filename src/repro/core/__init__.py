@@ -41,11 +41,8 @@ from .theory import (
     check_theorem1,
     check_theorem2,
     ef_lower_bound,
-    fig1_ef_series,
-    fig1_poa_series,
     min_mbr_for_envy_freeness,
     poa_lower_bound,
-    zhang_equal_budget_ef_bound,
     zhang_poa_order,
 )
 
@@ -71,10 +68,7 @@ __all__ = [
     "poa_lower_bound",
     "ef_lower_bound",
     "min_mbr_for_envy_freeness",
-    "zhang_equal_budget_ef_bound",
     "zhang_poa_order",
-    "fig1_poa_series",
-    "fig1_ef_series",
     "check_theorem1",
     "check_theorem2",
     "ReBudgetConfig",

@@ -177,8 +177,6 @@ def find_equilibrium(
     market: Market,
     bidder: Optional[BiddingStrategy] = None,
     warm_start: Optional[WarmStart] = None,
-    max_iterations: int = MAX_ITERATIONS,
-    price_tolerance: float = PRICE_TOLERANCE,
     update: str = "jacobi",
 ) -> EquilibriumResult:
     """Run the bidding–pricing loop to (approximate) market equilibrium.
@@ -206,6 +204,11 @@ def find_equilibrium(
         before it in the round.  Jacobi is the default and the one used
         in all experiments.
 
+    Prices have converged when no price moves by more than
+    :data:`PRICE_TOLERANCE` (relatively) in a round; the search gives up
+    after :data:`MAX_ITERATIONS` rounds.  Both are the paper's
+    constants, read when the search starts.
+
     The search uses the market's one compiled
     :class:`~repro.utility.batch.BatchedUtilitySet` (:attr:`Market.evaluator
     <repro.core.market.Market.evaluator>`, shared with every other search
@@ -224,6 +227,7 @@ def find_equilibrium(
     """
     if bidder is None:
         bidder = HillClimbBidder()
+    price_tolerance = PRICE_TOLERANCE
     if update not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown update mode {update!r}")
 
@@ -249,7 +253,7 @@ def find_equilibrium(
     iterations = 0
     damped = False
     marginals: Optional[np.ndarray] = None
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         totals = bids.sum(axis=0)
         previous_bids = bids
         # Cold first rounds get no current bids (pristine paper

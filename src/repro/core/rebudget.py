@@ -26,7 +26,6 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from .bidding import BiddingStrategy, HillClimbBidder
 from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import market_budget_range, market_utility_range
@@ -149,7 +148,6 @@ class ReBudgetResult:
 def run_rebudget(
     market: Market,
     config: Optional[ReBudgetConfig] = None,
-    bidder: Optional[BiddingStrategy] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> ReBudgetResult:
     """Execute the ReBudget loop on ``market``.
@@ -167,7 +165,6 @@ def run_rebudget(
     round's equilibrium, rescaled to the post-cut budgets.
     """
     config = config or ReBudgetConfig()
-    bidder = bidder or HillClimbBidder()
     step, floor = config.resolve()
     initial_budget = config.initial_budget
     min_step = _STEP_STOP_FRACTION * initial_budget
@@ -178,7 +175,7 @@ def run_rebudget(
     round_warm: Optional[WarmStart] = warm_start
     step_exhausted = False
     for round_index in range(_MAX_ROUNDS):
-        equilibrium = find_equilibrium(market, bidder=bidder, warm_start=round_warm)
+        equilibrium = find_equilibrium(market, warm_start=round_warm)
         lambdas = equilibrium.lambdas
         budgets = market.budgets
         cut_players: List[int] = []

@@ -9,19 +9,13 @@ equilibrium against these bounds — they must never be violated.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "ZHANG_EQUAL_BUDGET_EF",
     "poa_lower_bound",
     "ef_lower_bound",
     "min_mbr_for_envy_freeness",
-    "zhang_equal_budget_ef_bound",
     "zhang_poa_order",
-    "fig1_poa_series",
-    "fig1_ef_series",
     "check_theorem1",
     "check_theorem2",
 ]
@@ -66,28 +60,11 @@ def min_mbr_for_envy_freeness(ef_target: float) -> float:
     return min(1.0, ((ef_target + 2.0) / 2.0) ** 2 - 1.0)
 
 
-def zhang_equal_budget_ef_bound() -> float:
-    """Lemma 3: equal-budget equilibria are 0.828-approximate envy-free."""
-    return ZHANG_EQUAL_BUDGET_EF
-
-
 def zhang_poa_order(num_players: int) -> float:
     """Lemma 2's asymptotic order ``Theta(1/sqrt(N))`` for reference curves."""
     if num_players < 1:
         raise ValueError("need at least one player")
     return 1.0 / math.sqrt(num_players)
-
-
-def fig1_poa_series(points: int = 101) -> Tuple[np.ndarray, np.ndarray]:
-    """The (MUR, PoA-bound) series plotted in Figure 1 (left)."""
-    murs = np.linspace(0.0, 1.0, points)
-    return murs, np.array([poa_lower_bound(m) for m in murs])
-
-
-def fig1_ef_series(points: int = 101) -> Tuple[np.ndarray, np.ndarray]:
-    """The (MBR, EF-bound) series plotted in Figure 1 (right)."""
-    mbrs = np.linspace(0.0, 1.0, points)
-    return mbrs, np.array([ef_lower_bound(m) for m in mbrs])
 
 
 def check_theorem1(mur: float, realized_poa: float, slack: float = 1e-9) -> bool:

@@ -54,7 +54,3 @@ class PhaseTracker:
         return PhaseState(
             len(self.phases) - 1, last.apki_scale, last.cpi_scale, last.activity_scale
         )
-
-    def changes_between(self, start_ms: float, end_ms: float) -> bool:
-        """True when a phase boundary falls inside ``[start_ms, end_ms)``."""
-        return self.state_at(start_ms).phase_index != self.state_at(end_ms).phase_index

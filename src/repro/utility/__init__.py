@@ -18,7 +18,7 @@ from .functions import (
     SaturatingUtility,
     ScaledUtility,
 )
-from .tabular import GridUtility2D, HullUtility1D, StackedGrids, TabularUtility1D
+from .tabular import GridUtility2D, StackedGrids
 
 __all__ = [
     "UtilityFunction",
@@ -36,7 +36,5 @@ __all__ = [
     "SaturatingUtility",
     "AdditiveUtility",
     "ScaledUtility",
-    "TabularUtility1D",
-    "HullUtility1D",
     "GridUtility2D",
 ]

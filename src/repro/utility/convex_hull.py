@@ -133,20 +133,13 @@ def _lockstep_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class PiecewiseLinearConcave:
     """A concave piecewise-linear function defined by hull vertices.
 
-    This is what the Talus layer hands to the market: continuous,
-    non-decreasing (when built from a non-decreasing curve's hull) and
-    concave, with O(log n) evaluation and exact sub-gradients.
+    This is what the Talus layer plans shadow partitions from:
+    continuous, non-decreasing (when built from a non-decreasing
+    curve's hull) and concave, with O(log n) evaluation.
     """
 
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        hx, hy = upper_convex_hull(xs, ys)
-        self.xs = hx
-        self.ys = hy
-        # Slopes of each hull segment; one fewer entry than vertices.
-        if hx.size > 1:
-            self.slopes = np.diff(hy) / np.diff(hx)
-        else:
-            self.slopes = np.zeros(0)
+        self.xs, self.ys = upper_convex_hull(xs, ys)
 
     @property
     def points_of_interest(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,30 +154,6 @@ class PiecewiseLinearConcave:
         """
         return float(np.interp(x, self.xs, self.ys))
 
-    def value_batch(self, x: np.ndarray) -> np.ndarray:
-        """Hull values at a 1-D batch of points, clamped as :meth:`value`."""
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
-
-    def derivative_batch(self, x: np.ndarray) -> np.ndarray:
-        """Right-derivatives at a 1-D batch of points (0 past the last PoI).
-
-        Using the right-derivative makes the marginal utility reported at
-        a vertex the gain from *adding* resources, which is what the
-        bidding hill climb and ReBudget's lambda comparisons need.  Below
-        the first PoI the first segment's slope applies.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.slopes.size == 0:
-            return np.zeros_like(x)
-        seg = np.clip(
-            np.searchsorted(self.xs, x, side="right") - 1, 0, self.slopes.size - 1
-        )
-        return np.where(
-            x >= self.xs[-1],
-            0.0,
-            np.where(x < self.xs[0], self.slopes[0], self.slopes[seg]),
-        )
-
     def bracketing_pois(self, x: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         """The two neighbouring PoIs around ``x`` (Talus shadow targets)."""
         if x <= self.xs[0]:
@@ -194,6 +163,3 @@ class PiecewiseLinearConcave:
         hi = int(np.searchsorted(self.xs, x, side="right"))
         lo = hi - 1
         return (self.xs[lo], self.ys[lo]), (self.xs[hi], self.ys[hi])
-
-    def __call__(self, x: float) -> float:
-        return self.value(x)

@@ -1,15 +1,11 @@
 """Tabulated utility functions built from sampled profiles.
 
 The multicore substrate produces utilities as samples on a grid (IPC at
-each cache-size x frequency point, Section 6's 90-point profile).  The
-classes here wrap such samples into :class:`~repro.utility.base.UtilityFunction`
-objects the market can consume:
-
-* :class:`TabularUtility1D` — raw linear interpolation of a 1-D curve
-  (possibly non-concave; what the cache looks like *before* Talus).
-* :class:`HullUtility1D` — the Talus-convexified version.
-* :class:`GridUtility2D` — bilinear interpolation over a 2-D sample grid,
-  used for joint cache x power utilities.
+each cache-size x frequency point, Section 6's 90-point profile).
+:class:`GridUtility2D` wraps such samples into a
+:class:`~repro.utility.base.UtilityFunction` the market can consume, by
+bilinear interpolation over the 2-D sample grid of joint cache x power
+utilities; :class:`StackedGrids` evaluates many such grids in one call.
 """
 
 from __future__ import annotations
@@ -19,71 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .base import UtilityFunction, numeric_gradient_batch
-from .convex_hull import PiecewiseLinearConcave
 
-__all__ = ["TabularUtility1D", "HullUtility1D", "GridUtility2D", "StackedGrids"]
-
-
-class TabularUtility1D(UtilityFunction):
-    """Linear interpolation through ``(xs, ys)`` samples, clamped outside.
-
-    Makes no concavity promise — it faithfully represents cliffy cache
-    curves.  Use :class:`HullUtility1D` when the market needs concavity.
-    """
-
-    num_resources = 1
-
-    def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        if self.xs.ndim != 1 or self.xs.size != self.ys.size or self.xs.size == 0:
-            raise ValueError("xs and ys must be non-empty 1-D arrays of equal length")
-        if np.any(np.diff(self.xs) <= 0):
-            raise ValueError("xs must be strictly increasing")
-
-    def _value_batch(self, points: np.ndarray) -> np.ndarray:
-        return np.interp(points[:, 0], self.xs, self.ys)
-
-    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
-        x = points[:, 0]
-        if self.xs.size == 1:
-            return np.zeros_like(points)
-        seg = np.clip(
-            np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2
-        )
-        slopes = (self.ys[seg + 1] - self.ys[seg]) / (self.xs[seg + 1] - self.xs[seg])
-        inside = (x >= self.xs[0]) & (x < self.xs[-1])
-        return np.where(inside, slopes, 0.0)[:, None]
-
-    def __repr__(self) -> str:
-        return f"TabularUtility1D({self.xs.size} samples on [{self.xs[0]}, {self.xs[-1]}])"
-
-
-class HullUtility1D(UtilityFunction):
-    """The upper convex hull of a sampled curve — concave and continuous.
-
-    This is the utility the market sees after Talus: linear between
-    points of interest, saturating past the last one.
-    """
-
-    num_resources = 1
-
-    def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        self.hull = PiecewiseLinearConcave(xs, ys)
-
-    def _value_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.hull.value_batch(points[:, 0])
-
-    def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.hull.derivative_batch(points[:, 0])[:, None]
-
-    @property
-    def points_of_interest(self):
-        return self.hull.points_of_interest
-
-    def __repr__(self) -> str:
-        xs, _ = self.hull.points_of_interest
-        return f"HullUtility1D({xs.size} PoIs on [{xs[0]}, {xs[-1]}])"
+__all__ = ["GridUtility2D", "StackedGrids"]
 
 
 class GridUtility2D(UtilityFunction):
@@ -105,6 +38,8 @@ class GridUtility2D(UtilityFunction):
             raise ValueError("values must have shape (len(xs), len(ys))")
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise ValueError("grid axes must be strictly increasing")
+        #: The one-grid kernel of direct calls, compiled on the first.
+        self._stack: "StackedGrids | None" = None
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
         if self.xs.size == 1 and self.ys.size == 1:
@@ -115,8 +50,10 @@ class GridUtility2D(UtilityFunction):
         if self.ys.size == 1:
             xc = np.clip(points[:, 0], self.xs[0], self.xs[-1])
             return np.interp(xc, self.xs, self.values[:, 0])
+        if self._stack is None:
+            self._stack = StackedGrids([self])
         owners = np.zeros(points.shape[0], dtype=np.intp)
-        return StackedGrids([self]).value_points(points, owners)
+        return self._stack.value_points(points, owners)
 
     def __repr__(self) -> str:
         return f"GridUtility2D({self.xs.size}x{self.ys.size} grid)"

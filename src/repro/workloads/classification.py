@@ -100,9 +100,8 @@ def sensitivities(table: ApplicationProfileTable) -> Sensitivities:
     return Sensitivities(cache=cache_sens, power=power_sens)
 
 
-def classify(app: AppProfile, config: CMPConfig | None = None) -> str:
-    """Profile one application and return its class letter (C/P/B/N)."""
-    sens = sensitivities(profile_application(app, config))
+def classify(sens: Sensitivities) -> str:
+    """The class letter (C/P/B/N) a profiled application's sensitivities earn."""
     cache_sensitive = sens.cache >= CACHE_SENSITIVE_THRESHOLD
     power_sensitive = sens.power >= POWER_SENSITIVE_THRESHOLD
     if cache_sensitive and power_sensitive:

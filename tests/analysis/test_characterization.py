@@ -1,9 +1,8 @@
 """Suite characterization rows."""
 
-import pytest
-
-from repro.analysis import characterize_app, characterize_suite
+from repro.analysis import characterization, characterize_app, characterize_suite
 from repro.cmp.spec_suite import app_by_name
+from repro.workloads import classification
 
 
 class TestCharacterizeApp:
@@ -37,3 +36,18 @@ class TestCharacterizeSuite:
 
     def test_pooled_rows_match_serial(self):
         assert characterize_suite(workers=2) == characterize_suite()
+
+    def test_profiles_each_app_once(self, monkeypatch):
+        # The class letter comes from the sensitivities the row already
+        # has, so no application is profiled a second time to classify it.
+        profiled = []
+        real = classification.profile_application
+
+        def spy(app, config=None):
+            profiled.append(app.name)
+            return real(app, config)
+
+        monkeypatch.setattr(classification, "profile_application", spy)
+        monkeypatch.setattr(characterization, "profile_application", spy)
+        rows = characterize_suite()
+        assert sorted(profiled) == sorted(row.name for row in rows)

@@ -31,10 +31,10 @@ def small_sweep():
 
 class TestFig1:
     def test_series(self):
-        d = fig1_data(21)
+        d = fig1_data()
         assert d["poa_bound"][-1] == pytest.approx(0.75)
         assert d["ef_bound"][-1] == pytest.approx(0.828, abs=5e-4)
-        assert d["mur"].size == 21
+        assert d["mur"].size == 101
 
 
 class TestFig2:

@@ -8,14 +8,13 @@ from repro.analysis import (
     futility_convergence_study,
     umon_error_study,
 )
-from repro.cmp import cmp_8core
 
 
 class TestUmonErrorStudy:
     @pytest.fixture(scope="class")
     def rows(self):
         # Small run: 2 epochs, fewer instructions, still meaningful.
-        return umon_error_study(cmp_8core(), epochs=2, instructions_per_epoch=1e6)
+        return umon_error_study(epochs=2, instructions_per_epoch=1e6)
 
     def test_one_row_per_app(self, rows):
         assert len(rows) == 24

@@ -138,10 +138,6 @@ class TestAppProfile:
         )
         assert app.misses_per_instruction(1 * MB) == pytest.approx(0.01)
 
-    def test_min_cache(self):
-        app = AppProfile(name="x", suite="t", cpi_exe=0.5, apki=1.0, mrc=FlatMRC(0.1))
-        assert app.min_cache_bytes() == 128 * KB
-
     def test_phase_fields(self):
         phase = Phase(duration_ms=2.0, apki_scale=1.5)
         assert phase.duration_ms == 2.0

@@ -38,13 +38,6 @@ class TestBandwidthModel:
         assert np.isfinite(bw_model.latency_ns(100.0, 0.001))
         assert np.isfinite(bw_model.latency_ns(1.0, 0.0))
 
-    def test_demand_grows_with_frequency(self, cfg, bw_model):
-        core = CoreModel(app_by_name("libquantum"), cfg)
-        d1 = bw_model.demand_gbps(core, 256 * 1024, 1.0)
-        d2 = bw_model.demand_gbps(core, 256 * 1024, 4.0)
-        assert d2 > d1
-
-
 class TestBandwidthAwareUtility:
     @pytest.fixture(scope="class")
     def utility(self, cfg, bw_model):

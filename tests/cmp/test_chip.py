@@ -46,13 +46,6 @@ class TestBuildProblem:
                 core.max_power_watts() - core.min_power_watts()
             )
 
-    def test_custom_utilities_accepted(self, bbpc_chip):
-        from repro.utility import LogUtility
-
-        utilities = [LogUtility([1.0, 1.0])] * 8
-        problem = bbpc_chip.build_problem(utilities=utilities)
-        assert problem.utilities[0] is utilities[0]
-
 
 def _grid_bits(grid):
     return grid.xs.tobytes() + grid.ys.tobytes() + grid.values.tobytes()
@@ -98,9 +91,9 @@ class TestOperatingPoints:
                 np.full(n, bbpc_chip.extra_power_capacity / n),
             ]
         )
-        assert np.all(
-            bbpc_chip.true_utilities(big) >= bbpc_chip.true_utilities(small) - 1e-9
-        )
+        utility_big = [p.utility for p in bbpc_chip.operating_points(big)]
+        utility_small = [p.utility for p in bbpc_chip.operating_points(small)]
+        assert np.all(np.array(utility_big) >= np.array(utility_small) - 1e-9)
 
     def test_total_power_within_budget_at_equal_share(self, bbpc_chip):
         n = bbpc_chip.config.num_cores
@@ -110,7 +103,8 @@ class TestOperatingPoints:
                 np.full(n, bbpc_chip.extra_power_capacity / n),
             ]
         )
-        assert bbpc_chip.total_power(extras) <= bbpc_chip.config.power_budget_watts + 1e-6
+        drawn = sum(p.power_watts for p in bbpc_chip.operating_points(extras))
+        assert drawn <= bbpc_chip.config.power_budget_watts + 1e-6
 
     def test_rejects_bad_shape(self, bbpc_chip):
         with pytest.raises(MarketConfigurationError):

@@ -39,9 +39,7 @@ class TestTable1:
 
     def test_derived_quantities(self):
         cfg = cmp_8core()
-        assert cfg.total_cache_regions == 32          # 4 MB / 128 kB
         assert cfg.umon_max_bytes == 2 * MB           # 16 regions
-        assert cfg.power_per_core_watts == 10.0
         assert cfg.umon_sampling_rate == 32
         assert cfg.allocation_period_ms == 1.0
 

@@ -12,9 +12,9 @@ def cfg():
     return cmp_8core()
 
 
-def _monitor(cfg, name="vpr", seed=3, **kwargs):
+def _monitor(cfg, name="vpr", seed=3):
     core = CoreModel(app_by_name(name), cfg)
-    return RuntimeMonitor(core, cfg, rng=np.random.default_rng(seed), **kwargs)
+    return RuntimeMonitor(core, cfg, rng=np.random.default_rng(seed))
 
 
 class TestMissCurveEstimation:
@@ -35,13 +35,15 @@ class TestMissCurveEstimation:
         np.testing.assert_allclose(monitor.miss_curve, true, atol=0.06)
 
     def test_smoothing_across_epochs(self, cfg):
-        monitor = _monitor(cfg, history_weight=0.9)
+        monitor = _monitor(cfg)
         monitor.observe_epoch(2e6)
         first = monitor.miss_curve
         monitor.observe_epoch(2e6)
         second = monitor.miss_curve
-        # Heavy history weight: the estimate moves slowly.
+        # Half the weight stays on history: the estimate moves slowly.
         assert np.max(np.abs(second - first)) < 0.2
+        fresh = monitor.umon.miss_curve()
+        np.testing.assert_array_equal(second, 0.5 * first + 0.5 * fresh)
 
     def test_zero_instruction_epoch_keeps_estimate(self, cfg):
         monitor = _monitor(cfg)
@@ -53,7 +55,7 @@ class TestMissCurveEstimation:
 
 class TestCpiEstimate:
     def test_noisy_but_near_truth(self, cfg):
-        monitor = _monitor(cfg, cpi_noise_std=0.05)
+        monitor = _monitor(cfg)
         estimates = []
         for _ in range(30):
             monitor.observe_epoch(1e6)

@@ -7,14 +7,15 @@ from repro.cmp import ThermalModel, ThermalNode
 
 class TestThermalNode:
     def test_steady_state(self):
+        # T_amb + P * R_th: a 10 W core settles at 45 + 10 * 3.5 = 80 C.
         node = ThermalNode(resistance_k_per_w=3.5, ambient_c=45.0)
-        assert node.steady_state_c(10.0) == pytest.approx(80.0)
+        assert node.step(10.0, 1e6) == pytest.approx(80.0)
 
     def test_converges_to_steady_state(self):
         node = ThermalNode(temperature_c=45.0)
         for _ in range(1000):
             node.step(10.0, 0.01)
-        assert node.temperature_c == pytest.approx(node.steady_state_c(10.0), abs=0.1)
+        assert node.temperature_c == pytest.approx(80.0, abs=0.1)
 
     def test_monotone_approach(self):
         node = ThermalNode(temperature_c=45.0)
@@ -30,7 +31,7 @@ class TestThermalNode:
         # The exponential integrator never overshoots, however large dt.
         node = ThermalNode(temperature_c=45.0)
         node.step(10.0, 1e6)
-        assert node.temperature_c == pytest.approx(node.steady_state_c(10.0))
+        assert node.temperature_c == pytest.approx(80.0)
 
 
 class TestThermalModel:

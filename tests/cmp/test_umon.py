@@ -122,14 +122,6 @@ class TestMissCurve:
     def test_no_observations_pessimistic(self):
         assert np.all(UMONShadowTags().miss_curve() == 1.0)
 
-    def test_misses_at(self):
-        umon = UMONShadowTags(max_regions=4, sampling_rate=1)
-        umon.observe(np.array([0.0, np.inf]))
-        assert umon.misses_at(1) == pytest.approx(0.5)
-        assert umon.misses_at(0) == 1.0
-        assert umon.misses_at(99) == pytest.approx(0.5)
-
-
 class TestOverheads:
     def test_storage_near_paper_figure(self):
         # Section 5: 3.6 kB per core with stack distance 16 and rate 32.

@@ -9,7 +9,7 @@ from repro.cmp import cmp_8core, CoreModel
 from repro.cmp.spec_suite import app_by_name
 from repro.cmp.utility_builder import (
     build_true_utility,
-    build_utility_from_miss_curve,
+    build_utilities_from_miss_curves,
     convexify_grid,
     extra_capacity_for,
 )
@@ -224,7 +224,7 @@ class TestMonitoredUtility:
                 for r in regions
             ]
         )
-        est = build_utility_from_miss_curve(mcf_core, cfg, true_curve)
+        (est,) = build_utilities_from_miss_curves([mcf_core], cfg, [true_curve], [None])
         true = build_true_utility(mcf_core, cfg)
         cache_cap, power_cap = extra_capacity_for(mcf_core, cfg)
         for c in (0.0, cache_cap / 2, cache_cap):
@@ -235,8 +235,9 @@ class TestMonitoredUtility:
 
     def test_cpi_estimate_shifts_utility(self, cfg, mcf_core):
         curve = np.linspace(0.9, 0.1, cfg.umon_max_regions)
-        a = build_utility_from_miss_curve(mcf_core, cfg, curve, cpi_estimate=0.5)
-        b = build_utility_from_miss_curve(mcf_core, cfg, curve, cpi_estimate=1.5)
+        a, b = build_utilities_from_miss_curves(
+            [mcf_core, mcf_core], cfg, [curve, curve], [0.5, 1.5]
+        )
         # Both normalized, but the balance between cache and power shifts.
         assert a.values.shape == b.values.shape
         assert not np.allclose(a.values, b.values)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from markets import make_market
-from repro.core import ExactBidder, HillClimbBidder, find_equilibrium
+from repro.core import ExactBidder, HillClimbBidder, equilibrium, find_equilibrium
 from repro.core.equilibrium import _prices_stable
 from repro.utility import LogUtility
 
@@ -36,8 +36,10 @@ class TestFindEquilibrium:
         eq = find_equilibrium(small_market)
         assert np.all(eq.lambdas > 0.0)
 
-    def test_fail_safe_iteration_cap(self, small_market):
-        eq = find_equilibrium(small_market, max_iterations=1, price_tolerance=1e-12)
+    def test_fail_safe_iteration_cap(self, small_market, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(equilibrium, "PRICE_TOLERANCE", 1e-12)
+        eq = find_equilibrium(small_market)
         assert eq.iterations == 1
         assert not eq.converged
 

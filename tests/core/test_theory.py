@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import fig1_data
 from repro.core import (
     check_theorem1,
     check_theorem2,
     ef_lower_bound,
-    fig1_ef_series,
-    fig1_poa_series,
     min_mbr_for_envy_freeness,
     poa_lower_bound,
-    zhang_equal_budget_ef_bound,
     zhang_poa_order,
 )
+from repro.core.theory import ZHANG_EQUAL_BUDGET_EF
 
 _unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -101,7 +100,7 @@ class TestInversion:
 
 class TestZhangResults:
     def test_equal_budget_bound_value(self):
-        assert zhang_equal_budget_ef_bound() == pytest.approx(0.828, abs=5e-4)
+        assert ZHANG_EQUAL_BUDGET_EF == pytest.approx(0.828, abs=5e-4)
 
     def test_poa_order(self):
         assert zhang_poa_order(64) == pytest.approx(0.125)
@@ -111,9 +110,9 @@ class TestZhangResults:
 
 class TestFig1Series:
     def test_shapes_and_ends(self):
-        mur, poa = fig1_poa_series(51)
-        mbr, ef = fig1_ef_series(51)
-        assert mur.size == poa.size == 51
+        d = fig1_data()
+        poa, ef = d["poa_bound"], d["ef_bound"]
+        assert d["mur"].size == poa.size == d["mbr"].size == ef.size == 101
         assert poa[0] == 0.0 and poa[-1] == pytest.approx(0.75)
         assert ef[0] == 0.0 and ef[-1] == pytest.approx(0.828, abs=5e-4)
         assert np.all(np.diff(poa) >= -1e-12)

@@ -6,7 +6,7 @@ import pytest
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import EqualBudget, ReBudgetMechanism
 from repro.sim import ExecutionDrivenSimulator, SimulationConfig
-from repro.workloads import classify, generate_bundles
+from repro.workloads import classify, generate_bundles, profile_application, sensitivities
 
 
 class TestPipeline:
@@ -17,7 +17,7 @@ class TestPipeline:
 
     def test_bundle_classes_verified_by_profiling(self, chip):
         # BBCN on 8 cores: two apps per category letter, in order.
-        letters = [classify(app) for app in chip.apps]
+        letters = [classify(sensitivities(profile_application(app))) for app in chip.apps]
         assert letters == ["B", "B", "B", "B", "C", "C", "N", "N"]
 
     def test_analytic_and_simulated_agree_in_sign(self, chip):

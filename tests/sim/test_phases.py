@@ -20,7 +20,7 @@ class TestStationary:
 
     def test_never_changes(self):
         tracker = PhaseTracker(_app())
-        assert not tracker.changes_between(0.0, 1e6)
+        assert {tracker.state_at(t).phase_index for t in (0.0, 2.5, 1e6)} == {0}
 
 
 class TestCycling:
@@ -46,7 +46,3 @@ class TestCycling:
     def test_scales_follow_phase(self, tracker):
         assert tracker.state_at(1.0).apki_scale == 1.0
         assert tracker.state_at(3.0).apki_scale == 2.0
-
-    def test_changes_between(self, tracker):
-        assert tracker.changes_between(1.0, 3.0)
-        assert not tracker.changes_between(0.0, 1.0)

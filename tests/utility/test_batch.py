@@ -17,23 +17,22 @@ from repro.cmp import CoreModel, cmp_8core
 from repro.cmp.bandwidth import BandwidthAwareUtility, BandwidthModel
 from repro.cmp.dram import DRAMModel
 from repro.cmp.spec_suite import app_by_name
+from repro.utility import tabular
 from repro.utility import (
     EVAL_COUNTERS,
     AdditiveUtility,
     BatchedUtilitySet,
     CobbDouglasUtility,
     GridUtility2D,
-    HullUtility1D,
     LinearUtility,
     LogUtility,
-    PiecewiseLinearConcave,
     PowerUtility,
     SaturatingUtility,
     ScaledUtility,
     StackedGrids,
-    TabularUtility1D,
     UtilityFunction,
     numeric_gradient_batch,
+    upper_convex_hull,
 )
 
 
@@ -67,9 +66,23 @@ def make_grid(seed=0, nx=5, ny=4, x_span=4.0, y_span=2.0):
     return GridUtility2D(xs, ys, values)
 
 
-#: Points exercising the edge cases the clamping (tabulated) overrides
-#: must handle identically: below the first sample, above the last,
-#: exactly on bounds, zero rows.
+class Interp1D(UtilityFunction):
+    """A one-resource tabulated utility: ``np.interp`` of its samples
+    (clamped outside them) with the default numeric gradient."""
+
+    num_resources = 1
+
+    def __init__(self, xs, ys):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ys = np.asarray(ys, dtype=float)
+
+    def _value_batch(self, points):
+        return np.interp(points[:, 0], self.xs, self.ys)
+
+
+#: Points exercising the edge cases a clamping tabulated body must
+#: handle identically: below the first sample, above the last, exactly
+#: on bounds.
 POINTS_1D = np.array([[-1.0], [0.0], [0.3], [1.0], [2.7], [3.0], [99.0]])
 POINTS_2D = np.array(
     [
@@ -105,12 +118,10 @@ BANDWIDTH_POINTS = np.array(
 
 CASES = [
     pytest.param(
-        lambda: TabularUtility1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]),
-        POINTS_1D,
-        id="tabular1d",
+        lambda: Interp1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]), POINTS_1D, id="tabular1d"
     ),
     pytest.param(
-        lambda: HullUtility1D([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.2, 1.3]),
+        lambda: Interp1D(*upper_convex_hull([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.2, 1.3])),
         POINTS_1D,
         id="hull1d",
     ),
@@ -145,7 +156,7 @@ CASES = [
     pytest.param(
         lambda: AdditiveUtility(
             [
-                TabularUtility1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]),
+                Interp1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]),
                 LogUtility([1.0], [1.0]),
             ]
         ),
@@ -280,23 +291,6 @@ class TestNumericGradientBatch:
         assert out.shape == (0, 2)
 
 
-class TestPiecewiseLinearConcave:
-    def test_batch_matches_scalar_bitwise(self):
-        hull = PiecewiseLinearConcave(
-            [0.0, 1.0, 2.0, 4.0], [0.0, 0.9, 1.3, 1.5]
-        )
-        xs = np.array([-1.0, 0.0, 0.5, 1.0, 3.0, 4.0, 9.0])
-        assert np.array_equal(hull.value_batch(xs), [hull.value(x) for x in xs])
-        # Right-derivatives: the first slope below and on the first
-        # vertex, the next segment's slope on an inner vertex, zero from
-        # the last vertex on.
-        first, second, third = 0.9 / 1.0, (1.3 - 0.9) / 1.0, (1.5 - 1.3) / 2.0
-        assert np.array_equal(
-            hull.derivative_batch(xs),
-            [first, first, first, second, third, 0.0, 0.0],
-        )
-
-
 class TestStackedGrids:
     def test_matches_per_grid_scalar_bitwise(self):
         # Same sample counts, *different* axes per grid — the Fig-4 case
@@ -312,6 +306,28 @@ class TestStackedGrids:
             grid = grids[owners[k]]
             assert values[k] == grid.value(points[k])
             assert np.array_equal(gradients[k], grid.gradient(points[k]))
+
+    def test_direct_grid_calls_compile_one_kernel(self, monkeypatch):
+        # A grid compiles its one-grid stack on the first direct call and
+        # reuses it; the answers equal a freshly compiled stack's bitwise.
+        grid = make_grid(2)
+        points = np.random.default_rng(5).uniform(-1.0, 5.0, size=(6, 2))
+        owners = np.zeros(len(points), dtype=np.intp)
+        fresh = StackedGrids([grid])
+        compiled = []
+
+        class CountingStack(StackedGrids):
+            def __init__(self, grids):
+                compiled.append(grids)
+                super().__init__(grids)
+
+        monkeypatch.setattr(tabular, "StackedGrids", CountingStack)
+        rows = [grid.value(p) for p in points]
+        batch = grid.value_batch(points)
+        grid.gradient_batch(points)
+        assert len(compiled) == 1
+        assert _bits(batch) == _bits(fresh.value_points(points, owners))
+        assert _bits(np.array(rows)) == _bits(batch)
 
 
 @st.composite

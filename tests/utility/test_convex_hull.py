@@ -217,15 +217,6 @@ class TestPiecewiseLinearConcave:
         assert px[0] == 1.0 and px[-1] == 5.0
         assert np.all(np.diff(py) >= -1e-12)
 
-    def test_derivative_is_right_slope(self):
-        f = PiecewiseLinearConcave([0.0, 1.0, 2.0], [0.0, 1.0, 1.2])
-        np.testing.assert_allclose(f.derivative_batch([0.5, 1.5, 5.0]), [1.0, 0.2, 0.0])
-
-    def test_derivative_non_increasing(self):
-        f = PiecewiseLinearConcave([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 3.0, 3.4])
-        ds = f.derivative_batch(np.linspace(0.0, 3.0, 20))
-        assert np.all(np.diff(ds) <= 1e-12)
-
     def test_bracketing_pois(self):
         f = PiecewiseLinearConcave([0.0, 2.0, 4.0], [0.0, 3.0, 4.0])
         (lo, _), (hi, _) = f.bracketing_pois(1.0)
@@ -234,7 +225,3 @@ class TestPiecewiseLinearConcave:
         assert lo == hi == 0.0
         (lo, _), (hi, _) = f.bracketing_pois(9.0)
         assert lo == hi == 4.0
-
-    def test_callable(self):
-        f = PiecewiseLinearConcave([0.0, 1.0], [0.0, 1.0])
-        assert f(0.5) == pytest.approx(0.5)

@@ -1,57 +1,11 @@
-"""Tabulated utilities: interpolation, hulls, and the 2-D grid."""
+"""The tabulated 2-D grid utility."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utility import GridUtility2D, HullUtility1D, TabularUtility1D
-
-
-class TestTabularUtility1D:
-    def test_interpolates_and_clamps(self):
-        u = TabularUtility1D([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-        assert u.value([0.5]) == pytest.approx(0.5)
-        assert u.value([1.5]) == pytest.approx(1.25)
-        assert u.value([-1.0]) == 0.0
-        assert u.value([9.0]) == 1.5
-
-    def test_gradient_is_segment_slope(self):
-        u = TabularUtility1D([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
-        assert u.gradient([0.5])[0] == pytest.approx(2.0)
-        assert u.gradient([2.0])[0] == pytest.approx(0.5)
-        assert u.gradient([5.0])[0] == 0.0
-
-    def test_preserves_cliffs(self):
-        # Unlike the hull version, the raw table keeps non-concavity.
-        u = TabularUtility1D([0.0, 1.0, 2.0], [0.2, 0.2, 1.0])
-        assert u.value([1.0]) == pytest.approx(0.2)
-        assert u.value([1.5]) == pytest.approx(0.6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TabularUtility1D([1.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            TabularUtility1D([], [])
-        with pytest.raises(ValueError):
-            TabularUtility1D([0.0, 1.0], [0.0])
-
-
-class TestHullUtility1D:
-    def test_convexifies_cliff(self):
-        u = HullUtility1D([0.0, 1.0, 2.0], [0.2, 0.2, 1.0])
-        # The hull bridges linearly from (0, 0.2) to (2, 1.0).
-        assert u.value([1.0]) == pytest.approx(0.6)
-
-    def test_gradient_non_increasing(self):
-        u = HullUtility1D([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.2, 1.3])
-        grads = [u.gradient([x])[0] for x in np.linspace(0.0, 3.0, 13)]
-        assert all(a >= b - 1e-12 for a, b in zip(grads, grads[1:]))
-
-    def test_points_of_interest_exposed(self):
-        u = HullUtility1D([0.0, 1.0, 2.0], [0.2, 0.2, 1.0])
-        xs, ys = u.points_of_interest
-        assert xs[0] == 0.0 and xs[-1] == 2.0
+from repro.utility import GridUtility2D
 
 
 class TestGridUtility2D:

@@ -215,16 +215,17 @@ class SweepResult:
             ]
         )
 
+    # Every statistic below is NaN on a sweep with no scored bundle.
+
     def fraction_at_least(self, mechanism: str, threshold: float) -> float:
         """Fraction of bundles where a mechanism reaches ``threshold`` of OPT."""
-        series = self.efficiency_series(mechanism)
-        return float(np.mean(series >= threshold))
+        return _reduce(np.mean, self.efficiency_series(mechanism) >= threshold)
 
     def worst_envy_freeness(self, mechanism: str) -> float:
-        return float(self.envy_freeness_series(mechanism).min())
+        return _reduce(np.min, self.envy_freeness_series(mechanism))
 
     def median_envy_freeness(self, mechanism: str) -> float:
-        return float(np.median(self.envy_freeness_series(mechanism)))
+        return _reduce(np.median, self.envy_freeness_series(mechanism))
 
     def theorem2_violations(self) -> List[str]:
         """Bundles/mechanisms whose realized EF falls below Theorem 2."""
@@ -246,18 +247,27 @@ class SweepResult:
             [s.results[mechanism].converged for s in self.scores], dtype=float
         )
         return {
-            "mean_iterations": float(iters.mean()),
-            "p95_iterations": float(np.percentile(iters, 95)),
-            "max_iterations": float(iters.max()),
-            "fraction_within_3": float(np.mean(iters <= 3)),
-            "fraction_within_5": float(np.mean(iters <= 5)),
-            "converged_fraction": float(converged.mean()),
+            "mean_iterations": _reduce(np.mean, iters),
+            "p95_iterations": _reduce(lambda x: np.percentile(x, 95), iters),
+            "max_iterations": _reduce(np.max, iters),
+            "fraction_within_3": _reduce(np.mean, iters <= 3),
+            "fraction_within_5": _reduce(np.mean, iters <= 5),
+            "converged_fraction": _reduce(np.mean, converged),
         }
+
+
+def _reduce(statistic: Callable[[np.ndarray], float], series: np.ndarray) -> float:
+    """``statistic(series)`` as a float; NaN, without a warning, when empty."""
+    return float(statistic(series)) if series.size else float("nan")
 
 
 # One sweep-cell shards per (bundle, mechanism), so the mechanisms of a
 # bundle share its convexified AllocationProblem through a small
-# per-process cache instead of each rebuilding it.  Entries are keyed by
+# per-process cache instead of each rebuilding it.  The problem keeps its
+# cold equal-budget equilibrium too (AllocationProblem.equal_budget_equilibrium),
+# so the serial cells of a bundle share one solve between EqualBudget and
+# both ReBudget loops, and each pool worker solves it once per bundle it
+# sees (again only if the bundle left its cache).  Entries are keyed by
 # a token unique to the parent sweep invocation: a long-lived process
 # running several sweeps (different chips, same bundle names) can never
 # hit a stale problem.

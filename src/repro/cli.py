@@ -81,6 +81,12 @@ def _cmd_fig3(args) -> None:
     )
 
 
+def _report_failures(failures) -> None:
+    """Name every failed sweep cell on stderr."""
+    for failure in failures:
+        print(f"  FAILED {failure.bundle}/{failure.mechanism}", file=sys.stderr)
+
+
 def _cmd_fig4(args) -> None:
     config = cmp_64core() if args.cores == 64 else cmp_8core()
     sweep = run_analytic_sweep(
@@ -89,8 +95,7 @@ def _cmd_fig4(args) -> None:
         progress=lambda name: print(f"  {name}", file=sys.stderr),
         workers=args.workers,
     )
-    for failure in sweep.failures:
-        print(f"  FAILED {failure.bundle}/{failure.mechanism}", file=sys.stderr)
+    _report_failures(sweep.failures)
     print(summarize_sweep(sweep))
     x = np.arange(len(sweep.scores), dtype=float)
     print("\nFigure 4a series (ordered by EqualShare efficiency):")
@@ -109,8 +114,7 @@ def _cmd_fig5(args) -> None:
         sim_config=SimulationConfig(duration_ms=float(args.epochs), seed=args.seed),
         workers=args.workers,
     )
-    for failure in scores.failures:
-        print(f"  FAILED {failure.bundle}/{failure.mechanism}", file=sys.stderr)
+    _report_failures(scores.failures)
     print(summarize_simulation(scores))
 
 
@@ -182,6 +186,7 @@ def _cmd_convergence(args) -> None:
         ],
         workers=args.workers,
     )
+    _report_failures(sweep.failures)
     rows = []
     for mech in sweep.mechanisms:
         stats = sweep.convergence_stats(mech)

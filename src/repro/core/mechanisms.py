@@ -28,7 +28,7 @@ from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, HillClimbBidder
-from .equilibrium import WarmStart, find_equilibrium
+from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import (
     efficiency as efficiency_metric,
@@ -70,6 +70,11 @@ class AllocationProblem:
     ``resource_names``) to player ``i``'s utility.  In the multicore
     instantiation the vectors are *extra* resources beyond each core's
     free minimum, and the utilities already fold the free minimum in.
+
+    A problem keeps two things it computes on first use: the compiled
+    :attr:`evaluator` and the cold equal-budget equilibrium
+    (:attr:`equal_budget_equilibrium`), which EqualBudget and every
+    ReBudget loop on the problem share.
     """
 
     utilities: List[UtilityFunction]
@@ -79,6 +84,9 @@ class AllocationProblem:
     quanta: Optional[np.ndarray] = None
     per_player_caps: Optional[np.ndarray] = None
     _evaluator: Optional[BatchedUtilitySet] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _equal_budget_equilibrium: Optional[EquilibriumResult] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -125,9 +133,45 @@ class AllocationProblem:
             self._evaluator = BatchedUtilitySet(self.utilities)
         return self._evaluator
 
+    @property
+    def equal_budget_equilibrium(self) -> EquilibriumResult:
+        """The cold equilibrium at :data:`DEFAULT_BUDGET` per player.
+
+        Solved on first use by the default hill climb from the equal
+        split, and kept.  The equilibrium depends only on the budgets
+        and the utilities, and the climb is deterministic, so this one
+        solve is bitwise EqualBudget's cold result and the round 0 of
+        every cold ReBudget loop on the problem.  Its arrays are
+        read-only: a reader that writes into one fails instead of
+        changing another mechanism's result.
+
+        Only the mechanisms read it.  :func:`find_equilibrium` and
+        :func:`run_rebudget` called directly still solve for
+        themselves, so timing them on a persistent problem times real
+        solves.
+        """
+        if self._equal_budget_equilibrium is None:
+            market = self.build_market([DEFAULT_BUDGET] * self.num_players)
+            self._equal_budget_equilibrium = _read_only(find_equilibrium(market))
+        return self._equal_budget_equilibrium
+
     def build_market(self, budgets: Sequence[float]) -> Market:
         """A market over this problem with one budget per player."""
         return Market(self, budgets)
+
+
+def _read_only(equilibrium: EquilibriumResult) -> EquilibriumResult:
+    """``equilibrium`` with every array it holds marked read-only."""
+    state, warm = equilibrium.state, equilibrium.warm_start
+    arrays = [
+        state.bids, state.prices, state.allocations,
+        equilibrium.utilities, equilibrium.lambdas, *equilibrium.price_history,
+        warm.bids, warm.budgets, warm.prices, warm.last_moves, warm.anchor_prices,
+    ]
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return equilibrium
 
 
 @dataclass
@@ -258,6 +302,12 @@ class EqualBudget(AllocationMechanism):
     player/resource set, so the epoch simulator's per-millisecond re-runs
     resume from an almost-correct answer instead of re-searching from an
     equal split.
+
+    A cold call (no ``warm_state``) with the default
+    :class:`~repro.core.bidding.HillClimbBidder` returns the problem's
+    shared :attr:`~AllocationProblem.equal_budget_equilibrium`, the
+    round 0 of every cold ReBudget loop on the same problem; any other
+    bidder, and every warm call, solves for itself.
     """
 
     name = "EqualBudget"
@@ -267,6 +317,8 @@ class EqualBudget(AllocationMechanism):
         self.warm_state = None
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
+        if self.warm_state is None and type(self.bidder) is HillClimbBidder:
+            return self._score(problem, problem.equal_budget_equilibrium)
         return self._solve(problem, [DEFAULT_BUDGET] * problem.num_players)
 
     def _solve(
@@ -279,16 +331,23 @@ class EqualBudget(AllocationMechanism):
         """
         market = problem.build_market(budgets)
         eq = find_equilibrium(market, bidder=self.bidder, warm_start=self.warm_state)
+        return self._score(problem, eq)
+
+    def _score(
+        self, problem: AllocationProblem, eq: EquilibriumResult
+    ) -> MechanismResult:
+        """Score ``eq`` and carry its end state to the next call."""
         self.warm_state = eq.warm_start
+        budgets = eq.warm_start.budgets
         result = self._finish(
             problem,
             eq.state.allocations,
             iterations=eq.iterations,
             converged=eq.converged,
-            budgets=market.budgets,
+            budgets=budgets,
             lambdas=eq.lambdas,
             mur=market_utility_range(eq.lambdas),
-            mbr=market_budget_range(market.budgets),
+            mbr=market_budget_range(budgets),
         )
         result.details["prices"] = eq.state.prices.copy()
         return result
@@ -336,6 +395,12 @@ class ReBudgetMechanism(AllocationMechanism):
     ``ReBudgetMechanism(step=20)`` is the paper's ReBudget-20;
     ``ReBudgetMechanism(min_envy_freeness=0.5)`` derives the step and the
     budget floor from Theorem 2 instead.
+
+    A cold call (no ``warm_state``) hands the problem's shared
+    :attr:`~AllocationProblem.equal_budget_equilibrium` to
+    :func:`run_rebudget` as its round 0, so EqualBudget and every
+    ReBudget step on one problem solve the equal-budget market once.
+    A warm call starts its round 0 from ``warm_state`` instead.
     """
 
     def __init__(
@@ -359,7 +424,10 @@ class ReBudgetMechanism(AllocationMechanism):
             [self.config.initial_budget] * problem.num_players
         )
         rebudget: ReBudgetResult = run_rebudget(
-            market, self.config, warm_start=self.warm_state
+            market,
+            self.config,
+            warm_start=self.warm_state,
+            round0=problem.equal_budget_equilibrium if self.warm_state is None else None,
         )
         # Budgets restart from an equal split every epoch, so the right
         # seed for the next epoch is this epoch's *first* (equal-budget)

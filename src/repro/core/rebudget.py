@@ -149,6 +149,7 @@ def run_rebudget(
     market: Market,
     config: Optional[ReBudgetConfig] = None,
     warm_start: Optional[WarmStart] = None,
+    round0: Optional[EquilibriumResult] = None,
 ) -> ReBudgetResult:
     """Execute the ReBudget loop on ``market``.
 
@@ -163,6 +164,14 @@ def run_rebudget(
     epoch simulator this is the previous epoch's equal-budget
     equilibrium.  Every subsequent round is seeded from the previous
     round's equilibrium, rescaled to the post-cut budgets.
+
+    ``round0`` is the first round's equilibrium, already solved: a cold
+    :class:`~repro.core.mechanisms.ReBudgetMechanism` passes its
+    problem's shared cold solve, and the loop starts from it instead of
+    searching, bitwise the same.  Anything but a cold search of this
+    market's players and resources at ``initial_budget`` each, given
+    without ``warm_start``, raises :class:`MarketConfigurationError`.
+    Called without it, as direct callers do, the loop solves round 0.
     """
     config = config or ReBudgetConfig()
     step, floor = config.resolve()
@@ -170,12 +179,17 @@ def run_rebudget(
     min_step = _STEP_STOP_FRACTION * initial_budget
 
     market.budgets = np.full(market.num_players, initial_budget)
+    if round0 is not None:
+        _check_round0(round0, market, initial_budget, warm_start)
 
     result = ReBudgetResult()
     round_warm: Optional[WarmStart] = warm_start
     step_exhausted = False
     for round_index in range(_MAX_ROUNDS):
-        equilibrium = find_equilibrium(market, warm_start=round_warm)
+        if round0 is not None:
+            equilibrium, round0 = round0, None
+        else:
+            equilibrium = find_equilibrium(market, warm_start=round_warm)
         lambdas = equilibrium.lambdas
         budgets = market.budgets
         cut_players: List[int] = []
@@ -228,3 +242,24 @@ def run_rebudget(
         round_warm = equilibrium.warm_start
 
     return result
+
+
+def _check_round0(
+    round0: EquilibriumResult,
+    market: Market,
+    initial_budget: float,
+    warm_start: Optional[WarmStart],
+) -> None:
+    """Raise unless ``round0`` is the cold first-round search of ``market``."""
+    if warm_start is not None:
+        raise MarketConfigurationError("pass round0 or warm_start, not both")
+    if round0.warm_started:
+        raise MarketConfigurationError("round0 must be a cold search")
+    if not round0.warm_start.compatible_with(market):
+        raise MarketConfigurationError(
+            "round0 was solved for other players or resources than the market's"
+        )
+    if np.any(round0.warm_start.budgets != initial_budget):
+        raise MarketConfigurationError(
+            f"round0 was solved at budgets other than {initial_budget:g} each"
+        )

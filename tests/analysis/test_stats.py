@@ -1,5 +1,7 @@
 """Summary statistics of a sweep."""
 
+import math
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -23,3 +25,28 @@ class TestFractionAtLeast:
         ]
         sweep = SweepResult(scores=scores)
         assert sweep.fraction_at_least("EqualShare", 0.9) == pytest.approx(2 / 3)
+
+
+class TestEmptySweep:
+    """A sweep whose every bundle had a failed cell scores nothing."""
+
+    def test_statistics_are_nan_without_a_warning(self):
+        sweep = SweepResult()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = sweep.convergence_stats("EqualBudget")
+            values = [
+                sweep.fraction_at_least("EqualShare", 0.9),
+                sweep.worst_envy_freeness("EqualShare"),
+                sweep.median_envy_freeness("EqualShare"),
+                *stats.values(),
+            ]
+        assert sorted(stats) == [
+            "converged_fraction",
+            "fraction_within_3",
+            "fraction_within_5",
+            "max_iterations",
+            "mean_iterations",
+            "p95_iterations",
+        ]
+        assert all(math.isnan(value) for value in values)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import cli
+from repro.analysis import SweepFailure, SweepResult
 from repro.cli import build_parser, main
 
 
@@ -54,6 +56,18 @@ class TestCommands:
         assert main(["convergence", "--bundles", "1"]) == 0
         out = capsys.readouterr().out
         assert "convergence statistics" in out
+
+    def test_convergence_reports_failed_cells(self, capsys, monkeypatch):
+        failure = SweepFailure(
+            bundle="CPBN-00", category="CPBN", mechanism="Balanced", error="boom"
+        )
+        monkeypatch.setattr(
+            cli, "run_analytic_sweep", lambda **_: SweepResult(failures=[failure])
+        )
+        assert main(["convergence", "--bundles", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "FAILED CPBN-00/Balanced" in captured.err
+        assert "convergence statistics" in captured.out
 
     def test_suite(self, capsys):
         assert main(["suite"]) == 0

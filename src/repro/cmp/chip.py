@@ -24,7 +24,7 @@ from .config import CMPConfig
 from .core_model import CoreModel, OperatingPoint
 from .dram import DRAMModel
 from .power import RAPL_QUANTUM_WATTS, DVFSPowerModel
-from .utility_builder import build_true_utilities, extra_capacity_for
+from .utility_builder import extra_capacity_for, memoized_true_utilities
 
 __all__ = ["ChipModel"]
 
@@ -91,16 +91,11 @@ class ChipModel:
         """
         if self.extra_power_capacity <= 0:
             raise MarketConfigurationError("power budget below the free minimums")
-        # The cores share the power and DRAM models, so a true grid
-        # depends on the application alone: one grid per app.
-        by_app = {core.app: core for core in self.cores}
-        grids = build_true_utilities(list(by_app.values()), self.config, convexify)
-        grid_of = dict(zip(by_app, grids))
         caps = np.array(
             [extra_capacity_for(core, self.config) for core in self.cores]
         )
         return AllocationProblem(
-            utilities=[grid_of[core.app] for core in self.cores],
+            utilities=memoized_true_utilities(self.cores, self.config, convexify),
             capacities=np.array([self.extra_cache_capacity, self.extra_power_capacity]),
             resource_names=["cache_bytes", "power_watts"],
             player_names=[app.name for app in self.apps],

@@ -18,6 +18,7 @@ power" step in Section 6.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "convexify_grid",
     "build_true_utility",
     "build_true_utilities",
+    "memoized_true_utilities",
     "build_utilities_from_miss_curves",
     "extra_capacity_for",
 ]
@@ -41,6 +43,13 @@ POWER_GRID_POINTS = 17
 
 #: Upper bound on :func:`convexify_grid`'s hull passes.
 _CONVEXIFY_MAX_PASSES = 6
+
+#: :func:`memoized_true_utilities`' grids, oldest first, keyed by
+#: ``(CMPConfig, AppProfile, convexify)``.  The bound holds the
+#: 24 SPEC applications on both chips with and without convexification
+#: (96 grids) with room to spare.
+_TRUE_GRIDS: "OrderedDict[tuple, GridUtility2D]" = OrderedDict()
+_TRUE_GRIDS_SIZE = 128
 
 
 def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
@@ -127,6 +136,38 @@ def build_true_utilities(
     if not convexify:
         return grids
     return _convexified(config, [grid.ys for grid in grids], [grid.values for grid in grids])
+
+
+def memoized_true_utilities(
+    cores: Sequence[CoreModel],
+    config: CMPConfig,
+    convexify: bool = True,
+) -> List[GridUtility2D]:
+    """:func:`build_true_utilities` of every core, each grid built once per process.
+
+    The cores must use the power and DRAM models a chip derives from
+    ``config`` alone (as :class:`~repro.cmp.chip.ChipModel` and the
+    simulator's switched-in cores do), so a true grid is a function of
+    ``(config, app, convexify)``, and the memo is keyed by those values.
+    A grid's hull does not depend on which grids share its batch, so a
+    hit is bitwise the grid a miss would build.  Cores running the same
+    application get the same object.  The misses are built in one
+    batch, and every array of a stored grid is read-only.
+    """
+    first_core = {}
+    for core in cores:
+        first_core.setdefault(core.app, core)
+    keys = {app: (config, app, convexify) for app in first_core}
+    missing = [app for app, key in keys.items() if key not in _TRUE_GRIDS]
+    grids = build_true_utilities([first_core[app] for app in missing], config, convexify)
+    for app, grid in zip(missing, grids):
+        grid.xs.flags.writeable = grid.ys.flags.writeable = False
+        grid.values.flags.writeable = False
+        _TRUE_GRIDS[keys[app]] = grid
+    grid_of = {app: _TRUE_GRIDS[key] for app, key in keys.items()}
+    while len(_TRUE_GRIDS) > _TRUE_GRIDS_SIZE:
+        _TRUE_GRIDS.popitem(last=False)
+    return [grid_of[core.app] for core in cores]
 
 
 def build_utilities_from_miss_curves(

@@ -35,7 +35,7 @@ from ..cmp.futility import FutilityScalingController
 from ..cmp.monitor import RuntimeMonitor, estimated_utilities
 from ..cmp.talus import TalusController
 from ..cmp.thermal import ThermalModel
-from ..cmp.utility_builder import build_true_utilities, extra_capacity_for
+from ..cmp.utility_builder import extra_capacity_for, memoized_true_utilities
 from ..core.mechanisms import AllocationMechanism, AllocationProblem
 from ..core.metrics import envy_freeness
 from .phases import PhaseTracker
@@ -157,9 +157,6 @@ class ExecutionDrivenSimulator:
         # rate is the hull's linear interpolation — not the raw curve's
         # value mid-cliff.
         self._talus = [self._build_talus(core.app) for core in self._cores]
-        # True (phase-1) utilities per core, built on first use and
-        # dropped when a context switch replaces the core's application.
-        self._true_utilities: list = [None] * self.num_cores
         # Per-core constants of the resident application, recomputed
         # only when a context switch replaces it.
         self._caps = [extra_capacity_for(core, chip.config) for core in self._cores]
@@ -201,7 +198,6 @@ class ExecutionDrivenSimulator:
             self._switch_time_ms[i] = time_ms
             self._trackers[i] = PhaseTracker(switch.app)
             self._talus[i] = self._build_talus(switch.app)
-            self._true_utilities[i] = None
             self._caps[i] = extra_capacity_for(self._cores[i], self.chip.config)
             self._min_power[i] = self._cores[i].min_power_watts()
             # Fresh monitors: the shadow tags know nothing about the
@@ -391,7 +387,7 @@ class ExecutionDrivenSimulator:
         if self.config.use_monitors:
             utilities = estimated_utilities(monitors)
         else:
-            utilities = self._current_true_utilities()
+            utilities = memoized_true_utilities(self._cores, self.chip.config)
         return AllocationProblem(
             utilities=utilities,
             capacities=np.array(
@@ -414,17 +410,6 @@ class ExecutionDrivenSimulator:
         With context switches the scoring uses the applications resident
         at the end of the run.
         """
-        return envy_freeness(self._current_true_utilities(), mean_extras)
-
-    def _current_true_utilities(self) -> list:
-        """The resident applications' true utilities, built once per app.
-
-        Every core without one (all of them at the start, a switched one
-        after a context switch) is built in one batch.
-        """
-        missing = [i for i, utility in enumerate(self._true_utilities) if utility is None]
-        if missing:
-            grids = build_true_utilities([self._cores[i] for i in missing], self.chip.config)
-            for i, grid in zip(missing, grids):
-                self._true_utilities[i] = grid
-        return list(self._true_utilities)
+        return envy_freeness(
+            memoized_true_utilities(self._cores, self.chip.config), mean_extras
+        )

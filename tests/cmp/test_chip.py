@@ -1,9 +1,11 @@
 """The whole-chip model and its market-facing problem."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from repro.cmp import MB, ChipModel, cmp_8core, cmp_64core
+from repro.cmp import MB, ChipModel, cmp_8core, cmp_64core, utility_builder
 from repro.cmp.spec_suite import app_by_name
 from repro.cmp.utility_builder import build_true_utility
 from repro.exceptions import MarketConfigurationError
@@ -65,6 +67,75 @@ def test_64core_problem_has_one_true_grid_per_app(category, convexify):
         own = build_true_utility(core, config, convexify=convexify)
         assert _grid_bits(grid) == _grid_bits(own)
     assert len({id(grid) for grid in problem.utilities}) == len(set(chip.apps)) < 64
+
+
+class TestTrueGridMemo:
+    """True grids are memoized per process by (config, application, convexify)."""
+
+    def test_bundles_share_grids_of_common_apps(self):
+        config = cmp_64core()
+        first, second = generate_bundles("CPBN", 64, count=2, seed=7)
+        a = ChipModel(config, first.apps).build_problem()
+        b = ChipModel(config, second.apps).build_problem()
+        grid_a = dict(zip(first.apps, a.utilities))
+        grid_b = dict(zip(second.apps, b.utilities))
+        common = set(grid_a) & set(grid_b)
+        assert common
+        for app in common:
+            assert grid_a[app] is grid_b[app]
+
+    def test_chips_and_convexify_never_share_an_entry(self):
+        app = app_by_name("mcf")
+        keys = [
+            (config, app, convexify)
+            for config in (cmp_8core(), cmp_64core())
+            for convexify in (True, False)
+        ]
+        grids = [
+            ChipModel(config, [app] * config.num_cores)
+            .build_problem(convexify=convexify)
+            .utilities[0]
+            for config, _, convexify in keys
+        ]
+        assert len({id(grid) for grid in grids}) == 4
+        for key, grid in zip(keys, grids):
+            assert utility_builder._TRUE_GRIDS[key] is grid
+
+    @pytest.mark.parametrize("convexify", [True, False])
+    @pytest.mark.parametrize("field", ["values", "xs", "ys"])
+    def test_memoized_arrays_are_read_only(self, bbpc_chip, field, convexify):
+        grid = bbpc_chip.build_problem(convexify=convexify).utilities[0]
+        with pytest.raises(ValueError):
+            getattr(grid, field)[0] = 1.0
+
+    @pytest.mark.parametrize("convexify", [True, False])
+    def test_cold_build_equals_memo_hit_bitwise(self, monkeypatch, convexify):
+        """Pool workers forked after a serial sweep start with a warm memo,
+        so the sweep tests alone never compare a cold build with a hit."""
+        chip = ChipModel(
+            cmp_64core(), generate_bundles("BBCN", 64, count=1, seed=11)[0].apps
+        )
+        warm = chip.build_problem(convexify=convexify)
+        warm_again = chip.build_problem(convexify=convexify)
+        assert all(a is b for a, b in zip(warm.utilities, warm_again.utilities))
+        monkeypatch.setattr(utility_builder, "_TRUE_GRIDS", OrderedDict())
+        cold = chip.build_problem(convexify=convexify)
+        for hit, built in zip(warm.utilities, cold.utilities):
+            assert hit is not built
+            assert _grid_bits(hit) == _grid_bits(built)
+        assert cold.capacities.tobytes() == warm.capacities.tobytes()
+        assert cold.per_player_caps.tobytes() == warm.per_player_caps.tobytes()
+
+    def test_memo_is_bounded(self, monkeypatch):
+        # 24 applications x two chips x both convexify values.
+        assert utility_builder._TRUE_GRIDS_SIZE >= 96
+        monkeypatch.setattr(utility_builder, "_TRUE_GRIDS", OrderedDict())
+        monkeypatch.setattr(utility_builder, "_TRUE_GRIDS_SIZE", 3)
+        config = cmp_8core()
+        apps = [app_by_name(name) for name in ("mcf", "vpr", "swim", "apsi")]
+        for app in apps:
+            ChipModel(config, [app] * 8).build_problem()
+        assert [key[1] for key in utility_builder._TRUE_GRIDS] == apps[1:]
 
 
 class TestOperatingPoints:

@@ -41,10 +41,14 @@ class TestProblemConstruction:
 
 
 class TestTrueUtilityCache:
-    """Phase-1 runs build each resident application's true utility once."""
+    """Phase-1 runs build each application's true utility once per process."""
 
-    def _counted_run(self, chip, monkeypatch, **config):
-        import repro.sim.engine as engine
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Empty the true-grid memo and record every application built."""
+        from collections import OrderedDict
+
+        import repro.cmp.utility_builder as builder
 
         built = []
 
@@ -52,28 +56,50 @@ class TestTrueUtilityCache:
             built.extend(core.app.name for core in cores)
             return real(cores, *args, **kwargs)
 
-        real = engine.build_true_utilities
-        monkeypatch.setattr(engine, "build_true_utilities", counting)
-        cfg = SimulationConfig(duration_ms=6.0, seed=1, **config)
-        ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
+        real = builder.build_true_utilities
+        monkeypatch.setattr(builder, "build_true_utilities", counting)
+        monkeypatch.setattr(builder, "_TRUE_GRIDS", OrderedDict())
         return built
 
+    def _run(self, chip, switches=(), **config):
+        cfg = SimulationConfig(
+            duration_ms=6.0, seed=1, context_switches=tuple(switches), **config
+        )
+        return ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
+
     def test_one_build_per_core_then_one_per_switch(self, chip, monkeypatch):
+        built = self._count_builds(monkeypatch)
         switches = (
             ContextSwitch(2.0, 3, app_by_name("mcf")),
             ContextSwitch(4.0, 5, app_by_name("vpr")),
         )
-        built = self._counted_run(
-            chip, monkeypatch, use_monitors=False, context_switches=switches
-        )
-        # Six market epochs and the final EF scoring share the cache.
-        assert built == [app.name for app in chip.apps] + ["mcf", "vpr"]
+        self._run(chip, switches, use_monitors=False)
+        # Six market epochs and the final EF scoring share the memo: each
+        # application is built once, and mcf, already resident on cores 4
+        # and 5, is not built again when it replaces swim on core 3.
+        assert built == list(dict.fromkeys(app.name for app in chip.apps)) + ["vpr"]
 
     def test_monitored_run_builds_true_utilities_only_for_scoring(
         self, chip, monkeypatch
     ):
-        built = self._counted_run(chip, monkeypatch)
-        assert built == [app.name for app in chip.apps]
+        built = self._count_builds(monkeypatch)
+        self._run(chip)
+        assert built == list(dict.fromkeys(app.name for app in chip.apps))
+
+    def test_switch_to_memoized_app_keeps_outputs(self, chip, monkeypatch):
+        """A switched-in application whose grid is already memoized
+        yields the run a cold build yields, bit for bit."""
+        built = self._count_builds(monkeypatch)
+        switches = (ContextSwitch(3.0, 0, app_by_name("vpr")),)
+        cold = self._run(chip, switches, use_monitors=False)
+        assert built.count("vpr") == 1
+        warm = self._run(chip, switches, use_monitors=False)
+        assert built.count("vpr") == 1
+        for a, b in zip(cold.trace.epochs, warm.trace.epochs):
+            assert a.extras.tobytes() == b.extras.tobytes()
+            assert a.instructions.tobytes() == b.instructions.tobytes()
+        assert cold.utilities.tobytes() == warm.utilities.tobytes()
+        assert cold.envy_freeness == warm.envy_freeness
 
 
 class TestTraceIntegrity:

@@ -32,11 +32,7 @@ from .spec_suite import INTENDED_CLASS, SPEC_SUITE, app_by_name, apps_in_class, 
 from .talus import ShadowPartitionPlan, TalusController
 from .thermal import ThermalModel, ThermalNode
 from .umon import UMONShadowTags
-from .utility_builder import (
-    build_true_utility,
-    convexify_grid,
-    extra_capacity_for,
-)
+from .utility_builder import build_true_utility, convexify_grid
 
 __all__ = [
     "KB",
@@ -81,5 +77,4 @@ __all__ = [
     "ChipModel",
     "build_true_utility",
     "convexify_grid",
-    "extra_capacity_for",
 ]

@@ -146,8 +146,9 @@ def build_bandwidth_problem(chip):
 
     Resources: extra cache bytes, extra power watts, and extra DRAM
     bandwidth (GB/s) beyond a free share per core; the free shares
-    together take 10% of the peak.  Applications with non-concave miss
-    curves get the Talus hull on the cache axis.
+    together take 10% of the peak.  Every core's cache axis takes the
+    chip's Talus hull of its miss curve, and its cache and power caps
+    are the chip's; bandwidth is capped only by the total.
     """
     from ..core.mechanisms import AllocationProblem
 
@@ -157,28 +158,12 @@ def build_bandwidth_problem(chip):
     n = chip.config.num_cores
     free_bw = _FREE_BANDWIDTH_FRACTION * total_bw / n
     extra_bw_capacity = total_bw - n * free_bw
-
-    region = float(chip.config.cache_region_bytes)
-    sizes = np.arange(1, chip.config.umon_max_regions + 1) * region
-    utilities = []
-    for core in chip.cores:
-        hits = np.array([1.0 - core.app.mrc.miss_fraction(s) for s in sizes])
-        hull = PiecewiseLinearConcave(sizes, hits)
-        utilities.append(
-            BandwidthAwareUtility(
-                core, bandwidth, chip.config, free_bw, hulled_miss_curve=hull
-            )
+    utilities = [
+        BandwidthAwareUtility(
+            core, bandwidth, chip.config, free_bw, hulled_miss_curve=chip.talus(i).hull
         )
-
-    caps = []
-    for core in chip.cores:
-        caps.append(
-            [
-                float(chip.config.umon_max_bytes - chip.config.cache_region_bytes),
-                core.max_power_watts() - core.min_power_watts(),
-                extra_bw_capacity,  # no per-core bandwidth cap
-            ]
-        )
+        for i, core in enumerate(chip.cores)
+    ]
     return AllocationProblem(
         utilities=utilities,
         capacities=np.array(
@@ -186,6 +171,6 @@ def build_bandwidth_problem(chip):
         ),
         resource_names=["cache_bytes", "power_watts", "bandwidth_gbps"],
         player_names=[app.name for app in chip.apps],
-        quanta=np.array([region, 0.25, total_bw / 256.0]),
-        per_player_caps=np.array(caps),
+        quanta=np.array([float(chip.config.cache_region_bytes), 0.25, total_bw / 256.0]),
+        per_player_caps=np.column_stack([chip.per_core_caps, np.full(n, extra_bw_capacity)]),
     )

@@ -35,7 +35,6 @@ __all__ = [
     "build_true_utilities",
     "memoized_true_utilities",
     "build_utilities_from_miss_curves",
-    "extra_capacity_for",
 ]
 
 #: Grid resolution along the power axis (cache is sampled per region).
@@ -50,17 +49,6 @@ _CONVEXIFY_MAX_PASSES = 6
 #: (96 grids) with room to spare.
 _TRUE_GRIDS: "OrderedDict[tuple, GridUtility2D]" = OrderedDict()
 _TRUE_GRIDS_SIZE = 128
-
-
-def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
-    """Per-core caps on purchasable extras: cache bytes and power watts.
-
-    Cache beyond 2 MB total (UMON's limit, footnote 3) and power beyond
-    the 4 GHz draw yield no utility, so these are the natural caps.
-    """
-    cache_cap = float(config.umon_max_bytes - config.cache_region_bytes)
-    power_cap = core.max_power_watts() - core.min_power_watts()
-    return cache_cap, power_cap
 
 
 def convexify_grid(

@@ -31,11 +31,7 @@ from .metrics import (
     price_of_anarchy,
 )
 from .optimum import GreedyOptimum, max_efficiency_allocation
-from .player import (
-    bid_to_allocation,
-    marginal_utility_of_bids,
-    marginal_utility_of_bids_batch,
-)
+from .player import marginal_utility_of_bids_batch
 from .rebudget import ReBudgetConfig, ReBudgetResult, ReBudgetRound, run_rebudget
 from .theory import (
     check_theorem1,
@@ -47,8 +43,6 @@ from .theory import (
 )
 
 __all__ = [
-    "bid_to_allocation",
-    "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
     "Market",
     "MarketState",

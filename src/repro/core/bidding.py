@@ -34,13 +34,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
-from .player import (
-    bid_to_allocation,
-    marginal_utility_of_bids,
-    marginal_utility_of_bids_batch,
-)
+from .player import _equation_2_and_7, marginal_utility_of_bids_batch
 
 __all__ = [
     "BiddingStrategy",
@@ -274,27 +269,35 @@ class ExactBidder(BiddingStrategy):
         current_bids: Optional[np.ndarray] = None,
         step_hints: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, None]:
+        players = np.asarray(players, dtype=np.intp)
         bids = np.array([
             self._ascend(
-                evaluator.utilities[player],
+                evaluator,
+                players[k:k + 1],
                 float(budgets[k]),
-                others[k],
+                others[k:k + 1],
                 capacities,
                 None if current_bids is None else current_bids[k],
             )
-            for k, player in enumerate(players)
+            for k in range(players.size)
         ])
         return bids, None
 
     @staticmethod
     def _ascend(
-        utility: UtilityFunction,
+        evaluator: BatchedUtilitySet,
+        player: np.ndarray,
         budget: float,
         others: np.ndarray,
         capacities: np.ndarray,
         current_bids: Optional[np.ndarray],
     ) -> np.ndarray:
-        """One player's best response, from its seed or the equal split."""
+        """One player's best response, from its seed or the equal split.
+
+        ``player`` and ``others`` are the player's one-row block: every
+        value and Equation 7 marginal is a one-row evaluation of
+        ``evaluator``, bitwise the per-point one.
+        """
         num_resources = capacities.size
         if budget <= 0.0:
             return np.zeros(num_resources)
@@ -305,12 +308,15 @@ class ExactBidder(BiddingStrategy):
         bids = _seed_bids(np.array([budget]), seed, num_resources, math.inf)[0][0]
 
         def objective(b: np.ndarray) -> float:
-            return utility.value(bid_to_allocation(b, others, capacities))
+            allocation = _equation_2_and_7(b[None], others, capacities)[0]
+            return evaluator.values(allocation, player)[0]
 
         value = objective(bids)
         step = budget / 4.0
         for _ in range(_EXACT_MAX_ITERATIONS):
-            grad = marginal_utility_of_bids(utility, bids, others, capacities)
+            grad = marginal_utility_of_bids_batch(
+                bids[None], others, capacities, evaluator, player
+            )[0]
             # Cap the synthetic "infinite" first-bid marginals so the
             # ascent direction stays finite.
             grad = np.minimum(grad, 1e6)

@@ -13,7 +13,7 @@ The paper re-runs the market every millisecond, and monitored utilities
 barely move between consecutive epochs, so restarting every search from
 an equal split discards an almost-correct answer.  Every search
 therefore returns a :class:`WarmStart` — the final bid matrix plus the
-budgets, prices, and per-player last-move sizes it was produced under —
+budgets and per-player last-move sizes it was produced under —
 which the next search can consume via ``find_equilibrium(...,
 warm_start=...)``.  Warm bids are rescaled row-wise when budgets
 changed, each player's hill climb resumes from its previous bids with a
@@ -64,15 +64,10 @@ class WarmStart:
         Final (N, M) bid matrix.
     budgets:
         Per-player budgets the bids were computed under.
-    prices:
-        Final resource prices.
     last_moves:
         Per-player largest single-resource bid change in the final
         round — the natural first-step size for resuming each player's
         hill climb.
-    converged:
-        Whether the search that produced this state met the price
-        criterion (a non-converged state is still a usable seed).
     anchor_prices:
         Prices at the last *full* (multi-round) search in the warm
         chain.  A warm search may accept its seed after a single
@@ -91,9 +86,7 @@ class WarmStart:
 
     bids: np.ndarray
     budgets: np.ndarray
-    prices: np.ndarray
     last_moves: Optional[np.ndarray] = None
-    converged: bool = False
     anchor_prices: Optional[np.ndarray] = None
     player_names: Tuple[str, ...] = ()
     resource_names: Tuple[str, ...] = ()
@@ -358,9 +351,7 @@ def find_equilibrium(
         warm_start=WarmStart(
             bids=bids.copy(),
             budgets=budgets,
-            prices=prices.copy(),
             last_moves=None if last_moves is None else last_moves.copy(),
-            converged=converged,
             # A single verification round keeps the previous anchor; any
             # real (re-)search plants a new one at its own end point.
             anchor_prices=(

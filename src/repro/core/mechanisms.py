@@ -166,7 +166,7 @@ def _read_only(equilibrium: EquilibriumResult) -> EquilibriumResult:
     arrays = [
         state.bids, state.prices, state.allocations,
         equilibrium.utilities, equilibrium.lambdas, *equilibrium.price_history,
-        warm.bids, warm.budgets, warm.prices, warm.last_moves, warm.anchor_prices,
+        warm.bids, warm.budgets, warm.last_moves, warm.anchor_prices,
     ]
     for array in arrays:
         if array is not None:

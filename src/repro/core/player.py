@@ -15,14 +15,9 @@ from typing import Optional
 import numpy as np
 
 from ..qa import sanitize as _sanitize
-from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 
-__all__ = [
-    "bid_to_allocation",
-    "marginal_utility_of_bids",
-    "marginal_utility_of_bids_batch",
-]
+__all__ = ["marginal_utility_of_bids_batch"]
 
 #: Finite stand-in for the infinite first-bid marginal (``y_j == 0``):
 #: large enough to dominate any real marginal, scaled by capacity so the
@@ -52,43 +47,6 @@ def _equation_2_and_7(bids, others, capacities):
     return allocation, dr_db
 
 
-def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarray) -> np.ndarray:
-    """Allocation a player receives for ``bids`` given others' bids.
-
-    Implements Equation 2 of the paper:
-    ``r_j = b_j / (b_j + y_j) * C_j``, where ``y_j`` is the sum of the
-    other players' bids on resource ``j``.  When nobody bids on a
-    resource at all (``b_j + y_j == 0``) the player receives nothing.
-
-    The arithmetic broadcasts over a leading axis: ``(K, M)`` bid rows
-    against ``(K, M)`` or ``(M,)`` others give row ``k`` bitwise equal
-    to the one-row call.
-    """
-    return _equation_2_and_7(bids, others, capacities)[0]
-
-
-def marginal_utility_of_bids(
-    utility: UtilityFunction,
-    bids: np.ndarray,
-    others: np.ndarray,
-    capacities: np.ndarray,
-) -> np.ndarray:
-    """Per-resource marginal utility of bids, ``lambda_ij = dU/db_ij``.
-
-    By the chain rule (Equation 7 in the paper's appendix)::
-
-        dU/db_j = dU/dr_j * y_j * C_j / (b_j + y_j)^2
-
-    When ``y_j == 0`` the player already owns the whole resource for any
-    positive bid, so the marginal value of bidding more is zero.
-    """
-    allocation, dr_db = _equation_2_and_7(bids, others, capacities)
-    marginals = np.asarray(utility.gradient(allocation), dtype=float) * dr_db
-    if _sanitize.ACTIVE:
-        _sanitize.check_marginals(marginals)
-    return marginals
-
-
 def marginal_utility_of_bids_batch(
     bids: np.ndarray,
     others: np.ndarray,
@@ -99,10 +57,18 @@ def marginal_utility_of_bids_batch(
     """Equation 7 marginals for a ``(K, M)`` batch of bid rows.
 
     Row ``k`` is evaluated under ``evaluator``'s player ``players[k]``
-    (default: players ``0..K-1``) and equals ``marginal_utility_of_bids(
-    evaluator.utilities[players[k]], bids[k], others[k], capacities)``
-    bitwise.  Both run :func:`_equation_2_and_7`; only the utility
-    gradient differs, here one batched dispatch for every row.
+    (default: players ``0..K-1``), with ``others[k]`` the sum of the
+    other players' bids.  By the chain rule (Equation 7 in the paper's
+    appendix)::
+
+        dU/db_j = dU/dr_j * y_j * C_j / (b_j + y_j)^2
+
+    with ``r`` Equation 2's allocation (:func:`_equation_2_and_7`) and
+    the utility gradients one batched dispatch for every row.  When
+    ``y_j == 0`` the player already owns the whole resource for any
+    positive bid, so the marginal value of bidding more is zero.  A
+    row's result depends on that row alone, so a one-row block is
+    bitwise the same row of a larger batch.
     """
     allocation, dr_db = _equation_2_and_7(bids, others, capacities)
     marginals = evaluator.gradients(allocation, players) * dr_db

@@ -24,8 +24,8 @@ believed in — which is what separates Figure 5 from Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from ..cmp.chip import ChipModel
 from ..cmp.config import CMPConfig
 from ..cmp.futility import FutilityScalingController
 from ..cmp.monitor import RuntimeMonitor, estimated_utilities
-from ..cmp.talus import TalusController
 from ..cmp.thermal import ThermalModel
-from ..cmp.utility_builder import extra_capacity_for, memoized_true_utilities
-from ..core.mechanisms import AllocationMechanism, AllocationProblem
+from ..cmp.utility_builder import memoized_true_utilities
+from ..core.mechanisms import AllocationMechanism
 from ..core.metrics import envy_freeness
 from .phases import PhaseTracker
 from .trace import EpochRecord, SimulationTrace
@@ -131,7 +130,13 @@ class SimulationResult:
 
 
 class ExecutionDrivenSimulator:
-    """Simulates one mechanism on one chip/bundle combination."""
+    """Simulates one mechanism on one chip/bundle combination.
+
+    Every :meth:`run` starts from ``chip``; a context switch replaces the
+    run's chip with :meth:`ChipModel.with_app
+    <repro.cmp.chip.ChipModel.with_app>`, so ``chip`` itself never
+    changes and a second run repeats the first.
+    """
 
     def __init__(
         self,
@@ -146,78 +151,11 @@ class ExecutionDrivenSimulator:
         for switch in self.config.context_switches:
             if not 0 <= switch.core_index < self.num_cores:
                 raise ValueError(f"context switch core {switch.core_index} out of range")
-        # Per-core state is owned by the simulator (not the shared chip)
-        # so context switches can replace applications mid-run.
-        self._cores = list(chip.cores)
-        self._switch_time_ms = [0.0] * self.num_cores
-        self._trackers = [PhaseTracker(app) for app in chip.apps]
-        # Talus shadow partitioning: the cache each core *experiences*
-        # at a partition size between two points of interest is the
-        # interleaving of two shadow partitions, so its effective miss
-        # rate is the hull's linear interpolation — not the raw curve's
-        # value mid-cliff.
-        self._talus = [self._build_talus(core.app) for core in self._cores]
-        # Per-core constants of the resident application, recomputed
-        # only when a context switch replaces it.
-        self._caps = [extra_capacity_for(core, chip.config) for core in self._cores]
-        self._min_power = [core.min_power_watts() for core in self._cores]
-
-    def _build_talus(self, app) -> TalusController:
-        region = self.chip.config.cache_region_bytes
-        sizes = np.arange(1, self.chip.config.umon_max_regions + 1) * float(region)
-        hits = np.array([1.0 - app.mrc.miss_fraction(s) for s in sizes])
-        return TalusController(sizes, hits)
-
-    def _effective_miss(self, core_index: int, cache_bytes: float) -> float:
-        """Talus-realized miss fraction at an arbitrary partition size."""
-        talus = self._talus[core_index]
-        clamped = min(cache_bytes, float(self.chip.config.umon_max_bytes))
-        return float(min(max(1.0 - talus.value_at(clamped), 0.0), 1.0))
-
-    def _phase_state(self, core_index: int, time_ms: float):
-        """Phase multipliers, measured from the app's arrival on the core."""
-        local = time_ms - self._switch_time_ms[core_index]
-        return self._trackers[core_index].state_at(max(local, 0.0))
-
-    def _apply_context_switches(self, time_ms: float, pending, monitors, rng) -> bool:
-        """Swap applications whose switch time has arrived.
-
-        Returns True when at least one core changed hands, so the caller
-        can force a market re-run this epoch.
-        """
-        from ..cmp.core_model import CoreModel
-
-        switched = False
-        while pending and pending[0].time_ms <= time_ms + 1e-9:
-            switch = pending.pop(0)
-            i = switch.core_index
-            old = self._cores[i]
-            self._cores[i] = CoreModel(
-                switch.app, self.chip.config, power_model=old.power_model, dram=old.dram
-            )
-            self._switch_time_ms[i] = time_ms
-            self._trackers[i] = PhaseTracker(switch.app)
-            self._talus[i] = self._build_talus(switch.app)
-            self._caps[i] = extra_capacity_for(self._cores[i], self.chip.config)
-            self._min_power[i] = self._cores[i].min_power_watts()
-            # Fresh monitors: the shadow tags know nothing about the
-            # incoming application and must re-learn its miss curve.
-            monitors[i] = RuntimeMonitor(
-                self._cores[i],
-                self.chip.config,
-                rng=np.random.default_rng(rng.integers(2**32)),
-            )
-            switched = True
-        if switched:
-            # The market player on the switched core changed identity:
-            # its carried bids describe the departed application, so the
-            # next allocation must re-search from scratch.
-            self.mechanism.reset_warm_state()
-        return switched
 
     def run(self) -> SimulationResult:
         cfg = self.config
-        chip_cfg: CMPConfig = self.chip.config
+        chip = self.chip
+        chip_cfg: CMPConfig = chip.config
         n = self.num_cores
         rng = np.random.default_rng(cfg.seed)
         pending_switches = sorted(cfg.context_switches, key=lambda s: s.time_ms)
@@ -225,19 +163,26 @@ class ExecutionDrivenSimulator:
         # run of the same mechanism instance (possibly on another chip).
         self.mechanism.reset_warm_state()
 
+        # Program phases are measured from each application's arrival.
+        trackers = [PhaseTracker(app) for app in chip.apps]
+        arrival_ms = [0.0] * n
         monitors = [
             RuntimeMonitor(core, chip_cfg, rng=np.random.default_rng(rng.integers(2**32)))
-            for core in self._cores
+            for core in chip.cores
         ]
         futility = FutilityScalingController(
             capacity_bytes=chip_cfg.l2_capacity_bytes, num_partitions=n
         )
         thermal = ThermalModel(n)
-        dram = self._cores[0].dram
+        dram = chip.cores[0].dram
         dram_latency = dram.uncontended_latency_ns()
 
         region = float(chip_cfg.cache_region_bytes)
-        extras = self._equal_share_extras()
+        monitor_cap = float(chip_cfg.umon_max_bytes)
+        # Equal shares until the first market run.
+        extras = np.tile(
+            [chip.extra_cache_capacity / n, chip.extra_power_capacity / n], (n, 1)
+        )
         trace = SimulationTrace()
         converged_epochs = 0
         market_epochs = 0
@@ -245,22 +190,50 @@ class ExecutionDrivenSimulator:
 
         # Warm-up: let the monitors see one epoch of execution at the
         # equal-share allocation before the first market run.
-        self._warmup(monitors, extras, dram_latency)
+        if cfg.use_monitors:
+            for i, core in enumerate(chip.cores):
+                f = core.frequency_for_power(core.min_power_watts() + extras[i, 1])
+                perf = core.performance_gips(
+                    region + extras[i, 0], f, latency_ns=dram_latency
+                )
+                monitors[i].observe_epoch(perf * cfg.epoch_ms * 1e6)
 
         num_epochs = cfg.num_epochs
         alloc_result = None
         for epoch in range(num_epochs):
             time_ms = epoch * cfg.epoch_ms
-            if self._apply_context_switches(time_ms, pending_switches, monitors, rng):
-                # Section 4.3: the incoming application must not execute
-                # under the departed one's allocation, even between the
-                # scheduled market epochs of reallocation_period_epochs.
+            while pending_switches and pending_switches[0].time_ms <= time_ms + 1e-9:
+                switch = pending_switches.pop(0)
+                i = switch.core_index
+                chip = chip.with_app(i, switch.app)
+                trackers[i] = PhaseTracker(switch.app)
+                arrival_ms[i] = time_ms
+                # Fresh monitors: the shadow tags know nothing about the
+                # incoming application and must re-learn its miss curve.
+                monitors[i] = RuntimeMonitor(
+                    chip.cores[i], chip_cfg, rng=np.random.default_rng(rng.integers(2**32))
+                )
+                # The switched core's market player changed identity:
+                # its carried bids describe the departed application, so
+                # the market re-searches from scratch, and it runs this
+                # epoch even between the scheduled market epochs of
+                # reallocation_period_epochs (Section 4.3: the incoming
+                # application must not execute under the departed one's
+                # allocation).
+                self.mechanism.reset_warm_state()
                 alloc_result = None
-            states = [self._phase_state(i, time_ms) for i in range(n)]
+            states = [
+                tracker.state_at(max(time_ms - arrived, 0.0))
+                for tracker, arrived in zip(trackers, arrival_ms)
+            ]
 
             # (1) Allocation: re-run the market on monitored utilities.
             if epoch % cfg.reallocation_period_epochs == 0 or alloc_result is None:
-                problem = self._build_problem(monitors)
+                if cfg.use_monitors:
+                    utilities = estimated_utilities(monitors)
+                else:
+                    utilities = memoized_true_utilities(chip.cores, chip_cfg)
+                problem = chip.allocation_problem(utilities, POWER_QUANTUM_WATTS)
                 alloc_result = self.mechanism.allocate(problem)
                 market_epochs += 1
                 if alloc_result.converged:
@@ -272,7 +245,7 @@ class ExecutionDrivenSimulator:
             access_rates = np.array(
                 [
                     core.app.apki * states[i].apki_scale
-                    for i, core in enumerate(self._cores)
+                    for i, core in enumerate(chip.cores)
                 ]
             )
             occupancy = futility.step(targets, access_rates)
@@ -282,20 +255,24 @@ class ExecutionDrivenSimulator:
             temps = thermal.temperatures_c
             frequencies = np.empty(n)
             powers = np.empty(n)
-            for i, core in enumerate(self._cores):
+            for i, core in enumerate(chip.cores):
                 activity = core.app.activity * states[i].activity_scale
                 budget_w = core.min_power_watts(temps[i]) + extras[i, 1]
                 f = core.power_model.frequency_for_power(budget_w, activity, temps[i])
                 frequencies[i] = f
                 powers[i] = core.power_model.total_power(f, activity, temps[i])
 
-            # (4) Execution: retire instructions at the *actual* points,
-            # with Talus delivering the hull-effective miss rate at the
-            # occupancy Futility Scaling realized.
+            # (4) Execution: retire instructions at the *actual* points.
+            # Talus shadow partitioning makes the cache a core
+            # experiences between two points of interest the
+            # interleaving of two shadow partitions, so its miss rate at
+            # the occupancy Futility Scaling realized is the hull's
+            # linear interpolation, not the raw curve's value mid-cliff.
             perf = np.empty(n)
             misses_per_instr = np.empty(n)
-            for i, core in enumerate(self._cores):
-                miss = self._effective_miss(i, occupancy[i])
+            for i, core in enumerate(chip.cores):
+                hits = chip.talus(i).value_at(min(occupancy[i], monitor_cap))
+                miss = float(min(max(1.0 - hits, 0.0), 1.0))
                 mpi = core.app.apki * states[i].apki_scale / 1000.0 * miss
                 misses_per_instr[i] = mpi
                 time_ns = (
@@ -306,7 +283,7 @@ class ExecutionDrivenSimulator:
             instructions = perf * cfg.epoch_ms * 1e-3  # giga-instructions
 
             # Standalone reference for the same epoch and phase mix.
-            for i, core in enumerate(self._cores):
+            for i, core in enumerate(chip.cores):
                 alone[i] += (
                     core.performance_gips(
                         chip_cfg.umon_max_bytes,
@@ -347,69 +324,16 @@ class ExecutionDrivenSimulator:
             )
 
         totals = trace.total_instructions()
-        utilities = totals / alone
-        ef = self._score_envy_freeness(trace.mean_allocation())
+        # EF of the time-averaged allocation under the true utilities of
+        # the applications resident at the end of the run.
+        ef = envy_freeness(
+            memoized_true_utilities(chip.cores, chip_cfg), trace.mean_allocation()
+        )
         return SimulationResult(
             mechanism=self.mechanism.name,
             trace=trace,
-            utilities=utilities,
+            utilities=totals / alone,
             alone_instructions=alone,
             envy_freeness=ef,
             converged_fraction=converged_epochs / max(market_epochs, 1),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _equal_share_extras(self) -> np.ndarray:
-        n = self.num_cores
-        return np.column_stack(
-            [
-                np.full(n, self.chip.extra_cache_capacity / n),
-                np.full(n, self._extra_power_capacity() / n),
-            ]
-        )
-
-    def _extra_power_capacity(self) -> float:
-        """Watts beyond the free minimums of the *current* applications."""
-        return float(self.chip.config.power_budget_watts - sum(self._min_power))
-
-    def _warmup(self, monitors, extras, dram_latency) -> None:
-        if not self.config.use_monitors:
-            return
-        for i, core in enumerate(self._cores):
-            f = core.frequency_for_power(core.min_power_watts() + extras[i, 1])
-            perf = core.performance_gips(
-                self.chip.free.cache_bytes + extras[i, 0], f, latency_ns=dram_latency
-            )
-            monitors[i].observe_epoch(perf * self.config.epoch_ms * 1e6)
-
-    def _build_problem(self, monitors) -> AllocationProblem:
-        if self.config.use_monitors:
-            utilities = estimated_utilities(monitors)
-        else:
-            utilities = memoized_true_utilities(self._cores, self.chip.config)
-        return AllocationProblem(
-            utilities=utilities,
-            capacities=np.array(
-                [self.chip.extra_cache_capacity, self._extra_power_capacity()]
-            ),
-            resource_names=["cache_bytes", "power_watts"],
-            player_names=[core.app.name for core in self._cores],
-            quanta=np.array(
-                [
-                    float(self.chip.config.cache_region_bytes),
-                    POWER_QUANTUM_WATTS,
-                ]
-            ),
-            per_player_caps=np.array(self._caps),
-        )
-
-    def _score_envy_freeness(self, mean_extras: np.ndarray) -> float:
-        """EF of the time-averaged allocation under the (final) true utilities.
-
-        With context switches the scoring uses the applications resident
-        at the end of the run.
-        """
-        return envy_freeness(
-            memoized_true_utilities(self._cores, self.chip.config), mean_extras
         )

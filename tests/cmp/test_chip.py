@@ -1,5 +1,6 @@
 """The whole-chip model and its market-facing problem."""
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -41,12 +42,75 @@ class TestBuildProblem:
 
     def test_per_player_caps(self, bbpc_chip, bbpc_problem):
         caps = bbpc_problem.per_player_caps
-        # Cache cap: 2 MB monitorable minus the free region.
+        assert caps is bbpc_chip.per_core_caps
+        # Cache cap: 2 MB monitorable minus the free region; power cap:
+        # the 4 GHz draw minus the free 800 MHz one.
         assert np.all(caps[:, 0] == 15 * 128 * 1024)
         for i, core in enumerate(bbpc_chip.cores):
-            assert caps[i, 1] == pytest.approx(
-                core.max_power_watts() - core.min_power_watts()
-            )
+            assert caps[i, 1] == core.max_power_watts() - core.min_power_watts()
+        with pytest.raises(ValueError):
+            caps[0, 0] = 0.0
+
+    def test_allocation_problem_takes_utilities_and_power_quantum(self, bbpc_chip, bbpc_problem):
+        utilities = list(reversed(bbpc_problem.utilities))
+        problem = bbpc_chip.allocation_problem(utilities, 0.5)
+        assert problem.utilities == utilities
+        assert problem.quanta.tolist() == [128 * 1024, 0.5]
+        assert problem.capacities.tobytes() == bbpc_problem.capacities.tobytes()
+        assert problem.player_names == bbpc_problem.player_names
+        assert problem.per_player_caps is bbpc_problem.per_player_caps
+
+    def test_rejects_power_budget_below_free_minimums(self):
+        config = dataclasses.replace(cmp_8core(), power_budget_watts=1.0)
+        chip = ChipModel(config, paper_bbpc_bundle().apps)
+        with pytest.raises(MarketConfigurationError, match="free minimums"):
+            chip.build_problem()
+
+
+class TestContextSwitchAndTalus:
+    def test_with_app_leaves_chip_unchanged(self, bbpc_chip):
+        before = [app.name for app in bbpc_chip.apps]
+        caps = bbpc_chip.per_core_caps.copy()
+        switched = bbpc_chip.with_app(0, app_by_name("povray"))
+        assert [app.name for app in bbpc_chip.apps] == before
+        assert bbpc_chip.per_core_caps.tobytes() == caps.tobytes()
+        assert [app.name for app in switched.apps] == ["povray"] + before[1:]
+        assert switched.cores[0].app.name == "povray"
+        fresh = ChipModel(bbpc_chip.config, switched.apps)
+        assert switched.per_core_caps.tobytes() == fresh.per_core_caps.tobytes()
+        assert switched.free.power_watts.tobytes() == fresh.free.power_watts.tobytes()
+
+    def test_talus_hull_built_lazily_once_per_core(self, monkeypatch):
+        from repro.cmp import chip as chip_module
+
+        built = []
+
+        class Counting(chip_module.TalusController):
+            def __init__(self, sizes, hits):
+                built.append(len(sizes))
+                super().__init__(sizes, hits)
+
+        monkeypatch.setattr(chip_module, "TalusController", Counting)
+        chip = ChipModel(cmp_8core(), paper_bbpc_bundle().apps)
+        chip.build_problem()
+        assert built == []  # the analytic path never pays for a hull
+        assert chip.talus(4) is chip.talus(4)
+        assert built == [chip.config.umon_max_regions]
+        # A context switch rebuilds only the switched core's controller.
+        kept = chip.talus(3)
+        switched = chip.with_app(4, app_by_name("povray"))
+        assert switched.talus(3) is kept
+        assert switched.talus(4) is not chip.talus(4)
+        assert len(built) == 3
+
+    def test_talus_hull_dominates_raw_hit_curve(self, bbpc_chip):
+        config = bbpc_chip.config
+        mcf = bbpc_chip.apps.index(app_by_name("mcf"))
+        talus = bbpc_chip.talus(mcf)
+        for regions in range(1, config.umon_max_regions + 1):
+            size = regions * config.cache_region_bytes
+            raw_hits = 1.0 - bbpc_chip.apps[mcf].mrc.miss_fraction(size)
+            assert talus.value_at(size) >= raw_hits - 1e-12
 
 
 def _grid_bits(grid):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cmp import CoreModel, RuntimeMonitor, cmp_8core
+from repro.cmp import ChipModel, CoreModel, RuntimeMonitor, cmp_8core
 from repro.cmp.spec_suite import app_by_name
 
 
@@ -90,11 +90,12 @@ class TestEstimatedUtility:
         monitor = _monitor(cfg, name="vpr")
         for _ in range(6):
             monitor.observe_epoch(2e6)
-        from repro.cmp.utility_builder import build_true_utility, extra_capacity_for
+        from repro.cmp.utility_builder import build_true_utility
 
         true = build_true_utility(monitor.core, cfg)
         est = monitor.estimated_utility()
-        cache_cap, power_cap = extra_capacity_for(monitor.core, cfg)
+        chip = ChipModel(cfg, [monitor.core.app] * cfg.num_cores)
+        cache_cap, power_cap = chip.per_core_caps[0]
         for c in (0.0, cache_cap / 2, cache_cap):
             for p in (0.0, power_cap / 2, power_cap):
                 assert est.value((c, p)) == pytest.approx(

@@ -9,7 +9,8 @@ Both answer a block through :class:`ScalarBidder`'s row loop, which
 returns no marginals, so passing one to ``find_equilibrium`` runs the
 per-player rounds and has the search derive every final lambda afresh;
 :func:`player_lambda` is the scalar form of that lambda.  Both seed from
-:func:`warm_start_bids`, the per-row form of the climb's Step 1.
+:func:`warm_start_bids`, the per-row form of the climb's Step 1, and
+read :func:`marginal_utility_of_bids`, the per-row form of Equation 7.
 """
 
 from __future__ import annotations
@@ -19,8 +20,24 @@ import abc
 import numpy as np
 
 from repro.core import BiddingStrategy
-from repro.core.player import marginal_utility_of_bids
+from repro.core.player import _equation_2_and_7
 from repro.utility.base import UtilityFunction
+
+
+def bid_to_allocation(bids, others, capacities):
+    """Equation 2, ``r_j = b_j / (b_j + y_j) * C_j``, for one bid row."""
+    return _equation_2_and_7(bids, others, capacities)[0]
+
+
+def marginal_utility_of_bids(utility, bids, others, capacities):
+    """Equation 7 for one bid row, through ``utility``'s per-point gradient.
+
+    The library evaluates the same chain rule on batched gradients
+    (:func:`repro.core.player.marginal_utility_of_bids_batch`); each row
+    of it must equal this bitwise.
+    """
+    allocation, dr_db = _equation_2_and_7(bids, others, capacities)
+    return np.asarray(utility.gradient(allocation), dtype=float) * dr_db
 
 
 def player_lambda(utility, bids, others, capacities) -> float:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markets import best_response
-from reference_bidding import player_lambda
+from reference_bidding import bid_to_allocation, marginal_utility_of_bids, player_lambda
 from repro.core import ExactBidder, HillClimbBidder
 from repro.core.bidding import _project_to_simplex
 from repro.core.equilibrium import _final_lambdas
-from repro.core.player import bid_to_allocation, marginal_utility_of_bids
 from repro.utility import LinearUtility, LogUtility, SaturatingUtility
 from repro.utility.batch import BatchedUtilitySet
 

@@ -133,7 +133,7 @@ class TestPricing:
         # A non-finite warm seed must not run an equilibrium search on
         # NaN prices: every row falls back to the equal split.
         seed = WarmStart(
-            bids=np.full((3, 2), bad), budgets=m.budgets, prices=np.ones(2),
+            bids=np.full((3, 2), bad), budgets=m.budgets,
             player_names=tuple(m.problem.player_names),
             resource_names=tuple(m.problem.resource_names),
         )

@@ -1,27 +1,41 @@
-"""A player's view: Equation 2 allocation and the bid-marginal chain rule."""
+"""A player's view: Equation 2 allocation and the bid-marginal chain rule.
+
+Both run on one-row blocks of the batch body that the hill climb and
+the exact bidder share.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import bid_to_allocation, marginal_utility_of_bids
+from repro.core import marginal_utility_of_bids_batch
+from repro.core.player import _equation_2_and_7
 from repro.utility import LinearUtility, LogUtility
+from repro.utility.batch import BatchedUtilitySet
+
+
+def _allocation(bids, others, caps):
+    """Equation 2's allocation of one bid row."""
+    return _equation_2_and_7(np.array([bids]), np.array([others]), np.array(caps))[0][0]
+
+
+def _marginals(utility, bids, others, caps):
+    """Equation 7's marginals of one bid row."""
+    return marginal_utility_of_bids_batch(
+        np.array([bids]), np.array([others]), np.array(caps), BatchedUtilitySet([utility])
+    )[0]
 
 
 class TestBidToAllocation:
     def test_equation_2(self):
         # r_j = b_j / (b_j + y_j) * C_j
-        alloc = bid_to_allocation(
-            np.array([2.0, 1.0]), np.array([2.0, 3.0]), np.array([8.0, 8.0])
-        )
+        alloc = _allocation([2.0, 1.0], [2.0, 3.0], [8.0, 8.0])
         np.testing.assert_allclose(alloc, [4.0, 2.0])
 
     def test_sole_bidder_gets_everything(self):
-        alloc = bid_to_allocation(np.array([0.5]), np.array([0.0]), np.array([4.0]))
-        np.testing.assert_allclose(alloc, [4.0])
+        np.testing.assert_allclose(_allocation([0.5], [0.0], [4.0]), [4.0])
 
     def test_unbid_resource_goes_nowhere(self):
-        alloc = bid_to_allocation(np.array([0.0]), np.array([0.0]), np.array([4.0]))
-        np.testing.assert_allclose(alloc, [0.0])
+        np.testing.assert_allclose(_allocation([0.0], [0.0], [4.0]), [0.0])
 
 
 class TestMarginalUtilityOfBids:
@@ -30,10 +44,10 @@ class TestMarginalUtilityOfBids:
         bids = np.array([3.0, 2.0])
         others = np.array([5.0, 4.0])
         caps = np.array([10.0, 6.0])
-        analytic = marginal_utility_of_bids(utility, bids, others, caps)
+        analytic = _marginals(utility, bids, others, caps)
 
         def u_of_bids(b):
-            return utility.value(bid_to_allocation(b, others, caps))
+            return utility.value(_allocation(b, others, caps))
 
         eps = 1e-6
         for j in range(2):
@@ -46,15 +60,9 @@ class TestMarginalUtilityOfBids:
 
     def test_zero_when_alone_on_resource(self):
         # Owning the whole resource already: more bid buys nothing.
-        utility = LinearUtility([1.0])
-        marg = marginal_utility_of_bids(
-            utility, np.array([2.0]), np.array([0.0]), np.array([5.0])
-        )
+        marg = _marginals(LinearUtility([1.0]), [2.0], [0.0], [5.0])
         assert marg[0] == 0.0
 
     def test_large_for_first_bid_on_unbid_resource(self):
-        utility = LinearUtility([1.0])
-        marg = marginal_utility_of_bids(
-            utility, np.array([0.0]), np.array([0.0]), np.array([5.0])
-        )
+        marg = _marginals(LinearUtility([1.0]), [0.0], [0.0], [5.0])
         assert marg[0] > 1e6

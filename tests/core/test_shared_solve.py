@@ -73,7 +73,7 @@ def _arrays(equilibrium):
     return [
         state.bids, state.prices, state.allocations,
         equilibrium.utilities, equilibrium.lambdas, *equilibrium.price_history,
-        warm.bids, warm.budgets, warm.prices, warm.last_moves, warm.anchor_prices,
+        warm.bids, warm.budgets, warm.last_moves, warm.anchor_prices,
     ]
 
 

@@ -24,6 +24,8 @@ from markets import best_response, make_market
 from reference_bidding import (
     ScalarHillClimbBidder,
     ScalarPriceTakingBidder,
+    bid_to_allocation,
+    marginal_utility_of_bids,
     player_lambda,
 )
 from repro.cmp import ChipModel, cmp_8core
@@ -33,9 +35,7 @@ from repro.core import (
     HillClimbBidder,
     PriceTakingBidder,
     ReBudgetConfig,
-    bid_to_allocation,
     find_equilibrium,
-    marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
     run_rebudget,
 )

@@ -14,7 +14,6 @@ from repro.core import (
     AllocationProblem,
     Market,
     ReBudgetConfig,
-    marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
     run_rebudget,
 )
@@ -258,17 +257,18 @@ class TestEndToEndInjections:
         def _gradient_batch(self, points):
             return np.tile([np.nan, 1.0], (points.shape[0], 1))
 
-    def test_nan_gradient_trips_scalar_marginal_seam(self):
-        utility = self.NaNGradient()
-        bids = np.array([10.0, 10.0])
-        others = np.array([5.0, 5.0])
+    def test_nan_gradient_trips_one_row_marginal_seam(self):
+        # The exact bidder's one-row blocks run the same check.
+        bids = np.array([[10.0, 10.0]])
+        others = np.array([[5.0, 5.0]])
         capacities = np.array([10.0, 5.0])
+        evaluator = BatchedUtilitySet([self.NaNGradient()])
         with sanitize.enabled():
             with trips("marginal-finite"):
-                marginal_utility_of_bids(utility, bids, others, capacities)
+                marginal_utility_of_bids_batch(bids, others, capacities, evaluator)
         with sanitize.enabled(False):
-            out = marginal_utility_of_bids(utility, bids, others, capacities)
-        assert np.isnan(out[0])  # unchecked: the NaN flows through
+            out = marginal_utility_of_bids_batch(bids, others, capacities, evaluator)
+        assert np.isnan(out[0, 0])  # unchecked: the NaN flows through
 
     def test_nan_gradient_trips_batched_marginal_seam(self):
         utility = self.NaNGradient()

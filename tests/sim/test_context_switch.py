@@ -1,13 +1,16 @@
 """Context switches: the 1 ms re-allocation loop earning its keep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from recording import RecordingEqualBudget
 from repro.cmp import ChipModel, cmp_8core
 from repro.cmp.spec_suite import app_by_name
 from repro.core import EqualBudget
 from repro.sim import ContextSwitch, ExecutionDrivenSimulator, SimulationConfig
-from repro.workloads import paper_bbpc_bundle
+from repro.workloads import generate_bundles, paper_bbpc_bundle
 
 
 @pytest.fixture(scope="module")
@@ -22,18 +25,6 @@ def _run(chip, switches, duration=10.0, seed=5):
     return ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()
 
 
-class _CountingEqualBudget(EqualBudget):
-    """EqualBudget that counts how many market epochs actually ran."""
-
-    def __init__(self):
-        super().__init__()
-        self.allocate_calls = 0
-
-    def allocate(self, problem):
-        self.allocate_calls += 1
-        return super().allocate(problem)
-
-
 class TestContextSwitch:
     def test_validation(self, chip):
         with pytest.raises(ValueError):
@@ -45,19 +36,46 @@ class TestContextSwitch:
         assert [c.app.name for c in chip.cores] == before
 
     def test_switch_changes_market_player(self, chip):
-        # Swap core 0 (apsi) for povray: after the switch the market's
+        # Swap core 0 (apsi) for povray: from the switch on, the market's
         # player list must reflect the new app.
-        sim = ExecutionDrivenSimulator(
+        mech = RecordingEqualBudget()
+        ExecutionDrivenSimulator(
             chip,
-            EqualBudget(),
+            mech,
             SimulationConfig(
                 duration_ms=6.0,
                 seed=5,
                 context_switches=(ContextSwitch(3.0, 0, app_by_name("povray")),),
             ),
+        ).run()
+        first = [problem.player_names[0] for problem in mech.problems]
+        assert first == ["apsi"] * 3 + ["povray"] * 3
+        for problem in mech.problems:
+            assert problem.player_names[1:] == [app.name for app in chip.apps[1:]]
+
+    def test_rerun_repeats_the_first_run(self):
+        # A second run() of one simulator starts from the caller's chip,
+        # not from the chip its first run's context switch left.
+        bundle = generate_bundles("CPBN", 8, count=1, seed=2016)[0]
+        chip = ChipModel(cmp_8core(), bundle.apps)
+        cfg = SimulationConfig(
+            duration_ms=6.0,
+            seed=3,
+            context_switches=(ContextSwitch(3.0, 3, app_by_name("mcf")),),
         )
-        sim.run()
-        assert sim._cores[0].app.name == "povray"
+        sim = ExecutionDrivenSimulator(chip, EqualBudget(), cfg)
+        runs = [sim.run(), sim.run(), ExecutionDrivenSimulator(chip, EqualBudget(), cfg).run()]
+        first = runs[0]
+        for again in runs[1:]:
+            assert again.efficiency == first.efficiency
+            assert again.envy_freeness == first.envy_freeness
+            assert again.utilities.tobytes() == first.utilities.tobytes()
+            assert again.alone_instructions.tobytes() == first.alone_instructions.tobytes()
+            assert len(again.trace.epochs) == len(first.trace.epochs)
+            for a, b in zip(again.trace.epochs, first.trace.epochs):
+                for field in dataclasses.fields(a):
+                    ours, theirs = getattr(a, field.name), getattr(b, field.name)
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
 
     def test_allocation_adapts_to_incoming_app(self, chip):
         # Replace a cache-hungry mcf (core 4) with a compute-bound
@@ -90,7 +108,7 @@ class TestContextSwitch:
         # application cannot execute under the departed one's
         # allocation), not wait for the scheduled epoch 4.
         def run(switches):
-            mech = _CountingEqualBudget()
+            mech = RecordingEqualBudget()
             cfg = SimulationConfig(
                 duration_ms=8.0,
                 seed=5,
@@ -98,7 +116,7 @@ class TestContextSwitch:
                 context_switches=tuple(switches),
             )
             ExecutionDrivenSimulator(chip, mech, cfg).run()
-            return mech.allocate_calls
+            return len(mech.problems)
 
         assert run([]) == 2  # scheduled epochs 0 and 4 only
         assert run([ContextSwitch(2.0, 0, app_by_name("povray"))]) == 3

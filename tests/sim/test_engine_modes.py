@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from recording import RecordingEqualBudget
 from repro.cmp import ChipModel, cmp_8core
 from repro.core import EqualBudget
 from repro.cmp.spec_suite import app_by_name
@@ -16,28 +17,30 @@ def chip():
     return ChipModel(cmp_8core(), paper_bbpc_bundle().apps)
 
 
-def _fresh_monitors(sim):
-    from repro.cmp import RuntimeMonitor
-
-    rng = np.random.default_rng(0)
-    return [RuntimeMonitor(core, sim.chip.config, rng=rng) for core in sim._cores]
+def _problems(chip, **config):
+    mech = RecordingEqualBudget()
+    ExecutionDrivenSimulator(chip, mech, SimulationConfig(seed=1, **config)).run()
+    return mech.problems
 
 
 class TestProblemConstruction:
     def test_monitored_problem_quanta(self, chip):
-        cfg = SimulationConfig(duration_ms=2.0, seed=1)
-        sim = ExecutionDrivenSimulator(chip, EqualBudget(), cfg)
-        problem = sim._build_problem(_fresh_monitors(sim))
+        problems = _problems(chip, duration_ms=2.0)
         assert POWER_QUANTUM_WATTS == 0.5
-        assert problem.quanta[1] == POWER_QUANTUM_WATTS
+        assert len(problems) == 2
+        for problem in problems:
+            assert problem.quanta.tolist() == [chip.config.cache_region_bytes, 0.5]
 
     def test_true_utility_problem_matches_chip(self, chip):
-        cfg = SimulationConfig(duration_ms=1.0, seed=1, use_monitors=False)
-        sim = ExecutionDrivenSimulator(chip, EqualBudget(), cfg)
-        problem = sim._build_problem(monitors=[])
+        (problem,) = _problems(chip, duration_ms=1.0, use_monitors=False)
         reference = chip.build_problem()
-        np.testing.assert_allclose(problem.capacities, reference.capacities)
+        assert problem.capacities.tobytes() == reference.capacities.tobytes()
+        assert problem.per_player_caps.tobytes() == reference.per_player_caps.tobytes()
         assert problem.player_names == reference.player_names
+        assert all(a is b for a, b in zip(problem.utilities, reference.utilities))
+        # Only the power quantum differs: 0.5 W against RAPL's 0.125 W.
+        assert problem.quanta[0] == reference.quanta[0]
+        assert (problem.quanta[1], reference.quanta[1]) == (POWER_QUANTUM_WATTS, 0.125)
 
 
 class TestTrueUtilityCache:

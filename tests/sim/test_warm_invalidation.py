@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from recording import RecordingEqualBudget
 from repro.cmp import ChipModel, cmp_8core
 from repro.cmp.spec_suite import app_by_name
 from repro.core import EqualBudget
@@ -68,26 +69,17 @@ class TestWarmStateLifecycle:
         assert mech.warm_state is not carried
 
     def test_context_switch_invalidates_warm_state(self, chip):
-        mech = EqualBudget()
+        mech = RecordingEqualBudget()
         cfg = SimulationConfig(
             duration_ms=6.0,
             seed=7,
             context_switches=(ContextSwitch(3.0, 0, app_by_name("povray")),),
         )
-        sim = ExecutionDrivenSimulator(chip, mech, cfg)
-        states = []
-        original = sim._apply_context_switches
-
-        def spy(time_ms, pending, monitors, rng):
-            original(time_ms, pending, monitors, rng)
-            states.append(mech.warm_state)
-
-        sim._apply_context_switches = spy
-        sim.run()
+        ExecutionDrivenSimulator(chip, mech, cfg).run()
         # Epoch 3 fires the switch: the state carried from epoch 2 must
         # be dropped before that epoch's market run.
-        assert states[3] is None
-        assert states[2] is not None
+        assert mech.warm_states[3] is None
+        assert mech.warm_states[2] is not None
 
     def test_warm_run_matches_cold_run_closely(self, chip):
         cfg = SimulationConfig(duration_ms=5.0, seed=9)

@@ -23,6 +23,9 @@ SURFACE_ALLOWLIST = {
     # Oracles and test seams.
     "repro.cmp.umon.UMONShadowTags.observe": "full-stream oracle of observe_sampled",
     "repro.qa.engine.Linter.lint_sources": "lints in-memory sources without files",
+    "repro.utility.base.UtilityFunction.gradient": (
+        "per-point oracle that batched gradients equal bitwise"
+    ),
     # Safety code: switches for the invariant sanitizer.
     "repro.qa.sanitize.refresh": "re-reads REPRO_SANITIZE after the env changes",
     "repro.qa.sanitize.enabled": "forces the sanitizer on or off for a scope",

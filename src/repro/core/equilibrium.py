@@ -217,6 +217,17 @@ def find_equilibrium(
     round was a Jacobi round that moved no bid and was not damped; any
     other ending costs one batched evaluation.  The final utilities cost
     one batched value dispatch.
+
+    Jacobi searches solve one row per player class
+    (:func:`~repro.utility.batch.player_classes`) when budgets, seed bids
+    and step hints are bitwise equal within every class: classmates
+    best-respond with one utility to equal budgets and equal others'
+    bids, so they stay bitwise equal through every round.  The climbs,
+    the final utilities and the lambdas run on the class rows and are
+    expanded with a ``take``; totals, prices, damping and last moves
+    stay on the full bid matrix, so every sum keeps its order.  When a
+    class is split, and under Gauss–Seidel, every player is its own
+    class.
     """
     if bidder is None:
         bidder = HillClimbBidder()
@@ -239,6 +250,17 @@ def find_equilibrium(
         warm_started = True
     else:
         bids = market.equal_split_bids()
+    # One row per player class when the class premise holds (see above).
+    classes, representatives = everyone, everyone
+    if (
+        update == "jacobi"
+        and evaluator.representatives.size < everyone.size
+        and evaluator.classwise_constant(budgets)
+        and evaluator.classwise_constant(bids)
+        and (last_moves is None or evaluator.classwise_constant(last_moves))
+    ):
+        classes, representatives = evaluator.classes, evaluator.representatives
+    class_budgets = budgets.take(representatives)
     prices = market.prices(bids)
     price_history: List[np.ndarray] = [prices.copy()]
 
@@ -255,15 +277,17 @@ def find_equilibrium(
         # player's previous bids with a step sized to its last move.
         resume = warm_started or iterations > 1
         if update == "jacobi":
-            bids, marginals = bidder.optimize_all(
+            class_bids = bids.take(representatives, axis=0)
+            class_bids, marginals = bidder.optimize_all(
                 evaluator,
-                everyone,
-                budgets,
-                totals[None, :] - bids,
+                representatives,
+                class_budgets,
+                totals[None, :] - class_bids,
                 capacities,
-                current_bids=bids if resume else None,
-                step_hints=last_moves,
+                current_bids=class_bids if resume else None,
+                step_hints=None if last_moves is None else last_moves.take(representatives),
             )
+            bids = class_bids.take(classes, axis=0)
         else:
             # Sequential rounds maintain the per-resource bid totals
             # incrementally (O(N·M) per round) instead of re-summing the
@@ -334,13 +358,17 @@ def find_equilibrium(
     if _sanitize.ACTIVE:
         _sanitize.check_convergence(converged, price_history, price_tolerance)
     state = market.allocate(bids)
-    utilities = evaluator.values(state.allocations)
+    utilities = evaluator.values(
+        state.allocations.take(representatives, axis=0), representatives
+    ).take(classes)
     # "No bid moved": last_moves entries are non-negative maxima of
     # |bid deltas|, so none-positive means all-zero (spelled without a
     # float equality); only then are the marginals at the final bids.
     if damped or last_moves is None or np.any(last_moves > 0.0):
         marginals = None
-    lambdas = _final_lambdas(bids, capacities, evaluator, marginals)
+    lambdas = _final_lambdas(
+        bids, capacities, evaluator, marginals, representatives
+    ).take(classes)
     return EquilibriumResult(
         state=state,
         utilities=utilities,
@@ -372,22 +400,29 @@ def _final_lambdas(
     capacities: np.ndarray,
     evaluator: BatchedUtilitySet,
     marginals: Optional[np.ndarray],
+    representatives: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-player ``lambda_i`` at the final bid matrix.
+    """``lambda_i`` of every player in ``representatives`` (default:
+    every player) at the final bids.
 
-    ``marginals`` are the Equation 7 marginals at exactly ``bids`` when
-    the last round's climbs already evaluated them; otherwise one
-    batched evaluation derives them.  ``lambda_i`` is the maximum
-    marginal over the resources the player bids on — the shared value
-    of Equation 4 at an optimum, degrading gracefully away from one —
-    or ``max(marginals, 0)`` for a player bidding on nothing.
+    ``bids`` is the full ``(N, M)`` matrix.  ``marginals`` are the
+    Equation 7 marginals of the ``representatives`` rows at exactly
+    ``bids`` when the last round's climbs already evaluated them;
+    otherwise one batched evaluation derives them.  ``lambda_i`` is the
+    maximum marginal over the resources the player bids on — the shared
+    value of Equation 4 at an optimum, degrading gracefully away from
+    one — or ``max(marginals, 0)`` for a player bidding on nothing.
     """
+    if representatives is None:
+        representatives = np.arange(bids.shape[0])
+    class_bids = bids.take(representatives, axis=0)
     if marginals is None:
         totals = bids.sum(axis=0)
         marginals = marginal_utility_of_bids_batch(
-            bids, totals[None, :] - bids, capacities, evaluator
+            class_bids, totals[None, :] - class_bids, capacities, evaluator,
+            representatives,
         )
-    active = bids > 1e-12
+    active = class_bids > 1e-12
     has_active = active.any(axis=1)
     over_active = np.where(active, marginals, -np.inf).max(axis=1)
     return np.where(

@@ -44,13 +44,17 @@ _Utilities = Union[Sequence[UtilityFunction], BatchedUtilitySet]
 def envy_matrix(utilities: _Utilities, allocations: np.ndarray) -> np.ndarray:
     """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
 
-    ``allocations`` needs one row per utility.  All N² (player, bundle)
-    pairs are scored in one :meth:`BatchedUtilitySet.values` call: one
-    stacked-grid dispatch for the same-shape grids of a chip, one
-    ``value_batch`` per distinct utility object otherwise.  Both mirror
-    ``value`` bit for bit.  An already compiled ``utilities`` (a
-    problem's :attr:`~repro.core.mechanisms.AllocationProblem.evaluator`)
-    is used as it is.
+    ``allocations`` needs one row per utility.  Players of one class
+    (:func:`~repro.utility.batch.player_classes`) hold one utility, so
+    their rows of the matrix are equal, and players of one class holding
+    bitwise-equal bundles (a market's allocation) give equal columns.
+    One row per class is scored against one column per class then, and
+    against every bundle otherwise (MaxEfficiency's), in one
+    :meth:`BatchedUtilitySet.values` call that mirrors ``value`` bit for
+    bit; both axes are then expanded to every player.  An already
+    compiled ``utilities`` (a problem's
+    :attr:`~repro.core.mechanisms.AllocationProblem.evaluator`) is used
+    as it is.
     """
     allocations = np.asarray(allocations, dtype=float)
     compiled = isinstance(utilities, BatchedUtilitySet)
@@ -62,10 +66,16 @@ def envy_matrix(utilities: _Utilities, allocations: np.ndarray) -> np.ndarray:
         )
     if n == 0:
         return np.empty((0, 0))
-    players = np.repeat(np.arange(n), n)
-    pairs = np.tile(allocations, (n, 1))
     evaluator = utilities if compiled else BatchedUtilitySet(utilities)
-    return evaluator.values(pairs, players).reshape(n, n)
+    classes, representatives = evaluator.classes, evaluator.representatives
+    if evaluator.classwise_constant(allocations):
+        bundles, column_of = representatives, classes
+    else:
+        bundles = column_of = np.arange(n)
+    players = np.repeat(representatives, bundles.size)
+    pairs = np.tile(allocations.take(bundles, axis=0), (representatives.size, 1))
+    matrix = evaluator.values(pairs, players).reshape(representatives.size, bundles.size)
+    return matrix.take(classes, axis=0).take(column_of, axis=1)
 
 
 def envy_freeness(

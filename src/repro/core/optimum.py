@@ -32,6 +32,7 @@ import array
 import heapq
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -39,6 +40,8 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet, player_classes
+from ..utility.tabular import GridUtility2D
 
 __all__ = ["max_efficiency_allocation", "GreedyOptimum"]
 
@@ -51,6 +54,13 @@ _MOVE_TOLERANCE = 1e-12
 #: float64).  A chip's tables hold a few thousand points; the default
 #: 1/256 quanta of a three-resource market would give 17M.
 _EAGER_FILL_MAX_POINTS = 1 << 16
+
+#: Eagerly filled tables of read-only grids, oldest first, keyed by
+#: ``(grid, box shape, quanta bytes)``.  Every box of a chip has the
+#: same shape per application, so the tables of both chips' 24 SPEC
+#: applications (48, a few tens of kB each) fit.
+_TABLES: "OrderedDict[tuple, array.array]" = OrderedDict()
+_TABLES_SIZE = 64
 
 
 @dataclass
@@ -84,16 +94,34 @@ class _LazyTable(dict):
 def _utility_table(utility: UtilityFunction, shape: tuple, quanta: np.ndarray):
     """``U(coords × quanta)`` over the box ``shape``, indexed C-order flat.
 
-    A box of up to ``_EAGER_FILL_MAX_POINTS`` fills in one
-    ``value_batch`` call into a flat float64 buffer; a larger one fills
-    each entry on its first read, since the search visits a small corner
-    of a large box.
+    A box of up to ``_EAGER_FILL_MAX_POINTS`` fills in one counted
+    dispatch of a one-utility :class:`BatchedUtilitySet` (bitwise the
+    utility's ``value_batch``) into a flat float64 buffer; a larger one
+    fills each entry on its first read through ``value``, uncounted,
+    since the search visits a small corner of a large box.  The eager
+    table of a grid whose arrays are all read-only (every memoized true
+    grid) is a function of the key ``(grid, shape, quanta)``, so it is
+    kept in ``_TABLES`` and shared with every later search on that key.
     """
     if math.prod(shape) > _EAGER_FILL_MAX_POINTS:
         return _LazyTable(utility, shape, quanta)
+    key = None
+    if isinstance(utility, GridUtility2D) and not any(
+        a.flags.writeable for a in (utility.xs, utility.ys, utility.values)
+    ):
+        key = (utility, shape, quanta.tobytes())
+        table = _TABLES.get(key)
+        if table is not None:
+            return table
     points = np.indices(shape).reshape(len(shape), -1).T * quanta
     table = array.array("d")
-    table.frombytes(np.asarray(utility.value_batch(points), dtype=float).tobytes())
+    owners = np.zeros(points.shape[0], dtype=np.intp)
+    values = BatchedUtilitySet([utility]).values(points, owners)
+    table.frombytes(np.asarray(values, dtype=float).tobytes())
+    if key is not None:
+        _TABLES[key] = table
+        while len(_TABLES) > _TABLES_SIZE:
+            _TABLES.popitem(last=False)
     return table
 
 
@@ -128,12 +156,13 @@ class _Lattice:
     running ``U_i`` of the player's point, accumulated from the gains
     and losses of its moves.
 
-    Players holding the same utility object share one table.  Its box
-    spans, per resource, coordinates ``0..max(limits[i][j])`` over those
-    players, which covers every point the search scores: a player's
+    Players of one class (holding one utility object,
+    :func:`~repro.utility.batch.player_classes`) share one table.  Its
+    box spans, per resource, coordinates ``0..max(limits[i][j])`` over
+    the class, which covers every point the search scores: a player's
     coordinates plus one step, never beyond its limit.  Entry ``flat``
     of the C-order box is ``U(coords × quanta)``; a small box fills up
-    front, a large one on first read.
+    front, a large one on first read (:func:`_utility_table`).
     ``flat[i]`` is player ``i``'s current index into ``tables[i]``, whose
     per-resource steps are ``strides[i]``.  Rows are Python lists: the
     same integers and IEEE doubles numpy would hold, without
@@ -144,17 +173,16 @@ class _Lattice:
 
     def __init__(self, utilities, quanta: np.ndarray, limits: np.ndarray):
         num_players, num_resources = limits.shape
-        players_of: dict = {}
-        for i, utility in enumerate(utilities):
-            players_of.setdefault(id(utility), []).append(i)
-        self.tables: list = [None] * num_players
-        self.strides: list = [None] * num_players
-        for players in players_of.values():
-            shape = tuple((limits[players].max(axis=0) + 1).tolist())
-            table = _utility_table(utilities[players[0]], shape, quanta)
-            strides = [math.prod(shape[j + 1:]) for j in range(num_resources)]
-            for i in players:
-                self.tables[i], self.strides[i] = table, strides
+        classes, representatives = player_classes(utilities)
+        boxes = np.zeros((representatives.size, num_resources), dtype=limits.dtype)
+        np.maximum.at(boxes, classes, limits + 1)
+        tables, strides = [], []
+        for first, box in zip(representatives.tolist(), boxes.tolist()):
+            shape = tuple(box)
+            tables.append(_utility_table(utilities[first], shape, quanta))
+            strides.append([math.prod(shape[j + 1:]) for j in range(num_resources)])
+        self.tables = [tables[c] for c in classes.tolist()]
+        self.strides = [strides[c] for c in classes.tolist()]
         self.quanta = quanta.tolist()
         self.limits = limits.tolist()
         self.coords = [[0] * num_resources for _ in range(num_players)]

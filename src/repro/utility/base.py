@@ -49,10 +49,17 @@ class EvalCounters:
       however many rows it covers; nested dispatches inside that group's
       body (numeric-gradient probes, the components of a wrapper
       utility) are not counted again.
-    * ``batch_points`` — rows covered by those dispatches.
+    * ``batch_points`` — rows covered by those dispatches.  A Jacobi
+      equilibrium search and envy scoring dispatch one row per player
+      class (:func:`~repro.utility.batch.player_classes`), not per
+      player, so classmates count once.
 
     Evaluations made outside an evaluator (direct ``value`` /
     ``value_batch`` calls, scalar reference seams) are not counted.
+    MaxEfficiency's eager table fills go through a one-utility
+    evaluator and are counted; its lazy fills (one ``value`` per entry
+    of a large box, on first read) are not, and neither are tables it
+    reuses from its memo.
     Counters are per-process (each :class:`~repro.exec.SweepExecutor`
     worker tallies its own) and are never consulted by the allocation
     logic, so they cannot affect results.

@@ -15,11 +15,15 @@ dispatches as possible:
   vectorized central-difference evaluation then serves the whole group,
   however many players are active — ``N`` numeric gradients collapse
   into one bilinear-kernel call.
-* **Shared objects** — players holding the *same* utility object (the
-  synthetic theory markets) are evaluated with a single
-  ``gradient_batch`` call.
 * **Everything else** — one ``gradient_batch`` call per distinct
-  utility.
+  utility object, however many players hold it.
+
+A *player class* is the set of players holding one utility object
+(:func:`player_classes`; on a chip, every core running one application
+holds the memoized grid of that application).  Classmates evaluate the
+same function, so a caller whose inputs are bitwise equal within every
+class (:meth:`BatchedUtilitySet.classwise_constant`) evaluates one row
+per class and expands the result, to the same bits.
 
 :meth:`BatchedUtilitySet._dispatch`, in its per-group step
 ``_group_eval``, is the one place that counts utility work into
@@ -33,19 +37,38 @@ lockstep hill climb reproduce the per-player scalar climb exactly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .base import EVAL_COUNTERS, UtilityFunction, _as_point_matrix
 from .tabular import GridUtility2D, StackedGrids
 
-__all__ = ["BatchedUtilitySet"]
+__all__ = ["BatchedUtilitySet", "player_classes"]
 
 
 #: Group kinds in a compiled plan.
 _STACKED = 0
 _SHARED = 1
+
+
+def player_classes(utilities: Sequence[UtilityFunction]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(classes, representatives)`` of a utility list.
+
+    Players holding the same utility object form one class; classes are
+    numbered in order of their first player.  ``classes[i]`` is player
+    ``i``'s class and ``representatives[c]`` the first player of class
+    ``c``, so ``representatives.take(classes)`` maps every player to its
+    class's first player.
+    """
+    class_by_id: dict = {}
+    classes = np.empty(len(utilities), dtype=np.intp)
+    representatives: List[int] = []
+    for idx, utility in enumerate(utilities):
+        c = classes[idx] = class_by_id.setdefault(id(utility), len(representatives))
+        if c == len(representatives):
+            representatives.append(idx)
+    return classes, np.array(representatives, dtype=np.intp)
 
 
 class BatchedUtilitySet:
@@ -55,8 +78,10 @@ class BatchedUtilitySet:
     <repro.core.market.Market.evaluator>`; the player list is fixed for
     the market's lifetime), then call :meth:`gradients` every lockstep
     iteration with whatever subset of players is still climbing.  Envy
-    scoring builds one per allocation and asks :meth:`values` for every
-    (player, bundle) pair at once.
+    scoring asks :meth:`values` for every (class, bundle) pair at once.
+
+    ``classes`` and ``representatives`` are the list's
+    :func:`player_classes`.
     """
 
     def __init__(self, utilities: Sequence[UtilityFunction]):
@@ -64,54 +89,53 @@ class BatchedUtilitySet:
         if not self.utilities:
             raise ValueError("need at least one utility")
         self.num_resources = self.utilities[0].num_resources
-        #: Group index of every player and the player's slot inside it.
-        self._group_of = np.empty(len(self.utilities), dtype=np.intp)
+        self.classes, self.representatives = player_classes(self.utilities)
         self._groups: List[tuple] = []
         self._compile()
 
     def _compile(self) -> None:
-        # Stackable 2-D grids, one stack per grid shape (degenerate
-        # single-sample axes take the np.interp branches of
-        # GridUtility2D._value_batch, so those grids stay out);
-        # same-object grids share a slot.
+        # One entry per class: stackable 2-D grids go into one stack per
+        # grid shape (degenerate single-sample axes take the np.interp
+        # branches of GridUtility2D._value_batch, so those grids stay
+        # out), every other utility into a group of its own.
+        num_classes = self.representatives.size
+        group_of = np.empty(num_classes, dtype=np.intp)
+        slot_of = np.zeros(num_classes, dtype=np.intp)
         stacks: dict = {}
-        remaining: List[int] = []
-        slots = [0] * len(self.utilities)
-        for idx, utility in enumerate(self.utilities):
+        unstacked: List[int] = []
+        for c, idx in enumerate(self.representatives.tolist()):
+            utility = self.utilities[idx]
             if (
                 isinstance(utility, GridUtility2D)
                 and utility.xs.size > 1
                 and utility.ys.size > 1
             ):
-                stack = stacks.get(utility.values.shape)
-                if stack is None:
-                    stack = stacks[utility.values.shape] = ([], {}, [])
-                members, slot_by_id, rows = stack
-                slot = slot_by_id.get(id(utility))
-                if slot is None:
-                    slot = slot_by_id[id(utility)] = len(members)
-                    members.append(utility)
-                rows.append(idx)
-                slots[idx] = slot
+                members, owners = stacks.setdefault(utility.values.shape, ([], []))
+                slot_of[c] = len(members)
+                members.append(utility)
+                owners.append(c)
             else:
-                remaining.append(idx)
-        self._slot_of = np.array(slots, dtype=np.intp)
-
-        for members, _, rows in stacks.values():
-            group = len(self._groups)
+                unstacked.append(c)
+        for members, owners in stacks.values():
+            group_of[owners] = len(self._groups)
             self._groups.append((_STACKED, StackedGrids(members)))
-            self._group_of[rows] = group
+        for c in unstacked:
+            group_of[c] = len(self._groups)
+            self._groups.append((_SHARED, self.utilities[self.representatives[c]]))
+        #: Group index of every player and the player's slot inside it.
+        self._group_of = group_of.take(self.classes)
+        self._slot_of = slot_of.take(self.classes)
 
-        # Remaining players: one group per distinct utility object.
-        group_by_id: dict = {}
-        for idx in remaining:
-            utility = self.utilities[idx]
-            group = group_by_id.get(id(utility))
-            if group is None:
-                group = len(self._groups)
-                group_by_id[id(utility)] = group
-                self._groups.append((_SHARED, utility))
-            self._group_of[idx] = group
+    def classwise_constant(self, rows: np.ndarray) -> bool:
+        """True when every player's row of ``rows`` is bitwise its
+        class representative's.
+
+        ``rows`` has one row (or entry) per player.  Bits are compared,
+        not values, so a signed zero or a NaN payload splits a class.
+        """
+        bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+        expanded = bits.take(self.representatives, axis=0).take(self.classes, axis=0)
+        return bool(np.array_equal(bits, expanded))
 
     def gradients(
         self, allocations: np.ndarray, players: Optional[np.ndarray] = None

@@ -18,11 +18,20 @@ Jacobi solves only.
 Regenerate (only when a change to the numbers is intended)::
 
     PYTHONPATH=src python tests/core/make_climb_reference.py
+
+A change that only moves evaluation tallies rewrites them alone::
+
+    PYTHONPATH=src python tests/core/make_climb_reference.py --counts-only
+
+which refuses to write, and exits 1 naming the cases, when any recorded
+value other than ``eval_counts`` would change.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
@@ -48,6 +57,7 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "climb_reference.json"
 CATEGORIES = ("CCCC", "PPPP", "BBNN", "CPBN")
 SEED = 2016
 BUDGET = 100.0
+COUNTS = "eval_counts"
 
 
 def _hex(values) -> List:
@@ -69,6 +79,26 @@ def _equilibrium(result, counts: bool) -> Dict:
     if counts:
         record["eval_counts"] = dict(result.eval_counts)
     return record
+
+
+def split_counts(record) -> Tuple[object, Dict[str, Dict]]:
+    """``(record without eval_counts, eval_counts)`` at any nesting depth.
+
+    Counts are collected with their path, so a ReBudget case's per-round
+    tallies stay attributed to their round.
+    """
+    counts = {}
+
+    def strip(node, path):
+        if isinstance(node, dict):
+            if COUNTS in node:
+                counts[path] = node[COUNTS]
+            return {k: strip(v, f"{path}/{k}") for k, v in node.items() if k != COUNTS}
+        if isinstance(node, list):
+            return [strip(v, f"{path}/{i}") for i, v in enumerate(node)]
+        return node
+
+    return strip(record, ""), counts
 
 
 def _rebudget(market: Market, step: float) -> Dict:
@@ -136,11 +166,32 @@ def run_cases() -> Dict[str, Dict]:
     return {name: run() for name, run in case_runners().items()}
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--counts-only",
+        action="store_true",
+        help="rewrite eval_counts only; refuse if any other recorded value changes",
+    )
+    args = parser.parse_args(argv)
+    cases = run_cases()
+    if args.counts_only:
+        recorded = json.loads(FIXTURE.read_text())
+        moved = sorted(
+            name
+            for name in set(cases) | set(recorded)
+            if name not in cases
+            or name not in recorded
+            or split_counts(cases[name])[0] != split_counts(recorded[name])[0]
+        )
+        if moved:
+            print(f"not written: values other than {COUNTS} changed in {moved}")
+            return 1
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(run_cases(), indent=1, sort_keys=True) + "\n")
+    FIXTURE.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

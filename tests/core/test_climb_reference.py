@@ -11,16 +11,17 @@ evaluations it dispatches shows up, on its own, in
 :func:`test_case_reproduces_reference_eval_counts`.
 """
 
+import copy
 import json
 from functools import lru_cache
 
 import pytest
 
-from make_climb_reference import FIXTURE, case_runners
+import make_climb_reference
+from make_climb_reference import COUNTS, FIXTURE, case_runners
+from make_climb_reference import split_counts as _split
 
 REFERENCE = json.loads(FIXTURE.read_text())
-
-COUNTS = "eval_counts"
 
 
 @lru_cache(maxsize=None)
@@ -31,26 +32,6 @@ def _runners():
 @lru_cache(maxsize=None)
 def _run(case):
     return _runners()[case]()
-
-
-def _split(record):
-    """``(record without eval_counts, eval_counts)`` at any nesting depth.
-
-    Counts are collected with their path, so a ReBudget case's per-round
-    tallies stay attributed to their round.
-    """
-    counts = {}
-
-    def strip(node, path):
-        if isinstance(node, dict):
-            if COUNTS in node:
-                counts[path] = node[COUNTS]
-            return {k: strip(v, f"{path}/{k}") for k, v in node.items() if k != COUNTS}
-        if isinstance(node, list):
-            return [strip(v, f"{path}/{i}") for i, v in enumerate(node)]
-        return node
-
-    return strip(record, ""), counts
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE))
@@ -73,3 +54,32 @@ def test_split_reaches_every_recorded_count():
 
 def test_every_case_is_recorded():
     assert sorted(_runners()) == sorted(REFERENCE)
+
+
+class TestCountsOnlyRewrite:
+    """``make_climb_reference.py --counts-only`` rewrites tallies alone."""
+
+    @staticmethod
+    def _rewrite(monkeypatch, tmp_path, cases):
+        fixture = tmp_path / "climb_reference.json"
+        fixture.write_text(FIXTURE.read_text())
+        monkeypatch.setattr(make_climb_reference, "FIXTURE", fixture)
+        monkeypatch.setattr(make_climb_reference, "run_cases", lambda: cases)
+        return make_climb_reference.main(["--counts-only"]), json.loads(fixture.read_text())
+
+    def test_writes_when_only_counts_move(self, monkeypatch, tmp_path):
+        cases = copy.deepcopy(REFERENCE)
+        cases["bbpc/jacobi-cold"][COUNTS]["batch_points"] += 1
+        status, written = self._rewrite(monkeypatch, tmp_path, cases)
+        assert status == 0 and written == cases
+
+    @pytest.mark.parametrize("field", ["iterations", "missing-case"])
+    def test_refuses_when_anything_else_moves(self, monkeypatch, tmp_path, field):
+        cases = copy.deepcopy(REFERENCE)
+        cases["bbpc/jacobi-cold"][COUNTS]["batch_points"] += 1
+        if field == "iterations":
+            cases["bbpc/jacobi-warm"]["iterations"] += 1
+        else:
+            del cases["small/exact-cold"]
+        status, written = self._rewrite(monkeypatch, tmp_path, cases)
+        assert status == 1 and written == REFERENCE

@@ -1,5 +1,7 @@
 """The MaxEfficiency greedy + exchange welfare maximizer."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.cmp.bandwidth import BandwidthAwareUtility, build_bandwidth_problem
 from repro.core import max_efficiency_allocation, optimum
 from repro.exceptions import MarketConfigurationError
 from repro.utility import (
+    EVAL_COUNTERS,
     GridUtility2D,
     LinearUtility,
     LogUtility,
@@ -276,30 +279,103 @@ def test_joint_moves_then_exchange_moves_equal_oracle_bitwise(monkeypatch):
 
 def test_one_table_fill_per_distinct_grid(monkeypatch):
     # Every chip utility is a GridUtility2D, one object per application:
-    # each object's table is filled by one value_batch over its box, and
-    # nothing calls the one-row value.
-    bundle = generate_bundles("CPBN", 64, count=1, seed=2016)[0]
-    problem = ChipModel(cmp_64core(), bundle.apps).build_problem()
-    batches, scalars = [], []
-    value_batch, value = GridUtility2D.value_batch, GridUtility2D.value
-
-    def counting_value_batch(self, points):
-        batches.append(id(self))
-        return value_batch(self, points)
+    # with the table memo empty, each object's table is filled by one
+    # counted value dispatch over its box, and nothing calls the one-row
+    # value.
+    monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+    problem = _cpbn64_problem()
+    scalars = []
+    value = GridUtility2D.value
 
     def counting_value(self, allocation):
         scalars.append(id(self))
         return value(self, allocation)
 
-    monkeypatch.setattr(GridUtility2D, "value_batch", counting_value_batch)
     monkeypatch.setattr(GridUtility2D, "value", counting_value)
+    counts = _fill_counts(problem)
+    distinct = {id(u) for u in problem.utilities}
+    assert len(distinct) == 22
+    assert counts["batch_value_calls"] == 22
+    assert counts["batch_gradient_calls"] == 0
+    assert sorted(id(grid) for grid, *_ in optimum._TABLES) == sorted(distinct)
+    assert counts["batch_points"] == sum(len(t) for t in optimum._TABLES.values())
+    assert scalars == []
+
+
+def _cpbn64_problem():
+    bundle = generate_bundles("CPBN", 64, count=1, seed=2016)[0]
+    return ChipModel(cmp_64core(), bundle.apps).build_problem()
+
+
+def _fill_counts(problem):
+    """Utility work of one MaxEfficiency search on ``problem``."""
+    before = EVAL_COUNTERS.snapshot()
     max_efficiency_allocation(
         problem.utilities, problem.capacities, problem.quanta, problem.per_player_caps
     )
-    distinct = {id(u) for u in problem.utilities}
-    assert len(distinct) == 22
-    assert sorted(batches) == sorted(distinct)
-    assert scalars == []
+    return EVAL_COUNTERS.since(before)
+
+
+class TestTableMemo:
+    def test_second_problem_on_the_same_grids_fills_no_table(self, monkeypatch):
+        monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+        first = _fill_counts(_cpbn64_problem())
+        assert first["batch_value_calls"] == 22
+        assert _fill_counts(_cpbn64_problem())["total_calls"] == 0
+
+    def test_memoized_tables_give_the_fresh_optimum_bitwise(self, monkeypatch):
+        problem = _cpbn64_problem()
+        args = (problem.utilities, problem.capacities, problem.quanta, problem.per_player_caps)
+        monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+        fresh = max_efficiency_allocation(*args)
+        memoized = max_efficiency_allocation(*args)
+        assert memoized.allocations.tobytes() == fresh.allocations.tobytes()
+        assert memoized.utilities.tobytes() == fresh.utilities.tobytes()
+        assert memoized.steps == fresh.steps
+
+    def test_writable_grids_are_never_memoized(self, monkeypatch):
+        monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+        xs, ys = np.linspace(0.0, 4.0, 5), np.linspace(0.0, 2.0, 4)
+        grid = GridUtility2D(xs, ys, np.sqrt(1.0 + xs[:, None]) * np.log1p(1.0 + ys))
+        grid.xs.flags.writeable = grid.ys.flags.writeable = False
+        # Read-only axes, writable values: the values may still change.
+        for _ in range(2):
+            before = EVAL_COUNTERS.snapshot()
+            max_efficiency_allocation([grid, grid], [4.0, 2.0], [0.25, 0.25])
+            assert EVAL_COUNTERS.since(before)["batch_value_calls"] == 1
+        assert len(optimum._TABLES) == 0
+
+    def test_one_grid_keeps_one_table_per_box_and_quanta(self, monkeypatch):
+        monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+        xs, ys = np.linspace(0.0, 4.0, 5), np.linspace(0.0, 2.0, 4)
+        grid = GridUtility2D(xs, ys, np.sqrt(1.0 + xs[:, None]) * np.log1p(1.0 + ys))
+        for axis in (grid.xs, grid.ys, grid.values):
+            axis.flags.writeable = False
+        coarse, fine = np.array([0.5, 0.5]), np.array([0.25, 0.5])
+        tables = [
+            optimum._utility_table(grid, shape, quanta)
+            for shape, quanta in (((9, 5), coarse), ((5, 5), coarse), ((5, 5), fine))
+        ]
+        assert [len(t) for t in tables] == [45, 25, 25]
+        assert tables[1] != tables[2]
+        assert len(optimum._TABLES) == 3
+
+    def test_bound_evicts_the_oldest_entry_first(self, monkeypatch):
+        monkeypatch.setattr(optimum, "_TABLES", OrderedDict())
+        monkeypatch.setattr(optimum, "_TABLES_SIZE", 2)
+        xs, ys = np.linspace(0.0, 4.0, 5), np.linspace(0.0, 2.0, 4)
+        grids = []
+        for scale in (1.0, 2.0, 3.0):
+            grid = GridUtility2D(xs, ys, scale * np.sqrt(1.0 + xs[:, None]) * np.log1p(1.0 + ys))
+            for axis in (grid.xs, grid.ys, grid.values):
+                axis.flags.writeable = False
+            grids.append(grid)
+        quanta = np.array([0.5, 0.5])
+        tables = [optimum._utility_table(grid, (9, 5), quanta) for grid in grids]
+        assert [key[0] for key in optimum._TABLES] == grids[1:]
+        assert optimum._utility_table(grids[2], (9, 5), quanta) is tables[2]
+        assert optimum._utility_table(grids[0], (9, 5), quanta) is not tables[0]
+        assert [key[0] for key in optimum._TABLES] == grids[2:] + grids[:1]
 
 
 def test_scalar_only_tables_fill_on_first_read(monkeypatch):

@@ -27,6 +27,21 @@ def rebudget_markets(draw):
     return make_market(utilities, [10.0, 6.0])
 
 
+@st.composite
+def shared_rebudget_markets(draw):
+    """Random 4-8 player markets over 2-3 utility objects, so several
+    players share one (a player class) and the searches solve one row
+    per class."""
+    pool = draw(rebudget_markets()).problem.utilities[: draw(st.integers(2, 3))]
+    num_players = draw(st.integers(min_value=len(pool) + 2, max_value=8))
+    owners = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=num_players, max_size=num_players)
+    )
+    market = make_market([pool[k] for k in owners], [10.0, 6.0])
+    assert market.evaluator.representatives.size < num_players
+    return market
+
+
 class TestReBudgetInvariants:
     @given(rebudget_markets(), st.sampled_from([10.0, 20.0, 40.0]))
     @settings(max_examples=25, deadline=None)
@@ -66,3 +81,14 @@ class TestReBudgetInvariants:
             result.final_equilibrium.state.allocations,
         )
         assert realized >= ef_lower_bound(result.mbr) - 1e-6
+
+    @given(shared_rebudget_markets(), st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=25, deadline=None)
+    def test_budgets_never_rise_nor_cross_the_mbr_floor(self, market, ef_target):
+        result = run_rebudget(market, ReBudgetConfig(min_envy_freeness=ef_target))
+        floor = min_mbr_for_envy_freeness(ef_target) * 100.0
+        budgets = [r.budgets for r in result.rounds] + [market.budgets]
+        for earlier, later in zip(budgets, budgets[1:]):
+            assert np.all(later >= floor)
+            assert np.all(later <= earlier)
+        assert np.all(budgets[0] == 100.0)

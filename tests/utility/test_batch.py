@@ -34,6 +34,7 @@ from repro.utility import (
     numeric_gradient_batch,
     upper_convex_hull,
 )
+from repro.utility.batch import player_classes
 
 
 def looped_values(utility, points):
@@ -420,6 +421,44 @@ class TestBatchedUtilitySet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BatchedUtilitySet([])
+
+    def test_player_classes_follow_utility_objects(self):
+        # Classes are numbered by first player; equal but distinct
+        # objects are different classes.
+        a, b = make_grid(0), make_grid(0)
+        log = LogUtility([1.0, 0.5])
+        classes, representatives = player_classes([a, log, a, b, log, a])
+        assert classes.tolist() == [0, 1, 0, 2, 1, 0]
+        assert representatives.tolist() == [0, 1, 3]
+        evaluator = BatchedUtilitySet([a, log, a, b, log, a])
+        assert evaluator.classes.tolist() == classes.tolist()
+        assert evaluator.representatives.tolist() == representatives.tolist()
+
+    def test_classwise_constant_compares_bits(self):
+        grid = make_grid(0)
+        evaluator = BatchedUtilitySet([grid, make_grid(1), grid])
+        assert evaluator.classwise_constant(np.array([1.0, 2.0, 1.0]))
+        assert not evaluator.classwise_constant(np.array([1.0, 2.0, 1.5]))
+        # A signed zero splits a class, although 0.0 == -0.0.
+        assert not evaluator.classwise_constant(np.array([0.0, 2.0, -0.0]))
+        rows = np.array([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0]])
+        assert evaluator.classwise_constant(rows)
+        rows[2, 1] = np.nextafter(2.0, 3.0)
+        assert not evaluator.classwise_constant(rows)
+
+    def test_class_rows_equal_every_player_row(self):
+        # One row per class, expanded, is every player's row bit for bit.
+        grids = [make_grid(0), make_grid(1)]
+        shared = LogUtility([1.0, 0.5], [2.0, 1.0])
+        utilities = [grids[0], shared, grids[1], grids[0], shared, grids[0]]
+        evaluator = BatchedUtilitySet(utilities)
+        representatives = evaluator.representatives
+        class_rows = np.random.default_rng(5).uniform(0.0, 3.0, size=(3, 2))
+        expanded = class_rows.take(evaluator.classes, axis=0)
+        for method in ("values", "gradients"):
+            by_class = getattr(evaluator, method)(class_rows, representatives)
+            by_player = getattr(evaluator, method)(expanded)
+            assert by_class.take(evaluator.classes, axis=0).tobytes() == by_player.tobytes()
 
     def test_all_grids_compile_to_one_group(self):
         # 8 same-shape grids with distinct power axes must fuse into a

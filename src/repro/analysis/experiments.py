@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +26,11 @@ from ..cmp.spec_suite import app_by_name
 from ..cmp.utility_builder import convexify_grid
 from ..core.mechanisms import (
     AllocationMechanism,
+    EqualBudget,
+    MaxEfficiency,
     MechanismResult,
+    ReBudgetMechanism,
+    allocate_all,
     standard_mechanism_suite,
 )
 from ..core.theory import ef_lower_bound, poa_lower_bound
@@ -111,8 +113,6 @@ def fig3_data(bundle: Optional[Bundle] = None) -> Dict[str, object]:
     the reassignment dynamics on workloads where the lambda spread is
     wider (in our substrate, bundles containing N-class applications).
     """
-    from ..core.mechanisms import EqualBudget, MaxEfficiency, ReBudgetMechanism
-
     bundle = bundle or paper_bbpc_bundle()
     problem = ChipModel(cmp_8core(), bundle.apps).build_problem()
 
@@ -120,14 +120,19 @@ def fig3_data(bundle: Optional[Bundle] = None) -> Dict[str, object]:
         EqualBudget(),
         ReBudgetMechanism(step=20.0),
         ReBudgetMechanism(step=40.0),
+        MaxEfficiency(),
     ]
-    opt = MaxEfficiency().allocate(problem)
+    results = dict(allocate_all(problem, mechanisms))
+    for outcome in results.values():
+        if isinstance(outcome, Exception):
+            raise outcome
+    opt = results[len(mechanisms) - 1]
 
     names = [app.name for app in bundle.apps]
     series: Dict[str, Dict[str, float]] = {}
     summary: Dict[str, Dict[str, float]] = {}
-    for mech in mechanisms:
-        result = mech.allocate(problem)
+    for k, mech in enumerate(mechanisms[:-1]):
+        result = results[k]
         top = max(float(result.lambdas.max()), 1e-12)
         per_app: Dict[str, float] = {}
         budgets: Dict[str, float] = {}
@@ -190,6 +195,9 @@ class SweepResult:
 
     scores: List[BundleScore] = field(default_factory=list)
     failures: List[SweepFailure] = field(default_factory=list)
+    #: ``EVAL_COUNTERS`` deltas summed over every cell, whichever
+    #: worker ran it (:attr:`repro.exec.SweepRun.eval_counts`).
+    eval_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mechanisms(self) -> List[str]:
@@ -261,46 +269,18 @@ def _reduce(statistic: Callable[[np.ndarray], float], series: np.ndarray) -> flo
     return float(statistic(series)) if series.size else float("nan")
 
 
-# One sweep-cell shards per (bundle, mechanism), so the mechanisms of a
-# bundle share its convexified AllocationProblem through a small
-# per-process cache instead of each rebuilding it.  The problem keeps its
-# cold equal-budget equilibrium too (AllocationProblem.equal_budget_equilibrium),
-# so the serial cells of a bundle share one solve between EqualBudget and
-# both ReBudget loops, and each pool worker solves it once per bundle it
-# sees (again only if the bundle left its cache).  Entries are keyed by
-# a token unique to the parent sweep invocation: a long-lived process
-# running several sweeps (different chips, same bundle names) can never
-# hit a stale problem.
-_PROBLEM_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_PROBLEM_CACHE_SIZE = 4
-_SWEEP_TOKENS = itertools.count()
+def _analytic_bundle(spec):
+    """Score one bundle's mechanism line-up; runs inside a sweep worker.
 
-
-def _cached_problem(token, config: CMPConfig, bundle: Bundle):
-    key = (token, bundle.category, bundle.name)
-    # Deliberate per-process memo: the cached AllocationProblem is a
-    # pure function of (token, bundle) — every process that rebuilds it
-    # gets a bitwise-identical object, so cell results cannot depend on
-    # sharding (determinism covered by tests/analysis/test_parallel_sweep.py
-    # and benchmarks/test_sweep_parallel.py), hence the suppression:
-    problem = _PROBLEM_CACHE.get(key)  # repro: noqa[REPRO105] pure per-process memo
-    if problem is None:
-        problem = ChipModel(config, bundle.apps).build_problem()
-        _PROBLEM_CACHE[key] = problem
-        while len(_PROBLEM_CACHE) > _PROBLEM_CACHE_SIZE:
-            _PROBLEM_CACHE.popitem(last=False)
-    return problem
-
-
-def _analytic_cell(spec):
-    """Score one (bundle, mechanism) cell; runs inside a sweep worker.
-
-    The analytic pipeline is fully deterministic: the bidder and the
-    greedy optimum use no randomness.
+    Builds the bundle's problem once and returns
+    :func:`~repro.core.mechanisms.allocate_all`'s ``(k, outcome)``
+    stream, which stacks the line-up's cold markets and yields each
+    mechanism's outcome as it completes.  The analytic pipeline is fully
+    deterministic: the bidder and the greedy optimum use no randomness.
     """
-    token, config, bundle, mechanism = spec
-    problem = _cached_problem(token, config, bundle)
-    return mechanism.allocate(problem)
+    config, bundle, mechanisms = spec
+    problem = ChipModel(config, bundle.apps).build_problem()
+    return allocate_all(problem, mechanisms)
 
 
 def _progress_adapter(
@@ -319,30 +299,19 @@ def _progress_adapter(
 def _line_up(
     bundles: Sequence[Bundle],
     mechanisms_factory: Optional[Callable[[], Sequence[AllocationMechanism]]],
-    spec_of: Callable[[Bundle, AllocationMechanism], tuple],
-) -> Tuple[List[tuple], List[str], List[Tuple[Bundle, List[str]]]]:
-    """The (bundle, mechanism) cells of a sweep, in submission order.
-
-    Each bundle gets a fresh line-up from ``mechanisms_factory`` (the
-    standard suite by default); ``spec_of(bundle, mechanism)`` is the
-    spec its cell receives.  Returns the specs, their labels, and every
-    bundle with its mechanism names, for :func:`_collate`.
-    """
+) -> List[Tuple[Bundle, List[AllocationMechanism]]]:
+    """Every bundle with a fresh line-up from ``mechanisms_factory``
+    (the standard suite by default), in submission order."""
     factory = mechanisms_factory or standard_mechanism_suite
-    specs: List[tuple] = []
-    labels: List[str] = []
-    lineup: List[Tuple[Bundle, List[str]]] = []
-    for bundle in bundles:
-        mechanisms = factory()
-        lineup.append((bundle, [mech.name for mech in mechanisms]))
-        for mech in mechanisms:
-            specs.append(spec_of(bundle, mech))
-            labels.append(f"{bundle.name}/{mech.name}")
-    return specs, labels, lineup
+    return [(bundle, list(factory())) for bundle in bundles]
+
+
+def _labels(bundle: Bundle, mechanisms: Sequence[AllocationMechanism]) -> Tuple[str, ...]:
+    return tuple(f"{bundle.name}/{mech.name}" for mech in mechanisms)
 
 
 def _collate(
-    run: SweepRun, lineup: Sequence[Tuple[Bundle, List[str]]]
+    run: SweepRun, lineup: Sequence[Tuple[Bundle, List[AllocationMechanism]]]
 ) -> Tuple[List[Tuple[Bundle, Dict[str, object]]], List[SweepFailure]]:
     """Group a sweep's cells by bundle.
 
@@ -355,7 +324,8 @@ def _collate(
     cells = iter(run.cells)
     complete: List[Tuple[Bundle, Dict[str, object]]] = []
     failures: List[SweepFailure] = []
-    for bundle, mech_names in lineup:
+    for bundle, mechanisms in lineup:
+        mech_names = [mech.name for mech in mechanisms]
         values: Dict[str, object] = {}
         for mech_name in mech_names:
             cell = next(cells)
@@ -392,15 +362,19 @@ def run_analytic_sweep(
     quick runs; the bundle *prefix* is stable for a given seed, so small
     sweeps are strict subsets of large ones.
 
-    The (bundle, mechanism) cells shard over a
-    :class:`~repro.exec.SweepExecutor` with ``workers`` processes;
-    ``workers=1`` (the default) runs them serially in-process.  Scores
-    are identical for any worker count, a cell that raises is recorded
-    in :attr:`SweepResult.failures` instead of killing the sweep, and
-    ``progress`` receives one completion line (with ETA) per cell.
+    The bundles shard over a :class:`~repro.exec.SweepExecutor` with
+    ``workers`` processes; ``workers=1`` (the default) runs them
+    serially in-process.  A work item is one bundle: it builds the
+    bundle's problem once and runs the line-up through
+    :func:`~repro.core.mechanisms.allocate_all`, which stacks its cold
+    markets.  Each (bundle, mechanism) cell is still its own outcome.
+    Scores are identical for any worker count, a cell that raises is
+    recorded in :attr:`SweepResult.failures` instead of killing the
+    sweep, and ``progress`` receives one completion line (with ETA) per
+    cell.  :attr:`SweepResult.eval_counts` sums the utility work of
+    every cell.
     """
     config = config or cmp_64core()
-    token = next(_SWEEP_TOKENS)
     bundles = [
         bundle
         for category in categories
@@ -408,19 +382,21 @@ def run_analytic_sweep(
             category, config.num_cores, count=bundles_per_category, seed=seed
         )
     ]
-    specs, labels, lineup = _line_up(
-        bundles, mechanisms_factory, lambda bundle, mech: (token, config, bundle, mech)
-    )
+    lineup = _line_up(bundles, mechanisms_factory)
     executor = SweepExecutor(workers=workers, progress=_progress_adapter(progress))
-    complete, failures = _collate(
-        executor.run(_analytic_cell, specs, labels=labels), lineup
+    run = executor.run(
+        _analytic_bundle,
+        [(config, bundle, mechanisms) for bundle, mechanisms in lineup],
+        labels=[_labels(bundle, mechanisms) for bundle, mechanisms in lineup],
     )
+    complete, failures = _collate(run, lineup)
     return SweepResult(
         scores=[
             BundleScore(bundle=bundle.name, category=bundle.category, results=results)
             for bundle, results in complete
         ],
         failures=failures,
+        eval_counts=run.eval_counts,
     )
 
 
@@ -495,15 +471,18 @@ def run_simulation_experiment(
         generate_bundles(category, config.num_cores, count=1, seed=seed)[0]
         for category in categories
     ]
-    specs, labels, lineup = _line_up(
-        bundles,
-        mechanisms_factory,
-        lambda bundle, mech: (config, bundle, mech, sim_config),
-    )
+    lineup = _line_up(bundles, mechanisms_factory)
     executor = SweepExecutor(workers=workers, progress=_progress_adapter(progress))
-    complete, failures = _collate(
-        executor.run(_simulation_cell, specs, labels=labels), lineup
+    run = executor.run(
+        _simulation_cell,
+        [
+            (config, bundle, mech, sim_config)
+            for bundle, mechanisms in lineup
+            for mech in mechanisms
+        ],
+        labels=[label for bundle, mechanisms in lineup for label in _labels(bundle, mechanisms)],
     )
+    complete, failures = _collate(run, lineup)
     scores = [
         SimulationScore(
             bundle=bundle.name,

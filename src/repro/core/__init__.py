@@ -7,7 +7,7 @@ from .bidding import (
     HillClimbBidder,
     PriceTakingBidder,
 )
-from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import EquilibriumResult, WarmStart, find_equilibria, find_equilibrium
 from .market import Market, MarketState
 from .mechanisms import (
     AllocationMechanism,
@@ -19,6 +19,7 @@ from .mechanisms import (
     MaxEfficiency,
     MechanismResult,
     ReBudgetMechanism,
+    allocate_all,
     clamp_to_per_player_caps,
     standard_mechanism_suite,
 )
@@ -32,7 +33,13 @@ from .metrics import (
 )
 from .optimum import GreedyOptimum, max_efficiency_allocation
 from .player import marginal_utility_of_bids_batch
-from .rebudget import ReBudgetConfig, ReBudgetResult, ReBudgetRound, run_rebudget
+from .rebudget import (
+    ReBudgetConfig,
+    ReBudgetLoop,
+    ReBudgetResult,
+    ReBudgetRound,
+    run_rebudget,
+)
 from .theory import (
     check_theorem1,
     check_theorem2,
@@ -53,6 +60,7 @@ __all__ = [
     "EquilibriumResult",
     "WarmStart",
     "find_equilibrium",
+    "find_equilibria",
     "efficiency",
     "envy_freeness",
     "envy_matrix",
@@ -68,6 +76,7 @@ __all__ = [
     "ReBudgetConfig",
     "ReBudgetResult",
     "ReBudgetRound",
+    "ReBudgetLoop",
     "run_rebudget",
     "GreedyOptimum",
     "max_efficiency_allocation",
@@ -78,6 +87,7 @@ __all__ = [
     "EqualBudget",
     "BalancedBudget",
     "ReBudgetMechanism",
+    "allocate_all",
     "MaxEfficiency",
     "ElasticitiesProportional",
     "clamp_to_per_player_caps",

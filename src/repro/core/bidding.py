@@ -91,10 +91,16 @@ class BiddingStrategy(abc.ABC):
         previous round — warm climbs size their first step to it so a
         near-converged player does not re-explore the whole simplex.
 
+        A row may carry no seed or no hint while others do: a
+        ``current_bids`` row with a non-finite entry is no seed (the row
+        starts from the equal split), and a ``NaN`` hint is no hint.
+        Rows are independent, so blocks of several markets stack.
+
         Returns ``(bids, marginals)``: the new non-negative ``(K, M)`` bid
         matrix, each row within its budget, and the ``(K, M)``
-        Equation 7 marginals at exactly those bids for every row — or
-        ``None`` when the strategy did not evaluate them all.
+        Equation 7 marginals, row ``k`` at exactly ``bids[k]`` when the
+        strategy evaluated it there and ``NaN`` otherwise — or ``None``
+        when the strategy evaluates no marginals at its bids.
         """
 
 
@@ -108,10 +114,11 @@ class HillClimbBidder(BiddingStrategy):
     player, each with its own step size and stop state.  On hinted (warm)
     calls the staleness probe counts as the first iteration, which then
     evaluates only rows the probe did not cover; a warm verification
-    round therefore costs one dispatch.  When every row's last
-    evaluation was at its returned bids — no row moved after it — the
-    call returns those Equation 7 marginals with the bids.  Subclasses
-    change the marginal the climb reads through :meth:`_marginal_rule`.
+    round therefore costs one dispatch.  With the bids, the call returns
+    the Equation 7 marginals of every row whose last evaluation was at
+    its returned bids — the row did not move after it — and ``NaN`` in
+    every other row.  Subclasses change the marginal the climb reads
+    through :meth:`_marginal_rule`.
 
     A climb stops when its max and min marginal utilities agree within
     5%, or when its shift amount ``S`` falls below 1% of the player's
@@ -179,20 +186,24 @@ class HillClimbBidder(BiddingStrategy):
         # utility shift.  A marginal imbalance beyond twice the stop
         # tolerance means the seed is stale and the climb needs full
         # mobility from the warm point.
+        # Only warm rows with a hint are probed (a NaN hint is none).
         probe = None
-        if step_hints is not None and warm.any():
-            rows = np.flatnonzero(warm)
+        probed = np.zeros(num_players, dtype=bool)
+        if step_hints is not None:
+            hints = np.asarray(step_hints, dtype=float)
+            probed = warm & ~np.isnan(hints)
+        if probed.any():
+            rows = np.flatnonzero(probed)
             marginals = marginals_at(rows, bids[rows])
             donors = bids[rows] > 1e-12
             has_donor = donors.any(axis=1)
             hi = marginals.max(axis=1)
             lo = np.where(donors, marginals, np.inf).min(axis=1)
             stale = has_donor & (hi > 0.0) & (hi - lo > 2.0 * _LAMBDA_TOLERANCE * hi)
-            hints = np.asarray(step_hints, dtype=float)[rows]
             step[rows] = np.where(
                 stale,
                 cold_step[rows],
-                np.clip(hints, 2.0 * min_step[rows], cold_step[rows]),
+                np.clip(hints[rows], 2.0 * min_step[rows], cold_step[rows]),
             )
             probe = np.zeros_like(bids)
             probe[rows] = marginals
@@ -213,7 +224,7 @@ class HillClimbBidder(BiddingStrategy):
                 # since, and each row's marginals depend only on its own
                 # bids, so only rows it did not cover are evaluated.
                 marginals = probe[rows]
-                unprobed = ~warm[rows]
+                unprobed = ~probed[rows]
                 if unprobed.any():
                     marginals[unprobed] = marginals_at(rows[unprobed], current[unprobed])
                 probe = None
@@ -246,7 +257,8 @@ class HillClimbBidder(BiddingStrategy):
             # Step 3: exponential back-off.
             step[move] *= 0.5
             rows = move[step[move] >= min_step[move]]
-        return bids, evaluated if fresh.all() else None
+        evaluated[~fresh] = np.nan
+        return bids, evaluated
 
 
 class ExactBidder(BiddingStrategy):

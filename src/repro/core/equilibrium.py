@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import EVAL_COUNTERS
 from ..utility.batch import BatchedUtilitySet
@@ -45,6 +46,7 @@ __all__ = [
     "WarmStart",
     "EquilibriumResult",
     "find_equilibrium",
+    "find_equilibria",
 ]
 
 #: Paper's global price-convergence tolerance (Section 2.1).
@@ -228,90 +230,221 @@ def find_equilibrium(
     stay on the full bid matrix, so every sum keeps its order.  When a
     class is split, and under Gauss–Seidel, every player is its own
     class.
+
+    This is the one-market case of :func:`find_equilibria`'s loop.
     """
     if bidder is None:
         bidder = HillClimbBidder()
-    price_tolerance = PRICE_TOLERANCE
     if update not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown update mode {update!r}")
+    return _lockstep([_Search(market, warm_start, update)], bidder)[0]
 
-    capacities = market.capacities
-    budgets = market.budgets
-    everyone = np.arange(market.num_players)
+
+def find_equilibria(
+    markets: Sequence[Market], warm_starts: Sequence[Optional[WarmStart]]
+) -> List[EquilibriumResult]:
+    """Solve K markets over one problem in one lockstep search.
+
+    ``markets[k]`` is searched from ``warm_starts[k]`` (``None`` for a
+    cold search) with the default hill climb and Jacobi rounds, and
+    ``result[k]`` is bitwise what ``find_equilibrium(markets[k],
+    warm_start=warm_starts[k])`` returns, except for ``eval_counts``.
+    Every round sends the class rows of all live markets through one
+    :meth:`HillClimbBidder.optimize_all
+    <repro.core.bidding.HillClimbBidder.optimize_all>` call on the
+    problem's one evaluator.  Each market keeps its own totals, others'
+    bids, prices, convergence test, damping, warm anchor, iteration cap
+    and marginal reuse, and leaves the stack once it settles.  A best
+    response depends on its own market alone, and the evaluator's row
+    ``k`` on row ``k`` alone, so stacking changes no bit; it only shares
+    each dispatch's fixed cost among the markets.
+
+    ``eval_counts`` of a stacked search are the tallies of the whole
+    search, the same in each of its K results: one dispatch serves every
+    live market, so it belongs to none of them alone.  Sum them once
+    per search, not once per result.  With one market they are that
+    search's own tallies, as from :func:`find_equilibrium`.
+    """
+    markets = list(markets)
+    warm_starts = list(warm_starts)
+    if len(warm_starts) != len(markets):
+        raise ValueError(f"got {len(warm_starts)} warm starts for {len(markets)} markets")
+    if any(market.problem is not markets[0].problem for market in markets):
+        raise MarketConfigurationError("stacked markets must share one problem")
+    searches = [
+        _Search(market, warm_start, "jacobi")
+        for market, warm_start in zip(markets, warm_starts)
+    ]
+    return _lockstep(searches, HillClimbBidder())
+
+
+def _lockstep(searches: List["_Search"], bidder: BiddingStrategy) -> List[EquilibriumResult]:
+    """Run ``searches`` (one problem) round by round until each settles."""
     counters_at_entry = EVAL_COUNTERS.snapshot()
-    evaluator = market.evaluator
-    last_moves: Optional[np.ndarray] = None
-    anchor: Optional[np.ndarray] = None
-    warm_started = False
-    if warm_start is not None and warm_start.compatible_with(market):
-        bids = warm_start.bids_for(budgets)
-        last_moves = warm_start.last_moves
-        anchor = warm_start.anchor_prices
-        warm_started = True
-    else:
-        bids = market.equal_split_bids()
-    # One row per player class when the class premise holds (see above).
-    classes, representatives = everyone, everyone
-    if (
-        update == "jacobi"
-        and evaluator.representatives.size < everyone.size
-        and evaluator.classwise_constant(budgets)
-        and evaluator.classwise_constant(bids)
-        and (last_moves is None or evaluator.classwise_constant(last_moves))
-    ):
-        classes, representatives = evaluator.classes, evaluator.representatives
-    class_budgets = budgets.take(representatives)
-    prices = market.prices(bids)
-    price_history: List[np.ndarray] = [prices.copy()]
-
-    converged = False
-    iterations = 0
-    damped = False
-    marginals: Optional[np.ndarray] = None
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        totals = bids.sum(axis=0)
-        previous_bids = bids
-        # Cold first rounds get no current bids (pristine paper
-        # semantics: climb from the equal split at full step); every
-        # later round — and every warm-started round — resumes from the
-        # player's previous bids with a step sized to its last move.
-        resume = warm_started or iterations > 1
-        if update == "jacobi":
-            class_bids = bids.take(representatives, axis=0)
-            class_bids, marginals = bidder.optimize_all(
-                evaluator,
-                representatives,
-                class_budgets,
-                totals[None, :] - class_bids,
-                capacities,
-                current_bids=class_bids if resume else None,
-                step_hints=None if last_moves is None else last_moves.take(representatives),
-            )
-            bids = class_bids.take(classes, axis=0)
+    live = searches
+    while live:
+        if live[0].update == "jacobi":
+            _jacobi_round(live, bidder)
         else:
-            # Sequential rounds maintain the per-resource bid totals
-            # incrementally (O(N·M) per round) instead of re-summing the
-            # whole matrix for every player (O(N²·M)).  The running
-            # totals accumulate each player's delta, so they can drift
-            # from a fresh column sum by float-rounding dust — the
-            # regression test pins the resulting equilibria to the
-            # recomputed-sum oracle within 1e-9.
-            marginals = None
-            bids = bids.copy()
-            for i in everyone:
-                row = everyone[i : i + 1]
-                new_row = bidder.optimize_all(
-                    evaluator,
-                    row,
-                    budgets[row],
-                    (totals - bids[i])[None, :],
-                    capacities,
-                    current_bids=bids[row] if resume else None,
-                    step_hints=None if last_moves is None else last_moves[row],
-                )[0][0]
-                totals += new_row - bids[i]
-                bids[i] = new_row
+            live[0].gauss_seidel_round(bidder)
+        live = [search for search in live if not search.done]
+    results = [search.result() for search in searches]
+    counts = EVAL_COUNTERS.since(counters_at_entry)
+    for result in results:
+        result.eval_counts = dict(counts)
+    return results
 
+
+def _jacobi_round(live: List["_Search"], bidder: BiddingStrategy) -> None:
+    """One Jacobi round of every live market in one ``optimize_all`` call.
+
+    With several markets, rows of a cold first round get a NaN seed (no
+    seed: the equal split) and rows without a last move a NaN hint (no
+    hint), so every row climbs as in its own market's call.  One market's
+    block goes to the bidder as it is.
+    """
+    market = live[0].market
+    players, budgets, others, seeds, hints = zip(*(search.block() for search in live))
+    sizes = [block.size for block in players]
+
+    def stacked(parts, fill: Optional[Callable[[int], np.ndarray]] = None) -> Optional[np.ndarray]:
+        """``parts`` as one block; a ``None`` part becomes ``fill(size)``,
+        and all ``None`` stays ``None``."""
+        if all(part is None for part in parts):
+            return None
+        parts = [fill(size) if part is None else part for part, size in zip(parts, sizes)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    class_bids, marginals = bidder.optimize_all(
+        market.evaluator,
+        stacked(players),
+        stacked(budgets),
+        stacked(others),
+        market.capacities,
+        current_bids=stacked(seeds, lambda size: np.full((size, market.num_resources), np.nan)),
+        step_hints=stacked(hints, lambda size: np.full(size, np.nan)),
+    )
+    end = 0
+    for search, size in zip(live, sizes):
+        start, end = end, end + size
+        search.settle(
+            class_bids[start:end], None if marginals is None else marginals[start:end]
+        )
+
+
+class _Search:
+    """One market's state in a lockstep search (see :func:`find_equilibrium`).
+
+    A Jacobi round is :meth:`block` (the class rows the bidder
+    best-responds for), the bidder's call, and :meth:`settle` (pricing,
+    damping, the convergence test); a Gauss–Seidel market runs alone,
+    through :meth:`gauss_seidel_round`.  :meth:`result` assembles the
+    outcome once :attr:`done`.
+    """
+
+    def __init__(self, market: Market, warm_start: Optional[WarmStart], update: str):
+        self.market = market
+        self.update = update
+        self.tolerance = PRICE_TOLERANCE
+        self.max_iterations = MAX_ITERATIONS
+        budgets = self.budgets = market.budgets
+        everyone = np.arange(market.num_players)
+        evaluator = market.evaluator
+        self.last_moves: Optional[np.ndarray] = None
+        self.anchor: Optional[np.ndarray] = None
+        self.warm_started = False
+        if warm_start is not None and warm_start.compatible_with(market):
+            self.bids = warm_start.bids_for(budgets)
+            self.last_moves = warm_start.last_moves
+            self.anchor = warm_start.anchor_prices
+            self.warm_started = True
+        else:
+            self.bids = market.equal_split_bids()
+        # One row per player class when the class premise holds (see
+        # find_equilibrium).
+        self.classes = self.representatives = everyone
+        if (
+            update == "jacobi"
+            and evaluator.representatives.size < everyone.size
+            and evaluator.classwise_constant(budgets)
+            and evaluator.classwise_constant(self.bids)
+            and (self.last_moves is None or evaluator.classwise_constant(self.last_moves))
+        ):
+            self.classes = evaluator.classes
+            self.representatives = evaluator.representatives
+        self.class_budgets = budgets.take(self.representatives)
+        self.prices = market.prices(self.bids)
+        self.price_history: List[np.ndarray] = [self.prices.copy()]
+        self.previous_bids = self.bids
+        self.converged = False
+        self.iterations = 0
+        self.damped = False
+        self.marginals: Optional[np.ndarray] = None
+        self.done = False
+
+    def _begin(self) -> Tuple[np.ndarray, bool]:
+        """Open a round: its starting totals, and whether climbs resume.
+
+        Cold first rounds get no current bids (pristine paper semantics:
+        climb from the equal split at full step); every later round —
+        and every warm-started round — resumes from the player's
+        previous bids with a step sized to its last move.
+        """
+        self.iterations += 1
+        self.previous_bids = self.bids
+        return self.bids.sum(axis=0), self.warm_started or self.iterations > 1
+
+    def block(self) -> tuple:
+        """Open a Jacobi round and return its class-row block:
+        ``(players, budgets, others, current_bids, step_hints)``."""
+        totals, resume = self._begin()
+        representatives = self.representatives
+        class_bids = self.bids.take(representatives, axis=0)
+        return (
+            representatives,
+            self.class_budgets,
+            totals[None, :] - class_bids,
+            class_bids if resume else None,
+            None if self.last_moves is None else self.last_moves.take(representatives),
+        )
+
+    def gauss_seidel_round(self, bidder: BiddingStrategy) -> None:
+        """One Gauss–Seidel round: players re-bid one after another.
+
+        Sequential rounds maintain the per-resource bid totals
+        incrementally (O(N·M) per round) instead of re-summing the whole
+        matrix for every player (O(N²·M)).  The running totals
+        accumulate each player's delta, so they can drift from a fresh
+        column sum by float-rounding dust — the regression test pins the
+        resulting equilibria to the recomputed-sum oracle within 1e-9.
+        """
+        evaluator, capacities = self.market.evaluator, self.market.capacities
+        totals, resume = self._begin()
+        budgets, last_moves = self.budgets, self.last_moves
+        bids = self.bids.copy()
+        everyone = self.representatives
+        for i in everyone:
+            row = everyone[i : i + 1]
+            new_row = bidder.optimize_all(
+                evaluator,
+                row,
+                budgets[row],
+                (totals - bids[i])[None, :],
+                capacities,
+                current_bids=bids[row] if resume else None,
+                step_hints=None if last_moves is None else last_moves[row],
+            )[0][0]
+            totals += new_row - bids[i]
+            bids[i] = new_row
+        self._close(bids, None)
+
+    def settle(self, class_bids: np.ndarray, marginals: Optional[np.ndarray]) -> None:
+        """Close a Jacobi round on the bidder's class-row bids and marginals."""
+        self._close(class_bids.take(self.classes, axis=0), marginals)
+
+    def _close(self, bids: np.ndarray, marginals: Optional[np.ndarray]) -> None:
+        market, tolerance, prices = self.market, self.tolerance, self.prices
+        previous_bids = self.previous_bids
         new_prices = market.prices(bids)
         # Simultaneous (Jacobi) best responses can settle into a
         # period-2 price oscillation: everyone overshoots together,
@@ -321,78 +454,87 @@ def find_equilibrium(
         # budget-feasible bid matrices is budget-feasible), which
         # collapses the cycle onto its midpoint.
         oscillating = (
-            len(price_history) >= 2
-            and _prices_stable(price_history[-2], new_prices, price_tolerance)
-            and not _prices_stable(prices, new_prices, price_tolerance)
+            len(self.price_history) >= 2
+            and _prices_stable(self.price_history[-2], new_prices, tolerance)
+            and not _prices_stable(prices, new_prices, tolerance)
         )
         # Drifting cycles can evade the period-2 detector; once the
         # loop has clearly failed to settle on its own, damp every
         # round (averaging is a no-op at a fixed point).
-        slow = iterations > 8 and not _prices_stable(prices, new_prices, price_tolerance)
-        damped = update == "jacobi" and (oscillating or slow)
-        if damped:
+        slow = self.iterations > 8 and not _prices_stable(prices, new_prices, tolerance)
+        self.damped = self.update == "jacobi" and (oscillating or slow)
+        if self.damped:
             bids = 0.5 * (previous_bids + bids)
             new_prices = market.prices(bids)
-        last_moves = np.abs(bids - previous_bids).max(axis=1)
-        price_history.append(new_prices.copy())
-        if _prices_stable(prices, new_prices, price_tolerance):
+        self.bids = bids
+        self.marginals = marginals
+        self.last_moves = np.abs(bids - previous_bids).max(axis=1)
+        self.price_history.append(new_prices.copy())
+        if _prices_stable(prices, new_prices, tolerance):
             if (
-                warm_started
-                and iterations == 1
-                and anchor is not None
-                and not _prices_stable(anchor, new_prices, price_tolerance)
+                self.warm_started
+                and self.iterations == 1
+                and self.anchor is not None
+                and not _prices_stable(self.anchor, new_prices, tolerance)
             ):
                 # The seed is round-over-round stable, but drift since
                 # the last full search has accumulated past the
                 # tolerance: refuse the cheap acceptance and re-search
                 # with cold-sized steps from the current bids.
-                anchor = None
-                last_moves = None
-                prices = new_prices
-                continue
-            prices = new_prices
-            converged = True
-            break
-        prices = new_prices
+                self.anchor = None
+                self.last_moves = None
+            else:
+                self.converged = True
+        self.prices = new_prices
+        self.done = self.converged or self.iterations >= self.max_iterations
 
-    if _sanitize.ACTIVE:
-        _sanitize.check_convergence(converged, price_history, price_tolerance)
-    state = market.allocate(bids)
-    utilities = evaluator.values(
-        state.allocations.take(representatives, axis=0), representatives
-    ).take(classes)
-    # "No bid moved": last_moves entries are non-negative maxima of
-    # |bid deltas|, so none-positive means all-zero (spelled without a
-    # float equality); only then are the marginals at the final bids.
-    if damped or last_moves is None or np.any(last_moves > 0.0):
-        marginals = None
-    lambdas = _final_lambdas(
-        bids, capacities, evaluator, marginals, representatives
-    ).take(classes)
-    return EquilibriumResult(
-        state=state,
-        utilities=utilities,
-        lambdas=lambdas,
-        iterations=iterations,
-        converged=converged,
-        price_history=price_history,
-        warm_start=WarmStart(
-            bids=bids.copy(),
-            budgets=budgets,
-            last_moves=None if last_moves is None else last_moves.copy(),
-            # A single verification round keeps the previous anchor; any
-            # real (re-)search plants a new one at its own end point.
-            anchor_prices=(
-                anchor.copy()
-                if (warm_started and iterations == 1 and anchor is not None)
-                else prices.copy()
+    def result(self) -> EquilibriumResult:
+        """The settled search's outcome (``eval_counts`` left to the caller)."""
+        market, bids = self.market, self.bids
+        classes, representatives = self.classes, self.representatives
+        last_moves, anchor = self.last_moves, self.anchor
+        if _sanitize.ACTIVE:
+            _sanitize.check_convergence(self.converged, self.price_history, self.tolerance)
+        state = market.allocate(bids)
+        utilities = market.evaluator.values(
+            state.allocations.take(representatives, axis=0), representatives
+        ).take(classes)
+        # "No bid moved": last_moves entries are non-negative maxima of
+        # |bid deltas|, so none-positive means all-zero (spelled without a
+        # float equality); only then, and only when the bidder evaluated
+        # every row there, are the marginals at the final bids.
+        marginals = self.marginals
+        if (
+            self.damped
+            or last_moves is None
+            or np.any(last_moves > 0.0)
+            or (marginals is not None and np.isnan(marginals).any())
+        ):
+            marginals = None
+        lambdas = _final_lambdas(
+            bids, market.capacities, market.evaluator, marginals, representatives
+        ).take(classes)
+        verified = self.warm_started and self.iterations == 1 and anchor is not None
+        return EquilibriumResult(
+            state=state,
+            utilities=utilities,
+            lambdas=lambdas,
+            iterations=self.iterations,
+            converged=self.converged,
+            price_history=self.price_history,
+            warm_start=WarmStart(
+                bids=bids.copy(),
+                budgets=self.budgets,
+                last_moves=None if last_moves is None else last_moves.copy(),
+                # A single verification round keeps the previous anchor;
+                # any real (re-)search plants a new one at its own end
+                # point.
+                anchor_prices=anchor.copy() if verified else self.prices.copy(),
+                player_names=tuple(market.problem.player_names),
+                resource_names=tuple(market.problem.resource_names),
             ),
-            player_names=tuple(market.problem.player_names),
-            resource_names=tuple(market.problem.resource_names),
-        ),
-        warm_started=warm_started,
-        eval_counts=EVAL_COUNTERS.since(counters_at_entry),
-    )
+            warm_started=self.warm_started,
+        )
 
 
 def _final_lambdas(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, HillClimbBidder
-from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import EquilibriumResult, WarmStart, find_equilibria, find_equilibrium
 from .market import Market
 from .metrics import (
     efficiency as efficiency_metric,
@@ -38,7 +38,7 @@ from .metrics import (
     market_utility_range,
 )
 from .optimum import max_efficiency_allocation
-from .rebudget import ReBudgetConfig, ReBudgetResult, run_rebudget
+from .rebudget import ReBudgetConfig, ReBudgetLoop, ReBudgetResult, run_rebudget
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -53,6 +53,7 @@ __all__ = [
     "ElasticitiesProportional",
     "clamp_to_per_player_caps",
     "standard_mechanism_suite",
+    "allocate_all",
 ]
 
 #: Paper's per-player initial budget in all experiments.
@@ -138,7 +139,8 @@ class AllocationProblem:
         """The cold equilibrium at :data:`DEFAULT_BUDGET` per player.
 
         Solved on first use by the default hill climb from the equal
-        split, and kept.  The equilibrium depends only on the budgets
+        split, and kept; :func:`allocate_all` solves it in its first
+        stacked search instead, bitwise the same.  The equilibrium depends only on the budgets
         and the utilities, and the climb is deterministic, so this one
         solve is bitwise EqualBudget's cold result and the round 0 of
         every cold ReBudget loop on the problem.  Its arrays are
@@ -367,6 +369,11 @@ class BalancedBudget(EqualBudget):
     name = "Balanced"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
+        return self._solve(problem, self._budgets(problem))
+
+    @staticmethod
+    def _budgets(problem: AllocationProblem) -> np.ndarray:
+        """Every player's budget: its normalized potential, scaled."""
         num_players = problem.num_players
         if problem.per_player_caps is not None:
             best = np.minimum(problem.capacities, problem.per_player_caps)
@@ -386,7 +393,7 @@ class BalancedBudget(EqualBudget):
         else:
             # Keep a small floor so no player is priced out entirely.
             budgets = DEFAULT_BUDGET * np.maximum(potentials / top, 0.05)
-        return self._solve(problem, budgets)
+        return budgets
 
 
 class ReBudgetMechanism(AllocationMechanism):
@@ -420,15 +427,22 @@ class ReBudgetMechanism(AllocationMechanism):
             self.name = f"ReBudget(EF>={min_envy_freeness:g})"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        market = problem.build_market(
-            [self.config.initial_budget] * problem.num_players
-        )
-        rebudget: ReBudgetResult = run_rebudget(
+        market = self._market(problem)
+        rebudget = run_rebudget(
             market,
             self.config,
             warm_start=self.warm_state,
             round0=problem.equal_budget_equilibrium if self.warm_state is None else None,
         )
+        return self._score(problem, market, rebudget)
+
+    def _market(self, problem: AllocationProblem) -> Market:
+        return problem.build_market([self.config.initial_budget] * problem.num_players)
+
+    def _score(
+        self, problem: AllocationProblem, market: Market, rebudget: ReBudgetResult
+    ) -> MechanismResult:
+        """Score the finished loop and carry its seed to the next call."""
         # Budgets restart from an equal split every epoch, so the right
         # seed for the next epoch is this epoch's *first* (equal-budget)
         # equilibrium, not the post-cut final one.
@@ -539,3 +553,147 @@ def standard_mechanism_suite() -> List[AllocationMechanism]:
         ReBudgetMechanism(step=40.0),
         MaxEfficiency(),
     ]
+
+
+def allocate_all(
+    problem: AllocationProblem, mechanisms: Sequence[AllocationMechanism]
+) -> Iterator[Tuple[int, Union[MechanismResult, Exception]]]:
+    """Run every mechanism on ``problem``, stacking their cold markets.
+
+    Yields ``(k, outcome)`` once per mechanism, as ``mechanisms[k]``
+    completes: its :class:`MechanismResult`, bitwise what
+    ``mechanisms[k].allocate(problem)`` returns, or the exception its
+    work raised.  Every mechanism is left with the ``warm_state`` its
+    own ``allocate`` would leave.
+
+    The cold market mechanisms with the default hill climb share
+    stacked searches (:func:`~repro.core.equilibrium.find_equilibria`):
+
+    * stack 1 holds the problem's cold equal-budget solve, which it
+      fills (:attr:`AllocationProblem.equal_budget_equilibrium`), and
+      every cold Balanced solve;
+    * then round ``r`` of every cold ReBudget loop is one stacked search.
+
+    Every other mechanism — EqualShare, MaxEfficiency, EP, a warm
+    mechanism, a non-default bidder, a subclass or a duck-typed
+    mechanism — calls its own ``allocate`` after the stacks.  An
+    exception in a stacked search fails every mechanism the search
+    serves; one in a mechanism's own work fails that mechanism alone.
+    """
+    mechanisms = list(mechanisms)
+    budgeted = [k for k, mechanism in enumerate(mechanisms) if _stacks_budget(mechanism)]
+    looped = [k for k, mechanism in enumerate(mechanisms) if _stacks_loop(mechanism)]
+    failure = yield from _stacked_budgets(problem, mechanisms, budgeted, bool(looped))
+    if failure is None:
+        yield from _stacked_loops(problem, mechanisms, looped)
+    else:
+        for k in looped:
+            yield k, failure
+    stacked = set(budgeted + looped)
+    for k, mechanism in enumerate(mechanisms):
+        if k not in stacked:
+            yield k, _attempt(mechanism.allocate, problem)
+
+
+def _stacks_budget(mechanism: AllocationMechanism) -> bool:
+    """A cold EqualBudget or Balanced on the default hill climb."""
+    return (
+        type(mechanism) in (EqualBudget, BalancedBudget)
+        and mechanism.warm_state is None
+        and type(mechanism.bidder) is HillClimbBidder
+    )
+
+
+def _stacks_loop(mechanism: AllocationMechanism) -> bool:
+    """A cold ReBudget."""
+    return type(mechanism) is ReBudgetMechanism and mechanism.warm_state is None
+
+
+def _attempt(work, *args):
+    """``work(*args)``, or the exception it raised."""
+    try:
+        return work(*args)
+    except Exception as error:
+        return error
+
+
+def _stacked_budgets(
+    problem: AllocationProblem,
+    mechanisms: List[AllocationMechanism],
+    budgeted: List[int],
+    loops_need_shared: bool,
+) -> Generator[Tuple[int, Union[MechanismResult, Exception]], None, Optional[Exception]]:
+    """Stack 1: the shared cold equal-budget solve and every cold
+    Balanced solve, then the ``budgeted`` mechanisms' results.
+
+    Returns the exception of a failed stack that held the shared solve,
+    which every cold ReBudget loop would start from; otherwise ``None``.
+    """
+    balanced = [k for k in budgeted if type(mechanisms[k]) is BalancedBudget]
+    solve_shared = problem._equal_budget_equilibrium is None and (
+        loops_need_shared or len(balanced) < len(budgeted)
+    )
+
+    def solve() -> List[EquilibriumResult]:
+        markets = [problem.build_market(mechanisms[k]._budgets(problem)) for k in balanced]
+        if solve_shared:
+            markets.insert(0, problem.build_market([DEFAULT_BUDGET] * problem.num_players))
+        return find_equilibria(markets, [None] * len(markets))
+
+    equilibria = _attempt(solve)
+    if isinstance(equilibria, Exception):
+        for k in budgeted:
+            yield k, equilibria
+        return equilibria if solve_shared else None
+    if solve_shared:
+        problem._equal_budget_equilibrium = _read_only(equilibria.pop(0))
+    own = dict(zip(balanced, equilibria))
+    for k in budgeted:
+        equilibrium = own[k] if k in own else problem.equal_budget_equilibrium
+        yield k, _attempt(mechanisms[k]._score, problem, equilibrium)
+    return None
+
+
+def _start_loop(problem: AllocationProblem, mechanism: ReBudgetMechanism) -> ReBudgetLoop:
+    return ReBudgetLoop(
+        mechanism._market(problem), mechanism.config, round0=problem.equal_budget_equilibrium
+    )
+
+
+def _stacked_loops(
+    problem: AllocationProblem,
+    mechanisms: List[AllocationMechanism],
+    looped: List[int],
+) -> Iterator[Tuple[int, Union[MechanismResult, Exception]]]:
+    """Every cold ReBudget loop, round ``r`` of all in one stacked search;
+    each mechanism's result as its loop stops."""
+    live: List[Tuple[int, ReBudgetLoop]] = []
+    for k in looped:
+        loop = _attempt(_start_loop, problem, mechanisms[k])
+        if isinstance(loop, Exception):
+            yield k, loop
+        else:
+            live.append((k, loop))
+    while True:
+        for k, loop in live:
+            if loop.done:
+                yield k, _attempt(mechanisms[k]._score, problem, loop.market, loop.result)
+        live = [(k, loop) for k, loop in live if not loop.done]
+        if not live:
+            return
+        equilibria = _attempt(
+            find_equilibria,
+            [loop.market for _, loop in live],
+            [loop.warm_start for _, loop in live],
+        )
+        if isinstance(equilibria, Exception):
+            for k, _ in live:
+                yield k, equilibria
+            return
+        failed = []
+        for (k, loop), equilibrium in zip(live, equilibria):
+            failure = _attempt(loop.advance, equilibrium)
+            if failure is not None:
+                failed.append(k)
+                yield k, failure
+        live = [(k, loop) for k, loop in live if k not in failed]

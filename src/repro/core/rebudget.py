@@ -31,7 +31,13 @@ from .market import Market
 from .metrics import market_budget_range, market_utility_range
 from .theory import ef_lower_bound, min_mbr_for_envy_freeness
 
-__all__ = ["ReBudgetConfig", "ReBudgetRound", "ReBudgetResult", "run_rebudget"]
+__all__ = [
+    "ReBudgetConfig",
+    "ReBudgetRound",
+    "ReBudgetResult",
+    "ReBudgetLoop",
+    "run_rebudget",
+]
 
 #: The loop stops once ``step`` falls below this fraction of the initial
 #: budget (the paper's 1%).
@@ -145,6 +151,104 @@ class ReBudgetResult:
         return sum(r.equilibrium.iterations for r in self.rounds)
 
 
+class ReBudgetLoop:
+    """One ReBudget loop on ``market``, advanced one equilibrium at a time.
+
+    The loop's state between rounds is its step, budget floor, back-off
+    and stop rule, the market's budgets and the rounds so far
+    (:attr:`result`).  :attr:`warm_start` seeds the next round's search;
+    :meth:`advance` takes that round's equilibrium, records it and makes
+    its cuts; :attr:`done` says the loop has stopped.
+    :func:`run_rebudget` drives one loop through
+    :func:`~repro.core.equilibrium.find_equilibrium`;
+    :func:`~repro.core.mechanisms.allocate_all` drives several through
+    one stacked search per round.  The arguments are
+    :func:`run_rebudget`'s.
+    """
+
+    def __init__(
+        self,
+        market: Market,
+        config: Optional[ReBudgetConfig] = None,
+        warm_start: Optional[WarmStart] = None,
+        round0: Optional[EquilibriumResult] = None,
+    ):
+        config = config or ReBudgetConfig()
+        self.market = market
+        self.config = config
+        self.step, self.floor = config.resolve()
+        self.min_step = _STEP_STOP_FRACTION * config.initial_budget
+        market.budgets = np.full(market.num_players, config.initial_budget)
+        self.result = ReBudgetResult()
+        self.warm_start: Optional[WarmStart] = warm_start
+        self.done = False
+        self._step_exhausted = False
+        if round0 is not None:
+            _check_round0(round0, market, config.initial_budget, warm_start)
+            self.advance(round0)
+
+    def advance(self, equilibrium: EquilibriumResult) -> None:
+        """Record the next round's ``equilibrium`` and make its cuts."""
+        config, market = self.config, self.market
+        lambdas = equilibrium.lambdas
+        budgets = market.budgets
+        cut_players: List[int] = []
+
+        # Step (3): cut the budget of every player whose lambda_i sits
+        # below the threshold, but never below the MBR floor.  A player
+        # whose full step would cross the floor is cut partially, onto
+        # the floor itself — skipping it instead would leave low-lambda
+        # players stranded just above the floor and the configured
+        # fairness knob (min_envy_freeness -> MBR * B) never reached.
+        # Once the step has shrunk below 1% of the initial budget, this
+        # round's equilibrium is the final outcome and no more cuts are
+        # made.
+        if not self._step_exhausted:
+            threshold = config.lambda_threshold * float(lambdas.max(initial=0.0))
+            cut = (lambdas < threshold) & (budgets > self.floor + 1e-12)
+            cut_players = np.flatnonzero(cut).tolist()
+            market.budgets = np.where(
+                cut, np.maximum(budgets - self.step, self.floor), budgets
+            )
+
+        if _sanitize.ACTIVE:
+            _sanitize.check_budget_floor(market.budgets, self.floor, config.initial_budget)
+
+        self.result.rounds.append(
+            ReBudgetRound(
+                round_index=len(self.result.rounds),
+                step=self.step,
+                budgets=budgets,
+                lambdas=lambdas,
+                mur=market_utility_range(lambdas),
+                mbr=market_budget_range(budgets),
+                efficiency=equilibrium.efficiency,
+                cut_players=cut_players,
+                equilibrium=equilibrium,
+            )
+        )
+
+        if (
+            self._step_exhausted
+            or not cut_players
+            or len(self.result.rounds) >= _MAX_ROUNDS
+        ):
+            self.done = True
+            return
+
+        # Step (4): exponential back-off.  When the next step would be
+        # below the stop threshold we still re-converge once so that the
+        # final equilibrium reflects the last round's cuts.
+        self.step *= config.backoff
+        if self.step < self.min_step:
+            self._step_exhausted = True
+
+        # Warm-start the next equilibrium from this round's end-state;
+        # the search rescales the bids to the post-cut budgets, which
+        # keeps re-convergence fast.
+        self.warm_start = equilibrium.warm_start
+
+
 def run_rebudget(
     market: Market,
     config: Optional[ReBudgetConfig] = None,
@@ -173,75 +277,10 @@ def run_rebudget(
     without ``warm_start``, raises :class:`MarketConfigurationError`.
     Called without it, as direct callers do, the loop solves round 0.
     """
-    config = config or ReBudgetConfig()
-    step, floor = config.resolve()
-    initial_budget = config.initial_budget
-    min_step = _STEP_STOP_FRACTION * initial_budget
-
-    market.budgets = np.full(market.num_players, initial_budget)
-    if round0 is not None:
-        _check_round0(round0, market, initial_budget, warm_start)
-
-    result = ReBudgetResult()
-    round_warm: Optional[WarmStart] = warm_start
-    step_exhausted = False
-    for round_index in range(_MAX_ROUNDS):
-        if round0 is not None:
-            equilibrium, round0 = round0, None
-        else:
-            equilibrium = find_equilibrium(market, warm_start=round_warm)
-        lambdas = equilibrium.lambdas
-        budgets = market.budgets
-        cut_players: List[int] = []
-
-        # Step (3): cut the budget of every player whose lambda_i sits
-        # below the threshold, but never below the MBR floor.  A player
-        # whose full step would cross the floor is cut partially, onto
-        # the floor itself — skipping it instead would leave low-lambda
-        # players stranded just above the floor and the configured
-        # fairness knob (min_envy_freeness -> MBR * B) never reached.
-        # Once the step has shrunk below 1% of the initial budget, this
-        # round's equilibrium is the final outcome and no more cuts are
-        # made.
-        if not step_exhausted:
-            threshold = config.lambda_threshold * float(lambdas.max(initial=0.0))
-            cut = (lambdas < threshold) & (budgets > floor + 1e-12)
-            cut_players = np.flatnonzero(cut).tolist()
-            market.budgets = np.where(cut, np.maximum(budgets - step, floor), budgets)
-
-        if _sanitize.ACTIVE:
-            _sanitize.check_budget_floor(market.budgets, floor, initial_budget)
-
-        result.rounds.append(
-            ReBudgetRound(
-                round_index=round_index,
-                step=step,
-                budgets=budgets,
-                lambdas=lambdas,
-                mur=market_utility_range(lambdas),
-                mbr=market_budget_range(budgets),
-                efficiency=equilibrium.efficiency,
-                cut_players=cut_players,
-                equilibrium=equilibrium,
-            )
-        )
-
-        if step_exhausted or not cut_players:
-            break
-
-        # Step (4): exponential back-off.  When the next step would be
-        # below the stop threshold we still re-converge once so that the
-        # final equilibrium reflects the last round's cuts.
-        step *= config.backoff
-        if step < min_step:
-            step_exhausted = True
-
-        # Warm-start the next equilibrium from this round's end-state;
-        # find_equilibrium rescales the bids to the post-cut budgets,
-        # which keeps re-convergence fast.
-        round_warm = equilibrium.warm_start
-
-    return result
+    loop = ReBudgetLoop(market, config, warm_start, round0)
+    while not loop.done:
+        loop.advance(find_equilibrium(market, warm_start=loop.warm_start))
+    return loop.result
 
 
 def _check_round0(

@@ -1,23 +1,35 @@
 """Process-parallel sweep execution.
 
 The experiment harness behind Figures 4 and 5 scores hundreds of
-independent (bundle, mechanism) cells; nothing is shared between them,
-so they shard cleanly over a :mod:`multiprocessing` pool.  The
+independent (bundle, mechanism) cells; nothing is shared between
+bundles, so they shard cleanly over a :mod:`multiprocessing` pool.  The
 :class:`SweepExecutor` here is the one engine both sweeps (and any
-future fan-out workload) run on.  Its contract:
+future fan-out workload) run on.  A work item is one spec; it produces
+one cell, or several when its label is a tuple of cell labels (the
+Fig-4 sweep runs a bundle's whole mechanism line-up as one item).  Its
+contract:
 
 * **Determinism** — a work item sees only its spec, never how items
-  were sharded over workers, and results come back in submission order,
+  were sharded over workers, and cells come back in submission order,
   so ``workers=1`` and ``workers=N`` produce identical results for
-  deterministic cells.  A cell that needs randomness carries its seed
+  deterministic items.  An item that needs randomness carries its seed
   in its spec.
 * **Error isolation** — an exception inside one item is caught in the
-  worker, recorded as a failed :class:`CellOutcome` carrying the
-  formatted traceback, and the rest of the sweep continues.
+  worker and recorded as a failed :class:`CellOutcome` carrying the
+  formatted traceback, for every cell the item had not finished; the
+  rest of the sweep continues.  A multi-cell item fails one cell alone
+  by yielding the exception as that cell's value.
 * **Progress** — as each cell completes (in completion order, which
   under parallelism is not submission order), an optional callback
   receives a :class:`SweepProgress` beat with counts, elapsed time and
-  a naive ETA.
+  a naive ETA.  In-process, a multi-cell item's cells beat one by one
+  as they finish; a pool worker returns a finished item's cells
+  together.
+* **Accounting** — every cell carries the
+  :data:`~repro.utility.base.EVAL_COUNTERS` delta of the work that
+  produced it (for a multi-cell item, the work since its previous cell
+  finished), counted in whichever process ran it;
+  :attr:`SweepRun.eval_counts` sums them.
 * **Serial fallback** — ``workers=1`` runs every item in-process through
   the exact same envelope (same isolation, same progress), with no pool
   and no pickling of results.
@@ -33,7 +45,9 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+
+from ..utility.base import EVAL_COUNTERS
 
 __all__ = ["CellOutcome", "SweepProgress", "SweepRun", "SweepExecutor"]
 
@@ -51,6 +65,8 @@ class CellOutcome:
     #: Formatted traceback of the worker-side exception, when ``not ok``.
     error: Optional[str] = None
     elapsed_s: float = 0.0
+    #: ``EVAL_COUNTERS`` delta of the work that produced this cell.
+    eval_counts: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -90,6 +106,16 @@ class SweepRun:
         """Successful cells' values, in submission order."""
         return [cell.value for cell in self.cells if cell.ok]
 
+    @property
+    def eval_counts(self) -> Dict[str, int]:
+        """Every cell's ``eval_counts``, summed: the sweep's utility work,
+        whichever processes did it."""
+        totals: Dict[str, int] = {}
+        for cell in self.cells:
+            for name, count in cell.eval_counts.items():
+                totals[name] = totals.get(name, 0) + count
+        return totals
+
     def raise_failures(self) -> None:
         """Re-raise the first failure (for callers that want fail-fast)."""
         for cell in self.cells:
@@ -99,27 +125,55 @@ class SweepRun:
                 )
 
 
-def _execute_cell(task) -> CellOutcome:
-    """Run one work item inside its isolation envelope (worker side)."""
-    index, label, fn, spec = task
+def _item_outcomes(task) -> Iterator[CellOutcome]:
+    """Run one work item inside its isolation envelope, yielding each
+    cell's outcome as it completes (worker side)."""
+    first, labels, several, fn, spec = task
     start = time.perf_counter()
-    try:
-        value = fn(spec)
-        return CellOutcome(
-            index=index,
-            label=label,
-            ok=True,
+    counts_at = EVAL_COUNTERS.snapshot()
+
+    def outcome(k: int, value: Any = None, error: Optional[str] = None) -> CellOutcome:
+        nonlocal start, counts_at
+        now = time.perf_counter()
+        cell = CellOutcome(
+            index=first + k,
+            label=labels[k],
+            ok=error is None,
             value=value,
-            elapsed_s=time.perf_counter() - start,
+            error=error,
+            elapsed_s=now - start,
+            eval_counts=EVAL_COUNTERS.since(counts_at),
         )
+        start, counts_at = now, EVAL_COUNTERS.snapshot()
+        return cell
+
+    pending = set(range(len(labels)))
+    try:
+        for k, value in fn(spec) if several else _one_cell(fn, spec):
+            pending.remove(k)
+            if isinstance(value, Exception):
+                error = "".join(
+                    traceback.format_exception(type(value), value, value.__traceback__)
+                )
+                yield outcome(k, error=error)
+            else:
+                yield outcome(k, value)
+        if pending:
+            raise RuntimeError(f"work item gave no outcome for cells {sorted(pending)}")
     except Exception:
-        return CellOutcome(
-            index=index,
-            label=label,
-            ok=False,
-            error=traceback.format_exc(),
-            elapsed_s=time.perf_counter() - start,
-        )
+        error = traceback.format_exc()
+        for k in sorted(pending):
+            yield outcome(k, error=error)
+
+
+def _one_cell(fn: Callable[[Any], Any], spec: Any) -> Iterator[tuple]:
+    """A one-cell item's ``(k, value)`` stream."""
+    yield 0, fn(spec)
+
+
+def _execute_item(task) -> List[CellOutcome]:
+    """Every cell outcome of one work item (pool worker side)."""
+    return list(_item_outcomes(task))
 
 
 class SweepExecutor:
@@ -136,9 +190,9 @@ class SweepExecutor:
         completed cell.
 
     The pool forks where the platform can (cheap, inherits imports) and
-    spawns elsewhere, and hands each worker one task per dispatch: the
-    best load balance for heterogeneous cell costs (a MaxEfficiency cell
-    is ~40x an EqualShare cell).
+    spawns elsewhere, and hands each worker one work item per dispatch:
+    the best load balance for heterogeneous item costs (a MaxEfficiency
+    cell is ~40x an EqualShare cell).
     """
 
     def __init__(
@@ -155,9 +209,16 @@ class SweepExecutor:
         self,
         fn: Callable[[Any], Any],
         specs: Sequence[Any],
-        labels: Optional[Sequence[str]] = None,
+        labels: Optional[Sequence[Any]] = None,
     ) -> SweepRun:
         """Apply ``fn(spec)`` to every spec.
+
+        A spec whose label is a string (the default labels are) is one
+        cell, and ``fn(spec)`` returns its value.  A spec whose label is
+        a tuple of strings is one work item with a cell per string:
+        ``fn(spec)`` returns an iterable of ``(k, value)`` pairs, one per
+        cell ``k`` of the tuple, in any order.  A value that is an
+        exception fails its cell alone.
 
         ``fn`` must be a module-level callable when ``workers > 1`` (it
         is pickled by reference into the workers).  Returns a
@@ -165,17 +226,22 @@ class SweepExecutor:
         the completion order was.
         """
         specs = list(specs)
-        n = len(specs)
         if labels is None:
-            labels = [f"cell-{i}" for i in range(n)]
-        elif len(labels) != n:
-            raise ValueError(f"got {len(labels)} labels for {n} specs")
+            labels = [f"cell-{i}" for i in range(len(specs))]
+        elif len(labels) != len(specs):
+            raise ValueError(f"got {len(labels)} labels for {len(specs)} specs")
 
-        tasks = [(i, str(labels[i]), fn, specs[i]) for i in range(n)]
+        tasks = []
+        n = 0
+        for spec, label in zip(specs, labels):
+            several = isinstance(label, tuple)
+            cell_labels = tuple(map(str, label)) if several else (str(label),)
+            tasks.append((n, cell_labels, several, fn, spec))
+            n += len(cell_labels)
 
         cells: List[Optional[CellOutcome]] = [None] * n
         start = time.perf_counter()
-        workers = min(self.workers, max(n, 1))
+        workers = min(self.workers, max(len(tasks), 1))
         for completed, outcome in enumerate(
             self._outcomes(tasks, workers), start=1
         ):
@@ -201,9 +267,9 @@ class SweepExecutor:
     def _outcomes(self, tasks, workers: int) -> Iterator[CellOutcome]:
         if workers == 1 or len(tasks) <= 1:
             for task in tasks:
-                yield _execute_cell(task)
+                yield from _item_outcomes(task)
             return
         ctx = multiprocessing.get_context(_START_METHOD)
         with ctx.Pool(workers) as pool:
-            for outcome in pool.imap_unordered(_execute_cell, tasks, chunksize=1):
-                yield outcome
+            for outcomes in pool.imap_unordered(_execute_item, tasks, chunksize=1):
+                yield from outcomes

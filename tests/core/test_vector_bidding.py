@@ -538,4 +538,7 @@ def test_single_climb_equals_scalar_oracle(single, oracle, market):
     if single is PriceTakingBidder:
         assert marginals is None
     elif marginals is not None:
-        assert marginals.tobytes() == at_bids.tobytes()
+        # Rows the climb did not evaluate at their returned bids are
+        # NaN; every other row holds the marginals at its bids.
+        fresh = ~np.isnan(marginals).any(axis=1)
+        assert marginals[fresh].tobytes() == at_bids[fresh].tobytes()

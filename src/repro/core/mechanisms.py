@@ -38,7 +38,7 @@ from .metrics import (
     market_utility_range,
 )
 from .optimum import max_efficiency_allocation
-from .rebudget import ReBudgetConfig, ReBudgetLoop, ReBudgetResult, run_rebudget
+from .rebudget import ReBudgetConfig, ReBudgetLoop, ReBudgetResult
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -62,6 +62,9 @@ DEFAULT_BUDGET = 100.0
 #: Samples per resource axis of the EP rule's Cobb-Douglas fit.
 _EP_SAMPLES_PER_RESOURCE = 5
 
+#: A plan's request for the problem's shared cold equal-budget solve.
+_SHARED_SOLVE = "shared cold equal-budget solve"
+
 
 @dataclass
 class AllocationProblem:
@@ -72,10 +75,9 @@ class AllocationProblem:
     instantiation the vectors are *extra* resources beyond each core's
     free minimum, and the utilities already fold the free minimum in.
 
-    A problem keeps two things it computes on first use: the compiled
-    :attr:`evaluator` and the cold equal-budget equilibrium
-    (:attr:`equal_budget_equilibrium`), which EqualBudget and every
-    ReBudget loop on the problem share.
+    A problem keeps its compiled :attr:`evaluator`, built on first use,
+    and :attr:`equal_budget_equilibrium`, which :func:`allocate_all`
+    fills.
     """
 
     utilities: List[UtilityFunction]
@@ -84,10 +86,14 @@ class AllocationProblem:
     player_names: Sequence[str]
     quanta: Optional[np.ndarray] = None
     per_player_caps: Optional[np.ndarray] = None
-    _evaluator: Optional[BatchedUtilitySet] = field(
+    #: The cold equilibrium at :data:`DEFAULT_BUDGET` per player, once
+    #: :func:`allocate_all` has solved it for a plan that asked; ``None``
+    #: before.  It is EqualBudget's cold result and the round 0 of every
+    #: cold ReBudget loop on the problem, and its arrays are read-only.
+    equal_budget_equilibrium: Optional[EquilibriumResult] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _equal_budget_equilibrium: Optional[EquilibriumResult] = field(
+    _evaluator: Optional[BatchedUtilitySet] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -134,29 +140,6 @@ class AllocationProblem:
             self._evaluator = BatchedUtilitySet(self.utilities)
         return self._evaluator
 
-    @property
-    def equal_budget_equilibrium(self) -> EquilibriumResult:
-        """The cold equilibrium at :data:`DEFAULT_BUDGET` per player.
-
-        Solved on first use by the default hill climb from the equal
-        split, and kept; :func:`allocate_all` solves it in its first
-        stacked search instead, bitwise the same.  The equilibrium depends only on the budgets
-        and the utilities, and the climb is deterministic, so this one
-        solve is bitwise EqualBudget's cold result and the round 0 of
-        every cold ReBudget loop on the problem.  Its arrays are
-        read-only: a reader that writes into one fails instead of
-        changing another mechanism's result.
-
-        Only the mechanisms read it.  :func:`find_equilibrium` and
-        :func:`run_rebudget` called directly still solve for
-        themselves, so timing them on a persistent problem times real
-        solves.
-        """
-        if self._equal_budget_equilibrium is None:
-            market = self.build_market([DEFAULT_BUDGET] * self.num_players)
-            self._equal_budget_equilibrium = _read_only(find_equilibrium(market))
-        return self._equal_budget_equilibrium
-
     def build_market(self, budgets: Sequence[float]) -> Market:
         """A market over this problem with one budget per player."""
         return Market(self, budgets)
@@ -192,6 +175,14 @@ class MechanismResult:
     mur: Optional[float] = None
     mbr: Optional[float] = None
     details: Dict[str, object] = field(default_factory=dict)
+
+
+#: One equilibrium a plan asks for: ``(market, bidder, warm_start)`` in
+#: :func:`find_equilibrium`'s argument order, or :data:`_SHARED_SOLVE`.
+_Request = Union[Tuple[Market, Optional[BiddingStrategy], Optional[WarmStart]], str]
+#: A market mechanism's work on one problem: it yields one request at a
+#: time, receives that request's equilibrium, and returns its result.
+_Plan = Generator[_Request, EquilibriumResult, MechanismResult]
 
 
 def clamp_to_per_player_caps(
@@ -248,6 +239,10 @@ class AllocationMechanism(abc.ABC):
     callers that change the underlying problem out from under the
     mechanism — e.g. a context switch — should still call
     :meth:`reset_warm_state`.
+
+    A market mechanism also defines ``_plan``, the equilibria it needs
+    as a generator of requests, and :func:`allocate_all` runs it; the
+    others define :meth:`allocate` alone.
     """
 
     name: str = "mechanism"
@@ -305,11 +300,12 @@ class EqualBudget(AllocationMechanism):
     resume from an almost-correct answer instead of re-searching from an
     equal split.
 
-    A cold call (no ``warm_state``) with the default
-    :class:`~repro.core.bidding.HillClimbBidder` returns the problem's
-    shared :attr:`~AllocationProblem.equal_budget_equilibrium`, the
-    round 0 of every cold ReBudget loop on the same problem; any other
-    bidder, and every warm call, solves for itself.
+    Its plan asks for one equilibrium.  A cold call (no ``warm_state``)
+    with the default :class:`~repro.core.bidding.HillClimbBidder` asks
+    for the problem's shared cold solve
+    (:attr:`~AllocationProblem.equal_budget_equilibrium`), the round 0 of
+    every cold ReBudget loop on the same problem; any other bidder, and
+    every warm call, asks for its own search from ``warm_state``.
     """
 
     name = "EqualBudget"
@@ -319,21 +315,15 @@ class EqualBudget(AllocationMechanism):
         self.warm_state = None
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
+        return _allocate_alone(self, problem)
+
+    def _plan(self, problem: AllocationProblem) -> _Plan:
         if self.warm_state is None and type(self.bidder) is HillClimbBidder:
-            return self._score(problem, problem.equal_budget_equilibrium)
-        return self._solve(problem, [DEFAULT_BUDGET] * problem.num_players)
-
-    def _solve(
-        self, problem: AllocationProblem, budgets: Sequence[float]
-    ) -> MechanismResult:
-        """Clear the market at ``budgets``, warm-started from the last call.
-
-        The warm bids were computed for the previous call's budgets;
-        ``find_equilibrium`` rescales each row to the fresh ones.
-        """
-        market = problem.build_market(budgets)
-        eq = find_equilibrium(market, bidder=self.bidder, warm_start=self.warm_state)
-        return self._score(problem, eq)
+            request: _Request = _SHARED_SOLVE
+        else:
+            market = problem.build_market([DEFAULT_BUDGET] * problem.num_players)
+            request = (market, self.bidder, self.warm_state)
+        return self._score(problem, (yield request))
 
     def _score(
         self, problem: AllocationProblem, eq: EquilibriumResult
@@ -369,7 +359,15 @@ class BalancedBudget(EqualBudget):
     name = "Balanced"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        return self._solve(problem, self._budgets(problem))
+        # Defined here as well as inherited: perfbench's tracer spans the
+        # ``allocate`` each mechanism class defines itself.
+        return _allocate_alone(self, problem)
+
+    def _plan(self, problem: AllocationProblem) -> _Plan:
+        # The warm bids were computed for the previous call's budgets;
+        # the search rescales each row to the fresh ones.
+        market = problem.build_market(self._budgets(problem))
+        return self._score(problem, (yield market, self.bidder, self.warm_state))
 
     @staticmethod
     def _budgets(problem: AllocationProblem) -> np.ndarray:
@@ -403,11 +401,13 @@ class ReBudgetMechanism(AllocationMechanism):
     ``ReBudgetMechanism(min_envy_freeness=0.5)`` derives the step and the
     budget floor from Theorem 2 instead.
 
-    A cold call (no ``warm_state``) hands the problem's shared
-    :attr:`~AllocationProblem.equal_budget_equilibrium` to
-    :func:`run_rebudget` as its round 0, so EqualBudget and every
-    ReBudget step on one problem solve the equal-budget market once.
-    A warm call starts its round 0 from ``warm_state`` instead.
+    Its plan drives one :class:`~repro.core.rebudget.ReBudgetLoop`,
+    asking for one equilibrium per round on the default hill climb.  A
+    cold call (no ``warm_state``) asks for the problem's shared cold
+    solve (:attr:`~AllocationProblem.equal_budget_equilibrium`) as its
+    round 0, so EqualBudget and every ReBudget step on one problem solve
+    the equal-budget market once.  A warm call searches its round 0 from
+    ``warm_state`` instead.
     """
 
     def __init__(
@@ -427,17 +427,16 @@ class ReBudgetMechanism(AllocationMechanism):
             self.name = f"ReBudget(EF>={min_envy_freeness:g})"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        market = self._market(problem)
-        rebudget = run_rebudget(
-            market,
-            self.config,
-            warm_start=self.warm_state,
-            round0=problem.equal_budget_equilibrium if self.warm_state is None else None,
-        )
-        return self._score(problem, market, rebudget)
+        return _allocate_alone(self, problem)
 
-    def _market(self, problem: AllocationProblem) -> Market:
-        return problem.build_market([self.config.initial_budget] * problem.num_players)
+    def _plan(self, problem: AllocationProblem) -> _Plan:
+        market = problem.build_market([self.config.initial_budget] * problem.num_players)
+        loop = ReBudgetLoop(market, self.config, self.warm_state)
+        if self.warm_state is None and self.config.initial_budget == DEFAULT_BUDGET:
+            loop.advance((yield _SHARED_SOLVE))
+        while not loop.done:
+            loop.advance((yield market, None, loop.warm_start))
+        return self._score(problem, market, loop.result)
 
     def _score(
         self, problem: AllocationProblem, market: Market, rebudget: ReBudgetResult
@@ -558,55 +557,59 @@ def standard_mechanism_suite() -> List[AllocationMechanism]:
 def allocate_all(
     problem: AllocationProblem, mechanisms: Sequence[AllocationMechanism]
 ) -> Iterator[Tuple[int, Union[MechanismResult, Exception]]]:
-    """Run every mechanism on ``problem``, stacking their cold markets.
+    """Run every mechanism on ``problem``, stacking their markets.
 
     Yields ``(k, outcome)`` once per mechanism, as ``mechanisms[k]``
-    completes: its :class:`MechanismResult`, bitwise what
-    ``mechanisms[k].allocate(problem)`` returns, or the exception its
-    work raised.  Every mechanism is left with the ``warm_state`` its
-    own ``allocate`` would leave.
+    completes: its :class:`MechanismResult`, or the exception its work
+    raised.  A market mechanism (EqualBudget, Balanced, ReBudget) is a
+    plan (``_plan``) that asks for one equilibrium at a time; its
+    ``allocate`` is this driver on a line-up of one, so a line-up's
+    outcomes, and the ``warm_state`` each mechanism is left with, are
+    bitwise each mechanism's own ``allocate``.
 
-    The cold market mechanisms with the default hill climb share
-    stacked searches (:func:`~repro.core.equilibrium.find_equilibria`):
+    Each step answers every live plan's request.  Requests on the
+    default hill climb, with the problem's shared cold equal-budget
+    solve when a plan asks for it and the problem does not hold it yet
+    (:attr:`AllocationProblem.equal_budget_equilibrium`, which this
+    fills), form one search: :func:`~repro.core.equilibrium.find_equilibria`
+    for two or more markets, :func:`find_equilibrium` for one.  A
+    request on any other bidder is searched alone.  For the standard
+    line-up the first step stacks the shared solve with Balanced, and
+    step ``r`` then stacks round ``r`` of both ReBudget loops.
 
-    * stack 1 holds the problem's cold equal-budget solve, which it
-      fills (:attr:`AllocationProblem.equal_budget_equilibrium`), and
-      every cold Balanced solve;
-    * then round ``r`` of every cold ReBudget loop is one stacked search.
-
-    Every other mechanism — EqualShare, MaxEfficiency, EP, a warm
-    mechanism, a non-default bidder, a subclass or a duck-typed
-    mechanism — calls its own ``allocate`` after the stacks.  An
-    exception in a stacked search fails every mechanism the search
-    serves; one in a mechanism's own work fails that mechanism alone.
+    A failed search fails the plans it serves; an exception inside a
+    plan fails that mechanism alone.  Mechanisms without a plan
+    (EqualShare, MaxEfficiency, EP, duck-typed ones) run their own
+    ``allocate`` after the plans, in line-up order.
     """
     mechanisms = list(mechanisms)
-    budgeted = [k for k, mechanism in enumerate(mechanisms) if _stacks_budget(mechanism)]
-    looped = [k for k, mechanism in enumerate(mechanisms) if _stacks_loop(mechanism)]
-    failure = yield from _stacked_budgets(problem, mechanisms, budgeted, bool(looped))
-    if failure is None:
-        yield from _stacked_loops(problem, mechanisms, looped)
-    else:
-        for k in looped:
-            yield k, failure
-    stacked = set(budgeted + looped)
+    plans = {k: m._plan(problem) for k, m in enumerate(mechanisms) if hasattr(m, "_plan")}
+    answers: Dict[int, object] = dict.fromkeys(plans)
+    while answers:
+        requests = {}
+        for k, answer in answers.items():
+            if isinstance(answer, Exception):
+                yield k, answer
+                continue
+            try:
+                requests[k] = plans[k].send(answer)
+            except StopIteration as finished:
+                yield k, finished.value
+            except Exception as error:
+                yield k, error
+        answers = _answer(problem, requests) if requests else {}
     for k, mechanism in enumerate(mechanisms):
-        if k not in stacked:
+        if k not in plans:
             yield k, _attempt(mechanism.allocate, problem)
 
 
-def _stacks_budget(mechanism: AllocationMechanism) -> bool:
-    """A cold EqualBudget or Balanced on the default hill climb."""
-    return (
-        type(mechanism) in (EqualBudget, BalancedBudget)
-        and mechanism.warm_state is None
-        and type(mechanism.bidder) is HillClimbBidder
-    )
-
-
-def _stacks_loop(mechanism: AllocationMechanism) -> bool:
-    """A cold ReBudget."""
-    return type(mechanism) is ReBudgetMechanism and mechanism.warm_state is None
+def _allocate_alone(mechanism: AllocationMechanism, problem: AllocationProblem) -> MechanismResult:
+    """``mechanism``'s plan run by :func:`allocate_all` alone; raises
+    what its work raised."""
+    ((_, outcome),) = allocate_all(problem, [mechanism])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _attempt(work, *args):
@@ -617,83 +620,60 @@ def _attempt(work, *args):
         return error
 
 
-def _stacked_budgets(
-    problem: AllocationProblem,
-    mechanisms: List[AllocationMechanism],
-    budgeted: List[int],
-    loops_need_shared: bool,
-) -> Generator[Tuple[int, Union[MechanismResult, Exception]], None, Optional[Exception]]:
-    """Stack 1: the shared cold equal-budget solve and every cold
-    Balanced solve, then the ``budgeted`` mechanisms' results.
-
-    Returns the exception of a failed stack that held the shared solve,
-    which every cold ReBudget loop would start from; otherwise ``None``.
-    """
-    balanced = [k for k in budgeted if type(mechanisms[k]) is BalancedBudget]
-    solve_shared = problem._equal_budget_equilibrium is None and (
-        loops_need_shared or len(balanced) < len(budgeted)
-    )
-
-    def solve() -> List[EquilibriumResult]:
-        markets = [problem.build_market(mechanisms[k]._budgets(problem)) for k in balanced]
-        if solve_shared:
-            markets.insert(0, problem.build_market([DEFAULT_BUDGET] * problem.num_players))
-        return find_equilibria(markets, [None] * len(markets))
-
-    equilibria = _attempt(solve)
-    if isinstance(equilibria, Exception):
-        for k in budgeted:
-            yield k, equilibria
-        return equilibria if solve_shared else None
-    if solve_shared:
-        problem._equal_budget_equilibrium = _read_only(equilibria.pop(0))
-    own = dict(zip(balanced, equilibria))
-    for k in budgeted:
-        equilibrium = own[k] if k in own else problem.equal_budget_equilibrium
-        yield k, _attempt(mechanisms[k]._score, problem, equilibrium)
-    return None
+def _stacks(request: _Request) -> bool:
+    """Whether ``request`` joins its step's one stacked search: the
+    shared solve and every request on the default hill climb do."""
+    return request is _SHARED_SOLVE or request[1] is None or type(request[1]) is HillClimbBidder
 
 
-def _start_loop(problem: AllocationProblem, mechanism: ReBudgetMechanism) -> ReBudgetLoop:
-    return ReBudgetLoop(
-        mechanism._market(problem), mechanism.config, round0=problem.equal_budget_equilibrium
-    )
-
-
-def _stacked_loops(
-    problem: AllocationProblem,
-    mechanisms: List[AllocationMechanism],
-    looped: List[int],
-) -> Iterator[Tuple[int, Union[MechanismResult, Exception]]]:
-    """Every cold ReBudget loop, round ``r`` of all in one stacked search;
-    each mechanism's result as its loop stops."""
-    live: List[Tuple[int, ReBudgetLoop]] = []
-    for k in looped:
-        loop = _attempt(_start_loop, problem, mechanisms[k])
-        if isinstance(loop, Exception):
-            yield k, loop
+def _answer(
+    problem: AllocationProblem, requests: Dict[int, _Request]
+) -> Dict[int, Union[EquilibriumResult, Exception]]:
+    """Every request's equilibrium, or the exception its search raised."""
+    held = problem.equal_budget_equilibrium
+    stack: Dict[object, _Request] = {}
+    searches = [stack]
+    for k, request in requests.items():
+        # Every plan that asks for the shared solve reads one job's answer.
+        key = _SHARED_SOLVE if request is _SHARED_SOLVE else k
+        if key is _SHARED_SOLVE and held is not None:
+            continue
+        if _stacks(request):
+            stack[key] = request
         else:
-            live.append((k, loop))
-    while True:
-        for k, loop in live:
-            if loop.done:
-                yield k, _attempt(mechanisms[k]._score, problem, loop.market, loop.result)
-        live = [(k, loop) for k, loop in live if not loop.done]
-        if not live:
-            return
-        equilibria = _attempt(
-            find_equilibria,
-            [loop.market for _, loop in live],
-            [loop.warm_start for _, loop in live],
-        )
-        if isinstance(equilibria, Exception):
-            for k, _ in live:
-                yield k, equilibria
-            return
-        failed = []
-        for (k, loop), equilibrium in zip(live, equilibria):
-            failure = _attempt(loop.advance, equilibrium)
-            if failure is not None:
-                failed.append(k)
-                yield k, failure
-        live = [(k, loop) for k, loop in live if k not in failed]
+            searches.append({key: request})
+    found: Dict[object, object] = {_SHARED_SOLVE: held}
+    for jobs in searches:
+        if jobs:
+            found.update(_search(problem, jobs))
+    return {
+        k: found[_SHARED_SOLVE if request is _SHARED_SOLVE else k]
+        for k, request in requests.items()
+    }
+
+
+def _search(problem: AllocationProblem, jobs: Dict[object, _Request]) -> Dict[object, object]:
+    """Solve ``jobs`` in one search: each key's equilibrium or, when the
+    search raised, that exception for every key.
+
+    The :data:`_SHARED_SOLVE` job is the cold equal-budget market on the
+    default hill climb; its equilibrium, made read-only, becomes the
+    problem's shared solve.
+    """
+    try:
+        searched = [
+            (problem.build_market([DEFAULT_BUDGET] * problem.num_players), None, None)
+            if job is _SHARED_SOLVE else job
+            for job in jobs.values()
+        ]
+        if len(searched) == 1:
+            market, bidder, warm_start = searched[0]
+            found = [find_equilibrium(market, bidder=bidder, warm_start=warm_start)]
+        else:
+            found = find_equilibria([job[0] for job in searched], [job[2] for job in searched])
+    except Exception as error:
+        return dict.fromkeys(jobs, error)
+    outcomes = dict(zip(jobs, found))
+    if _SHARED_SOLVE in outcomes:
+        problem.equal_budget_equilibrium = _read_only(outcomes[_SHARED_SOLVE])
+    return outcomes

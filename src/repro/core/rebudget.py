@@ -161,9 +161,10 @@ class ReBudgetLoop:
     its cuts; :attr:`done` says the loop has stopped.
     :func:`run_rebudget` drives one loop through
     :func:`~repro.core.equilibrium.find_equilibrium`;
-    :func:`~repro.core.mechanisms.allocate_all` drives several through
-    one stacked search per round.  The arguments are
-    :func:`run_rebudget`'s.
+    :class:`~repro.core.mechanisms.ReBudgetMechanism`'s plan drives one
+    through :func:`~repro.core.mechanisms.allocate_all`, which answers
+    round ``r`` of every loop in a line-up with one stacked search.  The
+    arguments are :func:`run_rebudget`'s.
     """
 
     def __init__(
@@ -171,7 +172,6 @@ class ReBudgetLoop:
         market: Market,
         config: Optional[ReBudgetConfig] = None,
         warm_start: Optional[WarmStart] = None,
-        round0: Optional[EquilibriumResult] = None,
     ):
         config = config or ReBudgetConfig()
         self.market = market
@@ -183,9 +183,6 @@ class ReBudgetLoop:
         self.warm_start: Optional[WarmStart] = warm_start
         self.done = False
         self._step_exhausted = False
-        if round0 is not None:
-            _check_round0(round0, market, config.initial_budget, warm_start)
-            self.advance(round0)
 
     def advance(self, equilibrium: EquilibriumResult) -> None:
         """Record the next round's ``equilibrium`` and make its cuts."""
@@ -253,7 +250,6 @@ def run_rebudget(
     market: Market,
     config: Optional[ReBudgetConfig] = None,
     warm_start: Optional[WarmStart] = None,
-    round0: Optional[EquilibriumResult] = None,
 ) -> ReBudgetResult:
     """Execute the ReBudget loop on ``market``.
 
@@ -269,36 +265,13 @@ def run_rebudget(
     equilibrium.  Every subsequent round is seeded from the previous
     round's equilibrium, rescaled to the post-cut budgets.
 
-    ``round0`` is the first round's equilibrium, already solved: a cold
-    :class:`~repro.core.mechanisms.ReBudgetMechanism` passes its
-    problem's shared cold solve, and the loop starts from it instead of
-    searching, bitwise the same.  Anything but a cold search of this
-    market's players and resources at ``initial_budget`` each, given
-    without ``warm_start``, raises :class:`MarketConfigurationError`.
-    Called without it, as direct callers do, the loop solves round 0.
+    Every round is a :func:`find_equilibrium` call of its own: this
+    never reads a problem's shared cold solve, which only
+    :func:`~repro.core.mechanisms.allocate_all` fills and the
+    mechanisms read.
     """
-    loop = ReBudgetLoop(market, config, warm_start, round0)
+    loop = ReBudgetLoop(market, config, warm_start)
     while not loop.done:
         loop.advance(find_equilibrium(market, warm_start=loop.warm_start))
     return loop.result
 
-
-def _check_round0(
-    round0: EquilibriumResult,
-    market: Market,
-    initial_budget: float,
-    warm_start: Optional[WarmStart],
-) -> None:
-    """Raise unless ``round0`` is the cold first-round search of ``market``."""
-    if warm_start is not None:
-        raise MarketConfigurationError("pass round0 or warm_start, not both")
-    if round0.warm_started:
-        raise MarketConfigurationError("round0 must be a cold search")
-    if not round0.warm_start.compatible_with(market):
-        raise MarketConfigurationError(
-            "round0 was solved for other players or resources than the market's"
-        )
-    if np.any(round0.warm_start.budgets != initial_budget):
-        raise MarketConfigurationError(
-            f"round0 was solved at budgets other than {initial_budget:g} each"
-        )

@@ -1,8 +1,8 @@
-"""``allocate_all``: a line-up on one problem, cold markets stacked.
+"""``allocate_all``: a line-up on one problem, its markets stacked.
 
 Each mechanism's result and the ``warm_state`` it is left with must be
 bitwise those of its own ``allocate`` on a fresh problem; mechanisms
-that do not stack must run their own ``allocate``; a failure fails only
+without a plan must run their own ``allocate``; a failure fails only
 the mechanisms it belongs to.
 """
 
@@ -20,11 +20,14 @@ from repro.core import (
     EqualShare,
     MaxEfficiency,
     PriceTakingBidder,
+    ReBudgetLoop,
     ReBudgetMechanism,
     allocate_all,
     standard_mechanism_suite,
 )
 from repro.core import mechanisms as mechanisms_module
+from repro.exceptions import MarketConfigurationError
+from repro.utility import ScaledUtility
 from repro.workloads import generate_bundles
 
 
@@ -40,13 +43,13 @@ def _fresh(cores: int, category: str) -> AllocationProblem:
 
 
 class _Subclassed(EqualBudget):
-    """An EqualBudget subclass: it may override anything, so it runs alone."""
+    """An EqualBudget subclass: it inherits the plan, so it stacks too."""
 
     name = "Subclassed"
 
 
 def _lineup():
-    """Every stacking kind, and every kind that must run alone."""
+    """Every plan kind, cold and warm, and every planless kind."""
     warm = EqualBudget()
     warm.allocate(_fresh(8, "BBPN"))
     warm.name = "WarmEqualBudget"
@@ -59,8 +62,10 @@ def _lineup():
     ]
 
 
-#: Line-up positions of the cold default-bidder markets, which stack.
-STACKED = {1, 2, 3, 4, 6}
+#: Line-up positions of the market mechanisms, which run as plans: the
+#: cold and warm default-bidder markets stack, and the price-taking
+#: Balanced's search runs alone.
+PLANNED = {1, 2, 3, 4, 6, 7, 9, 10}
 
 
 def _key(result):
@@ -107,10 +112,9 @@ def test_equals_each_mechanism_alone(cores, category, monkeypatch):
     for k, mechanism in enumerate(stacked):
         assert _key(got[k]) == _key(expected[k]), mechanism.name
         assert _warm_key(mechanism) == _warm_key(alone[k]), mechanism.name
-    # The stacking mechanisms never ran their own allocate; every other
-    # one did, once.
+    # Only the planless mechanisms ran their own allocate, once each.
     assert sorted(stacked.index(m) for m in called) == [
-        k for k in range(len(stacked)) if k not in STACKED
+        k for k in range(len(stacked)) if k not in PLANNED
     ]
 
 
@@ -157,3 +161,110 @@ def test_a_failing_loop_round_fails_only_the_loops(monkeypatch):
     # of the two loops the second stack.
     assert calls[:2] == [2, 2]
     assert failed == {"ReBudget-20", "ReBudget-40"}
+
+
+def _market_lineup():
+    """Every market mechanism kind of the standard line-up, plus an EF target."""
+    return [
+        EqualBudget(),
+        BalancedBudget(),
+        ReBudgetMechanism(step=20.0),
+        ReBudgetMechanism(step=40.0),
+        ReBudgetMechanism(min_envy_freeness=0.6),
+    ]
+
+
+def _perturbed(problem: AllocationProblem) -> AllocationProblem:
+    """``problem``'s players and resources under slightly rescaled utilities."""
+    utilities = [
+        ScaledUtility(utility, 1.0 + 0.04 * (i % 3 - 1))
+        for i, utility in enumerate(problem.utilities)
+    ]
+    return dataclasses.replace(problem, utilities=utilities)
+
+
+def _count_searches(monkeypatch):
+    """Record the number of markets in every search the driver runs."""
+    sizes = []
+    stacked, solo = mechanisms_module.find_equilibria, mechanisms_module.find_equilibrium
+
+    def counting_stack(markets, warm_starts):
+        sizes.append(len(markets))
+        return stacked(markets, warm_starts)
+
+    def counting_solo(market, **kwargs):
+        sizes.append(1)
+        return solo(market, **kwargs)
+
+    monkeypatch.setattr(mechanisms_module, "find_equilibria", counting_stack)
+    monkeypatch.setattr(mechanisms_module, "find_equilibrium", counting_solo)
+    return sizes
+
+
+@pytest.mark.parametrize("category", ["CPBN", "BBPN"])
+def test_warm_lineups_stack_bitwise(category, monkeypatch):
+    first = _fresh(8, category)
+    alone, stacked = _market_lineup(), _market_lineup()
+    for mechanism in alone + stacked:
+        mechanism.allocate(first)
+    expected = [mechanism.allocate(_perturbed(first)) for mechanism in alone]
+
+    sizes = _count_searches(monkeypatch)
+    got = dict(allocate_all(_perturbed(first), stacked))
+    for k, mechanism in enumerate(stacked):
+        assert _key(got[k]) == _key(expected[k]), mechanism.name
+        assert _warm_key(mechanism) == _warm_key(alone[k]), mechanism.name
+    # Every warm market searches in step 0 together; step s then stacks
+    # round s of every loop still running.
+    assert all(got[k].details["rebudget"].rounds[0].equilibrium.warm_started for k in (2, 3, 4))
+    searches = [1, 1] + [len(got[k].details["rebudget"].rounds) for k in (2, 3, 4)]
+    assert sizes == [
+        sum(1 for count in searches if count > step) for step in range(max(searches))
+    ]
+    assert sizes[0] == len(stacked)
+
+
+class TestFailuresStayIsolated:
+    def _outcomes(self, lineup):
+        return dict(allocate_all(_fresh(8, "CPBN"), lineup))
+
+    def _assert_others_unchanged(self, outcomes, failed):
+        expected = [m.allocate(_fresh(8, "CPBN")) for m in standard_mechanism_suite()]
+        for k, outcome in outcomes.items():
+            if k != failed:
+                assert _key(outcome) == _key(expected[k]), k
+
+    def test_a_failing_balanced_budget_rule_fails_balanced_alone(self):
+        lineup = standard_mechanism_suite()
+
+        def explode(problem):
+            raise _Boom("no budgets")
+
+        lineup[2]._budgets = explode
+        outcomes = self._outcomes(lineup)
+        assert isinstance(outcomes[2], _Boom)
+        self._assert_others_unchanged(outcomes, failed=2)
+
+    def test_a_loop_failing_mid_loop_fails_alone(self, monkeypatch):
+        lineup = standard_mechanism_suite()
+        failing = lineup[3].config
+        advance = ReBudgetLoop.advance
+
+        def explode_in_round_1(loop, equilibrium):
+            if loop.config is failing and loop.result.rounds:
+                raise _Boom("round 1 of ReBudget-20")
+            advance(loop, equilibrium)
+
+        monkeypatch.setattr(ReBudgetLoop, "advance", explode_in_round_1)
+        outcomes = self._outcomes(lineup)
+        assert isinstance(outcomes[3], _Boom)
+        monkeypatch.setattr(ReBudgetLoop, "advance", advance)
+        self._assert_others_unchanged(outcomes, failed=3)
+
+    def test_a_bad_configuration_fails_alone_and_raises_solo(self):
+        bad = ReBudgetMechanism(step=-1.0)
+        outcomes = self._outcomes(standard_mechanism_suite() + [bad])
+        assert isinstance(outcomes[6], MarketConfigurationError)
+        self._assert_others_unchanged({k: outcomes[k] for k in range(6)}, failed=None)
+        with pytest.raises(MarketConfigurationError, match="step"):
+            bad.allocate(_fresh(8, "CPBN"))

@@ -1,7 +1,9 @@
 """One cold equal-budget solve per problem, shared by the mechanisms.
 
 ``AllocationProblem.equal_budget_equilibrium`` is EqualBudget's cold
-result and the round 0 of every cold ReBudget loop on the problem.  The
+result and the round 0 of every cold ReBudget loop on the problem; the
+mechanism driver (``allocate_all``, which every market mechanism's
+``allocate`` runs) fills it the first time a plan asks.  The
 equilibrium depends only on budgets and utilities and the climb is
 deterministic, so sharing it must change no output bit; these tests pin
 that, who reads the shared solve, and who still solves for itself.
@@ -28,7 +30,6 @@ from repro.core import (
     standard_mechanism_suite,
 )
 from repro.core.mechanisms import DEFAULT_BUDGET
-from repro.exceptions import MarketConfigurationError
 from repro.utility import LogUtility, SaturatingUtility
 from repro.workloads import BUNDLE_CATEGORIES, generate_bundles
 
@@ -67,6 +68,12 @@ def _equal_market(problem: AllocationProblem):
     return problem.build_market([DEFAULT_BUDGET] * problem.num_players)
 
 
+def _shared(problem: AllocationProblem):
+    """The problem's shared solve, filled by a cold EqualBudget first."""
+    EqualBudget().allocate(problem)
+    return problem.equal_budget_equilibrium
+
+
 def _arrays(equilibrium):
     """Every array an equilibrium result holds, in a fixed order."""
     state, warm = equilibrium.state, equilibrium.warm_start
@@ -102,6 +109,7 @@ def _spy(monkeypatch):
 @pytest.mark.parametrize("cores,category", CASES)
 def test_cold_equal_budget_is_a_plain_solve(cores, category):
     problem = _fresh(cores, category)
+    assert problem.equal_budget_equilibrium is None
     plain = find_equilibrium(_equal_market(problem))
     result = EqualBudget().allocate(problem)
     shared = problem.equal_budget_equilibrium
@@ -146,7 +154,7 @@ def test_suite_solves_two_fewer_equilibria(monkeypatch):
 
 def test_direct_calls_still_solve(monkeypatch):
     problem = _fresh(8, "CPBN")
-    shared = problem.equal_budget_equilibrium
+    shared = _shared(problem)
     eq = find_equilibrium(_equal_market(problem))
     assert eq is not shared and eq.eval_counts["total_calls"] > 0
     assert eq.state.allocations.flags.writeable
@@ -169,7 +177,7 @@ def test_direct_calls_still_solve(monkeypatch):
 )
 def test_other_markets_solve_for_themselves(monkeypatch, make):
     problem = _synthetic()
-    shared = problem.equal_budget_equilibrium
+    shared = _shared(problem)
     calls = _spy(monkeypatch)
     result = make().allocate(problem)
     assert calls == [None]
@@ -194,7 +202,7 @@ def test_warm_calls_solve_for_themselves(monkeypatch, make):
 
 def test_shared_arrays_are_read_only():
     problem = _synthetic()
-    shared = problem.equal_budget_equilibrium
+    shared = _shared(problem)
     assert all(array is not None for array in _arrays(shared))
     assert not any(array.flags.writeable for array in _arrays(shared))
     result = EqualBudget().allocate(problem)
@@ -206,47 +214,17 @@ def test_shared_arrays_are_read_only():
     assert problem.equal_budget_equilibrium is shared
 
 
-class TestMismatchedRound0:
-    @pytest.fixture
-    def problem(self):
-        return _synthetic()
 
-    def _run(self, problem, round0, **kwargs):
-        config = kwargs.pop("config", ReBudgetConfig(step=40.0))
-        return run_rebudget(_equal_market(problem), config, round0=round0, **kwargs)
-
-    def test_accepts_the_shared_solve(self, problem):
-        result = self._run(problem, problem.equal_budget_equilibrium)
-        assert result.rounds[0].equilibrium is problem.equal_budget_equilibrium
-
-    def test_other_player_names(self, problem):
-        renamed = dataclasses.replace(problem, player_names=["x", "y", "z"])
-        with pytest.raises(MarketConfigurationError, match="players or resources"):
-            self._run(problem, renamed.equal_budget_equilibrium)
-
-    def test_other_resource_names(self, problem):
-        renamed = dataclasses.replace(problem, resource_names=["l2", "watts"])
-        with pytest.raises(MarketConfigurationError, match="players or resources"):
-            self._run(problem, renamed.equal_budget_equilibrium)
-
-    def test_other_budgets(self, problem):
-        halved = find_equilibrium(problem.build_market([50.0] * problem.num_players))
-        with pytest.raises(MarketConfigurationError, match="budgets"):
-            self._run(problem, halved)
-
-    def test_other_initial_budget(self, problem):
-        config = ReBudgetConfig(initial_budget=50.0, step=20.0)
-        with pytest.raises(MarketConfigurationError, match="budgets"):
-            self._run(problem, problem.equal_budget_equilibrium, config=config)
-
-    def test_warm_started_search(self, problem):
-        shared = problem.equal_budget_equilibrium
-        warm = find_equilibrium(_equal_market(problem), warm_start=shared.warm_start)
-        assert warm.warm_started
-        with pytest.raises(MarketConfigurationError, match="cold"):
-            self._run(problem, warm)
-
-    def test_together_with_warm_start(self, problem):
-        shared = problem.equal_budget_equilibrium
-        with pytest.raises(MarketConfigurationError, match="not both"):
-            self._run(problem, shared, warm_start=shared.warm_start)
+def test_rebudget_at_another_initial_budget_solves_its_own_round0():
+    problem = _synthetic()
+    mechanism = ReBudgetMechanism(step=20.0)
+    mechanism.config.initial_budget = 50.0
+    rounds = mechanism.allocate(problem).details["rebudget"].rounds
+    assert problem.equal_budget_equilibrium is None
+    direct = run_rebudget(
+        problem.build_market([50.0] * problem.num_players),
+        ReBudgetConfig(initial_budget=50.0, step=20.0),
+    ).rounds
+    assert len(rounds) == len(direct)
+    for ours, theirs in zip(rounds, direct):
+        _assert_same_equilibrium(ours.equilibrium, theirs.equilibrium)

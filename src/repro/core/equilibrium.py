@@ -264,6 +264,11 @@ def find_equilibria(
     live market, so it belongs to none of them alone.  Sum them once
     per search, not once per result.  With one market they are that
     search's own tallies, as from :func:`find_equilibrium`.
+
+    Once every market has settled, the stacked search pays one final
+    value dispatch over the class rows of all K markets, and at most one
+    gradient dispatch over the markets whose lambdas cannot reuse their
+    last round's marginals, instead of one of each per market.
     """
     markets = list(markets)
     warm_starts = list(warm_starts)
@@ -288,11 +293,67 @@ def _lockstep(searches: List["_Search"], bidder: BiddingStrategy) -> List[Equili
         else:
             live[0].gauss_seidel_round(bidder)
         live = [search for search in live if not search.done]
-    results = [search.result() for search in searches]
+    results = _results(searches)
     counts = EVAL_COUNTERS.since(counters_at_entry)
     for result in results:
         result.eval_counts = dict(counts)
     return results
+
+
+def _results(searches: List["_Search"]) -> List[EquilibriumResult]:
+    """The settled searches' outcomes from one final value dispatch over
+    the class rows of every market, and one gradient dispatch over the
+    markets whose climb marginals are not at their final bids.
+
+    A row's result depends on that row alone, so each market's share of
+    a stacked dispatch is bitwise its own dispatch.
+    """
+    if not searches:
+        return []
+    market = searches[0].market
+    rows = [search.representatives for search in searches]
+    states, marginals = [], []
+    for search in searches:
+        if _sanitize.ACTIVE:
+            _sanitize.check_convergence(search.converged, search.price_history, search.tolerance)
+        states.append(search.market.allocate(search.bids))
+        marginals.append(search.reusable_marginals())
+    utilities = _split(
+        market.evaluator.values(
+            _stack([state.allocations.take(r, axis=0) for state, r in zip(states, rows)]),
+            _stack(rows),
+        ),
+        rows,
+    )
+    stale = [k for k, reused in enumerate(marginals) if reused is None]
+    if stale:
+        class_bids = [searches[k].bids.take(rows[k], axis=0) for k in stale]
+        others = [searches[k].bids.sum(axis=0) - bids for k, bids in zip(stale, class_bids)]
+        stale_rows = [rows[k] for k in stale]
+        fresh = marginal_utility_of_bids_batch(
+            _stack(class_bids), _stack(others), market.capacities, market.evaluator,
+            _stack(stale_rows),
+        )
+        for k, part in zip(stale, _split(fresh, stale_rows)):
+            marginals[k] = part
+    return [
+        search.result(state, values, gradients)
+        for search, state, values, gradients in zip(searches, states, utilities, marginals)
+    ]
+
+
+def _stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``parts`` as one block (one part as it is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _split(block: np.ndarray, rows: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """``block`` cut back into parts of ``len(rows[k])`` rows each."""
+    parts, start = [], 0
+    for r in rows:
+        parts.append(block[start:start + r.size])
+        start += r.size
+    return parts
 
 
 def _jacobi_round(live: List["_Search"], bidder: BiddingStrategy) -> None:
@@ -312,8 +373,7 @@ def _jacobi_round(live: List["_Search"], bidder: BiddingStrategy) -> None:
         and all ``None`` stays ``None``."""
         if all(part is None for part in parts):
             return None
-        parts = [fill(size) if part is None else part for part, size in zip(parts, sizes)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _stack([fill(size) if part is None else part for part, size in zip(parts, sizes)])
 
     class_bids, marginals = bidder.optimize_all(
         market.evaluator,
@@ -338,8 +398,9 @@ class _Search:
     A Jacobi round is :meth:`block` (the class rows the bidder
     best-responds for), the bidder's call, and :meth:`settle` (pricing,
     damping, the convergence test); a Gauss–Seidel market runs alone,
-    through :meth:`gauss_seidel_round`.  :meth:`result` assembles the
-    outcome once :attr:`done`.
+    through :meth:`gauss_seidel_round`.  Once :attr:`done`,
+    :func:`_results` evaluates the final rows of every search together
+    and :meth:`result` assembles each outcome.
     """
 
     def __init__(self, market: Market, warm_start: Optional[WarmStart], update: str):
@@ -488,31 +549,37 @@ class _Search:
         self.prices = new_prices
         self.done = self.converged or self.iterations >= self.max_iterations
 
-    def result(self) -> EquilibriumResult:
-        """The settled search's outcome (``eval_counts`` left to the caller)."""
-        market, bids = self.market, self.bids
-        classes, representatives = self.classes, self.representatives
-        last_moves, anchor = self.last_moves, self.anchor
-        if _sanitize.ACTIVE:
-            _sanitize.check_convergence(self.converged, self.price_history, self.tolerance)
-        state = market.allocate(bids)
-        utilities = market.evaluator.values(
-            state.allocations.take(representatives, axis=0), representatives
-        ).take(classes)
-        # "No bid moved": last_moves entries are non-negative maxima of
-        # |bid deltas|, so none-positive means all-zero (spelled without a
-        # float equality); only then, and only when the bidder evaluated
-        # every row there, are the marginals at the final bids.
-        marginals = self.marginals
+    def reusable_marginals(self) -> Optional[np.ndarray]:
+        """The last round's class-row marginals when they are at exactly
+        the final bids, else ``None``.
+
+        "No bid moved": last_moves entries are non-negative maxima of
+        |bid deltas|, so none-positive means all-zero (spelled without a
+        float equality); only then, and only when the bidder evaluated
+        every row there, are the marginals at the final bids.
+        """
+        marginals, last_moves = self.marginals, self.last_moves
         if (
             self.damped
             or last_moves is None
             or np.any(last_moves > 0.0)
-            or (marginals is not None and np.isnan(marginals).any())
+            or marginals is None
+            or np.isnan(marginals).any()
         ):
-            marginals = None
+            return None
+        return marginals
+
+    def result(
+        self, state: MarketState, class_utilities: np.ndarray, marginals: np.ndarray
+    ) -> EquilibriumResult:
+        """The settled search's outcome from its final clearing and the
+        class rows' utilities and marginals there (``eval_counts`` left
+        to the caller)."""
+        market, bids, classes = self.market, self.bids, self.classes
+        last_moves, anchor = self.last_moves, self.anchor
+        utilities = class_utilities.take(classes)
         lambdas = _final_lambdas(
-            bids, market.capacities, market.evaluator, marginals, representatives
+            bids, market.capacities, market.evaluator, marginals, self.representatives
         ).take(classes)
         verified = self.warm_started and self.iterations == 1 and anchor is not None
         return EquilibriumResult(

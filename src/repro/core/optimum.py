@@ -17,6 +17,19 @@ utility object, shared by every player that holds it (on a chip, every
 core running one application), so the greedy fill, the exchange passes
 and the final utilities read table entries by integer index.
 
+The greedy fill hands out a player's quanta of one resource in runs.
+Heap entries order by ``(-gain, counter)``, and an entry pushed back
+after a step carries the newest counter, so the next pop would return
+it only when its fresh gain is strictly above the heap top's (or the
+heap is empty): on a tie the older entry wins.  So after a step the
+fill keeps stepping the same ``(i, j)`` while quanta remain, the player
+is under its limit and the fresh gain beats the top, which no step of a
+run changes.  A gain that ties or falls below the top is pushed as
+before and ends the run; a gain above the top but not positive is
+dropped, as the pop would drop it.  Counters are consumed differently,
+but their order is not, so every pop, and every ``current`` bit, is the
+per-quantum fill's.
+
 The exchange passes score incrementally.  The single-resource pass
 keeps every resource's gains and losses between passes and re-scores
 only the recipient and donor of each move; the joint pass scores the
@@ -286,13 +299,26 @@ def max_efficiency_allocation(
             # Stale entry: re-insert with the recomputed gain.
             heapq.heappush(heap, (-fresh, next(counter), i, j))
             continue
-        coords[i][j] += 1
-        flat[i] += strides[i][j]
-        current[i] += fresh
-        remaining[j] -= 1
-        steps += 1
-        if remaining[j] > 0 and coords[i][j] < limits[i][j]:
-            heapq.heappush(heap, (-gain(i, j), next(counter), i, j))
+        # A run of (i, j) quanta (see the module docstring): keep
+        # stepping while the fresh gain is strictly above the heap top.
+        top = -heap[0][0] if heap else -math.inf
+        table, stride, limit = tables[i], strides[i][j], limits[i][j]
+        index, held, value, left = flat[i], coords[i][j], current[i], remaining[j]
+        while True:
+            index += stride
+            held += 1
+            value += fresh
+            left -= 1
+            steps += 1
+            if left <= 0 or held >= limit:
+                break
+            fresh = table[index + stride] - value
+            if not fresh > top:  # a tie, a lower gain or NaN: back to the heap
+                heapq.heappush(heap, (-fresh, next(counter), i, j))
+                break
+            if fresh <= 0.0:
+                break
+        flat[i], coords[i][j], current[i], remaining[j] = index, held, value, left
 
     _distribute_leftovers(lattice, remaining)
 

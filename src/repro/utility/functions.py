@@ -44,7 +44,9 @@ class LinearUtility(UtilityFunction):
         self.num_resources = self.weights.size
 
     def _value_batch(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.weights
+        # An elementwise product and a row sum, not ``points @ weights``:
+        # matmul rounds a row differently with the batch's row count.
+        return np.sum(self.weights * points, axis=-1)
 
     def _gradient_batch(self, points: np.ndarray) -> np.ndarray:
         return np.tile(self.weights, (points.shape[0], 1))

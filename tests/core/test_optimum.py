@@ -175,7 +175,10 @@ def concave_markets(draw):
 @given(market=concave_markets())
 @settings(max_examples=150, deadline=None)
 def test_equals_lattice_oracle_bitwise(market):
-    utilities, capacities, quanta, per_player_caps = market
+    assert_equals_lattice_oracle(*market)
+
+
+def assert_equals_lattice_oracle(utilities, capacities, quanta, per_player_caps):
     out = max_efficiency_allocation(utilities, capacities, quanta, per_player_caps)
     expected = reference_scoring.max_efficiency_allocation(
         utilities, capacities, quanta, per_player_caps
@@ -184,6 +187,89 @@ def test_equals_lattice_oracle_bitwise(market):
     assert out.allocations.shape == expected.allocations.shape
     assert out.utilities.tobytes() == expected.utilities.tobytes()
     assert out.steps == expected.steps
+
+
+@st.composite
+def tied_markets(draw):
+    """Markets whose greedy runs end in every way the heap can decide.
+
+    Players draw from a pool of one to three utility objects, so
+    classmates tie exactly and the heap counter breaks the tie; linear
+    utilities tie with themselves step after step.  Two-resource pools
+    add complementary grids, whose gains rise once the other resource
+    arrives, and peaked grids, whose gains turn negative, so runs end on
+    non-positive gains.  Caps, shared by a class or drawn per player,
+    stop runs, and capacities of a few quanta run out in mid-run.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_resources = draw(st.integers(1, 2))
+    quanta = np.array(draw(st.lists(
+        st.sampled_from([0.125, 0.25, 0.1, 0.3]),
+        min_size=num_resources, max_size=num_resources,
+    )))
+    capacities = quanta * rng.integers(1, 30, size=num_resources)
+    kinds = ["linear", "log"] + (["complement", "peaked"] * 2 if num_resources == 2 else [])
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        weights = rng.integers(1, 4, size=num_resources) * 0.5
+        if kind == "linear":
+            pool.append(LinearUtility(weights))
+        elif kind == "log":
+            pool.append(LogUtility(weights, rng.uniform(0.5, 5.0, size=num_resources)))
+        else:
+            values = np.zeros((3, 3))
+            values[1:, 1:] = rng.uniform(2.0, 20.0)
+            if kind == "peaked":
+                values[1, 1] += rng.uniform(5.0, 10.0)
+            pool.append(GridUtility2D(
+                np.array([0.0, 0.5, 1.0]) * capacities[0],
+                np.array([0.0, 0.5, 1.0]) * capacities[1],
+                values,
+            ))
+    num_players = draw(st.integers(2, 6))
+    members = draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=num_players, max_size=num_players
+    ))
+    utilities = [pool[k] for k in members]
+    caps = draw(st.sampled_from(["none", "class", "player"]))
+    per_player_caps = None
+    if caps == "class":
+        per_class = rng.uniform(0.1, 0.8, size=(len(pool), num_resources)) * capacities
+        per_player_caps = per_class[members]
+    elif caps == "player":
+        per_player_caps = rng.uniform(0.1, 0.8, size=(num_players, num_resources)) * capacities
+    return utilities, capacities, quanta, per_player_caps
+
+
+@given(market=tied_markets())
+@settings(max_examples=150, deadline=None)
+def test_greedy_runs_on_exact_ties_equal_lattice_oracle_bitwise(market):
+    assert_equals_lattice_oracle(*market)
+
+
+def test_fill_pushes_once_per_run_not_per_quantum(monkeypatch):
+    # One heappush per quantum handed out made 4,125 pushes here for
+    # 3,999 fill quanta; a run of one player's quanta of one resource
+    # pushes once, when it ends on a gain that does not beat the heap
+    # top.
+    problem = _cpbn64_problem()
+    pushes = []
+    push = optimum.heapq.heappush
+
+    class CountingHeapq:
+        heappop = staticmethod(optimum.heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            pushes.append(item)
+            push(heap, item)
+
+    monkeypatch.setattr(optimum, "heapq", CountingHeapq)
+    max_efficiency_allocation(
+        problem.utilities, problem.capacities, problem.quanta, problem.per_player_caps
+    )
+    assert len(pushes) < 2200
 
 
 def _count_exchange_work(monkeypatch):

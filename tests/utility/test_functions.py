@@ -38,6 +38,15 @@ class TestLinearUtility:
         u = LinearUtility([1.0])
         assert u((2.0,)) == pytest.approx(2.0)
 
+    def test_batch_is_bitwise_the_one_row_value(self):
+        # ``points @ weights`` rounded (0.75, 0.7) . (1.5, 1.5) 4.4e-16
+        # apart in a 272-row batch and alone, so MaxEfficiency's batched
+        # tables disagreed with ``value`` on a quantum lattice.
+        u = LinearUtility([1.5, 1.5])
+        points = np.indices((16, 17)).reshape(2, -1).T * np.array([0.125, 0.1])
+        expected = [u.value(p) for p in points]
+        assert u.value_batch(points).tobytes() == np.array(expected).tobytes()
+
 
 class TestLogUtility:
     def test_value(self):

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..qa import sanitize as _sanitize
 from ..utility.convex_hull import hull_lines
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
@@ -61,11 +62,16 @@ def convexify_grid(
     ``(G, P)``.  Each pass replaces every cache column (power fixed) and
     then every power row (cache fixed) of every grid with its upper
     convex hull evaluated back on the grid, all in one lockstep
-    :func:`~repro.utility.convex_hull.hull_lines` call per axis.
-    Hulling can only raise values, and values are bounded by the global
-    maximum, so the iteration converges; a grid leaves the stack after
-    the first pass that moves no value by more than 1e-12, and at most
-    six passes run.
+    :func:`~repro.utility.convex_hull.hull_lines` call per axis; lines
+    that are already concave (every power row of a monitored or true
+    grid, and many cache columns) skip the hull's chain.  Hulling can
+    only raise values, and values are bounded by the global maximum, so
+    the iteration converges; a grid leaves the stack after the first
+    pass that moves no value by more than 1e-12, and at most six passes
+    run.  Under ``REPRO_SANITIZE=1`` every grid that settles is checked
+    against its raw grid and for concavity along both axes
+    (:func:`~repro.qa.sanitize.check_hull`); a grid still moving after
+    six passes (a NaN cell never settles) is not checked.
     """
     out = np.array(values, dtype=float)
     num, cache, power = out.shape
@@ -80,6 +86,10 @@ def convexify_grid(
         after = hull_lines(axes, rows).reshape(live.size, cache, power)
         out[live] = after
         settled = np.isclose(before, after, rtol=0.0, atol=1e-12).all(axis=(1, 2))
+        if _sanitize.ACTIVE:
+            done = live[settled]
+            raw = np.asarray(values, dtype=float)[done]
+            _sanitize.check_hull(cache_axis, power_axes[done], raw, after[settled])
         live = live[~settled]
         if not live.size:
             break

@@ -514,24 +514,26 @@ class _Search:
         # bids with the previous round's (a convex combination of two
         # budget-feasible bid matrices is budget-feasible), which
         # collapses the cycle onto its midpoint.
+        stable = _prices_stable(prices, new_prices, tolerance)
         oscillating = (
-            len(self.price_history) >= 2
+            not stable
+            and len(self.price_history) >= 2
             and _prices_stable(self.price_history[-2], new_prices, tolerance)
-            and not _prices_stable(prices, new_prices, tolerance)
         )
         # Drifting cycles can evade the period-2 detector; once the
         # loop has clearly failed to settle on its own, damp every
         # round (averaging is a no-op at a fixed point).
-        slow = self.iterations > 8 and not _prices_stable(prices, new_prices, tolerance)
+        slow = self.iterations > 8 and not stable
         self.damped = self.update == "jacobi" and (oscillating or slow)
         if self.damped:
             bids = 0.5 * (previous_bids + bids)
             new_prices = market.prices(bids)
+            stable = _prices_stable(prices, new_prices, tolerance)
         self.bids = bids
         self.marginals = marginals
         self.last_moves = np.abs(bids - previous_bids).max(axis=1)
         self.price_history.append(new_prices.copy())
-        if _prices_stable(prices, new_prices, tolerance):
+        if stable:
             if (
                 self.warm_started
                 and self.iterations == 1
@@ -646,4 +648,4 @@ def _prices_stable(old: np.ndarray, new: np.ndarray, tolerance: float) -> bool:
     """
     reference = np.maximum(np.abs(old), np.abs(new))
     stable = np.abs(new - old) <= tolerance * np.where(reference > 0.0, reference, 1.0)
-    return bool(np.all(stable))
+    return bool(stable.all())

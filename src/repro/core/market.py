@@ -159,8 +159,8 @@ class Market:
             )
         # NaN compares False against any bound, so finiteness is checked
         # on its own; np.maximum below would carry a NaN straight through.
-        if not np.all(np.isfinite(bids)):
+        if not np.isfinite(bids).all():
             raise MarketConfigurationError("bids must be finite")
-        if np.any(bids < -1e-12):
+        if (bids < -1e-12).any():
             raise MarketConfigurationError("bids must be non-negative")
         return np.maximum(bids, 0.0)

@@ -5,7 +5,8 @@ bounds only apply for MUR/MBR in [0, 1], ReBudget must never cut a
 budget below its MBR floor, and every market clearing must conserve
 budgets and capacities.  This module turns those invariants into cheap
 contract checks attached at the ``market`` / ``equilibrium`` /
-``rebudget`` / ``metrics`` seams.
+``rebudget`` / ``metrics`` seams, and at the Talus hull of the utility
+builder.
 
 The checks are **compiled out by default**: every call site guards with
 ``if sanitize.ACTIVE:`` — a single module-attribute read — so the hot
@@ -33,6 +34,9 @@ Invariants enforced (identifier -> paper anchor):
   ``MBR * B`` (nor rise above the initial budget).
 * ``equilibrium-convergence-flag`` — Sec. 2.1: a search reported as
   converged must end with round-over-round price stability.
+* ``hull-dominates-raw`` / ``hull-concave`` — Secs. 4.1.1 and 6: a
+  grid :func:`~repro.cmp.utility_builder.convexify_grid` settled lies on
+  or above its raw samples, and is concave along both axes.
 
 Toggling: ``ACTIVE`` is resolved from the environment at import;
 :func:`refresh` re-reads it and :func:`enabled` is a context manager
@@ -63,11 +67,16 @@ __all__ = [
     "check_unit_interval",
     "check_budget_floor",
     "check_convergence",
+    "check_hull",
 ]
 
 #: Absolute slack granted to every comparison: the market stack works in
 #: float64 and the invariants are exact only in real arithmetic.
 TOLERANCE = 1e-6
+
+#: Absolute slack of the hull checks: the settle tolerance of
+#: :func:`~repro.cmp.utility_builder.convexify_grid`.
+_HULL_TOLERANCE = 1e-12
 
 
 def _env_active() -> bool:
@@ -259,3 +268,48 @@ def check_convergence(
             f"{float(old[j]):.6g} -> {float(new[j]):.6g} in the final "
             f"round (tolerance {tolerance:g})",
         )
+
+
+def check_hull(
+    cache_axis: np.ndarray,
+    power_axes: np.ndarray,
+    raw: np.ndarray,
+    hulled: np.ndarray,
+) -> None:
+    """``hull-dominates-raw`` and ``hull-concave`` on settled grids.
+
+    ``raw`` and ``hulled`` are ``(G, C, P)`` stacks over the shared
+    ``cache_axis`` and each grid's own ``power_axes`` row.  No hulled
+    value may lie more than ``_HULL_TOLERANCE`` below its raw sample,
+    and along each axis no knot more than that below the chord of its
+    two neighbours.  NaN compares False, so NaN cells pass.
+    """
+    raw = np.asarray(raw, dtype=float)
+    hulled = np.asarray(hulled, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        drop = raw - hulled
+    if (drop > _HULL_TOLERANCE).any():
+        g, i, j = np.unravel_index(np.nanargmax(drop), drop.shape)
+        _fail(
+            "hull-dominates-raw",
+            f"settled grid {g} fell {float(drop[g, i, j]):.6g} below its raw "
+            f"sample at cache knot {i}, power knot {j}",
+        )
+    knots = (
+        ("cache", 1, np.asarray(cache_axis, dtype=float)[None, :, None]),
+        ("power", 2, np.asarray(power_axes, dtype=float)[:, None, :]),
+    )
+    for name, axis, x in knots:
+        x = np.moveaxis(np.broadcast_to(x, hulled.shape), axis, -1)
+        y = np.moveaxis(hulled, axis, -1)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            share = (x[..., 1:-1] - x[..., :-2]) / (x[..., 2:] - x[..., :-2])
+            chord = y[..., :-2] + share * (y[..., 2:] - y[..., :-2])
+            below = chord - y[..., 1:-1]
+        if (below > _HULL_TOLERANCE).any():
+            at = np.unravel_index(np.nanargmax(below), below.shape)
+            _fail(
+                "hull-concave",
+                f"settled grid {at[0]} has a knot {float(below[at]):.6g} below "
+                f"the chord of its neighbours along the {name} axis",
+            )

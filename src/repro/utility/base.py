@@ -17,6 +17,7 @@ that range.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Dict, Sequence
 
 import numpy as np
@@ -191,8 +192,7 @@ def numeric_gradient_batch(value_batch, points: np.ndarray) -> np.ndarray:
     moved = np.empty((2, n_points, n_dims), dtype=float)
     np.add(points, steps, out=moved[0])
     np.subtract(points, np.where(forward, 0.0, steps), out=moved[1])
-    own_dim = np.eye(n_dims, dtype=bool)[:, None, None, :]
-    probes = np.where(own_dim, moved, points)                # (M, 2, K, M)
+    probes = np.where(_own_dim(n_dims), moved, points)       # (M, 2, K, M)
     values = np.asarray(value_batch(probes.reshape(-1, n_dims)), dtype=float)
     values = values.reshape(n_dims, 2, n_points)
     return np.divide(
@@ -200,3 +200,11 @@ def numeric_gradient_batch(value_batch, points: np.ndarray) -> np.ndarray:
         np.where(forward, steps, 2.0 * steps),
         out=np.empty_like(points),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _own_dim(n_dims: int) -> np.ndarray:
+    """The read-only ``(M, 1, 1, M)`` mask of each probe block's moved coordinate."""
+    mask = np.eye(n_dims, dtype=bool)[:, None, None, :]
+    mask.flags.writeable = False
+    return mask

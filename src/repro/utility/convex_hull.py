@@ -13,7 +13,8 @@ The hull of a set of ``(x, y)`` samples is computed with a monotone-chain
 scan, keeping the points whose incremental slopes are strictly
 decreasing.  :func:`hull_lines` runs that scan on many lines in
 lockstep, which is how a utility grid's cache columns and power rows
-are hulled together.
+are hulled together.  A line where no adjacent knot triple fails the
+chain's concavity test is its own hull and skips the scan.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ def upper_convex_hull(
         raise ValueError("xs and ys must be 1-D arrays of equal length")
     if xs.size == 0:
         raise ValueError("need at least one sample")
-    if np.any(np.diff(xs) <= 0):
+    if not np.all(np.diff(xs) > 0):
         raise ValueError("xs must be strictly increasing")
-    vertex = _lockstep_chain(xs[None, :], ys[None, :])[0]
+    x, y = xs[None, :], ys[None, :]
+    vertex = _lockstep_chain(x, y)[0] if _chained(x, y)[0] else np.ones(xs.size, bool)
     return xs[vertex], ys[vertex]
 
 
@@ -51,28 +53,30 @@ def hull_lines(xs: np.ndarray, lines: np.ndarray) -> np.ndarray:
     """Every row of ``lines`` replaced by its upper hull, at its own knots.
 
     ``lines`` is ``(L, K)``; ``xs`` holds each line's strictly
-    increasing knots, ``(L, K)`` or one shared ``(K,)`` axis.  A hull
+    increasing knots, ``(L, K)`` or one shared ``(K,)`` axis.  A line
+    that :func:`_chained` does not flag is its own hull and is returned
+    as it came; only the others run :func:`_lockstep_chain`.  A hull
     vertex keeps its own value; every other knot takes ``np.interp``'s
     value between the two vertices around it, ``slope * (x - xa) + ya``
     with ``np.interp``'s fallbacks when that is NaN, so each row equals
     ``np.interp(x, *upper_convex_hull(x, row))`` bit for bit.
     """
     y = np.asarray(lines, dtype=float)
-    num, k = y.shape
-    x = np.broadcast_to(np.asarray(xs, dtype=float), (num, k))
+    x = np.asarray(xs, dtype=float)
     out = y.copy()
-    if k < 3:
+    rows = np.flatnonzero(_chained(x, y))
+    if not rows.size:
         return out
+    x, y = np.broadcast_to(x, y.shape)[rows], y[rows]
     vertex = _lockstep_chain(x, y)
     inner = ~vertex
-    if not inner.any():
-        return out
     # The vertices around each knot: the first and last knot always are.
+    k = y.shape[1]
     knots = np.arange(k)
     prev = np.maximum.accumulate(np.where(vertex, knots, 0), axis=1)[inner]
     after = np.minimum.accumulate(np.where(vertex, knots, k - 1)[:, ::-1], axis=1)[:, ::-1]
     after = after[inner]
-    row = np.nonzero(inner)[0]
+    row, col = np.nonzero(inner)
     xa, ya = x[row, prev], y[row, prev]
     xb, yb = x[row, after], y[row, after]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -83,16 +87,32 @@ def hull_lines(xs: np.ndarray, lines: np.ndarray) -> np.ndarray:
             back = slope * (x[inner] - xb) + yb
             back = np.where(np.isnan(back) & (ya == yb), ya, back)
             fit = np.where(nan, back, fit)
-    out[inner] = fit
+    out[rows[row], col] = fit
     return out
+
+
+def _chained(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows of ``(x, y)`` whose monotone chain pops a knot.
+
+    Runs the chain's pop test, with its operand order, on every adjacent
+    knot triple of every row at once; ``x`` is ``(L, K)`` or one shared
+    ``(K,)`` axis.  A row where no triple pops is its own hull: the
+    chain would push every knot and pop none.  Rows of fewer than three
+    knots never pop.
+    """
+    xa, ya = x[..., :-2], y[:, :-2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        pops = (x[..., 1:-1] - xa) * (y[:, 2:] - ya) - (y[:, 1:-1] - ya) * (x[..., 2:] - xa) >= 0.0
+    return pops.any(axis=1)
 
 
 def _lockstep_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The monotone chain on every row of ``(x, y)`` at once.
 
-    Returns the ``(L, K)`` mask of each row's upper-hull vertices.  The
-    sequential chain pops the top ``b`` while it lies (weakly) below the
-    chord from the one beneath it, ``a``, to the next point ``c``:
+    Returns the ``(L, K)`` mask of each row's upper-hull vertices; its
+    callers pass only the rows :func:`_chained` flags, so ``K >= 3``.
+    The sequential chain pops the top ``b`` while it lies (weakly) below
+    the chord from the one beneath it, ``a``, to the next point ``c``:
     ``(xb - xa) * (yc - ya) - (yb - ya) * (xc - xa) >= 0``.  Those
     triples are fixed by the stack before ``c`` arrives, so the test runs
     on every adjacent stack pair at once, and ``c`` lands in the slot
@@ -107,9 +127,8 @@ def _lockstep_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     flat_x, flat_y = sx.reshape(-1), sy.reshape(-1)
     # The stack slot each knot landed in; the first two land in 0 and 1.
     slot = np.zeros((k, num), dtype=np.intp)
-    head = min(k, 2)
-    slot[:head], sx[:head], sy[:head] = depth[:head], xt[:head], yt[:head]
-    last = slot[head - 1].copy()
+    slot[:2], sx[:2], sy[:2] = depth[:2], xt[:2], yt[:2]
+    last = slot[1].copy()
     # Huge and non-finite samples are valid input: their inf and NaN
     # intermediates decide the pop test as in scalar code, unwarned.
     with np.errstate(invalid="ignore", over="ignore"):

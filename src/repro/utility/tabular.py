@@ -36,7 +36,7 @@ class GridUtility2D(UtilityFunction):
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.xs.size, self.ys.size):
             raise ValueError("values must have shape (len(xs), len(ys))")
-        if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
+        if not (np.all(np.diff(self.xs) > 0) and np.all(np.diff(self.ys) > 0)):
             raise ValueError("grid axes must be strictly increasing")
         #: The one-grid kernel of direct calls, compiled on the first.
         self._stack: "StackedGrids | None" = None

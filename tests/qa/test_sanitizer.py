@@ -1,5 +1,5 @@
 """Runtime invariant sanitizer: gating, per-invariant trips, and the
-end-to-end injections through the market/rebudget/mechanism seams.
+end-to-end injections through the market/rebudget/mechanism/hull seams.
 
 Every invariant must (a) raise :class:`SanitizerError` naming itself
 when armed and fed a violation, and (b) stay silent — a true no-op —
@@ -9,6 +9,7 @@ when the sanitizer is off.
 import numpy as np
 import pytest
 
+from repro.cmp import utility_builder
 from repro.core import (
     AllocationMechanism,
     AllocationProblem,
@@ -32,6 +33,13 @@ def restore_active():
 def trips(invariant):
     """Context asserting a SanitizerError naming ``invariant``."""
     return pytest.raises(SanitizerError, match=invariant)
+
+
+def cliff_grid():
+    """A cliffy grid (an mcf-style step along cache) that hulls."""
+    cache, power = np.arange(5.0), np.array([[0.0, 1.0, 2.5]])
+    step = np.where(cache >= 3.0, 1.0, 0.1)
+    return cache, power, (step[:, None] * np.sqrt(power[0] + 1.0))[None]
 
 
 class TestGating:
@@ -185,6 +193,46 @@ class TestDirectChecks:
         sanitize.check_convergence(False, history, tolerance=0.01)
 
 
+class TestHullChecks:
+    """``hull-dominates-raw`` / ``hull-concave`` on ``(G, C, P)`` stacks."""
+
+    cache = np.arange(4.0)
+    power = np.array([[0.0, 1.0, 3.0]])
+
+    def concave(self):
+        return (np.sqrt(self.cache + 1.0)[:, None] + np.sqrt(self.power[0] + 1.0))[None]
+
+    def test_concave_grid_on_its_raw_passes(self):
+        grid = self.concave()
+        sanitize.check_hull(self.cache, self.power, grid, grid)
+
+    def test_value_below_raw(self):
+        grid = self.concave()
+        lowered = grid.copy()
+        lowered[0, 2, 1] -= 1e-9
+        with trips("hull-dominates-raw"):
+            sanitize.check_hull(self.cache, self.power, grid, lowered)
+
+    @pytest.mark.parametrize("cell, axis", [((2, 0), "cache"), ((0, 1), "power")])
+    def test_knot_below_its_chord(self, cell, axis):
+        dipped = self.concave()
+        dipped[(0,) + cell] -= 1.0
+        with trips("hull-concave") as error:
+            sanitize.check_hull(self.cache, self.power, dipped, dipped)
+        assert f"the {axis} axis" in str(error.value)
+
+    def test_slack_within_the_settle_tolerance_passes(self):
+        grid = self.concave()
+        nudged = grid.copy()
+        nudged[0, 1, 1] -= 5e-13
+        sanitize.check_hull(self.cache, self.power, grid, nudged)
+
+    def test_nan_cells_pass(self):
+        grid = self.concave()
+        grid[0, 1, 1] = np.nan
+        sanitize.check_hull(self.cache, self.power, grid, grid)
+
+
 class TestEndToEndInjections:
     """Violations injected through the real seams trip the sanitizer —
     and pass silently when it is disabled."""
@@ -295,8 +343,36 @@ class TestEndToEndInjections:
             result = run_rebudget(small_market, config)
         assert result.rounds  # unchecked run completes
 
+    def test_identity_hull_trips_convexify_grid(self, monkeypatch):
+        # A hull that returns its lines settles on the first pass with
+        # the cliff still in the grid.
+        monkeypatch.setattr(utility_builder, "hull_lines", lambda xs, lines: lines.copy())
+        cache, power, values = cliff_grid()
+        with sanitize.enabled():
+            with trips("hull-concave"):
+                utility_builder.convexify_grid(cache, power, values)
+        with sanitize.enabled(False):
+            utility_builder.convexify_grid(cache, power, values)
+
+    def test_lowering_hull_trips_convexify_grid(self, monkeypatch):
+        # Clipping is idempotent, so the grid settles on the second pass
+        # below its raw samples.
+        monkeypatch.setattr(
+            utility_builder, "hull_lines", lambda xs, lines: np.minimum(lines, 0.5)
+        )
+        cache, power, values = cliff_grid()
+        with sanitize.enabled():
+            with trips("hull-dominates-raw"):
+                utility_builder.convexify_grid(cache, power, values)
+
 
 class TestHonestPathStaysClean:
+    def test_sanitized_convexify_passes(self):
+        cache, power, values = cliff_grid()
+        with sanitize.enabled():
+            hulled = utility_builder.convexify_grid(cache, power, values)
+        assert (hulled >= values).all()
+
     def test_sanitized_rebudget_run_passes(self, small_market):
         with sanitize.enabled():
             result = run_rebudget(small_market, ReBudgetConfig(step=20.0))
@@ -329,10 +405,12 @@ class TestDisabledFastPath:
             "check_unit_interval",
             "check_budget_floor",
             "check_convergence",
+            "check_hull",
         ):
             monkeypatch.setattr(sanitize, name, boom)
 
         with sanitize.enabled(False):
             state = small_market.allocate(small_market.equal_split_bids())
             run_rebudget(small_market, ReBudgetConfig(step=20.0))
+            utility_builder.convexify_grid(*cliff_grid())
         assert state.allocations.shape == (3, 2)

@@ -10,11 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cmp.utility_builder as utility_builder
+import repro.utility.convex_hull as convex_hull
+from repro.cmp import ChipModel, cmp_8core
+from repro.cmp.monitor import RuntimeMonitor, estimated_utilities
 from repro.utility.convex_hull import (
     PiecewiseLinearConcave,
+    _chained,
     hull_lines,
     upper_convex_hull,
 )
+from repro.workloads import generate_bundles
 
 
 def _curves(min_size=1, max_size=40):
@@ -53,6 +59,12 @@ class TestUpperConvexHull:
             upper_convex_hull([1.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             upper_convex_hull([2.0, 1.0], [0.0, 1.0])
+
+    def test_rejects_nan_x(self):
+        with pytest.raises(ValueError):
+            upper_convex_hull([0.0, np.nan, 2.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError):
+            upper_convex_hull([np.nan, 1.0], [0.0, 1.0])
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -192,6 +204,129 @@ class TestHullLines:
             out = hull_lines(np.arange(float(n)), lines)
             np.testing.assert_array_equal(out, lines)
             assert out is not lines
+
+
+@st.composite
+def _concave_lines(draw, min_knots=1, max_knots=9):
+    """Concave lines: cumulative sums of non-increasing slopes.
+
+    Dyadic steps and slopes make repeated slopes exactly collinear runs;
+    arbitrary ones make runs that round either way.
+    """
+    num = draw(st.integers(1, 6))
+    knots = draw(st.integers(min_knots, max_knots))
+    dyadic = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])
+    steps = dyadic if draw(st.booleans()) else st.floats(0.01, 5.0)
+    xs = np.cumsum(draw(st.lists(steps, min_size=knots, max_size=knots)))
+    slope = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 4.0]) | st.floats(-10.0, 10.0)
+    lines = []
+    for _ in range(num):
+        slopes = sorted(draw(st.lists(slope, min_size=knots - 1, max_size=knots - 1)))[::-1]
+        start = draw(st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0))
+        rises = np.array(slopes) * np.diff(xs)
+        lines.append(np.concatenate([[start], start + np.cumsum(rises)]))
+    return xs, np.array(lines).reshape(num, knots)
+
+
+def _assert_oracle(xs, lines):
+    expected = _oracle_lines(np.broadcast_to(xs, lines.shape), lines)
+    assert hull_lines(xs, lines).tobytes() == expected.tobytes()
+
+
+def _pops(xs, lines):
+    """Per line, whether the sequential chain pops any knot."""
+    x = np.broadcast_to(xs, lines.shape)
+    return np.array(
+        [len(_oracle_chain(a.tolist(), b.tolist())) < a.size for a, b in zip(x, lines)],
+        dtype=bool,
+    )
+
+
+class TestConcaveLineSkip:
+    """Lines that are their own hull skip the chain, bit for bit."""
+
+    @given(_concave_lines())
+    @settings(max_examples=200, deadline=None)
+    def test_concave_lines_equal_the_chain(self, line_set):
+        _assert_oracle(*line_set)
+
+    def test_exactly_collinear_runs(self):
+        xs = np.arange(6.0)
+        lines = np.array(
+            [
+                [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # one straight run: pops
+                [0.0, 2.0, 4.0, 5.0, 6.0, 6.5],  # two collinear runs: pops
+                [0.0, 4.0, 6.0, 7.0, 7.5, 7.75],  # strictly concave: skips
+            ]
+        )
+        assert _chained(xs, lines).tolist() == [True, True, False]
+        _assert_oracle(xs, lines)
+
+    @given(_line_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_hull_outputs_fed_back_equal_the_chain(self, line_set):
+        xs, lines = line_set
+        _assert_oracle(xs, hull_lines(xs, lines))
+
+    @given(_concave_lines(min_knots=3), _line_sets(min_knots=3), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_calls_chain_exactly_the_popping_lines(self, concave, drawn, rng):
+        cx, cy = concave
+        dx, dy = drawn
+        k = min(cx.size, dy.shape[1])
+        xs = cx[:k]
+        lines = np.concatenate([cy[:, :k], dy[:, :k]])
+        order = list(range(len(lines)))
+        rng.shuffle(order)
+        lines = lines[order]
+        assert _chained(xs, lines).tolist() == _pops(xs, lines).tolist()
+        _assert_oracle(xs, lines)
+
+    @given(
+        _concave_lines(min_knots=3),
+        st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_cells_equal_the_chain(self, line_set, specials, data):
+        xs, lines = line_set
+        lines = lines.copy()
+        for value in specials:
+            i = data.draw(st.integers(0, lines.shape[0] - 1))
+            j = data.draw(st.integers(0, lines.shape[1] - 1))
+            lines[i, j] = value
+        assert _chained(xs, lines).tolist() == _pops(xs, lines).tolist()
+        _assert_oracle(xs, lines)
+
+    def test_monitored_epoch_power_rows_skip_the_chain(self, monkeypatch):
+        """One epoch of Fig-5 monitored grids: every power row is its own
+        hull, so only cache columns reach the chain."""
+        config = cmp_8core()
+        bundle = generate_bundles("CPBN", 8, count=1, seed=2016)[0]
+        chip = ChipModel(config, bundle.apps)
+        monitors = []
+        for i, core in enumerate(chip.cores):
+            monitor = RuntimeMonitor(core, config, rng=np.random.default_rng(i))
+            monitor.observe_epoch(2e6)
+            monitors.append(monitor)
+        chained = {"cache": 0, "power": 0}
+        axis = []
+        hull, chain = utility_builder.hull_lines, convex_hull._lockstep_chain
+
+        def recorded_hull(xs, lines):
+            axis.append("power" if np.ndim(xs) == 2 else "cache")
+            return hull(xs, lines)
+
+        def recorded_chain(x, y):
+            chained[axis[-1]] += x.shape[0]
+            return chain(x, y)
+
+        monkeypatch.setattr(utility_builder, "hull_lines", recorded_hull)
+        monkeypatch.setattr(convex_hull, "_lockstep_chain", recorded_chain)
+        estimated_utilities(monitors)
+        assert "power" in axis
+        assert chained["power"] == 0
+        assert chained["cache"] > 0
 
 
 class TestHullInterpolate:

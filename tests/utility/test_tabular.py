@@ -39,6 +39,14 @@ class TestGridUtility2D:
         with pytest.raises(ValueError):
             GridUtility2D([1.0, 0.0], [0.0], np.zeros((2, 1)))
 
+    def test_nan_axes_are_rejected(self):
+        # NaN compares False against any bound, so a NaN knot must fail
+        # the monotonicity check rather than slip past it.
+        with pytest.raises(ValueError):
+            GridUtility2D([0.0, np.nan, 2.0], [0.0, 1.0], np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            GridUtility2D([0.0, 1.0], [np.nan, 1.0], np.zeros((2, 2)))
+
     @given(
         st.floats(min_value=0.0, max_value=2.0),
         st.floats(min_value=0.0, max_value=2.0),

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..utility.batch import BatchedUtilitySet
-from .player import _equation_2_and_7, marginal_utility_of_bids_batch
+from ..utility.batch import BatchedUtilitySet, _equation_2_and_7
+from .player import marginal_utility_of_bids_batch
 
 __all__ = [
     "BiddingStrategy",
@@ -60,9 +60,9 @@ _SEED_TOLERANCE = 1e-6
 _EXACT_MAX_ITERATIONS = 200
 _EXACT_TOLERANCE = 1e-9
 
-#: ``marginals(rows, bids)``: the ``(K, M)`` marginal utilities of money
-#: of block rows ``rows`` at their bid rows ``bids``.
-_MarginalRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``marginals(rows, bids)``: the marginal utilities of money of block
+#: rows ``rows`` at their bid rows ``bids``, one list of M floats per row.
+_MarginalRule = Callable[[List[int], List[List[float]]], List[List[float]]]
 
 
 class BiddingStrategy(abc.ABC):
@@ -109,16 +109,24 @@ class HillClimbBidder(BiddingStrategy):
 
     Jacobi rounds make players independent within a round (everyone
     best-responds to the same broadcast bids), so :meth:`optimize_all`
-    advances every climb of a block in lockstep: each iteration costs one
-    ``(K, M)`` batched gradient dispatch serving every still-active
-    player, each with its own step size and stop state.  On hinted (warm)
-    calls the staleness probe counts as the first iteration, which then
-    evaluates only rows the probe did not cover; a warm verification
-    round therefore costs one dispatch.  With the bids, the call returns
-    the Equation 7 marginals of every row whose last evaluation was at
-    its returned bids — the row did not move after it — and ``NaN`` in
-    every other row.  Subclasses change the marginal the climb reads
-    through :meth:`_marginal_rule`.
+    advances every climb of a block in lockstep: each iteration makes
+    one marginal request over the players still climbing, each with its
+    own step size and stop state.  The climb's state (bids, steps, stop
+    flags, the staleness probe) and its decisions (donor, recipient,
+    stop, move) are Python floats and lists, and the default request
+    (:meth:`BatchedUtilitySet.bid_marginals
+    <repro.utility.batch.BatchedUtilitySet.bid_marginals>`) answers grid
+    players with a compiled Python-float kernel, so an iteration costs
+    per row, not per numpy dispatch.  The decisions keep numpy's rules:
+    the first index wins a tie and the first NaN wins ``argmax`` and
+    ``argmin`` (:func:`_extremes`), and hints are clipped as ``np.clip``
+    does (:func:`_clip`).  On hinted (warm) calls the staleness probe counts
+    as the first iteration, which then evaluates only rows the probe did
+    not cover; a warm verification round therefore costs one request.
+    With the bids, the call returns the Equation 7 marginals of every
+    row whose last evaluation was at its returned bids — the row did not
+    move after it — and ``NaN`` in every other row.  Subclasses change
+    the marginal the climb reads through :meth:`_marginal_rule`.
 
     A climb stops when its max and min marginal utilities agree within
     5%, or when its shift amount ``S`` falls below 1% of the player's
@@ -135,11 +143,12 @@ class HillClimbBidder(BiddingStrategy):
         current_bids: Optional[np.ndarray],
     ) -> _MarginalRule:
         """The marginal utility of money the climb equalizes: Equation 7."""
+        player_of, others_of = players.tolist(), others.tolist()
+        capacity = capacities.tolist()
 
-        def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
-            return marginal_utility_of_bids_batch(
-                bids, others.take(rows, axis=0), capacities,
-                evaluator=evaluator, players=players[rows],
+        def marginals(rows: List[int], bids: List[List[float]]) -> List[List[float]]:
+            return evaluator.bid_marginals(
+                [player_of[k] for k in rows], bids, [others_of[k] for k in rows], capacity
             )
 
         return marginals
@@ -170,16 +179,18 @@ class HillClimbBidder(BiddingStrategy):
             bids[budgets <= 0.0, 0] = 0.0
             return bids, None
 
-        cold_step = budgets / (2.0 * num_resources)
-        min_step = _STEP_STOP_FRACTION * budgets
-        step = cold_step.copy()
+        budget = budgets.tolist()
+        cold_step = [b / (2.0 * num_resources) for b in budget]
+        min_step = [_STEP_STOP_FRACTION * b for b in budget]
+        step = list(cold_step)
 
         # Step 1: start from the previous bids when they are a reusable
         # seed whose total is within 1e-6 of the budget; otherwise from
         # an equal split.  S is half of one equal-split bid, shrunk to
         # the last move for hinted warm starts whose seed is not stale.
         # Players with no budget keep zero bids and never climb.
-        bids, warm = _seed_bids(budgets, current_bids, num_resources, _SEED_TOLERANCE)
+        seed, warm = _seed_bids(budgets, current_bids, num_resources, _SEED_TOLERANCE)
+        bids = seed.tolist()
 
         # Staleness probe: the climb moves at most ~2x its initial step
         # per call, so a hint-sized step cannot recover from a large
@@ -187,78 +198,72 @@ class HillClimbBidder(BiddingStrategy):
         # tolerance means the seed is stale and the climb needs full
         # mobility from the warm point.
         # Only warm rows with a hint are probed (a NaN hint is none).
-        probe = None
-        probed = np.zeros(num_players, dtype=bool)
+        probe: dict = {}
         if step_hints is not None:
             hints = np.asarray(step_hints, dtype=float)
-            probed = warm & ~np.isnan(hints)
-        if probed.any():
-            rows = np.flatnonzero(probed)
-            marginals = marginals_at(rows, bids[rows])
-            donors = bids[rows] > 1e-12
-            has_donor = donors.any(axis=1)
-            hi = marginals.max(axis=1)
-            lo = np.where(donors, marginals, np.inf).min(axis=1)
-            stale = has_donor & (hi > 0.0) & (hi - lo > 2.0 * _LAMBDA_TOLERANCE * hi)
-            step[rows] = np.where(
-                stale,
-                cold_step[rows],
-                np.clip(hints[rows], 2.0 * min_step[rows], cold_step[rows]),
-            )
-            probe = np.zeros_like(bids)
-            probe[rows] = marginals
+            probed = np.flatnonzero(warm & ~np.isnan(hints)).tolist()
+            if probed:
+                hint = hints.tolist()
+                probe = dict(zip(probed, marginals_at(probed, [bids[k] for k in probed])))
+            for k, marginals in probe.items():
+                _, _, hi, lo, bidding = _extremes(marginals, bids[k])
+                stale = bidding and hi > 0.0 and hi - lo > 2.0 * _LAMBDA_TOLERANCE * hi
+                step[k] = (
+                    cold_step[k] if stale else _clip(hint[k], 2.0 * min_step[k], cold_step[k])
+                )
 
         # Each iteration works on the rows still climbing, in ascending
         # order; a row leaves once it stops or its step falls below the
-        # stop size.  ``fresh`` marks the rows whose last evaluated
-        # marginals are at their current bids.
-        evaluated = np.zeros((num_players, num_resources))
-        fresh = np.zeros(num_players, dtype=bool)
-        rows = np.flatnonzero((budgets > 0.0) & (step >= min_step))
-        while rows.size:
-            current = bids.take(rows, axis=0)
-            if probe is None:
-                marginals = marginals_at(rows, current)
-            else:
+        # stop size.  ``evaluated[k]`` is row k's last marginals and
+        # ``fresh[k]`` whether they are at its current bids.
+        evaluated: List[Optional[List[float]]] = [None] * num_players
+        fresh = [False] * num_players
+        rows = [k for k in range(num_players) if budget[k] > 0.0 and step[k] >= min_step[k]]
+        while rows:
+            if probe:
                 # The probe is the first iteration: no bid has moved
                 # since, and each row's marginals depend only on its own
                 # bids, so only rows it did not cover are evaluated.
-                marginals = probe[rows]
-                unprobed = ~probed[rows]
-                if unprobed.any():
-                    marginals[unprobed] = marginals_at(rows[unprobed], current[unprobed])
-                probe = None
-            evaluated[rows] = marginals
-            fresh[rows] = True
-            # Donor: lowest marginal among resources the player bids on
-            # (np.inf masking keeps the first index among ties);
-            # recipient: highest marginal overall.
-            donors = current > 1e-12
-            masked = np.where(donors, marginals, np.inf)
-            donor = masked.argmin(axis=1)
-            recipient = marginals.argmax(axis=1)
-            hi = marginals.max(axis=1)
-            lo = masked.min(axis=1)
-            # Stop when marginals already agree within tolerance.
-            stop = (
-                ~donors.any(axis=1)
-                | (recipient == donor)
-                | (hi <= 0.0)
-                | (hi - lo <= _LAMBDA_TOLERANCE * hi)
-            )
-            go = ~stop
-            move = rows[go]
-            d = donor[go]
-            r = recipient[go]
-            moved = np.minimum(step[move], current[go, d])
-            bids[move, d] -= moved
-            bids[move, r] += moved
-            fresh[move] = False
-            # Step 3: exponential back-off.
-            step[move] *= 0.5
-            rows = move[step[move] >= min_step[move]]
-        evaluated[~fresh] = np.nan
-        return bids, evaluated
+                unprobed = [k for k in rows if k not in probe]
+                if unprobed:
+                    fresh_rows = marginals_at(unprobed, [bids[k] for k in unprobed])
+                    probe.update(zip(unprobed, fresh_rows))
+                marginals = [probe[k] for k in rows]
+                probe = {}
+            else:
+                marginals = marginals_at(rows, [bids[k] for k in rows])
+            climbing = []
+            for k, row_marginals in zip(rows, marginals):
+                evaluated[k] = row_marginals
+                row = bids[k]
+                donor, recipient, hi, lo, bidding = _extremes(row_marginals, row)
+                # Stop when marginals already agree within tolerance.
+                if (
+                    not bidding
+                    or recipient == donor
+                    or hi <= 0.0
+                    or hi - lo <= _LAMBDA_TOLERANCE * hi
+                ):
+                    fresh[k] = True
+                    continue
+                fresh[k] = False
+                # np.minimum: a NaN bid wins (a step is never NaN).
+                s, available = step[k], row[donor]
+                moved = s if s <= available else available
+                row[donor] -= moved
+                row[recipient] += moved
+                # Step 3: exponential back-off.
+                step[k] = s = s * 0.5
+                if s >= min_step[k]:
+                    climbing.append(k)
+            rows = climbing
+        stale_row = [math.nan] * num_resources
+        return (
+            np.array(bids, dtype=float).reshape(num_players, num_resources),
+            np.array(
+                [m if f else stale_row for m, f in zip(evaluated, fresh)], dtype=float
+            ).reshape(num_players, num_resources),
+        )
 
 
 class ExactBidder(BiddingStrategy):
@@ -401,11 +406,11 @@ class PriceTakingBidder(HillClimbBidder):
             previous = np.maximum(np.asarray(current_bids, dtype=float), 0.0)
         prices = np.maximum((others + previous) / capacities, 1e-12)
 
-        def marginals(rows: np.ndarray, bids: np.ndarray) -> np.ndarray:
+        def marginals(rows: List[int], bids: List[List[float]]) -> List[List[float]]:
             row_prices = prices[rows]
-            allocations = np.minimum(bids / row_prices, capacities)
+            allocations = np.minimum(np.array(bids) / row_prices, capacities)
             du_dr = evaluator.gradients(allocations, players[rows])
-            return np.where(allocations < capacities, du_dr / row_prices, 0.0)
+            return np.where(allocations < capacities, du_dr / row_prices, 0.0).tolist()
 
         return marginals
 
@@ -444,6 +449,40 @@ def _seed_bids(
         warm = positive & ~(np.abs(totals - budgets) > tolerance * scale)
         bids[warm] = seed[warm] * (budgets[warm] / totals[warm])[:, None]
     return bids, warm
+
+
+def _extremes(marginals: List[float], bids: List[float]) -> tuple:
+    """``(donor, recipient, hi, lo, bidding)`` of one climb row, by numpy's rules.
+
+    The recipient is ``np.argmax(marginals)`` and ``hi`` its marginal;
+    the donor is ``np.argmin`` of the marginals with every resource the
+    row does not bid on (``bids[j] <= 1e-12``) masked to ``inf``, and
+    ``lo`` its masked marginal; ``bidding`` is whether the row bids on
+    any resource.  As in numpy, the first index wins a tie and the first
+    NaN wins either search (so ``hi`` or ``lo`` is then NaN).
+    """
+    inf = math.inf
+    recipient, hi = 0, marginals[0]
+    bidding = bids[0] > 1e-12
+    donor, lo = 0, hi if bidding else inf
+    for j in range(1, len(marginals)):
+        m = marginals[j]
+        if m > hi or (m != m and hi == hi):
+            recipient, hi = j, m
+        if bids[j] > 1e-12:
+            bidding = True
+        else:
+            m = inf
+        if m < lo or (m != m and lo == lo):
+            donor, lo = j, m
+    return donor, recipient, hi, lo, bidding
+
+
+def _clip(value: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float as its array loop does it: a NaN value
+    passes, and a bound wins a tie (so ``-0.0`` clips up to ``0.0``)."""
+    value = value if value != value or value > lo else lo
+    return value if value != value or value < hi else hi
 
 
 def _project_to_simplex(vector: np.ndarray, total: float) -> np.ndarray:

@@ -211,9 +211,10 @@ def find_equilibrium(
     ``bidder.optimize_all`` on row blocks of it: a Jacobi round is one
     block of every player, a Gauss–Seidel round one one-row block per
     player.  The default :class:`~repro.core.bidding.HillClimbBidder`
-    advances a block's climbs in lockstep at one batched gradient
-    dispatch per climb iteration (a warm round's staleness probe is its
-    first), so a warm verification round costs one dispatch.  Its final
+    advances a block's climbs in lockstep at one marginal request per
+    climb iteration (a warm round's staleness probe is its first), so a
+    warm verification round costs one request; grid players' requests
+    run a compiled Python-float kernel whose cost is per row.  Its final
     lambdas cost none: they reuse the Equation 7 marginals the round's
     block call returned, which are at exactly the final bids when the
     round was a Jacobi round that moved no bid and was not damped; any
@@ -256,11 +257,13 @@ def find_equilibria(
     bids, prices, convergence test, damping, warm anchor, iteration cap
     and marginal reuse, and leaves the stack once it settles.  A best
     response depends on its own market alone, and the evaluator's row
-    ``k`` on row ``k`` alone, so stacking changes no bit; it only shares
-    each dispatch's fixed cost among the markets.
+    ``k`` on row ``k`` alone, so stacking changes no bit.  The climb's
+    requests cost per row, so what stacking saves is each round's fixed
+    Python cost and the final value and lambda dispatches, shared among
+    the markets.
 
     ``eval_counts`` of a stacked search are the tallies of the whole
-    search, the same in each of its K results: one dispatch serves every
+    search, the same in each of its K results: one request serves every
     live market, so it belongs to none of them alone.  Sum them once
     per search, not once per result.  With one market they are that
     search's own tallies, as from :func:`find_equilibrium`.

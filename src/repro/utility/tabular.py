@@ -10,11 +10,15 @@ utilities; :class:`StackedGrids` evaluates many such grids in one call.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+import sys
+from array import array
+from bisect import bisect_right
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .base import UtilityFunction, numeric_gradient_batch
+from .base import _GRADIENT_EPS, UtilityFunction, numeric_gradient_batch
 
 __all__ = ["GridUtility2D", "StackedGrids"]
 
@@ -75,6 +79,7 @@ class _AxisCells:
 
     def __init__(self, axes: np.ndarray):
         num_grids, n = axes.shape
+        self.num_grids, self.n = num_grids, n
         self.shared = axes.tobytes() == axes[0].tobytes() * num_grids
         if self.shared:
             self.knots = axes[0]
@@ -107,6 +112,17 @@ class _AxisCells:
         np.minimum(index, top, out=index)
         return index, (u - self.knots.take(index)) / self.widths.take(index)
 
+    def lists(self) -> List[tuple]:
+        """Each grid's ``(knots, widths)`` as lists; one pair serves
+        every grid of a shared axis."""
+        knots, widths, n = self.knots.tolist(), self.widths.tolist(), self.n
+        if self.shared:
+            return [(knots, widths)] * self.num_grids
+        return [
+            (knots[g * n:(g + 1) * n], widths[g * n:(g + 1) * n - 1])
+            for g in range(self.num_grids)
+        ]
+
 
 class StackedGrids:
     """Several same-shape 2-D grid utilities fused into one lookup table.
@@ -136,6 +152,48 @@ class StackedGrids:
         )
         #: Offsets of the (i, j), (i+1, j), (i, j+1), (i+1, j+1) corners.
         self._corners = np.array([0, ny, 1, ny + 1])
+        #: The Equation 7 kernel of :meth:`bid_marginals`, compiled on
+        #: the first call.
+        self._kernel: "Callable | None" = None
+
+    def bid_marginals(
+        self,
+        slots: List[int],
+        bids: List[List[float]],
+        others: List[List[float]],
+        capacities: List[float],
+        rates: List[float],
+    ) -> List[List[float]]:
+        """Equation 7 marginals of bid row ``bids[k]`` under grid ``slots[k]``.
+
+        A Python-float kernel for the hill climb's few rows per
+        iteration, where a numpy dispatch costs more than the rows.  It
+        runs Equations 2 and 7 on the bids, ``others[k]`` (the other
+        players' bids) and ``capacities``, with ``rates`` the first-bid
+        rates that replace an infinite ``dr_j/db_j``; then the central
+        differences of
+        :func:`~repro.utility.base.numeric_gradient_batch` over
+        :meth:`value_points`'s clamp, cell lookup and blend; and returns
+        ``dU/dr * dr/db``.  Each operation is the numpy path's, in its
+        order, so every row equals row ``k`` of
+        :func:`~repro.core.player.marginal_utility_of_bids_batch` bit for
+        bit, a NaN's payload aside (:func:`_marginal_kernel`).  The
+        kernel is compiled from the stack's tables on the first call and
+        held by the stack alone, so it goes with the stack.
+        """
+        if self._kernel is None:
+            # Values as packed doubles, copied as bytes: a list would
+            # hold a float object per value, three times the memory, for
+            # a few % of speed.
+            values = self._values.reshape(self._x.num_grids, -1)
+            tables = [
+                (xs, x_widths, ys, y_widths, array("d", grid.tobytes()))
+                for (xs, x_widths), (ys, y_widths), grid in zip(
+                    self._x.lists(), self._y.lists(), values
+                )
+            ]
+            self._kernel = _marginal_kernel(tables, self._ny)
+        return self._kernel(slots, bids, others, capacities, rates)
 
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Values of ``points[k]`` under grid ``owners[k]``.
@@ -168,3 +226,161 @@ class StackedGrids:
         return numeric_gradient_batch(
             lambda probes: self.value_points(probes, probe_owners), points
         )
+
+
+#: Above the largest float: only an infinity compares beyond it.
+_MAX_FLOAT = sys.float_info.max
+
+
+def _marginal_kernel(tables: List[tuple], ny: int) -> Callable:
+    """The Python-float body of :meth:`StackedGrids.bid_marginals`.
+
+    ``tables[g]`` is grid ``g``'s ``(xs, x_widths, ys, y_widths,
+    values)``: its axes and cell widths as lists, and its values as
+    packed doubles, flat in ``x * ny + y`` order.  Each step mirrors its numpy
+    form in ``_equation_2_and_7`` (:mod:`repro.utility.batch`),
+    :func:`~repro.utility.base.numeric_gradient_batch` and
+    :meth:`StackedGrids.value_points`, in the same order: products and
+    sums associate left to right as there, ``1.0 - t`` is numpy's
+    ``1 - t``, comparisons are written so that NaN takes numpy's branch,
+    and a division numpy would make by zero is decided before Python
+    could raise.  NaN lands in the same entries as there; only where two
+    NaNs meet in a product or sum may the payload differ, as CPython
+    keeps the second operand's and numpy the first's.  The steps are
+    written out in line: this loop is the climb's whole per-row cost.
+    """
+    eps, big, inf = _GRADIENT_EPS, _MAX_FLOAT, math.inf
+    last_x, last_y = len(tables[0][0]) - 1, len(tables[0][2]) - 1
+
+    def kernel(slots, bids, others, capacities, rates):
+        c0, c1 = capacities
+        rate0, rate1 = rates
+        out = []
+        for g, (b0, b1), (y0, y1) in zip(slots, bids, others):
+            xs, x_widths, ys, y_widths, v = tables[g]
+            # Equations 2 and 7 per resource: the allocation r and
+            # dr/db, whose infinities (nobody bids; overflow; a square
+            # that underflowed to 0) become the first-bid rate.
+            total = b0 + y0
+            if total > 0.0:
+                square, numerator = total * total, y0 * c0
+                if square > 0.0:
+                    k0 = numerator / square
+                    if k0 > big or k0 < -big:
+                        k0 = rate0
+                else:
+                    # numpy's numerator / 0.0: +-inf, else (0 or NaN) the
+                    # NaN this product gives.
+                    k0 = rate0 if numerator > 0.0 or numerator < 0.0 else numerator * inf
+                r0 = b0 / total * c0
+            else:
+                r0, k0 = 0.0 * c0, rate0
+            total = b1 + y1
+            if total > 0.0:
+                square, numerator = total * total, y1 * c1
+                if square > 0.0:
+                    k1 = numerator / square
+                    if k1 > big or k1 < -big:
+                        k1 = rate1
+                else:
+                    # numpy's numerator / 0.0: +-inf, else (0 or NaN) the
+                    # NaN this product gives.
+                    k1 = rate1 if numerator > 0.0 or numerator < 0.0 else numerator * inf
+                r1 = b1 / total * c1
+            else:
+                r1, k1 = 0.0 * c1, rate1
+            # The cells of the point r: clamp as np.clip does (NaN
+            # passes, an end keeps its own bits), then the clamped right
+            # bisection, where NaN finds the last cell as searchsorted
+            # does.
+            u = r0
+            if u < xs[0]:
+                u = xs[0]
+            elif u > xs[last_x]:
+                u = xs[last_x]
+            i = bisect_right(xs, u, 1, last_x) - 1
+            tx = (u - xs[i]) / x_widths[i]
+            u = r1
+            if u < ys[0]:
+                u = ys[0]
+            elif u > ys[last_y]:
+                u = ys[last_y]
+            j = bisect_right(ys, u, 1, last_y) - 1
+            ty = (u - ys[j]) / y_widths[j]
+            # dU/dr_0: central differences along x at step s, or a
+            # forward difference from r itself when r - s < 0.
+            a = abs(r0)
+            s = eps * (1.0 if a <= 1.0 else a)
+            u = r0 + s
+            if u < xs[0]:
+                u = xs[0]
+            elif u > xs[last_x]:
+                u = xs[last_x]
+            hi = bisect_right(xs, u, 1, last_x) - 1
+            t_hi = (u - xs[hi]) / x_widths[hi]
+            if r0 - s < 0.0:
+                lo, t_lo, span = i, tx, s
+            else:
+                u = r0 - s
+                if u < xs[0]:
+                    u = xs[0]
+                elif u > xs[last_x]:
+                    u = xs[last_x]
+                lo = bisect_right(xs, u, 1, last_x) - 1
+                t_lo = (u - xs[lo]) / x_widths[lo]
+                span = 2.0 * s
+            # Each probe's bilinear blend of the values at its cell's
+            # (i, j), (i+1, j), (i, j+1) and (i+1, j+1) knots.
+            sy = 1.0 - ty
+            k = hi * ny + j
+            sx = 1.0 - t_hi
+            upper = (
+                v[k] * sx * sy + v[k + ny] * t_hi * sy
+                + v[k + 1] * sx * ty + v[k + ny + 1] * t_hi * ty
+            )
+            k = lo * ny + j
+            sx = 1.0 - t_lo
+            lower = (
+                v[k] * sx * sy + v[k + ny] * t_lo * sy
+                + v[k + 1] * sx * ty + v[k + ny + 1] * t_lo * ty
+            )
+            d0 = (upper - lower) / span
+            # dU/dr_1 likewise along y.
+            a = abs(r1)
+            s = eps * (1.0 if a <= 1.0 else a)
+            u = r1 + s
+            if u < ys[0]:
+                u = ys[0]
+            elif u > ys[last_y]:
+                u = ys[last_y]
+            hi = bisect_right(ys, u, 1, last_y) - 1
+            t_hi = (u - ys[hi]) / y_widths[hi]
+            if r1 - s < 0.0:
+                lo, t_lo, span = j, ty, s
+            else:
+                u = r1 - s
+                if u < ys[0]:
+                    u = ys[0]
+                elif u > ys[last_y]:
+                    u = ys[last_y]
+                lo = bisect_right(ys, u, 1, last_y) - 1
+                t_lo = (u - ys[lo]) / y_widths[lo]
+                span = 2.0 * s
+            sx = 1.0 - tx
+            k = i * ny + hi
+            sy = 1.0 - t_hi
+            upper = (
+                v[k] * sx * sy + v[k + ny] * tx * sy
+                + v[k + 1] * sx * t_hi + v[k + ny + 1] * tx * t_hi
+            )
+            k = i * ny + lo
+            sy = 1.0 - t_lo
+            lower = (
+                v[k] * sx * sy + v[k + ny] * tx * sy
+                + v[k + 1] * sx * t_lo + v[k + ny + 1] * tx * t_lo
+            )
+            d1 = (upper - lower) / span
+            out.append([d0 * k0, d1 * k1])
+        return out
+
+    return kernel

@@ -44,28 +44,25 @@ def scalar_reference(utilities, budgets, others, capacities, current_bids, step_
 class Recorder:
     """Records every Equation 7 point one ``optimize_all`` call evaluates.
 
-    Wraps the evaluator's ``gradients`` (the one utility dispatch of a
-    batched marginal) and the bidding module's batched marginal, which
-    is what hands the evaluator its ``(bids, others, players)`` rows.
+    Wraps the evaluator's ``bid_marginals``, the one request a climb
+    iteration makes, which hands the evaluator its ``(players, bids,
+    others)`` rows.
     """
 
     def __init__(self, monkeypatch, evaluator):
         self.points = []
         self.dispatches = []
-        gradients = evaluator.gradients
-        marginals = bidding_module.marginal_utility_of_bids_batch
+        marginals = evaluator.bid_marginals
 
-        def recording_gradients(allocations, players=None):
+        def recording_marginals(players, bids, others, capacities):
             self.dispatches.append(np.array(players))
-            return gradients(allocations, players)
-
-        def recording_marginals(bids, others, capacities, *, evaluator, players):
             for player, bid_row, other_row in zip(players, bids, others):
-                self.points.append((int(player), bid_row.tobytes(), other_row.tobytes()))
-            return marginals(bids, others, capacities, evaluator=evaluator, players=players)
+                self.points.append(
+                    (int(player), np.array(bid_row).tobytes(), np.array(other_row).tobytes())
+                )
+            return marginals(players, bids, others, capacities)
 
-        evaluator.gradients = recording_gradients
-        monkeypatch.setattr(bidding_module, "marginal_utility_of_bids_batch", recording_marginals)
+        monkeypatch.setattr(evaluator, "bid_marginals", recording_marginals)
 
     def duplicates(self):
         return [point for point, n in Counter(self.points).items() if n > 1]

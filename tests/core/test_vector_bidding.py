@@ -40,7 +40,14 @@ from repro.core import (
     run_rebudget,
 )
 from repro.core import equilibrium as equilibrium_module
-from repro.utility import LinearUtility, LogUtility, PowerUtility, SaturatingUtility
+from repro.qa import sanitize
+from repro.utility import (
+    GridUtility2D,
+    LinearUtility,
+    LogUtility,
+    PowerUtility,
+    SaturatingUtility,
+)
 from repro.utility.batch import BatchedUtilitySet
 from repro.workloads import generate_bundles
 
@@ -49,7 +56,8 @@ def scalar_reference(
     utilities, budgets, others, capacities, current_bids=None, step_hints=None,
     bidder=None,
 ):
-    """N independent scalar climbs, row for row."""
+    """N independent scalar climbs, row for row; a NaN hint is none,
+    as in the block climb."""
     bidder = bidder or ScalarHillClimbBidder()
     out = np.zeros((len(utilities), capacities.size))
     for i, utility in enumerate(utilities):
@@ -59,7 +67,10 @@ def scalar_reference(
             others[i],
             capacities,
             current_bids=None if current_bids is None else current_bids[i],
-            step_hint=None if step_hints is None else float(step_hints[i]),
+            step_hint=(
+                None if step_hints is None or np.isnan(step_hints[i])
+                else float(step_hints[i])
+            ),
         )
     return out
 
@@ -212,6 +223,167 @@ class TestOptimizeAll:
         )
         assert marginals is None
         np.testing.assert_allclose(bids.sum(axis=1), budgets)
+
+
+class TestDecisionRules:
+    """The climb decides on Python floats by numpy's rules, which
+    Python's ``max`` and ``min`` would change: the first index wins a
+    tie, the first NaN wins ``argmax`` and ``argmin`` (so a NaN marginal
+    on a resource the row does not bid on draws money), and a NaN hint
+    or a non-finite seed is none.  Every block must climb to exactly the
+    scalar climbs' bids."""
+
+    AXIS = np.array([0.0, 1.0, 2.0, 4.0])
+
+    def grid(self, values):
+        return GridUtility2D(self.AXIS, self.AXIS, values)
+
+    def concave_grid(self, scale):
+        x, y = np.meshgrid(self.AXIS, self.AXIS, indexing="ij")
+        return self.grid(scale * np.sqrt(1.0 + x) * np.sqrt(1.0 + 2.0 * y))
+
+    def assert_climbs_as_scalar(self, utilities, budgets, others, capacities, **warm):
+        with np.errstate(all="ignore"):
+            bids, _ = optimize_all(
+                HillClimbBidder(), utilities, budgets, others, capacities, **warm
+            )
+            expected = scalar_reference(utilities, budgets, others, capacities, **warm)
+        assert bids.tobytes() == expected.tobytes()
+        return bids
+
+    @staticmethod
+    def seed_marginals(utilities, bids, others, capacities):
+        with np.errstate(all="ignore"):
+            return marginal_utility_of_bids_batch(
+                bids, others, capacities, BatchedUtilitySet(utilities),
+                np.arange(len(utilities)),
+            )
+
+    def test_tied_marginals(self):
+        # A plane with equal slopes ties both marginals at an equal
+        # split (a stop) and ties a three-resource linear player's two
+        # cheaper resources, where the first must draw the money.
+        x, y = np.meshgrid(self.AXIS, self.AXIS, indexing="ij")
+        plane = [self.grid(x + y), self.grid(2.0 * x + 2.0 * y)]
+        budgets = np.array([10.0, 10.0])
+        others = np.array([[12.0, 12.0], [6.0, 6.0]])
+        capacities = np.array([4.0, 4.0])
+        at_split = self.seed_marginals(plane, np.full((2, 2), 5.0), others, capacities)
+        assert (at_split[:, 0] == at_split[:, 1]).all()
+        bids = self.assert_climbs_as_scalar(plane, budgets, others, capacities)
+        assert (bids == 5.0).all()
+        self.assert_climbs_as_scalar(
+            plane, budgets, others, capacities,
+            current_bids=np.array([[7.0, 3.0], [2.0, 8.0]]), step_hints=np.array([1.0, 1.0]),
+        )
+
+        linear = [LinearUtility([1.0, 1.0, 1.0]), LinearUtility([2.0, 2.0, 2.0])]
+        seed = np.array([[6.0, 2.0, 2.0], [2.0, 2.0, 6.0]])
+        others = np.full((2, 3), 10.0)
+        capacities = np.full(3, 5.0)
+        marginals = self.seed_marginals(linear, seed, others, capacities)
+        assert marginals[0, 1] == marginals[0, 2] and marginals[1, 0] == marginals[1, 1]
+        bids = self.assert_climbs_as_scalar(
+            linear, budgets, others, capacities, current_bids=seed, step_hints=np.array([2.0, 2.0])
+        )
+        assert bids[0, 1] > bids[0, 2] and bids[1, 0] > bids[1, 1]
+
+    @pytest.fixture
+    def unsanitized(self):
+        """NaN marginals on purpose: the sanitizer, which stops any
+        (``tests/qa/test_sanitizer.py``), is off for the test."""
+        with sanitize.enabled(False):
+            yield
+
+    @pytest.mark.usefixtures("unsanitized")
+    def test_nan_marginal_rows(self):
+        # Rows 0 and 2 bid 1e-170 against nobody else, which squares to
+        # 0 and makes dr/db 0/0: a NaN marginal on a resource the row
+        # does not bid on, after a finite one.  argmax takes the NaN, so
+        # the climb moves money onto it (Python's max would stop).  Row
+        # 1's NaN cell gives a NaN marginal on a resource it bids on,
+        # after a finite one: argmin takes it too, and the climb stops.
+        nan_cell = self.concave_grid(1.0).values.copy()
+        nan_cell[0, 0] = np.nan
+        utilities = [
+            self.concave_grid(1.0), self.grid(nan_cell),
+            LogUtility([1.0, 0.5], [1.0, 1.0]), self.concave_grid(2.0),
+        ]
+        budgets = np.array([10.0, 6.0, 10.0, 10.0])
+        seed = np.array([[10.0, 1e-170], [2.0, 4.0], [10.0, 1e-170], [5.0, 5.0]])
+        others = np.array([[6.0, 0.0], [14.0, 12.0], [6.0, 0.0], [6.0, 6.0]])
+        capacities = np.array([4.0, 4.0])
+        marginals = self.seed_marginals(utilities, seed, others, capacities)
+        assert np.isfinite(marginals[:3, 0]).all() and np.isnan(marginals[:3, 1]).all()
+        bids = self.assert_climbs_as_scalar(
+            utilities, budgets, others, capacities,
+            current_bids=seed, step_hints=np.full(4, 1.0),
+        )
+        assert (bids[[0, 2], 1] > 1e-12).all() and (bids[1] == seed[1]).all()
+
+    def test_zero_budget_rows(self):
+        utilities = [self.concave_grid(s) for s in (1.0, 2.0, 3.0, 1.0, 2.0)]
+        budgets = np.array([0.0, -0.0, -5.0, 20.0, 0.0])
+        others = np.full((5, 2), 8.0)
+        capacities = np.array([4.0, 4.0])
+        seed = np.array([[1.0, 1.0], [0.0, 0.0], [3.0, 2.0], [15.0, 5.0], [-1.0, 1.0]])
+        bids = self.assert_climbs_as_scalar(utilities, budgets, others, capacities)
+        assert (bids[[0, 1, 2, 4]] == 0.0).all()
+        self.assert_climbs_as_scalar(
+            utilities, budgets, others, capacities,
+            current_bids=seed, step_hints=np.full(5, 0.5),
+        )
+
+    @pytest.mark.usefixtures("unsanitized")
+    def test_nan_seeds_and_hints(self):
+        # Non-finite seed rows start cold; a NaN hint leaves its warm
+        # row a cold step, also where the seed's marginals are too close
+        # to be stale (row 2, 7% apart); hints are clipped into [2% of
+        # the budget, the cold step], bounds included.
+        utilities = [self.concave_grid(s) for s in (1.0, 2.0, 3.0, 1.5, 2.5, 0.5)]
+        budgets = np.full(6, 20.0)
+        others = np.array(
+            [[8.0, 2.0], [2.0, 8.0], [5.0, 5.0], [8.0, 2.0], [2.0, 8.0], [1.0, 9.0]]
+        )
+        capacities = np.array([4.0, 4.0])
+        seed = np.array(
+            [[np.nan, 5.0], [15.0, np.inf], [9.25, 10.75], [4.0, 16.0], [10.0, 10.0], [3.0, 17.0]]
+        )
+        marginals = self.seed_marginals(utilities, seed, others, capacities)[2]
+        assert 0.05 < (marginals.max() - marginals.min()) / marginals.max() <= 0.1
+        hints = np.array([1.0, 1.0, np.nan, np.nan, 0.4, 100.0])
+        self.assert_climbs_as_scalar(
+            utilities, budgets, others, capacities, current_bids=seed, step_hints=hints
+        )
+        self.assert_climbs_as_scalar(
+            utilities, budgets, others, capacities,
+            current_bids=seed, step_hints=np.full(6, np.nan),
+        )
+
+    def test_three_resource_market(self):
+        # Non-grid players over three resources, one of them with no
+        # capacity and one nobody else bids on.
+        utilities = [
+            LogUtility([1.0, 0.5, 2.0], [2.0, 1.0, 3.0]),
+            SaturatingUtility([1.0, 2.0, 0.5], [4.0, 1.0, 2.0]),
+            PowerUtility([0.5, 1.0, 1.0], [0.5, 0.3, 0.9]),
+            LinearUtility([1.0, 1.0, 1.0]),
+            LogUtility([0.2, 0.2, 3.0], [1.0, 1.0, 1.0]),
+        ]
+        budgets = np.array([30.0, 12.0, 0.0, 25.0, 40.0])
+        others = np.array(
+            [[10.0, 5.0, 0.0], [20.0, 2.0, 8.0], [5.0, 5.0, 5.0], [9.0, 9.0, 9.0], [1.0, 40.0, 3.0]]
+        )
+        capacities = np.array([10.0, 0.0, 5.0])
+        self.assert_climbs_as_scalar(utilities, budgets, others, capacities)
+        self.assert_climbs_as_scalar(
+            utilities, budgets, others, capacities,
+            current_bids=np.array(
+                [[10.0, 10.0, 10.0], [1.0, 1.0, 10.0], [0.0, 0.0, 0.0],
+                 [5.0, 5.0, 15.0], [np.nan, 1.0, 1.0]]
+            ),
+            step_hints=np.array([2.0, np.nan, 1.0, 0.1, 3.0]),
+        )
 
 
 class TestFindEquilibriumLockstep:

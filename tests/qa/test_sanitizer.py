@@ -13,6 +13,7 @@ from repro.cmp import utility_builder
 from repro.core import (
     AllocationMechanism,
     AllocationProblem,
+    HillClimbBidder,
     Market,
     ReBudgetConfig,
     marginal_utility_of_bids_batch,
@@ -20,7 +21,8 @@ from repro.core import (
 )
 from repro.exceptions import SanitizerError
 from repro.qa import sanitize
-from repro.utility import BatchedUtilitySet, LogUtility, UtilityFunction
+from repro.utility import BatchedUtilitySet, GridUtility2D, LogUtility, UtilityFunction
+from repro.utility import batch as batch_module
 
 
 @pytest.fixture
@@ -330,6 +332,43 @@ class TestEndToEndInjections:
         with sanitize.enabled(False):
             out = marginal_utility_of_bids_batch(bids, others, capacities, evaluator)
         assert np.isnan(out[:, 0]).all()
+
+    def climb_grids(self, values):
+        """A hill climb's block of two players on 2-D grids, which its
+        compiled kernel answers: ``(evaluator, budgets, capacities)``."""
+        axis = np.array([0.0, 1.0, 2.0, 4.0])
+        grids = [GridUtility2D(axis, axis, values), GridUtility2D(axis, axis, 2.0 * values)]
+        evaluator = BatchedUtilitySet(grids)
+        assert [kind for kind, _ in evaluator._groups] == [batch_module._STACKED]
+        return evaluator, np.array([10.0, 10.0]), np.array([4.0, 4.0])
+
+    def climb(self, evaluator, budgets, others, capacities):
+        return HillClimbBidder().optimize_all(
+            evaluator, np.arange(budgets.size), budgets, others, capacities
+        )
+
+    def test_overallocating_bids_trip_the_climb_kernel(self):
+        # Negative others' bids give Equation 2 shares beyond 1, which
+        # the kernel keeps to itself; the sanitizer checks them anyway.
+        x, y = np.meshgrid(np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.0, 1.0, 2.0, 4.0]))
+        evaluator, budgets, capacities = self.climb_grids(np.sqrt(1.0 + x.T + y.T))
+        others = np.array([[-2.0, 5.0], [5.0, 5.0]])
+        with sanitize.enabled():
+            with trips("allocation-within-capacity"):
+                self.climb(evaluator, budgets, others, capacities)
+        with sanitize.enabled(False):
+            self.climb(evaluator, budgets, others, capacities)  # unchecked
+
+    def test_nan_cells_trip_the_climb_kernel(self):
+        values = np.full((4, 4), np.nan)
+        evaluator, budgets, capacities = self.climb_grids(values)
+        others = np.array([[5.0, 5.0], [3.0, 8.0]])
+        with sanitize.enabled():
+            with trips("marginal-finite"):
+                self.climb(evaluator, budgets, others, capacities)
+        with sanitize.enabled(False):
+            _, marginals = self.climb(evaluator, budgets, others, capacities)
+        assert np.isnan(marginals).all()  # unchecked: the NaN flows through
 
     def test_sub_floor_budget_trips_rebudget(self, small_market, monkeypatch):
         # Force a floor *above* the initial budget: every player starts

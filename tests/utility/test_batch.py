@@ -34,6 +34,9 @@ from repro.utility import (
     numeric_gradient_batch,
     upper_convex_hull,
 )
+from repro.core import marginal_utility_of_bids_batch
+from repro.qa import sanitize
+from repro.utility import batch as batch_module
 from repro.utility.batch import player_classes
 
 
@@ -402,6 +405,142 @@ def test_stacked_kernel_is_bitwise_the_scalar_grid(case):
     )
     for g, grid in enumerate(grids):
         assert _bits(grid.value_batch(points[owners == g])) == _bits(values[owners == g])
+
+
+#: The usual capacity of a resource in :func:`grid_marginal_cases`:
+#: with a total of 64, a bid of ``4 * a`` buys exactly ``a``.
+_EXACT_CAPACITY = 16.0
+
+
+@st.composite
+def grid_marginal_cases(draw):
+    """Same-shape grids on shared or per-grid axes, capacities, and bid
+    rows under random owners.
+
+    Axes are multiples of 0.25, so with a capacity of 16 and a total of
+    64 a bid lands its allocation exactly on a knot, an axis end, one
+    step beyond either end, ``0.0`` or ``-0.0``.  Other rows fall in the
+    forward-difference band ``[0, 1e-6]`` (its edge included), bid
+    where nobody bids (the first-bid rate), make ``y * C / (b + y)^2``
+    overflow to +-inf (a capacity of 1e300) or ``(b + y)^2`` underflow
+    to 0 (``0 / 0`` when nobody else bids, where Python would raise), or
+    bid inf or 1e200 (whose square overflows).  A capacity may also be 0 or inf.  Cells are random with a
+    few set to 0, -0, 1 or NaN, and random rows follow the drawn ones,
+    so that a blend or a difference rounded in another order shows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_grids = draw(st.integers(1, 3))
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+
+    def axes(n, shared):
+        start = draw(st.sampled_from([0.0, 0.25, -1.0]))
+        steps = draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+        base = start + 0.25 * np.concatenate([[0], np.cumsum(steps)])
+        return [base if shared else base * (1.0 + g) for g in range(num_grids)]
+
+    xs = axes(nx, draw(st.booleans()))
+    ys = axes(ny, draw(st.booleans()))
+    grids = []
+    for g in range(num_grids):
+        values = rng.uniform(-5.0, 5.0, size=(nx, ny))
+        for _ in range(draw(st.integers(0, 3))):
+            cell = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+            values[cell] = draw(st.sampled_from([0.0, -0.0, 1.0, np.nan]))
+        grids.append(GridUtility2D(xs[g], ys[g], values))
+    capacity = st.sampled_from([_EXACT_CAPACITY] * 3 + [1e300, 0.0, np.inf])
+    capacities = [draw(capacity), draw(capacity)]
+    rows = draw(st.integers(1, 10))
+    owners = draw(st.lists(st.integers(0, num_grids - 1), min_size=rows, max_size=rows))
+
+    def bid(axis):
+        """One resource's ``(bid, others)``."""
+        kind = draw(st.sampled_from(
+            ["knot", "signed-zero", "band", "nobody", "overflow", "underflow",
+             "non-finite", "uniform"]
+        ))
+        if kind == "knot":
+            allocation = draw(st.sampled_from(
+                list(axis) + [axis[0] - 0.25, axis[-1] + 0.25, 0.0]
+            ))
+            return 4.0 * allocation, 64.0 - 4.0 * allocation
+        if kind == "signed-zero":
+            return -0.0, 64.0
+        if kind == "band":
+            # Allocations of 1e-9, 5e-7 and the band's edge 1e-6, where
+            # r - 1e-6 * max(1, |r|) is exactly 0.
+            bid = draw(st.sampled_from([4e-9, 2e-6, 4e-6]))
+            return bid, 64.0 - bid
+        if kind == "nobody":
+            return draw(st.sampled_from([0.0, 5.0])), 0.0
+        if kind == "overflow":
+            return draw(st.sampled_from([(0.0, 1e-100), (0.0, 1e10), (2e-100, -1e-100)]))
+        if kind == "underflow":
+            return 1e-170, draw(st.sampled_from([1e-170, 0.0]))
+        if kind == "non-finite":
+            return draw(st.sampled_from(
+                [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1e200, 1.0)]
+            ))
+        return draw(st.floats(0.0, 100.0)), draw(st.floats(0.0, 100.0))
+
+    # Python floats, as the climb hands them over.
+    pairs = [[bid(xs[g].tolist()), bid(ys[g].tolist())] for g in owners]
+    bids = [[b for b, _ in row] for row in pairs]
+    others = [[y for _, y in row] for row in pairs]
+    extra = draw(st.integers(0, 16))
+    owners += rng.integers(0, num_grids, size=extra).tolist()
+    bids += rng.uniform(0.0, 100.0, size=(extra, 2)).tolist()
+    others += rng.uniform(0.0, 100.0, size=(extra, 2)).tolist()
+    return grids, owners, bids, others, capacities
+
+
+@given(grid_marginal_cases())
+@settings(max_examples=400, deadline=None)
+def test_grid_marginal_kernel_is_bitwise_the_batched_marginals(case):
+    """The compiled Python-float kernel behind ``bid_marginals`` —
+    Equations 2 and 7, clamp, bisect, blend and central differences —
+    equals row ``k`` of ``marginal_utility_of_bids_batch`` (the numpy
+    path through ``StackedGrids.gradient_points``) bit for bit, signed
+    zeros included, with NaN in the same entries.
+
+    Only a NaN's payload is left free: where two NaNs meet in a product
+    or a sum, CPython's compiled ``*`` and ``+`` keep the second
+    operand's and numpy's loops the first's (IEEE 754 allows either),
+    so a NaN cell times numpy's default ``0 / 0`` NaN differs in sign.
+    """
+    grids, owners, bids, others, capacities = case
+    evaluator = BatchedUtilitySet(grids)
+    assert [kind for kind, _ in evaluator._groups] == [batch_module._STACKED]
+    # Out-of-domain rows on purpose: the sanitizer would stop them.
+    with sanitize.enabled(False), np.errstate(all="ignore"):
+        kernel = evaluator.bid_marginals(owners, bids, others, capacities)
+        batched = marginal_utility_of_bids_batch(
+            np.array(bids), np.array(others), np.array(capacities),
+            evaluator, np.array(owners, dtype=np.intp),
+        )
+    assert _bits_or_nan(kernel) == _bits_or_nan(batched)
+
+
+def _bits_or_nan(values):
+    """The bits of ``values`` with every NaN as ``np.nan``."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def test_grid_marginal_kernel_counts_one_gradient_call_per_group():
+    """A bid-marginal request counts as ``gradients`` does: one batched
+    gradient call per group it reaches, covering that group's rows."""
+    grids = [make_grid(0), make_grid(1)]
+    evaluator = BatchedUtilitySet(grids + [LogUtility([1.0, 0.5], [2.0, 1.0])])
+    bids = [[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]]
+    others = [[4.0, 4.0], [1.0, 5.0], [3.0, 0.0]]
+    before = EVAL_COUNTERS.snapshot()
+    got = evaluator.bid_marginals([2, 0, 1], bids, others, [5.0, 3.0])
+    delta = EVAL_COUNTERS.since(before)
+    assert delta["batch_gradient_calls"] == 2 and delta["batch_points"] == 3
+    expected = marginal_utility_of_bids_batch(
+        np.array(bids), np.array(others), np.array([5.0, 3.0]), evaluator, np.array([2, 0, 1])
+    )
+    assert _bits(got) == _bits(expected)
 
 
 def test_stacked_axes_shared_only_when_bitwise_equal():
